@@ -20,15 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .constitutive import (
-    MaterialParams,
-    couple_stress_batch,
-    stresses,
-    stresses_batch,
-)
-from .fields import DisplacementField, curl_from_grad
+from .constitutive import MaterialParams, couple_stress, stresses
+from .fields import DisplacementField, grad_curl_from_grad2
 from .surfaces import SurfacePatch
-from .tensors import EPS3, anti
+from .tensors import EPS3, ID3
 
 __all__ = [
     "TractionSet",
@@ -45,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TractionSet:
-    """The independently prescribable traction quantities at a point."""
+    """The independently prescribable traction quantities at chart points;
+    each array is (..., 3) over the chart coordinates."""
 
     t_force: NDArray            # 3 conditions
     g_double: NDArray           # 2 conditions, tangential by construction
@@ -53,64 +49,74 @@ class TractionSet:
     pi_jump: NDArray | None = None  # 3 edge conditions, complete form only
 
 
-def _surface_quantities(params, field, patch, s, t):
+def _anti(w: NDArray) -> NDArray:
+    """anti(w)_ij = -eps_ijk w_k over a batch of vectors."""
+    return np.einsum("ijk,...k->...ij", -EPS3, w)
+
+
+def _mv(A: NDArray, v: NDArray) -> NDArray:
+    return np.einsum("...ij,...j->...i", A, v)
+
+
+def _moment_split(m: NDArray, n: NDArray):
+    """psi = <m.n, n>, w = (id - n(x)n) m.n and anti(w)(id - n(x)n) for
+    couple stresses m and unit normals n."""
+    m_n = _mv(m, n)
+    psi = np.einsum("...i,...i->...", m_n, n)
+    w = m_n - psi[..., None] * n
+    P = ID3 - np.einsum("...i,...j->...ij", n, n)
+    return psi, w, _anti(w) @ P
+
+
+def _moment_field(params, field, patch, s, t):
+    """The couple-stress boundary quantities of :func:`_moment_split` as a
+    chart field: evaluated on the patch at chart coordinates (s, t)."""
     fr = patch.frame(s, t)
-    st = stresses(params, field, fr.x)
-    m_n = st.m_tilde @ fr.n
-    w = m_n - (m_n @ fr.n) * fr.n          # (id - n(x)n) m.n
-    return fr, st, m_n, w
+    m = couple_stress(params, grad_curl_from_grad2(field.grad2(fr.x)))
+    return _moment_split(m, fr.n)
 
 
-def _normal_moment_scalar(params, field, patch):
-    """psi(s, t) = <m.n, n> as a chart field."""
-
-    def psi(s, t):
-        fr = patch.frame(s, t)
-        m = stresses(params, field, fr.x).m_tilde
-        return float(fr.n @ (m @ fr.n))
-
-    return psi
+def _grad_psi(params, field, patch, s, t):
+    """Surface gradient of psi = <m.n, n> at chart coordinates (s, t)."""
+    return patch.surface_scalar_gradient(
+        lambda ss, tt: _moment_field(params, field, patch, ss, tt)[0], s, t)
 
 
-def _anti_wP(params, field, patch):
-    """Chart field T(s, t) = anti((id - n(x)n) m.n) (id - n(x)n)."""
-
-    def T(s, t):
-        fr = patch.frame(s, t)
-        m_n = stresses(params, field, patch.point(s, t)).m_tilde @ fr.n
-        w = m_n - (m_n @ fr.n) * fr.n
-        P = np.eye(3) - np.outer(fr.n, fr.n)
-        return anti(w) @ P
-
-    return T
+def _tangential_gradient(params, field, patch, s, t):
+    """Row-wise surface divergence of anti(w)(id - n(x)n) at (s, t)."""
+    return patch.surface_rowwise_divergence(
+        lambda ss, tt: _moment_field(params, field, patch, ss, tt)[2], s, t)
 
 
 def classical_tractions(params: MaterialParams, field: DisplacementField,
-                        patch: SurfacePatch, s: float, t: float) -> TractionSet:
+                        patch: SurfacePatch, s, t) -> TractionSet:
     """Historical Mindlin-Tiersten 3+2 traction quantities at (s, t)."""
-    fr, st, m_n, w = _surface_quantities(params, field, patch, s, t)
-    grad_psi = patch.surface_scalar_gradient(_normal_moment_scalar(params, field, patch), s, t)
-    t_force = st.sigma_total @ fr.n - 0.5 * np.cross(fr.n, grad_psi)
+    fr = patch.frame(s, t)
+    st = stresses(params, field, fr.x)
+    _, w, _ = _moment_split(st.m_tilde, fr.n)
+    grad_psi = _grad_psi(params, field, patch, s, t)
+    t_force = _mv(st.sigma_total, fr.n) - 0.5 * np.cross(fr.n, grad_psi)
     return TractionSet(t_force=t_force, g_double=w, formulation="classical")
 
 
 def complete_tractions(params: MaterialParams, field: DisplacementField,
-                       patch: SurfacePatch, s: float, t: float) -> TractionSet:
+                       patch: SurfacePatch, s, t) -> TractionSet:
     """Corrected 3+2 surface traction quantities at (s, t).
 
     The edge jump conditions live on the edge curve; see
     :func:`edge_jump`.
     """
-    fr, st, m_n, w = _surface_quantities(params, field, patch, s, t)
-    grad_psi = patch.surface_scalar_gradient(_normal_moment_scalar(params, field, patch), s, t)
-    tang_grad = patch.surface_rowwise_divergence(_anti_wP(params, field, patch), s, t)
-    t_force = st.sigma_total @ fr.n - 0.5 * np.cross(fr.n, grad_psi) - 0.5 * tang_grad
-    g_double = anti(w) @ fr.n
-    return TractionSet(t_force=t_force, g_double=g_double, formulation="complete")
+    fr = patch.frame(s, t)
+    st = stresses(params, field, fr.x)
+    _, w, _ = _moment_split(st.m_tilde, fr.n)
+    t_force = (_mv(st.sigma_total, fr.n)
+               - 0.5 * np.cross(fr.n, _grad_psi(params, field, patch, s, t))
+               - 0.5 * _tangential_gradient(params, field, patch, s, t))
+    return TractionSet(t_force=t_force, g_double=_mv(_anti(w), fr.n), formulation="complete")
 
 
 def hd_tractions(params: MaterialParams, field: DisplacementField,
-                 patch: SurfacePatch, s: float, t: float,
+                 patch: SurfacePatch, s, t,
                  plus_variant: bool = False) -> TractionSet:
     """Skew-couple-stress format tractions at (s, t).
 
@@ -119,31 +125,30 @@ def hd_tractions(params: MaterialParams, field: DisplacementField,
     formulation but disagrees with every other occurrence of the total
     force stress, so it is off by default and flagged as suspect.
     """
-    fr, st, m_n, w = _surface_quantities(params, field, patch, s, t)
-    t_force = (st.sigma + st.tau_tilde if plus_variant else st.sigma_total) @ fr.n
+    fr = patch.frame(s, t)
+    st = stresses(params, field, fr.x)
+    _, w, _ = _moment_split(st.m_tilde, fr.n)
+    t_force = _mv(st.sigma + st.tau_tilde if plus_variant else st.sigma_total, fr.n)
     return TractionSet(t_force=t_force, g_double=w, formulation="hd")
 
 
 def edge_jump(params: MaterialParams, field: DisplacementField,
-              patch: SurfacePatch, side: str, s: float, t: float,
+              patch: SurfacePatch, side: str, s, t,
               eps_rel: float = 1e-4) -> NDArray:
-    """Jump of anti((id - n(x)n) m.n) . nu across an edge point.
+    """Jump of anti((id - n(x)n) m.n) . nu across edge points (s, t).
 
     Evaluated as one-sided limits at geodesic offsets eps and 2 eps on
     either side of the edge, each extrapolated linearly to the edge.  For
     fields smooth across the edge the jump vanishes.
     """
     nu = patch.conormal(side, s, t)
+    eps = eps_rel * patch.diameter
 
     def one_sided(inward: bool) -> NDArray:
-        eps = eps_rel * patch.diameter
-
         def q(e):
             ss, tt = patch.edge_offset_point(side, s, t, e, inward=inward)
-            fr = patch.frame(ss, tt)
-            m_n = stresses(params, field, fr.x).m_tilde @ fr.n
-            w = m_n - (m_n @ fr.n) * fr.n
-            return anti(w) @ nu
+            _, w, _ = _moment_field(params, field, patch, ss, tt)
+            return _mv(_anti(w), nu)
 
         return 2.0 * q(eps) - q(2.0 * eps)
 
@@ -158,45 +163,6 @@ class WorkIdentityReport:
     terms: dict
 
 
-def _psi_T_batch(params, field, patch, S, T):
-    """psi = <m.n, n> and anti((id - n(x)n) m.n)(id - n(x)n) at chart
-    coordinate arrays, vectorized."""
-    fb = patch.frames_batch(S, T)
-    m = couple_stress_batch(params, field, fb.x)
-    m_n = np.einsum("nij,nj->ni", m, fb.n)
-    psi = np.einsum("ni,ni->n", m_n, fb.n)
-    w = m_n - psi[:, None] * fb.n
-    A = np.einsum("ijk,nk->nij", -EPS3, w)
-    P = np.eye(3) - np.einsum("ni,nj->nij", fb.n, fb.n)
-    return psi, A @ P
-
-
-def _chart_derivatives(params, field, patch, S, T, axis):
-    """d psi / d chart and d T / d chart at quadrature points, using the
-    4th-order stencil with one Richardson level, all points batched."""
-    n = S.shape[0]
-    h = np.array([patch.chart_step(axis, s, t) for s, t in zip(S, T)])
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
-    weights = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-    scales = np.array([1.0, 0.5])
-    # chart coordinates of every stencil sample: (n, 2 scales, 4 offsets)
-    delta = h[:, None, None] * scales[None, :, None] * offsets[None, None, :]
-    Ss = np.broadcast_to(S[:, None, None], delta.shape).copy()
-    Ts = np.broadcast_to(T[:, None, None], delta.shape).copy()
-    if axis == 0:
-        Ss += delta
-    else:
-        Ts += delta
-    psi, Tm = _psi_T_batch(params, field, patch, Ss.ravel(), Ts.ravel())
-    psi = psi.reshape(n, 2, 4)
-    Tm = Tm.reshape(n, 2, 4, 3, 3)
-    hh = h[:, None] * scales[None, :]
-    d_psi = np.einsum("nso,o->ns", psi, weights) / hh
-    d_T = np.einsum("nsoij,o->nsij", Tm, weights) / hh[..., None, None]
-    rich = np.array([-1.0, 16.0]) / 15.0
-    return np.einsum("ns,s->n", d_psi, rich), np.einsum("nsij,s->nij", d_T, rich)
-
-
 def boundary_work_identity(params: MaterialParams, u: DisplacementField,
                            delta_u: DisplacementField, patch: SurfacePatch,
                            order: int = 16) -> WorkIdentityReport:
@@ -208,54 +174,40 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
     second-order normal-derivative traction and the two edge terms that
     the surface integrations by parts produce on a patch with boundary.
     """
-    pts, wts = patch.quadrature(order)
-    S = np.array([p[0] for p in pts])
-    T = np.array([p[1] for p in pts])
-    fb = patch.frames_batch(S, T)
-    st = stresses_batch(params, u, fb.x)
+    (S, T), wts = patch.quadrature(order)
+    fr = patch.frame(S, T)
+    st = stresses(params, u, fr.x)
+    m_n = _mv(st.m_tilde, fr.n)
+    _, w, _ = _moment_split(st.m_tilde, fr.n)
+    t_total = _mv(st.sigma_total, fr.n)
 
-    m_n = np.einsum("nij,nj->ni", st.m_tilde, fb.n)
-    psi = np.einsum("ni,ni->n", m_n, fb.n)
-    w = m_n - psi[:, None] * fb.n
-    A = np.einsum("ijk,nk->nij", -EPS3, w)
-    t_total = np.einsum("nij,nj->ni", st.sigma_total, fb.n)
-
-    du = np.asarray(delta_u.value(fb.x), dtype=float)
-    Gdu = np.asarray(delta_u.grad(fb.x), dtype=float)
+    du = np.asarray(delta_u.value(fr.x), dtype=float)
+    Gdu = np.asarray(delta_u.grad(fr.x), dtype=float)
     axl_skw = 0.5 * np.einsum("ijk,nkj->ni", EPS3, Gdu)
 
     direct = float(wts @ (-np.einsum("ni,ni->n", t_total, du)
                           - np.einsum("ni,ni->n", m_n, axl_skw)))
 
-    dpsi_s, dT_s = _chart_derivatives(params, u, patch, S, T, 0)
-    dpsi_t, dT_t = _chart_derivatives(params, u, patch, S, T, 1)
-    dpsi = np.stack([dpsi_s, dpsi_t])          # (2, n)
-    dT = np.stack([dT_s, dT_t])                # (2, n, 3, 3)
-    tangents = np.stack([fb.x_s, fb.x_t])      # (2, n, 3)
-    coef = np.einsum("nab,bn->an", fb.g_inv, dpsi)
-    grad_psi = np.einsum("an,ani->ni", coef, tangents)
-    tang_grad = np.einsum("nab,anij,bnj->ni", fb.g_inv, dT, tangents)
-
+    grad_psi = _grad_psi(params, u, patch, S, T)
+    tang_grad = _tangential_gradient(params, u, patch, S, T)
     t_force = float(wts @ (-np.einsum("ni,ni->n", t_total, du)))
-    t_mt = float(wts @ (0.5 * np.einsum("ni,ni->n", np.cross(fb.n, grad_psi), du)))
+    t_mt = float(wts @ (0.5 * np.einsum("ni,ni->n", np.cross(fr.n, grad_psi), du)))
     t_tang = float(wts @ (0.5 * np.einsum("ni,ni->n", tang_grad, du)))
-    An = np.einsum("nij,nj->ni", A, fb.n)
-    Gdu_n = np.einsum("nij,nj->ni", Gdu, fb.n)
+    An = _mv(_anti(w), fr.n)
+    Gdu_n = _mv(Gdu, fr.n)
     t_normal_deriv = float(wts @ (-0.5 * np.einsum("ni,ni->n", An, Gdu_n)))
 
     t_edge_conormal = 0.0
     t_edge_psi = 0.0
     for side in patch.edge_sides:
-        for s, t, wq in patch.edge_quadrature(side, order):
-            fr = patch.frame(s, t)
-            st = stresses(params, u, fr.x)
-            m_n = st.m_tilde @ fr.n
-            w = m_n - (m_n @ fr.n) * fr.n
-            nu = patch.conormal(side, s, t)
-            tau = np.cross(fr.n, nu)
-            du = delta_u.value(fr.x)
-            t_edge_conormal += wq * (-0.5 * (anti(w) @ nu) @ du)
-            t_edge_psi += wq * (-0.5 * (m_n @ fr.n) * (tau @ du))
+        Se, Te, We = patch.edge_quadrature(side, order)
+        psi, w, _ = _moment_field(params, u, patch, Se, Te)
+        nu = patch.conormal(side, Se, Te)
+        x = patch.point(Se, Te)
+        tau = np.cross(patch.normal(Se, Te), nu)
+        du = delta_u.value(x)
+        t_edge_conormal += float(We @ (-0.5 * np.einsum("ni,ni->n", _mv(_anti(w), nu), du)))
+        t_edge_psi += float(We @ (-0.5 * psi * np.einsum("ni,ni->n", tau, du)))
 
     terms = {
         "force": t_force,
@@ -288,18 +240,9 @@ class HdPostulateReport:
 
 def hd_postulate_report(params: MaterialParams, field: DisplacementField,
                         patch: SurfacePatch, order: int = 16) -> HdPostulateReport:
-    pts, wts = patch.quadrature(order)
-    S = np.array([p[0] for p in pts])
-    T = np.array([p[1] for p in pts])
-    fb = patch.frames_batch(S, T)
-    m = couple_stress_batch(params, field, fb.x)
-    m_n = np.einsum("nij,nj->ni", m, fb.n)
-    sup_nm = float(np.max(np.abs(np.einsum("ni,ni->n", m_n, fb.n))))
-
-    _, dT_s = _chart_derivatives(params, field, patch, S, T, 0)
-    _, dT_t = _chart_derivatives(params, field, patch, S, T, 1)
-    dT = np.stack([dT_s, dT_t])
-    tangents = np.stack([fb.x_s, fb.x_t])
-    r = np.einsum("nab,anij,bnj->ni", fb.g_inv, dT, tangents)
+    (S, T), wts = patch.quadrature(order)
+    psi, _, _ = _moment_field(params, field, patch, S, T)
+    r = _tangential_gradient(params, field, patch, S, T)
     sq = float(wts @ np.einsum("ni,ni->n", r, r))
-    return HdPostulateReport(sup_normal_moment=sup_nm, residual_work_norm=float(np.sqrt(sq)))
+    return HdPostulateReport(sup_normal_moment=float(np.max(np.abs(psi))),
+                             residual_work_norm=float(np.sqrt(sq)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -18,21 +18,20 @@ from numpy.typing import NDArray
 from .fields import (
     DisplacementField,
     NumericDomainError,
-    curl_from_grad,
+    fd_partial,
     grad_curl_from_grad2,
     kinematics,
 )
-from .tensors import EPS3, ID3, anti, axl, dev, inner, skw, sym, tr
+from .tensors import EPS3, ID3, dev, inner, skw, sym, tr
 
 __all__ = [
     "LoadData",
     "MaterialParams",
     "ScalarForms",
     "StressState",
-    "couple_stress_batch",
+    "couple_stress",
     "equilibrium_residual",
     "stresses",
-    "stresses_batch",
     "torsion_and_mean_curvature",
     "w_curv",
     "w_lin",
@@ -138,20 +137,19 @@ class LoadData:
 
     def force(self, x: NDArray) -> NDArray:
         if self.f is None:
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1] + (3,)) if x.ndim > 1 else np.zeros(3)
+            return np.zeros(np.shape(x)[:-1] + (3,))
         return np.asarray(self.f(x), dtype=float)
 
     def couple(self, x: NDArray) -> NDArray:
         if self.m_body is None:
-            x = np.asarray(x, dtype=float)
-            return np.zeros(x.shape[:-1] + (3,)) if x.ndim > 1 else np.zeros(3)
+            return np.zeros(np.shape(x)[:-1] + (3,))
         return np.asarray(self.m_body(x), dtype=float)
 
 
 @dataclass(frozen=True)
 class StressState:
-    """Local, nonlocal and couple stresses at a point."""
+    """Local, nonlocal and couple stresses; each (..., 3, 3) over a batch
+    of points."""
 
     sigma: NDArray        # symmetric local force stress
     m_tilde: NDArray      # couple stress tensor
@@ -211,22 +209,15 @@ def w_curv(params: MaterialParams, grad_curl_u: NDArray, trace_tol: float = 1e-8
 
 def couple_stress(params: MaterialParams, grad_curl_u: NDArray) -> NDArray:
     """Couple stress m = mu L_c^2 [alpha1 sym + alpha2 skw](grad curl u)."""
+    M = np.asarray(grad_curl_u, dtype=float)
+    Mt = np.swapaxes(M, -1, -2)
     k = params.mu * params.L_c ** 2
-    return k * (params.alpha1 * sym(grad_curl_u) + params.alpha2 * skw(grad_curl_u))
-
-
-def _div_couple_stress(params: MaterialParams, grad3: NDArray) -> NDArray:
-    """(Div m)_i from the third displacement gradient."""
-    # DM[i, j, k] = d_k (grad curl u)_ij = eps_ilm d_k d_j d_l u_m
-    DM = np.einsum("ilm,mljk->ijk", EPS3, grad3)
-    k = params.mu * params.L_c ** 2
-    div_sym = 0.5 * (np.einsum("ijj->i", DM) + np.einsum("jij->i", DM))
-    div_skw = 0.5 * (np.einsum("ijj->i", DM) - np.einsum("jij->i", DM))
-    return k * (params.alpha1 * div_sym + params.alpha2 * div_skw)
+    return k * (params.alpha1 * 0.5 * (M + Mt) + params.alpha2 * 0.5 * (M - Mt))
 
 
 def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> StressState:
-    """All stress measures of the model at a point.
+    """All stress measures of the model at points x of shape (..., 3); every
+    array of the result has shape (..., 3, 3).
 
     Div m (hence tau) is computed from closed-form third derivatives when
     the field provides them, otherwise from the FD oracle.
@@ -237,58 +228,18 @@ def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> St
     T3 = field.grad3(x)
     if not all(np.all(np.isfinite(a)) for a in (G, H, T3)):
         raise NumericDomainError(f"non-finite derivatives at {x}")
-    sigma = 2.0 * params.mu * sym(G) + params.lam * tr(G) * ID3
-    M = grad_curl_from_grad2(H)
-    m_tilde = couple_stress(params, M)
-    tau = 0.5 * anti(_div_couple_stress(params, T3))
-    return StressState(sigma=sigma, m_tilde=m_tilde, tau_tilde=tau, sigma_total=sigma - tau)
-
-
-def stresses_batch(params: MaterialParams, field: DisplacementField, X: NDArray) -> StressState:
-    """Vectorized :func:`stresses`; every array gains a leading batch axis.
-
-    Requires the field's derivative evaluations to broadcast over a
-    (n, 3) point array (closed-form families do).
-    """
-    X = np.asarray(X, dtype=float)
-    G = field.grad(X)
-    H = field.grad2(X)
-    T3 = field.grad3(X)
-    if not all(np.all(np.isfinite(a)) for a in (G, H, T3)):
-        raise NumericDomainError("non-finite derivatives in batch evaluation")
     sym_G = 0.5 * (G + np.swapaxes(G, -1, -2))
     tr_G = np.einsum("...ii->...", G)
     sigma = 2.0 * params.mu * sym_G + params.lam * tr_G[..., None, None] * ID3
-    M = np.einsum("ilm,...mlj->...ij", EPS3, H)
-    k = params.mu * params.L_c ** 2
-    m_tilde = k * (
-        params.alpha1 * 0.5 * (M + np.swapaxes(M, -1, -2))
-        + params.alpha2 * 0.5 * (M - np.swapaxes(M, -1, -2))
-    )
+    m_tilde = couple_stress(params, grad_curl_from_grad2(H))
+    # DM[..., i, j, k] = d_k (grad curl u)_ij = eps_ilm d_k d_j d_l u_m
     DM = np.einsum("ilm,...mljk->...ijk", EPS3, T3)
     d1 = np.einsum("...ijj->...i", DM)
     d2 = np.einsum("...jij->...i", DM)
+    k = params.mu * params.L_c ** 2
     div_m = k * (params.alpha1 * 0.5 * (d1 + d2) + params.alpha2 * 0.5 * (d1 - d2))
     tau = 0.5 * np.einsum("ijk,...k->...ij", -EPS3, div_m)
     return StressState(sigma=sigma, m_tilde=m_tilde, tau_tilde=tau, sigma_total=sigma - tau)
-
-
-def couple_stress_batch(params: MaterialParams, field: DisplacementField, X: NDArray) -> NDArray:
-    """Couple stress tensors at a (n, 3) point array, shape (n, 3, 3)."""
-    H = field.grad2(np.asarray(X, dtype=float))
-    M = np.einsum("ilm,...mlj->...ij", EPS3, H)
-    k = params.mu * params.L_c ** 2
-    return k * (
-        params.alpha1 * 0.5 * (M + np.swapaxes(M, -1, -2))
-        + params.alpha2 * 0.5 * (M - np.swapaxes(M, -1, -2))
-    )
-
-
-def _div_sigma(params: MaterialParams, H: NDArray) -> NDArray:
-    """(Div sigma)_i from the second displacement gradient."""
-    lap = np.einsum("ijj->i", H)
-    grad_div = np.einsum("jij->i", H)
-    return params.mu * lap + (params.mu + params.lam) * grad_div
 
 
 def equilibrium_residual(
@@ -298,7 +249,7 @@ def equilibrium_residual(
     x: NDArray,
     h: float = 1e-3,
 ) -> NDArray:
-    """Residual Div(sigma - tau) + f at a point.
+    """Residual Div(sigma - tau) + f at points x of shape (..., 3).
 
     Div tau needs fourth derivatives of u; it is obtained by finite
     differences on the nonlocal stress field (which itself uses
@@ -306,19 +257,14 @@ def equilibrium_residual(
     """
     x = np.asarray(x, dtype=float)
     H = field.grad2(x)
-    div_sigma = _div_sigma(params, H)
+    div_sigma = (params.mu * np.einsum("...ijj->...i", H)
+                 + (params.mu + params.lam) * np.einsum("...jij->...i", H))
 
     def tau_field(y):
-        return 0.5 * anti(_div_couple_stress(params, field.grad3(y)))
+        return stresses(params, field, y).tau_tilde
 
-    # (Div tau)_i = d_j tau_ij by the same 4th-order + Richardson stencil
-    from .fields import _fd_partial
-
-    hh = h * (1.0 + float(np.linalg.norm(x)))
-    div_tau = np.zeros(3)
-    for j in range(3):
-        dtau = _fd_partial(tau_field, x, (j,), hh)
-        div_tau += dtau[:, j]
+    hh = h * (1.0 + np.linalg.norm(x, axis=-1))
+    div_tau = sum(fd_partial(tau_field, x, (j,), hh)[..., :, j] for j in range(3))
     res = div_sigma - div_tau + loads.force(x)
     if not np.all(np.isfinite(res)):
         raise NumericDomainError(f"non-finite equilibrium residual at {x}")

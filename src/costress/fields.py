@@ -4,17 +4,20 @@ Built-in families (zero, constant, rigid motion, seeded polynomial,
 infinitesimal conformal) carry closed-form derivatives; arbitrary
 callables fall back to a finite-difference oracle.  The same oracle
 doubles as the independent cross-check for every closed form.
+
+Evaluations take points of shape (..., 3) and broadcast over the leading
+axes; a single point is a batch of one.  :func:`fd_partial` is the one
+finite-difference stencil of the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
 from .tensors import EPS3, ID3, anti, axl, skw, sym
@@ -33,6 +36,7 @@ __all__ = [
     "ZeroField",
     "curl_from_grad",
     "fd_derivative_oracle",
+    "fd_partial",
     "field_from_spec",
     "field_to_spec",
     "grad_curl_from_grad2",
@@ -58,10 +62,10 @@ class Box:
     lo: tuple[float, float, float] = (0.0, 0.0, 0.0)
     hi: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
-    def boundary_distance(self, x: NDArray) -> float:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return float(min(np.min(x - lo), np.min(hi - x)))
+    def boundary_distance(self, x: NDArray) -> NDArray:
+        """Distance of each point (..., 3) to the nearest face, shape (...)."""
+        x = np.asarray(x, dtype=float)
+        return np.minimum(np.min(x - self.lo, axis=-1), np.min(self.hi - x, axis=-1))
 
 
 # Base step per derivative order; tuned so that after one Richardson
@@ -70,27 +74,34 @@ _FD_BASE_STEP = {1: 1e-3, 2: 4e-3, 3: 1.5e-2}
 _FD_MIN_STEP = 1e-7
 
 # 4th-order central first-derivative stencil (center weight is zero).
-_FD_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
-_FD_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
+_FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
 
-def _nested_stencil(func, x: NDArray, axes: tuple[int, ...], h: float) -> NDArray:
-    if not axes:
-        return np.asarray(func(x), dtype=float)
-    a = axes[0]
-    acc = None
-    for off, wgt in zip(_FD_OFFSETS, _FD_WEIGHTS):
-        y = np.array(x, dtype=float)
-        y[a] += off * h
-        term = wgt * _nested_stencil(func, y, axes[1:], h)
-        acc = term if acc is None else acc + term
-    return acc / h
+def fd_partial(func, x: NDArray, axes: tuple[int, ...], h) -> NDArray:
+    """Mixed partial d^k func / dx_a1 ... dx_ak, k = len(axes), by the
+    4th-order central stencil along each axis (their tensor product for a
+    mixed partial) with one Richardson level (h, h/2).
 
-
-def _fd_partial(func, x: NDArray, axes: tuple[int, ...], h: float) -> NDArray:
-    # one Richardson level (h, h/2) on the formally 4th-order stencil
-    coarse = _nested_stencil(func, x, axes, h)
-    fine = _nested_stencil(func, x, axes, h / 2.0)
+    ``x`` holds points of shape (..., d) and ``h`` the step per point,
+    broadcastable to ``x.shape[:-1]``.  ``func`` maps points (..., d) to
+    values (..., *out) and is called once, on all 2 x 4^k samples of every
+    point.  Returns (..., *out).
+    """
+    x = np.asarray(x, dtype=float)
+    lead, k = x.ndim - 1, len(axes)
+    grid = np.array(list(itertools.product(range(4), repeat=k)))      # (4^k, k)
+    unit = np.zeros((len(grid), x.shape[-1]))
+    for i, a in enumerate(axes):
+        unit[:, a] += _FD_OFFSETS[grid[:, i]]
+    weights = np.prod(_FD_WEIGHTS[grid], axis=1)
+    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape[:-1])
+    steps = h[..., None] * np.array([1.0, 0.5])                        # (..., 2)
+    samples = x[..., None, None, :] + steps[..., None, None] * unit  # (..., 2, 4^k, d)
+    vals = np.asarray(func(samples), dtype=float)                     # (..., 2, 4^k, *out)
+    diff = np.tensordot(vals, weights, axes=([lead + 1], [0]))        # (..., 2, *out)
+    diff /= (steps ** k).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
+    coarse, fine = np.take(diff, 0, axis=lead), np.take(diff, 1, axis=lead)
     return (16.0 * fine - coarse) / 15.0
 
 
@@ -103,14 +114,15 @@ def fd_derivative_oracle(
 ) -> NDArray:
     """Central finite differences of formal order 4 plus one Richardson level.
 
-    Returns the derivative tensor D[i, a1, ..., a_order] = d^order u_i /
-    dx_a1 ... dx_a_order.  Serves as the independent oracle for every
-    closed-form derivative.
+    Returns the derivative tensor D[..., i, a1, ..., a_order] = d^order u_i /
+    dx_a1 ... dx_a_order at points x of shape (..., 3).  Serves as the
+    independent oracle for every closed-form derivative.
 
     Parameters
     ----------
     field
-        A :class:`DisplacementField` or a plain callable ``x -> (3,)``.
+        A :class:`DisplacementField` or a plain callable ``x -> (3,)``,
+        which is evaluated point by point through :class:`CallableField`.
     order
         Derivative order, 1, 2 or 3.
     h_base
@@ -122,45 +134,40 @@ def fd_derivative_oracle(
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-    func = field.value if isinstance(field, DisplacementField) else field
+    if not isinstance(field, DisplacementField):
+        field = CallableField(field)
     x = np.asarray(x, dtype=float)
-    if domain is None and isinstance(field, DisplacementField):
+    if domain is None:
         domain = field.domain
 
-    scale = 1.0 + float(np.linalg.norm(x))
+    scale = 1.0 + np.linalg.norm(x, axis=-1)
     h = (h_base if h_base is not None else _FD_BASE_STEP[order]) * scale
     if domain is not None:
         margin = domain.boundary_distance(x)
-        if margin <= 0.0:
-            raise FdStencilError(f"point {x} is on or outside the domain boundary")
-        h = min(h, 0.999 * margin / (2.0 * order))
-        if h < _FD_MIN_STEP * scale:
+        if np.any(margin <= 0.0):
             raise FdStencilError(
-                f"stencil step {h:.3e} too small near the boundary at {x}"
+                f"point {_first(x, margin <= 0.0)} is on or outside the domain boundary"
+            )
+        h = np.minimum(h, 0.999 * margin / (2.0 * order))
+        small = h < _FD_MIN_STEP * scale
+        if np.any(small):
+            raise FdStencilError(
+                f"stencil step {np.min(h):.3e} too small near the boundary at {_first(x, small)}"
             )
 
-    out = np.zeros((3,) + (3,) * order)
-    for combo in _sorted_axis_combos(order):
-        val = _fd_partial(func, x, combo, h)
-        for perm in _permutations_unique(combo):
-            out[(slice(None),) + perm] = val
+    out = np.zeros(x.shape[:-1] + (3,) + (3,) * order)
+    for combo in itertools.combinations_with_replacement(range(3), order):
+        val = fd_partial(field.value, x, combo, h)
+        for perm in set(itertools.permutations(combo)):
+            out[(..., slice(None)) + perm] = val
     if not np.all(np.isfinite(out)):
         raise NumericDomainError(f"finite differences produced non-finite values at {x}")
     return out
 
 
-def _sorted_axis_combos(order: int):
-    if order == 1:
-        return [(a,) for a in range(3)]
-    if order == 2:
-        return [(a, b) for a in range(3) for b in range(a, 3)]
-    return [(a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)]
-
-
-def _permutations_unique(combo: tuple[int, ...]):
-    import itertools
-
-    return set(itertools.permutations(combo))
+def _first(x: NDArray, mask) -> NDArray:
+    """The first point of x (..., 3) where mask (...) holds."""
+    return np.reshape(x, (-1, 3))[np.ravel(mask)][0]
 
 
 class DisplacementField:
@@ -202,8 +209,7 @@ class ZeroField(DisplacementField):
     has_closed_derivatives = True
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (3,)) if x.ndim > 1 else np.zeros(3)
+        return np.zeros(np.shape(x)[:-1] + (3,))
 
     def grad(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3))
@@ -223,10 +229,7 @@ class ConstantField(DisplacementField):
         self.c = np.array(c, dtype=float)
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.broadcast_to(self.c, x.shape[:-1] + (3,)).copy()
-        return self.c.copy()
+        return np.broadcast_to(self.c, np.shape(x)[:-1] + (3,)).copy()
 
     def grad(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3))
@@ -304,30 +307,31 @@ class PolynomialField(DisplacementField):
         mover[..., : D - 1] = np.moveaxis(C, axis - 3, -1)[..., 1:] * k
         return out
 
-    def _powers(self, x: NDArray) -> NDArray:
-        """P[..., a, k] = x_a ** k for k = 0..D-1."""
-        x = np.asarray(x, dtype=float)
-        return x[..., None] ** np.arange(self._D)
+    def _contract(self, C: NDArray, x: NDArray) -> NDArray:
+        """sum_ijk C[..., i, j, k] x1^i x2^j x3^k at points x (..., 3); the
+        leading axes of C become the trailing axes of the result.  The
+        monomial axes are contracted one at a time by matrix products."""
+        D = self._D
+        P = np.asarray(x, dtype=float)[..., None] ** np.arange(D)   # (..., 3, D)
+        lead = P.shape[:-2]
+        P = P.reshape(-1, 3, D)
+        n = len(P)
+        v = P[:, 2, :] @ C.reshape(-1, D).T                 # (n, q * D * D), k summed
+        v = v.reshape(n, -1, D) @ P[:, 1, :, None]          # (n, q * D, 1), j summed
+        v = v.reshape(n, -1, D) @ P[:, 0, :, None]          # (n, q, 1), i summed
+        return v.reshape(lead + C.shape[:-3])
 
     def value(self, x):
-        P = self._powers(x)
-        return np.einsum("cijk,...i,...j,...k->...c",
-                         self._C0, P[..., 0, :], P[..., 1, :], P[..., 2, :])
+        return self._contract(self._C0, x)
 
     def grad(self, x):
-        P = self._powers(x)
-        return np.einsum("caijk,...i,...j,...k->...ca",
-                         self._C1, P[..., 0, :], P[..., 1, :], P[..., 2, :])
+        return self._contract(self._C1, x)
 
     def grad2(self, x):
-        P = self._powers(x)
-        return np.einsum("cabijk,...i,...j,...k->...cab",
-                         self._C2, P[..., 0, :], P[..., 1, :], P[..., 2, :])
+        return self._contract(self._C2, x)
 
     def grad3(self, x):
-        P = self._powers(x)
-        return np.einsum("cabdijk,...i,...j,...k->...cabd",
-                         self._C3, P[..., 0, :], P[..., 1, :], P[..., 2, :])
+        return self._contract(self._C3, x)
 
     def params(self):
         return {"seed": self.seed, "degree": self.degree}
@@ -404,8 +408,6 @@ class ConformalField(DisplacementField):
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return (x @ self.w + self.p) * ID3 + anti(np.cross(self.w, x)) + self.A
         wx = x @ self.w
         cross = np.cross(np.broadcast_to(self.w, x.shape), x)
         out = (wx + self.p)[..., None, None] * ID3
@@ -413,10 +415,7 @@ class ConformalField(DisplacementField):
         return out
 
     def grad2(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._H.copy()
-        return np.broadcast_to(self._H, x.shape[:-1] + (3, 3, 3)).copy()
+        return np.broadcast_to(self._H, np.shape(x)[:-1] + (3, 3, 3)).copy()
 
     def grad3(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
@@ -450,7 +449,9 @@ def random_conformal(seed: int) -> ConformalField:
 
 
 class CallableField(DisplacementField):
-    """Wrap an arbitrary callable; derivatives come from the FD oracle."""
+    """Wrap an arbitrary pointwise callable ``x (3,) -> (3,)``; it is
+    evaluated row by row over a batch of points, and derivatives come
+    from the FD oracle."""
 
     family = "callable"
     has_closed_derivatives = False
@@ -462,7 +463,9 @@ class CallableField(DisplacementField):
         self.name = name
 
     def value(self, x):
-        out = np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        rows = [np.asarray(self._func(row), dtype=float) for row in x.reshape(-1, 3)]
+        out = np.reshape(rows, x.shape[:-1] + rows[0].shape)
         if not np.all(np.isfinite(out)):
             raise NumericDomainError(f"field evaluation non-finite at {x}")
         return out
@@ -484,12 +487,12 @@ class KinematicState:
 
 def curl_from_grad(G: NDArray) -> NDArray:
     """curl u from the displacement gradient, c_i = eps_ijk d_j u_k."""
-    return np.array([G[2, 1] - G[1, 2], G[0, 2] - G[2, 0], G[1, 0] - G[0, 1]])
+    return np.einsum("ijk,...kj->...i", EPS3, G)
 
 
 def grad_curl_from_grad2(H: NDArray) -> NDArray:
     """grad curl u from the second gradient, M_ij = eps_ilm d_j d_l u_m."""
-    return np.einsum("ilm,mlj->ij", EPS3, H)
+    return np.einsum("ilm,...mlj->...ij", EPS3, H)
 
 
 def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:

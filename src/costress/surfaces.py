@@ -3,9 +3,13 @@ surface differential operators used by the traction decompositions.
 
 Two geometries are provided: flat box faces (exact geometry, trivial
 surface gradients) and spherical caps (curvature-exercising geometry).
-Surface gradients are computed in the parametric chart through the first
-fundamental form; chart derivatives use the same 4th-order stencil with
-one Richardson level as the volumetric FD oracle.
+Every method and check takes chart coordinates (s, t) as arrays and
+broadcasts over them; a scalar pair is a batch of one.  Surface
+gradients are computed in the parametric chart through the first
+fundamental form.  Chart derivatives use the package's one
+finite-difference stencil, :func:`costress.fields.fd_partial`, with a
+step of 1e-3 of the chart range, shrunk to keep the stencil off a
+spherical pole.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .fields import CallableField, DisplacementField, curl_from_grad, fd_partial
 
 __all__ = [
     "BoxFace",
@@ -33,14 +39,15 @@ class QuadratureDiagnostic(RuntimeError):
 
 @dataclass(frozen=True)
 class Frame:
-    """Pointwise surface frame: position, chart tangents, normal, metric."""
+    """Surface frame at chart points: position, chart tangents, normal and
+    metric, each with the leading shape of the chart coordinates."""
 
     x: NDArray
     x_s: NDArray
     x_t: NDArray
     n: NDArray
-    jac: float          # area element |x_s x x_t|
-    g: NDArray          # first fundamental form, 2x2
+    jac: NDArray        # area element |x_s x x_t|
+    g: NDArray          # first fundamental form, (..., 2, 2)
     g_inv: NDArray
 
 
@@ -48,6 +55,15 @@ def _gauss(order: int, a: float, b: float):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * nodes, half * weights
+
+
+def _dot(a: NDArray, b: NDArray) -> NDArray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _col(a) -> NDArray:
+    """Chart coordinates as a column against the trailing ambient axis."""
+    return np.asarray(a, dtype=float)[..., None]
 
 
 class SurfacePatch:
@@ -60,27 +76,31 @@ class SurfacePatch:
     #: chart degenerates at s = s_range[0] (spherical pole)
     singular_smin: bool = False
 
-    def point(self, s: float, t: float) -> NDArray:
+    def point(self, s, t) -> NDArray:
+        """Ambient position, shape (..., 3)."""
         raise NotImplementedError
 
-    def chart_tangents(self, s: float, t: float) -> tuple[NDArray, NDArray]:
+    def chart_tangents(self, s, t) -> tuple[NDArray, NDArray]:
+        """Chart tangents (x_s, x_t), each of shape (..., 3)."""
         raise NotImplementedError
 
-    def normal(self, s: float, t: float) -> NDArray:
+    def normal(self, s, t) -> NDArray:
         x_s, x_t = self.chart_tangents(s, t)
         nv = np.cross(x_s, x_t)
-        return nv / np.linalg.norm(nv)
+        return nv / np.linalg.norm(nv, axis=-1, keepdims=True)
 
-    def frame(self, s: float, t: float) -> Frame:
+    def frame(self, s, t) -> Frame:
         x_s, x_t = self.chart_tangents(s, t)
         nv = np.cross(x_s, x_t)
-        jac = float(np.linalg.norm(nv))
-        g = np.array([[x_s @ x_s, x_s @ x_t], [x_s @ x_t, x_t @ x_t]])
+        jac = np.linalg.norm(nv, axis=-1)
+        g_st = _dot(x_s, x_t)
+        g = np.stack([_dot(x_s, x_s), g_st, g_st, _dot(x_t, x_t)], axis=-1)
+        g = g.reshape(jac.shape + (2, 2))
         return Frame(
             x=self.point(s, t),
             x_s=x_s,
             x_t=x_t,
-            n=nv / jac,
+            n=nv / jac[..., None],
             jac=jac,
             g=g,
             g_inv=np.linalg.inv(g),
@@ -90,81 +110,40 @@ class SurfacePatch:
     def diameter(self) -> float:
         raise NotImplementedError
 
-    # -- batched geometry ----------------------------------------------------
-
-    def points_batch(self, S: NDArray, T: NDArray) -> NDArray:
-        """Ambient positions for chart coordinate arrays, shape (n, 3)."""
-        return np.array([self.point(s, t) for s, t in zip(np.ravel(S), np.ravel(T))])
-
-    def tangents_batch(self, S: NDArray, T: NDArray):
-        """Chart tangent arrays (x_s, x_t), each of shape (n, 3)."""
-        pairs = [self.chart_tangents(s, t) for s, t in zip(np.ravel(S), np.ravel(T))]
-        return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-    def frames_batch(self, S: NDArray, T: NDArray) -> Frame:
-        """Frame with leading batch axis on every field; g is (n, 2, 2)."""
-        x_s, x_t = self.tangents_batch(S, T)
-        nv = np.cross(x_s, x_t)
-        jac = np.linalg.norm(nv, axis=-1)
-        g = np.empty(x_s.shape[:-1] + (2, 2))
-        g[..., 0, 0] = np.einsum("ni,ni->n", x_s, x_s)
-        g[..., 0, 1] = g[..., 1, 0] = np.einsum("ni,ni->n", x_s, x_t)
-        g[..., 1, 1] = np.einsum("ni,ni->n", x_t, x_t)
-        return Frame(
-            x=self.points_batch(S, T),
-            x_s=x_s,
-            x_t=x_t,
-            n=nv / jac[..., None],
-            jac=jac,
-            g=g,
-            g_inv=np.linalg.inv(g),
-        )
-
     # -- quadrature -------------------------------------------------------
 
     def quadrature(self, order: int):
-        """Tensor Gauss rule; weights include the area element."""
+        """Tensor Gauss rule: chart coordinates (S, T) and weights that
+        include the area element, each of shape (order**2,)."""
         s_nodes, s_w = _gauss(order, *self.s_range)
         t_nodes, t_w = _gauss(order, *self.t_range)
-        pts, wts = [], []
-        for s, ws in zip(s_nodes, s_w):
-            for t, wt in zip(t_nodes, t_w):
-                x_s, x_t = self.chart_tangents(s, t)
-                pts.append((s, t))
-                wts.append(ws * wt * np.linalg.norm(np.cross(x_s, x_t)))
-        return pts, np.array(wts)
+        S, T = (a.ravel() for a in np.meshgrid(s_nodes, t_nodes, indexing="ij"))
+        return (S, T), np.outer(s_w, t_w).ravel() * self.frame(S, T).jac
 
     def integrate(self, fun, order: int) -> float:
-        pts, wts = self.quadrature(order)
-        return float(sum(w * fun(s, t) for (s, t), w in zip(pts, wts)))
+        """Integral of a chart field fun(S, T) -> (n,) over the patch."""
+        (S, T), W = self.quadrature(order)
+        return float(W @ fun(S, T))
 
     # -- edges -------------------------------------------------------------
 
     def edge_quadrature(self, side: str, order: int):
-        """Gauss rule along one edge; returns [(s, t, w_arc)] with the
-        arc-length element folded into the weights."""
+        """Gauss rule along one edge: chart coordinates (S, T) and weights
+        with the arc-length element folded in, each of shape (order,)."""
         s0, s1 = self.s_range
         t0, t1 = self.t_range
         if side in ("smin", "smax"):
-            fixed = s0 if side == "smin" else s1
-            nodes, w = _gauss(order, t0, t1)
-            out = []
-            for t, wt in zip(nodes, w):
-                _, x_t = self.chart_tangents(fixed, t)
-                out.append((fixed, t, wt * np.linalg.norm(x_t)))
-            return out
+            T, w = _gauss(order, t0, t1)
+            S = np.full_like(T, s0 if side == "smin" else s1)
+            return S, T, w * np.linalg.norm(self.chart_tangents(S, T)[1], axis=-1)
         if side in ("tmin", "tmax"):
-            fixed = t0 if side == "tmin" else t1
-            nodes, w = _gauss(order, s0, s1)
-            out = []
-            for s, ws in zip(nodes, w):
-                x_s, _ = self.chart_tangents(s, fixed)
-                out.append((s, fixed, ws * np.linalg.norm(x_s)))
-            return out
+            S, w = _gauss(order, s0, s1)
+            T = np.full_like(S, t0 if side == "tmin" else t1)
+            return S, T, w * np.linalg.norm(self.chart_tangents(S, T)[0], axis=-1)
         raise ValueError(f"unknown edge side {side!r}")
 
-    def conormal(self, side: str, s: float, t: float) -> NDArray:
-        """In-surface outward conormal at an edge point."""
+    def conormal(self, side: str, s, t) -> NDArray:
+        """In-surface outward conormal at edge points."""
         x_s, x_t = self.chart_tangents(s, t)
         if side == "smin":
             raw = -x_s
@@ -175,16 +154,15 @@ class SurfacePatch:
         else:
             raw = x_t
         n = self.normal(s, t)
-        raw = raw - (raw @ n) * n
+        raw = raw - _dot(raw, n)[..., None] * n
         # orthogonalize against the edge tangent (exact for orthogonal charts)
         tang = x_t if side in ("smin", "smax") else x_s
-        tang = tang / np.linalg.norm(tang)
-        raw = raw - (raw @ tang) * tang
-        return raw / np.linalg.norm(raw)
+        tang = tang / np.linalg.norm(tang, axis=-1, keepdims=True)
+        raw = raw - _dot(raw, tang)[..., None] * tang
+        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
-    def edge_offset_point(self, side: str, s: float, t: float, eps: float,
-                          inward: bool = True):
-        """(s, t) displaced by geodesic distance eps from an edge point,
+    def edge_offset_point(self, side: str, s, t, eps: float, inward: bool = True):
+        """(s, t) displaced by geodesic distance eps from edge points,
         inward (into the patch) or outward (across the edge)."""
         x_s, x_t = self.chart_tangents(s, t)
         sign = -1.0 if inward else 1.0
@@ -193,77 +171,60 @@ class SurfacePatch:
         if side == "tmin":
             sign = -sign
         if side in ("smin", "smax"):
-            return s + sign * eps / np.linalg.norm(x_s), t
-        return s, t + sign * eps / np.linalg.norm(x_t)
+            return s + sign * eps / np.linalg.norm(x_s, axis=-1), t
+        return s, t + sign * eps / np.linalg.norm(x_t, axis=-1)
 
     # -- chart finite differences ------------------------------------------
 
-    def chart_step(self, axis: int, s: float, t: float) -> float:
+    def chart_step(self, axis: int, s, t):
         rng = self.s_range if axis == 0 else self.t_range
         h = 1e-3 * (rng[1] - rng[0])
         if axis == 0 and self.singular_smin:
             # keep the whole stencil away from the pole
-            h = min(h, max((s - self.s_range[0]) / 3.0, 1e-10))
+            h = np.minimum(h, np.maximum((np.asarray(s) - self.s_range[0]) / 3.0, 1e-10))
         return h
 
-    def chart_partial(self, fun, s: float, t: float, axis: int):
-        """d fun / d(chart coordinate) by a 4th-order stencil with one
-        Richardson level.  fun maps (s, t) to an arbitrary ndarray."""
-        h = self.chart_step(axis, s, t)
-
-        def stencil(hh):
-            acc = None
-            for off, wgt in zip((-2.0, -1.0, 1.0, 2.0),
-                                (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)):
-                if axis == 0:
-                    term = wgt * np.asarray(fun(s + off * hh, t), dtype=float)
-                else:
-                    term = wgt * np.asarray(fun(s, t + off * hh), dtype=float)
-                acc = term if acc is None else acc + term
-            return acc / hh
-
-        return (16.0 * stencil(h / 2.0) - stencil(h)) / 15.0
+    def chart_gradient(self, fun, s, t) -> NDArray:
+        """(d fun/ds, d fun/dt) stacked on a new last axis.  fun maps chart
+        coordinate arrays (S, T) to arrays (..., *out); returns
+        (..., *out, 2)."""
+        st = np.stack(np.broadcast_arrays(s, t), axis=-1).astype(float)
+        return np.stack([fd_partial(lambda y: fun(y[..., 0], y[..., 1]), st, (axis,),
+                                    self.chart_step(axis, s, t))
+                         for axis in (0, 1)], axis=-1)
 
     # -- intrinsic operators -------------------------------------------------
 
-    def surface_scalar_gradient(self, fun, s: float, t: float) -> NDArray:
+    def surface_scalar_gradient(self, fun, s, t) -> NDArray:
         """Surface gradient of a scalar chart field, as an ambient vector."""
         fr = self.frame(s, t)
-        dq = np.array([self.chart_partial(fun, s, t, 0), self.chart_partial(fun, s, t, 1)])
-        coef = fr.g_inv @ dq
-        return coef[0] * fr.x_s + coef[1] * fr.x_t
+        coef = np.einsum("...ab,...b->...a", fr.g_inv, self.chart_gradient(fun, s, t))
+        return coef[..., :1] * fr.x_s + coef[..., 1:] * fr.x_t
 
-    def surface_rowwise_divergence(self, fun, s: float, t: float) -> NDArray:
+    def surface_rowwise_divergence(self, fun, s, t) -> NDArray:
         """Row-wise surface divergence of a 3x3 chart field T:
         r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
         fr = self.frame(s, t)
-        dT = np.stack(
-            [self.chart_partial(fun, s, t, 0), self.chart_partial(fun, s, t, 1)]
-        )  # (2, 3, 3)
-        tangents = np.stack([fr.x_s, fr.x_t])  # (2, 3)
-        # sum_ab g^ab dT[a, i, j] tangents[b, j]
-        return np.einsum("ab,aij,bj->i", fr.g_inv, dT, tangents)
+        tangents = np.stack([fr.x_s, fr.x_t], axis=-2)  # (..., 2, 3)
+        # sum_ab g^ab dT_ij/d(chart a) tangents[b, j]
+        return np.einsum("...ab,...ija,...bj->...i", fr.g_inv,
+                         self.chart_gradient(fun, s, t), tangents)
 
-    def surface_divergence_tangential(self, vfun, s: float, t: float) -> float:
+    def surface_divergence_tangential(self, vfun, s, t) -> NDArray:
         """div_S of the tangential projection of an ambient vector field.
 
-        vfun maps an ambient point to a 3-vector; the projection onto the
-        tangent plane happens here.  Uses (1/sqrt g) d_a (sqrt g w^a)."""
+        vfun maps ambient points (..., 3) to vectors (..., 3); only their
+        tangential part enters the covariant components.  Uses
+        (1/sqrt g) d_a (sqrt g w^a)."""
 
-        def q(axis):
-            def comp(ss, tt):
-                fr = self.frame(ss, tt)
-                w = vfun(fr.x)
-                w = w - (w @ fr.n) * fr.n
-                cov = np.array([w @ fr.x_s, w @ fr.x_t])
-                return fr.jac * (fr.g_inv @ cov)[axis]
+        def sqrt_g_w(ss, tt):
+            fr = self.frame(ss, tt)
+            w = vfun(fr.x)
+            cov = np.stack([_dot(w, fr.x_s), _dot(w, fr.x_t)], axis=-1)
+            return fr.jac[..., None] * np.einsum("...ab,...b->...a", fr.g_inv, cov)
 
-            return comp
-
-        fr = self.frame(s, t)
-        ds = self.chart_partial(q(0), s, t, 0)
-        dt = self.chart_partial(q(1), s, t, 1)
-        return float((ds + dt) / fr.jac)
+        dq = self.chart_gradient(sqrt_g_w, s, t)
+        return (dq[..., 0, 0] + dq[..., 1, 1]) / self.frame(s, t).jac
 
 
 class BoxFace(SurfacePatch):
@@ -295,18 +256,11 @@ class BoxFace(SurfacePatch):
         return cls(origin, e[b], e[a], 1.0, 1.0)
 
     def point(self, s, t):
-        return self.origin + s * self.e1 + t * self.e2
+        return self.origin + _col(s) * self.e1 + _col(t) * self.e2
 
     def chart_tangents(self, s, t):
-        return self.e1.copy(), self.e2.copy()
-
-    def points_batch(self, S, T):
-        S, T = np.ravel(S), np.ravel(T)
-        return self.origin + np.outer(S, self.e1) + np.outer(T, self.e2)
-
-    def tangents_batch(self, S, T):
-        n = np.ravel(S).shape[0]
-        return np.tile(self.e1, (n, 1)), np.tile(self.e2, (n, 1))
+        shape = np.broadcast_shapes(np.shape(s), np.shape(t)) + (3,)
+        return np.broadcast_to(self.e1, shape), np.broadcast_to(self.e2, shape)
 
     @property
     def diameter(self):
@@ -341,37 +295,22 @@ class SphericalCap(SurfacePatch):
         self.t_range = (0.0, 2.0 * math.pi)
 
     def point(self, s, t):
-        r = self.radius
-        return self.center + r * (
-            math.sin(s) * (math.cos(t) * self.e1 + math.sin(t) * self.e2)
-            + math.cos(s) * self.e3
+        s, t = _col(s), _col(t)
+        return self.center + self.radius * (
+            np.sin(s) * (np.cos(t) * self.e1 + np.sin(t) * self.e2)
+            + np.cos(s) * self.e3
         )
 
     def chart_tangents(self, s, t):
+        s, t = _col(s), _col(t)
         r = self.radius
-        x_s = r * (math.cos(s) * (math.cos(t) * self.e1 + math.sin(t) * self.e2)
-                   - math.sin(s) * self.e3)
-        x_t = r * math.sin(s) * (-math.sin(t) * self.e1 + math.cos(t) * self.e2)
+        x_s = r * (np.cos(s) * (np.cos(t) * self.e1 + np.sin(t) * self.e2)
+                   - np.sin(s) * self.e3)
+        x_t = r * np.sin(s) * (-np.sin(t) * self.e1 + np.cos(t) * self.e2)
         return x_s, x_t
 
     def normal(self, s, t):
         return (self.point(s, t) - self.center) / self.radius
-
-    def points_batch(self, S, T):
-        S, T = np.ravel(S), np.ravel(T)
-        radial = (np.outer(np.sin(S) * np.cos(T), self.e1)
-                  + np.outer(np.sin(S) * np.sin(T), self.e2)
-                  + np.outer(np.cos(S), self.e3))
-        return self.center + self.radius * radial
-
-    def tangents_batch(self, S, T):
-        S, T = np.ravel(S), np.ravel(T)
-        x_s = self.radius * (np.outer(np.cos(S) * np.cos(T), self.e1)
-                             + np.outer(np.cos(S) * np.sin(T), self.e2)
-                             - np.outer(np.sin(S), self.e3))
-        x_t = self.radius * (np.outer(-np.sin(S) * np.sin(T), self.e1)
-                             + np.outer(np.sin(S) * np.cos(T), self.e2))
-        return x_s, x_t
 
     @property
     def diameter(self):
@@ -381,32 +320,32 @@ class SphericalCap(SurfacePatch):
 def surface_divergence_check(v, patch: SurfacePatch, order: int = 16):
     """Surface divergence theorem on a patch: the surface integral of
     div_S of the tangential part of v against the edge integral of the
-    conormal component.  Returns (lhs, rhs, gap)."""
+    conormal component.  ``v`` is a :class:`DisplacementField` or a plain
+    pointwise callable.  Returns (lhs, rhs, gap)."""
+    if not isinstance(v, DisplacementField):
+        v = CallableField(v)
     lhs = patch.integrate(
-        lambda s, t: patch.surface_divergence_tangential(v, s, t), order
+        lambda S, T: patch.surface_divergence_tangential(v.value, S, T), order
     )
     rhs = 0.0
     for side in patch.edge_sides:
-        for s, t, w in patch.edge_quadrature(side, order):
-            nu = patch.conormal(side, s, t)
-            rhs += w * float(np.asarray(v(patch.point(s, t))) @ nu)
+        S, T, W = patch.edge_quadrature(side, order)
+        rhs += float(W @ _dot(v.value(patch.point(S, T)), patch.conormal(side, S, T)))
     return lhs, rhs, abs(lhs - rhs)
 
 
 def stokes_flux_check(field, patch: SurfacePatch, order: int = 16):
     """Stokes theorem on a patch: flux of curl u against the circulation
     of u along the edge with tangent tau = n x nu."""
-    from .fields import curl_from_grad
 
-    def flux_integrand(s, t):
-        fr = patch.frame(s, t)
-        return float(curl_from_grad(field.grad(fr.x)) @ fr.n)
+    def flux_integrand(S, T):
+        fr = patch.frame(S, T)
+        return _dot(curl_from_grad(field.grad(fr.x)), fr.n)
 
     flux = patch.integrate(flux_integrand, order)
     circ = 0.0
     for side in patch.edge_sides:
-        for s, t, w in patch.edge_quadrature(side, order):
-            nu = patch.conormal(side, s, t)
-            tau = np.cross(patch.normal(s, t), nu)
-            circ += w * float(field.value(patch.point(s, t)) @ tau)
+        S, T, W = patch.edge_quadrature(side, order)
+        tau = np.cross(patch.normal(S, T), patch.conormal(side, S, T))
+        circ += float(W @ _dot(field.value(patch.point(S, T)), tau))
     return flux, circ, abs(flux - circ)

@@ -10,8 +10,14 @@ from costress.boundary import (
     hd_tractions,
 )
 from costress.constitutive import MaterialParams, stresses
-from costress.fields import make_polynomial, random_conformal
-from costress.surfaces import BoxFace, SphericalCap
+from costress.fields import (
+    CallableField,
+    PolynomialField,
+    fd_derivative_oracle,
+    make_polynomial,
+    random_conformal,
+)
+from costress.surfaces import BoxFace, SphericalCap, surface_divergence_check
 
 HEMI = SphericalCap(center=np.zeros(3), radius=1.0, axis=(0.0, 0.0, 1.0),
                     theta_max=np.pi / 2.0)
@@ -103,3 +109,49 @@ def test_hd_postulate_modified_regime_silent():
     rep = hd_postulate_report(p, random_conformal(11), HEMI, order=16)
     assert rep.sup_normal_moment <= 1e-15
     assert rep.residual_work_norm <= 1e-12
+
+
+def _printed_counterexample(x):
+    # pointwise only: x[0] of a batch would be its first row
+    return np.array([x[0] ** 2 - x[1] ** 2 - x[2] ** 2, 2.0 * x[0] * x[1], 2.0 * x[0] * x[2]])
+
+
+def _printed_counterexample_closed_form():
+    c = np.zeros((3, 3, 3, 3))
+    c[0, 2, 0, 0], c[0, 0, 2, 0], c[0, 0, 0, 2] = 1.0, -1.0, -1.0
+    c[1, 1, 1, 0] = c[2, 1, 0, 1] = 2.0
+    return PolynomialField(c)
+
+
+@pytest.mark.parametrize("patch", [FACE, HEMI], ids=["face", "hemisphere"])
+def test_one_batched_path(patch):
+    # tractions and edge jumps on (S, T) arrays equal their per-point values
+    p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.4)
+    u = make_polynomial(11, 3)
+    S = np.array([[0.2, 0.45], [0.7, 0.9]]) * patch.s_range[1]
+    T = np.array([[0.3, 0.8], [0.55, 0.1]]) * patch.t_range[1]
+    for tractions in (classical_tractions, complete_tractions, hd_tractions):
+        batch = tractions(p, u, patch, S, T)
+        assert batch.t_force.shape == batch.g_double.shape == (2, 2, 3)
+        for i in np.ndindex(S.shape):
+            one = tractions(p, u, patch, S[i], T[i])
+            assert np.allclose(batch.t_force[i], one.t_force, rtol=1e-12, atol=1e-12)
+            assert np.allclose(batch.g_double[i], one.g_double, rtol=1e-12, atol=1e-12)
+    side = patch.edge_sides[-1]
+    Se, Te, _ = patch.edge_quadrature(side, 3)
+    jumps = edge_jump(p, u, patch, side, Se, Te)
+    for i in range(3):
+        assert np.allclose(jumps[i], edge_jump(p, u, patch, side, Se[i], Te[i]),
+                           rtol=1e-12, atol=1e-12)
+
+    # a pointwise-only callable behind CallableField matches the
+    # closed-form field it mirrors
+    printed = CallableField(_printed_counterexample)
+    mirror = _printed_counterexample_closed_form()
+    X = patch.point(S, T)
+    assert np.allclose(printed.value(X), mirror.value(X), rtol=1e-14, atol=1e-14)
+    for order in (1, 2, 3):
+        assert np.allclose(fd_derivative_oracle(printed, X, order),
+                           fd_derivative_oracle(mirror, X, order), rtol=1e-9, atol=1e-9)
+    assert np.allclose(surface_divergence_check(printed, patch, 8),
+                       surface_divergence_check(mirror, patch, 8), rtol=1e-12, atol=1e-12)

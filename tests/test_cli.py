@@ -87,6 +87,17 @@ def test_determinism_byte_identical(tmp_path):
     assert ra == rb
 
 
+def test_bc_audit_divergence_ladder_starts_past_preasymptotic_orders(tmp_path):
+    # seed 22's cubic field is still pre-asymptotic at order 4 on the
+    # hemisphere (order 4/8/16 gaps 5.4e-4, 1.5e-2, 2.2e-11)
+    cfg = _write(tmp_path, "c.json", {"seed": 22})
+    out = tmp_path / "o"
+    assert run("bc-audit", cfg, str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    mono = {c["name"]: c for c in report["checks"]}["surface_divergence_monotone"]
+    assert mono["passed"] and mono["details"]["orders"] == [8, 16, 32]
+
+
 def test_hd_postulate_report_content(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 11,

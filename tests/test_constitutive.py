@@ -9,7 +9,6 @@ from costress.constitutive import (
     couple_stress,
     equilibrium_residual,
     stresses,
-    stresses_batch,
     torsion_and_mean_curvature,
     w_curv,
     w_lin,
@@ -120,10 +119,12 @@ def test_stress_state_consistency():
 
 
 def test_stresses_batch_matches_pointwise():
+    # a stacked batch of points equals the per-point calls
     p = MaterialParams.for_regime("gkmt", mu=1.2, lam=0.8, L_c=0.3)
     u = make_polynomial(19, 4)
     X = np.random.default_rng(3).uniform(-1, 1, (6, 3))
-    sb = stresses_batch(p, u, X)
+    sb = stresses(p, u, X)
+    assert sb.sigma.shape == sb.m_tilde.shape == sb.tau_tilde.shape == (6, 3, 3)
     for i, x in enumerate(X):
         st = stresses(p, u, x)
         assert np.allclose(sb.sigma[i], st.sigma, atol=1e-12)

@@ -46,13 +46,14 @@ def test_hemisphere_geometry(hemisphere):
 
 
 def test_frames_batch_matches_pointwise(hemisphere, face):
+    # a stacked batch of chart points equals the per-point calls
     for patch in (hemisphere, face):
-        pts, _ = patch.quadrature(4)
-        S = np.array([p[0] for p in pts])
-        T = np.array([p[1] for p in pts])
-        fb = patch.frames_batch(S, T)
-        for i, (s, t) in enumerate(pts):
-            fr = patch.frame(s, t)
+        (S, T), _ = patch.quadrature(4)
+        fb = patch.frame(S, T)
+        assert fb.x.shape == fb.n.shape == (16, 3) and fb.g_inv.shape == (16, 2, 2)
+        for i, (s, t) in enumerate(zip(S, T)):
+            fr = patch.frame(float(s), float(t))
+            assert fr.x.shape == fr.n.shape == (3,) and fr.g_inv.shape == (2, 2)
             assert np.allclose(fb.x[i], fr.x, atol=1e-14)
             assert np.allclose(fb.n[i], fr.n, atol=1e-14)
             assert np.allclose(fb.g_inv[i], fr.g_inv, atol=1e-10)
@@ -117,10 +118,9 @@ def test_surface_divergence_trivial_cases(face, hemisphere):
 
 
 def test_edge_quadrature_lengths(face, hemisphere):
-    total = sum(w for side in face.edge_sides
-                for _, _, w in face.edge_quadrature(side, 8))
+    total = sum(np.sum(face.edge_quadrature(side, 8)[2]) for side in face.edge_sides)
     assert total == pytest.approx(4.0, abs=1e-13)   # unit square perimeter
-    rim = sum(w for _, _, w in hemisphere.edge_quadrature("smax", 16))
+    rim = np.sum(hemisphere.edge_quadrature("smax", 16)[2])
     assert rim == pytest.approx(2.0 * np.pi, abs=1e-10)
 
 
