@@ -46,7 +46,6 @@ class TractionSet:
     t_force: NDArray            # 3 conditions
     g_double: NDArray           # 2 conditions, tangential by construction
     formulation: str
-    pi_jump: NDArray | None = None  # 3 edge conditions, complete form only
 
 
 def _anti(w: NDArray) -> NDArray:

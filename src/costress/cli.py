@@ -137,6 +137,9 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
     bad = set(extra) - set(tols)
     if bad:
         raise ConfigError(f"unknown tolerance names: {sorted(bad)}")
+    for k, v in extra.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or np.isnan(v):
+            raise ConfigError(f"tolerance {k} must be a number, got {v!r}")
     tols.update({k: float(v) for k, v in extra.items()})
     cfg["tolerances"] = tols
     if "material" in cfg:

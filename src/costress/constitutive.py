@@ -9,6 +9,7 @@ indeterminate couple stress model, for all three parameter regimes:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +62,9 @@ class MaterialParams:
     mu_c: float = 0.0
 
     def __post_init__(self):
+        bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"material parameters must be finite, got non-finite {bad}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not 3.0 * self.lam + 2.0 * self.mu > 0.0:

@@ -10,7 +10,7 @@ integrands at the default order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +20,7 @@ from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
 from .fields import PolynomialField
+from .tensors import EPS3
 
 __all__ = [
     "ClampedBasis",
@@ -96,10 +97,8 @@ class ClampedBasis:
 
     def _tables_1d(self, nodes: NDArray):
         """(values, d1, d2) of all 1d modes at the nodes, each (N, len)."""
-        V = np.array([npoly.polyval(nodes, c) for c in self.coeffs_1d])
-        D1 = np.array([npoly.polyval(nodes, npoly.polyder(c)) for c in self.coeffs_1d])
-        D2 = np.array([npoly.polyval(nodes, npoly.polyder(c, 2)) for c in self.coeffs_1d])
-        return V, D1, D2
+        return tuple(np.array([npoly.polyval(nodes, npoly.polyder(c, m)) for c in self.coeffs_1d])
+                     for m in range(3))
 
     def scalar_tables(self, pts: NDArray):
         """Scalar mode tables at arbitrary points of the cube.
@@ -108,28 +107,20 @@ class ClampedBasis:
         where M = N^3.
         """
         tabs = [self._tables_1d(pts[:, d]) for d in range(3)]
-        V = [t[0] for t in tabs]
-        D1 = [t[1] for t in tabs]
-        D2 = [t[2] for t in tabs]
-        N, Q = self.n_modes, pts.shape[0]
-        M = self.n_scalar
+        Q, M = pts.shape[0], self.n_scalar
 
-        def prod(fx, fy, fz):
+        def deriv(*axes):
+            # tensor product with one derivative along each listed axis
+            fx, fy, fz = (tabs[d][axes.count(d)] for d in range(3))
             return np.einsum("aq,bq,cq->abcq", fx, fy, fz).reshape(M, Q)
 
-        B = prod(V[0], V[1], V[2])
         dB = np.empty((M, Q, 3))
-        dB[:, :, 0] = prod(D1[0], V[1], V[2])
-        dB[:, :, 1] = prod(V[0], D1[1], V[2])
-        dB[:, :, 2] = prod(V[0], V[1], D1[2])
         d2B = np.empty((M, Q, 3, 3))
-        d2B[:, :, 0, 0] = prod(D2[0], V[1], V[2])
-        d2B[:, :, 1, 1] = prod(V[0], D2[1], V[2])
-        d2B[:, :, 2, 2] = prod(V[0], V[1], D2[2])
-        d2B[:, :, 0, 1] = d2B[:, :, 1, 0] = prod(D1[0], D1[1], V[2])
-        d2B[:, :, 0, 2] = d2B[:, :, 2, 0] = prod(D1[0], V[1], D1[2])
-        d2B[:, :, 1, 2] = d2B[:, :, 2, 1] = prod(V[0], D1[1], D1[2])
-        return B, dB, d2B
+        for a in range(3):
+            dB[:, :, a] = deriv(a)
+            for b in range(3):
+                d2B[:, :, a, b] = deriv(a, b)
+        return deriv(), dB, d2B
 
     def solution_field(self, z: NDArray) -> PolynomialField:
         """Displacement field of a coefficient vector, as a closed-form
@@ -161,9 +152,6 @@ def _dof_tables(basis: ClampedBasis, pts: NDArray) -> _DofTables:
     grad_curl = np.zeros((D, Q, 3, 3))
     curl_curl = np.zeros((D, Q, 3))
     lap = np.einsum("mqaa->mq", d2B)
-    eye = np.eye(3)
-    from .tensors import EPS3
-
     for c in range(3):
         sl = slice(c * M, (c + 1) * M)
         val[sl, :, c] = B
@@ -172,9 +160,44 @@ def _dof_tables(basis: ClampedBasis, pts: NDArray) -> _DofTables:
         half_curl[sl] = 0.5 * np.einsum("ij,mqj->mqi", EPS3[:, :, c], dB)
         grad_curl[sl] = np.einsum("ij,mqja->mqia", EPS3[:, :, c], d2B)
         # curl curl (b e_c) = grad d_c b - lap b e_c
-        curl_curl[sl] = d2B[:, :, :, c] - np.einsum("mq,i->mqi", lap, eye[c])
+        curl_curl[sl] = d2B[:, :, :, c]
+        curl_curl[sl, :, c] -= lap
     return _DofTables(val=val, grad=grad, half_curl=half_curl,
                       grad_curl=grad_curl, curl_curl=curl_curl)
+
+
+def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
+    """(order, pts, W, tables) of a basis.  The Gauss order defaults to two
+    above the exactness minimum; an order below that minimum is rejected."""
+    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
+    if order < basis.min_quadrature_order:
+        raise ValueError(
+            f"quadrature order {order} below the exactness minimum "
+            f"{basis.min_quadrature_order} for N = {basis.n_modes}"
+        )
+    pts, W = basis.quadrature(order)
+    return order, pts, W, _dof_tables(basis, pts)
+
+
+def _gram(X: NDArray, W: NDArray) -> NDArray:
+    """L2 Gram matrix sum_q W_q <X_p(q), X_r(q)> of a (D, Q, ...) table."""
+    X = X.reshape(X.shape[0], X.shape[1], -1)
+    return np.einsum("pqi,rqi->pr", X, X * W[None, :, None])
+
+
+def _work(X: NDArray, F: NDArray, W: NDArray) -> NDArray:
+    """Load work sum_q W_q <X_p(q), F(q)> of a (D, Q, 3) table against F."""
+    return np.einsum("pqi,qi->p", X, F * W[:, None])
+
+
+def _sym(X: NDArray) -> NDArray:
+    return 0.5 * (X + np.swapaxes(X, -1, -2))
+
+
+def _elastic_form(params: MaterialParams, tables: _DofTables, W: NDArray) -> NDArray:
+    """Classical stiffness 2 mu (sym grad u, sym grad v) + lam (div u, div v)."""
+    div = np.einsum("pqii->pq", tables.grad)
+    return 2.0 * params.mu * _gram(_sym(tables.grad), W) + params.lam * _gram(div, W)
 
 
 @dataclass
@@ -189,16 +212,6 @@ class GalerkinSystem:
     quadrature_order: int
 
 
-def _grams(tables: _DofTables, W: NDArray):
-    """Elastic building-block Gram matrices from dof tables."""
-    S = 0.5 * (tables.grad + np.swapaxes(tables.grad, -1, -2))
-    t = np.einsum("pqii->pq", tables.grad)
-    Sw = S * W[None, :, None, None]
-    sym_gram = np.einsum("pqia,rqia->pr", S, Sw)
-    tr_gram = np.einsum("pq,rq,q->pr", t, t, W)
-    return sym_gram, tr_gram
-
-
 def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
              quadrature_order: int | None = None,
              curvature_via_curl_curl: bool = False) -> GalerkinSystem:
@@ -208,38 +221,22 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     equivalent curl curl quadratic form, valid only when alpha1 = alpha2
     (the two assemblies then agree to round-off).
     """
-    basis = ClampedBasis(n_modes)
-    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
-    if order < basis.min_quadrature_order:
-        raise ValueError(
-            f"quadrature order {order} below the exactness minimum "
-            f"{basis.min_quadrature_order} for N = {n_modes}"
-        )
     if curvature_via_curl_curl and params.alpha1 != params.alpha2:
         raise ValueError("curl curl curvature assembly requires alpha1 = alpha2")
-
-    pts, W = basis.quadrature(order)
-    tables = _dof_tables(basis, pts)
-    sym_gram, tr_gram = _grams(tables, W)
-    K = 2.0 * params.mu * sym_gram + params.lam * tr_gram
+    basis = ClampedBasis(n_modes)
+    order, pts, W, tables = _tabulate(basis, quadrature_order)
+    K = _elastic_form(params, tables, W)
 
     k = params.mu * params.L_c ** 2
     if curvature_via_curl_curl:
-        cc = tables.curl_curl
-        ccw = cc * W[None, :, None]
-        K = K + 0.5 * params.alpha1 * k * np.einsum("pqi,rqi->pr", cc, ccw)
+        K = K + 0.5 * params.alpha1 * k * _gram(tables.curl_curl, W)
     else:
         C = tables.grad_curl
-        Cs = 0.5 * (C + np.swapaxes(C, -1, -2))
-        Ca = 0.5 * (C - np.swapaxes(C, -1, -2))
-        Wq = W[None, :, None, None]
-        K = K + 0.5 * params.alpha1 * k * np.einsum("pqia,rqia->pr", Cs, Cs * Wq)
-        K = K + 0.5 * params.alpha2 * k * np.einsum("pqia,rqia->pr", Ca, Ca * Wq)
+        K = K + 0.5 * params.alpha1 * k * _gram(_sym(C), W)
+        K = K + 0.5 * params.alpha2 * k * _gram(0.5 * (C - np.swapaxes(C, -1, -2)), W)
 
-    mass = np.einsum("pqi,rqi,q->pr", tables.val, tables.val, W)
-    F = loads.force(pts)
-    b = np.einsum("pqi,qi,q->p", tables.val, F, W)
-    return GalerkinSystem(params=params, basis=basis, K=K, M=mass, b=b,
+    return GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val, W),
+                          b=_work(tables.val, loads.force(pts), W),
                           quadrature_order=order)
 
 
@@ -290,14 +287,9 @@ def coercivity_evidence(system: GalerkinSystem) -> float:
 def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
     clamped basis span (unit cube, L2 norms)."""
-    basis = ClampedBasis(n_modes)
-    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
-    pts, W = basis.quadrature(order)
-    tables = _dof_tables(basis, pts)
-    Wq = W[None, :, None, None]
-    G = np.einsum("pqia,rqia->pr", tables.grad, tables.grad * Wq)
-    S = 0.5 * (tables.grad + np.swapaxes(tables.grad, -1, -2))
-    E = np.einsum("pqia,rqia->pr", S, S * Wq)
+    _, _, W, tables = _tabulate(ClampedBasis(n_modes), quadrature_order)
+    G = _gram(tables.grad, W)
+    E = _gram(_sym(tables.grad), W)
     vals = scipy.linalg.eigh(G, E, eigvals_only=True)
     return float(np.sqrt(vals[-1]))
 
@@ -313,24 +305,79 @@ class CosseratSolution:
     energy: float
 
 
-def _cosserat_tables(basis: ClampedBasis, order: int):
-    pts, W = basis.quadrature(order)
-    return pts, W, _dof_tables(basis, pts)
+@dataclass
+class _CosseratForms:
+    """The mu_c-independent parts of the Cosserat problem, from one
+    tabulation.  Row r of ``C`` gives the microrotation mode
+    a_r = sum_p C[r, p] curl(u_p)/2; the modes are L2-orthonormal."""
+
+    params: MaterialParams
+    basis: ClampedBasis
+    order: int
+    elastic: NDArray    # classical stiffness form
+    half_curl: NDArray  # Gram of curl u / 2
+    curl: NDArray       # Gram of curl (curl u / 2)
+    mass: NDArray
+    force: NDArray      # force work against u
+    couple: NDArray     # couple work against curl u / 2
+    C: NDArray
 
 
-def _rotation_basis(tables: _DofTables, W: NDArray, cutoff: float = 1e-10):
-    """Orthonormal microrotation basis spanning {curl u / 2 : u in span}.
+def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
+                    quadrature_order: int | None) -> _CosseratForms:
+    basis = ClampedBasis(n_modes)
+    order, pts, W, tables = _tabulate(basis, quadrature_order)
+    half_curl = _gram(tables.half_curl, W)
+    # orthonormal basis of {curl u / 2 : u in span}, relative cutoff 1e-10
+    vals, vecs = scipy.linalg.eigh(half_curl)
+    keep = vals > 1e-10 * vals[-1]
+    return _CosseratForms(
+        params=params, basis=basis, order=order,
+        elastic=_elastic_form(params, tables, W),
+        half_curl=half_curl,
+        curl=_gram(0.5 * tables.curl_curl, W),
+        mass=_gram(tables.val, W),
+        force=_work(tables.val, loads.force(pts), W),
+        couple=_work(tables.half_curl, loads.couple(pts), W),
+        C=(vecs[:, keep] / np.sqrt(vals[keep])).T,
+    )
 
-    Built from the Gram matrix of the half-curl dof fields; directions
-    below the relative eigenvalue cutoff are pruned.  Returns (C, R)
-    where row r of C gives mode a_r = sum_p C[r, p] curl(u_p)/2 and the
-    modes are L2-orthonormal.
-    """
-    gram = np.einsum("pqi,rqi,q->pr", tables.half_curl, tables.half_curl, W)
-    vals, vecs = scipy.linalg.eigh(gram)
-    keep = vals > cutoff * vals[-1]
-    C = (vecs[:, keep] / np.sqrt(vals[keep])).T
-    return C, gram
+
+def _coupled(params: MaterialParams) -> MaterialParams:
+    """``params``, once its Cosserat couple modulus is checked positive."""
+    if params.mu_c <= 0.0:
+        raise DegenerateCosseratError(
+            f"mu_c = {params.mu_c} gives no rotational coupling; "
+            "the microrotation field is indeterminate"
+        )
+    return params
+
+
+def _penalty_solve(forms: _CosseratForms, params: MaterialParams) -> CosseratSolution:
+    """Minimize the Cosserat functional with the couple modulus of
+    ``params`` over the forms' span."""
+    mu, mu_c, L = params.mu, params.mu_c, params.L_c
+    C, D = forms.C, forms.basis.n_dofs
+    # quadratic form z' A z with z = (u, a); curl a from curl curl u / 2
+    A_ua = -2.0 * mu_c * forms.half_curl @ C.T
+    A = np.block([
+        [forms.elastic + 2.0 * mu_c * forms.half_curl, A_ua],
+        [A_ua.T, 2.0 * mu_c * np.eye(len(C)) + 2.0 * mu * L ** 2 * (C @ forms.curl @ C.T)],
+    ])
+    rhs = np.concatenate([forms.force, C @ forms.couple])
+    sol = solve(GalerkinSystem(params=params, basis=forms.basis, K=2.0 * A,
+                               M=np.eye(len(rhs)), b=rhs, quadrature_order=forms.order))
+    z_u, z_a = sol.coeffs[:D], sol.coeffs[D:]
+    return CosseratSolution(u_coeffs=z_u, a_coeffs=z_a,
+                            field=forms.basis.solution_field(z_u), energy=sol.energy)
+
+
+def _constrained_solve(forms: _CosseratForms) -> GalerkinSolution:
+    p = forms.params
+    K = 2.0 * (forms.elastic + 2.0 * p.mu * p.L_c ** 2 * forms.curl)
+    return solve(GalerkinSystem(params=p, basis=forms.basis, K=K, M=forms.mass,
+                                b=forms.force + forms.couple,
+                                quadrature_order=forms.order))
 
 
 def cosserat_solve(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -341,50 +388,8 @@ def cosserat_solve(params: MaterialParams, loads: LoadData, n_modes: int,
     displacement basis, so that the mu_c -> infinity limit of the
     discrete problem is exactly the constrained discrete problem.
     """
-    if params.mu_c <= 0.0:
-        raise DegenerateCosseratError(
-            f"mu_c = {params.mu_c} gives no rotational coupling; "
-            "the microrotation field is indeterminate"
-        )
-    basis = ClampedBasis(n_modes)
-    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
-    if order < basis.min_quadrature_order:
-        raise ValueError(
-            f"quadrature order {order} below the exactness minimum "
-            f"{basis.min_quadrature_order} for N = {n_modes}"
-        )
-    pts, W, tables = _cosserat_tables(basis, order)
-    sym_gram, tr_gram = _grams(tables, W)
-    C, hc_gram = _rotation_basis(tables, W)
-    R = C.shape[0]
-    D = basis.n_dofs
-
-    mu, lam, mu_c, L = params.mu, params.lam, params.mu_c, params.L_c
-    # quadratic form z' A z with z = (u, a); curl a from curl curl u / 2
-    A_uu = 2.0 * mu * sym_gram + lam * tr_gram + 2.0 * mu_c * hc_gram
-    A_ua = -2.0 * mu_c * hc_gram @ C.T
-    curl_hc = 0.5 * tables.curl_curl
-    curl_gram = np.einsum("pqi,rqi,q->pr", curl_hc, curl_hc, W)
-    A_aa = 2.0 * mu_c * np.eye(R) + 2.0 * mu * L ** 2 * (C @ curl_gram @ C.T)
-
-    F = loads.force(pts)
-    Gc = loads.couple(pts)
-    b_u = np.einsum("pqi,qi,q->p", tables.val, F, W)
-    b_hc = np.einsum("pqi,qi,q->p", tables.half_curl, Gc, W)
-    b_a = C @ b_hc
-
-    K = np.zeros((D + R, D + R))
-    K[:D, :D] = 2.0 * A_uu
-    K[:D, D:] = 2.0 * A_ua
-    K[D:, :D] = 2.0 * A_ua.T
-    K[D:, D:] = 2.0 * A_aa
-    rhs = np.concatenate([b_u, b_a])
-    sysm = GalerkinSystem(params=params, basis=basis, K=K,
-                          M=np.eye(D + R), b=rhs, quadrature_order=order)
-    sol = solve(sysm)
-    z_u, z_a = sol.coeffs[:D], sol.coeffs[D:]
-    return CosseratSolution(u_coeffs=z_u, a_coeffs=z_a,
-                            field=basis.solution_field(z_u), energy=sol.energy)
+    forms = _cosserat_forms(_coupled(params), loads, n_modes, quadrature_order)
+    return _penalty_solve(forms, params)
 
 
 def cosserat_constrained_solve(params: MaterialParams, loads: LoadData,
@@ -395,28 +400,7 @@ def cosserat_constrained_solve(params: MaterialParams, loads: LoadData,
     The couple load enters through the constraint: it performs work
     against curl u / 2.
     """
-    basis = ClampedBasis(n_modes)
-    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
-    pts, W, tables = _cosserat_tables(basis, order)
-    sym_gram, tr_gram = _grams(tables, W)
-    curl_hc = 0.5 * tables.curl_curl
-    curl_gram = np.einsum("pqi,rqi,q->pr", curl_hc, curl_hc, W)
-    K = 2.0 * (2.0 * params.mu * sym_gram + params.lam * tr_gram
-               + 2.0 * params.mu * params.L_c ** 2 * curl_gram)
-    F = loads.force(pts)
-    Gc = loads.couple(pts)
-    b = (np.einsum("pqi,qi,q->p", tables.val, F, W)
-         + np.einsum("pqi,qi,q->p", tables.half_curl, Gc, W))
-    mass = np.einsum("pqi,rqi,q->pr", tables.val, tables.val, W)
-    sysm = GalerkinSystem(params=params, basis=basis, K=K, M=mass, b=b,
-                          quadrature_order=order)
-    return solve(sysm)
-
-
-def l2_distance(mass: NDArray, z1: NDArray, z2: NDArray) -> float:
-    """L2 norm of the difference of two coefficient vectors."""
-    d = z1 - z2
-    return float(np.sqrt(d @ (mass @ d)))
+    return _constrained_solve(_cosserat_forms(params, loads, n_modes, quadrature_order))
 
 
 def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -424,21 +408,16 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     """Relative L2 errors against the constrained solution over a mu_c
     sweep, plus the least-squares convergence order in 1/mu_c.
 
-    Returns (errors, order_estimate).
+    All solves share one tabulation.  Returns (errors, order_estimate).
     """
-    ref = cosserat_constrained_solve(params, loads, n_modes, quadrature_order)
-    basis = ClampedBasis(n_modes)
-    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
-    pts, W, tables = _cosserat_tables(basis, order)
-    mass = np.einsum("pqi,rqi,q->pr", tables.val, tables.val, W)
-    ref_norm = float(np.sqrt(ref.coeffs @ (mass @ ref.coeffs)))
+    penalized = [_coupled(replace(params, mu_c=float(mc))) for mc in mu_c_values]
+    forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
+    ref = _constrained_solve(forms).coeffs
+    ref_norm = float(np.sqrt(ref @ (forms.mass @ ref)))
     errors = []
-    for mc in mu_c_values:
-        p = MaterialParams(mu=params.mu, lam=params.lam, L_c=params.L_c,
-                           alpha1=params.alpha1, alpha2=params.alpha2, mu_c=float(mc))
-        sol = cosserat_solve(p, loads, n_modes, quadrature_order)
-        errors.append(l2_distance(mass, sol.u_coeffs, ref.coeffs) / ref_norm)
+    for p in penalized:
+        d = _penalty_solve(forms, p).u_coeffs - ref
+        errors.append(float(np.sqrt(d @ (forms.mass @ d))) / ref_norm)
     x = np.log(1.0 / np.asarray(mu_c_values, dtype=float))
-    y = np.log(np.asarray(errors))
-    slope = float(np.polyfit(x, y, 1)[0])
+    slope = float(np.polyfit(x, np.log(errors), 1)[0])
     return errors, slope

@@ -25,16 +25,11 @@ from .fields import CallableField, DisplacementField, curl_from_grad, fd_partial
 __all__ = [
     "BoxFace",
     "Frame",
-    "QuadratureDiagnostic",
     "SphericalCap",
     "SurfacePatch",
     "surface_divergence_check",
     "stokes_flux_check",
 ]
-
-
-class QuadratureDiagnostic(RuntimeError):
-    """Raised when a checked quantity does not converge under refinement."""
 
 
 @dataclass(frozen=True)
@@ -244,13 +239,16 @@ class BoxFace(SurfacePatch):
 
     @classmethod
     def unit_cube_face(cls, which: str) -> "BoxFace":
-        """Outward-oriented face of the unit cube, e.g. 'z+' or 'x-'."""
-        axis = {"x": 0, "y": 1, "z": 2}[which[0]]
-        sign = which[1]
+        """Outward-oriented face of the unit cube: 'x+', 'x-', 'y+', 'y-',
+        'z+' or 'z-'."""
+        faces = [axis + sign for axis in "xyz" for sign in "+-"]
+        if which not in faces:
+            raise ValueError(f"unknown unit cube face {which!r}; expected one of {faces}")
+        axis = "xyz".index(which[0])
         e = np.eye(3)
         a, b = (axis + 1) % 3, (axis + 2) % 3
         origin = np.zeros(3)
-        if sign == "+":
+        if which[1] == "+":
             origin[axis] = 1.0
             return cls(origin, e[a], e[b], 1.0, 1.0)
         return cls(origin, e[b], e[a], 1.0, 1.0)

@@ -18,7 +18,6 @@ __all__ = [
     "CartanParts",
     "anti",
     "apply_E_v",
-    "apply_X_v",
     "axl",
     "cartan_decompose",
     "contract_E_X",
@@ -142,11 +141,6 @@ def contract_E_X(E: NDArray, X: NDArray) -> NDArray:
 def apply_E_v(E: NDArray, v: NDArray) -> NDArray:
     """Contraction (E . v)_ij = E_ijk v_k."""
     return np.einsum("ijk,k->ij", E, v)
-
-
-def apply_X_v(X: NDArray, v: NDArray) -> NDArray:
-    """Contraction (X . v)_i = X_ij v_j."""
-    return X @ v
 
 
 def tangential_projector(n: NDArray, tol: float = 1e-12) -> NDArray:

@@ -81,9 +81,9 @@ def test_criterion_02_kinematic_identities():
             )
         # FD cross-check at one point per field
         x = rng.uniform(-0.9, 0.9, 3)
-        G_fd = fd_derivative_oracle(u.value, x, 1)
+        G_fd = fd_derivative_oracle(u, x, 1)
         curl_fd = np.einsum("ijk,kj->i", EPS3, G_fd)
-        M_fd = grad_curl_from_grad2(fd_derivative_oracle(u.value, x, 2))
+        M_fd = grad_curl_from_grad2(fd_derivative_oracle(u, x, 2))
         worst_fd = max(
             worst_fd,
             float(np.max(np.abs(curl_fd - 2.0 * axl(skw(G_fd), tol=1e-6)))),
@@ -156,7 +156,7 @@ def test_criterion_06_surface_divergence_theorem():
     u = make_polynomial(6, 4)
     tol, worst = 1e-6, 0.0
     for patch in (FACE, HEMI):
-        gaps = [surface_divergence_check(u.value, patch, order=o)[2]
+        gaps = [surface_divergence_check(u, patch, order=o)[2]
                 for o in (4, 8, 16)]
         worst = max(worst, gaps[2])
         # monotone decrease; flat faces plateau at round-off, hence the slack

@@ -66,6 +66,33 @@ def test_invalid_material_exits_2(tmp_path):
     assert run("energy-report", cfg, str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("key", ["L_c", "alpha1", "alpha2", "mu_c"])
+def test_nan_material_exits_2_no_output(tmp_path, key):
+    material = {"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": 1.0}
+    material[key] = float("nan")
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "material": material})
+    out = tmp_path / "o"
+    assert run("energy-report", cfg, str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["abc", "1e-6", None, True, [1.0], float("nan")])
+def test_bad_tolerance_exits_2_no_output(tmp_path, tol):
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "tolerances": {"operators": tol}})
+    out = tmp_path / "o"
+    assert run("verify-operators", cfg, str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["z*", "z", "zz+", "Z+"])
+def test_bad_box_face_exits_2_no_output(tmp_path, which):
+    cfg = _write(tmp_path, "c.json",
+                 {"seed": 0, "patch": {"type": "box_face", "which": which}})
+    out = tmp_path / "o"
+    assert run("bc-audit", cfg, str(out)) == 2
+    assert not out.exists()
+
+
 def test_alpha3_alias_in_material(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 0, "cases": 10,

@@ -33,6 +33,14 @@ class TestMaterialParams:
         with pytest.raises(ValueError):
             MaterialParams(mu=1.0, lam=1.0, L_c=1.0, alpha1=-0.1, alpha2=1.0)
 
+    @pytest.mark.parametrize("name", ["mu", "lam", "L_c", "alpha1", "alpha2", "mu_c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        kwargs = dict(mu=1.0, lam=1.0, L_c=0.5, alpha1=1.0, alpha2=1.0, mu_c=1.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            MaterialParams(**kwargs)
+
     def test_regimes(self):
         assert MaterialParams.for_regime("gkmt").regime == "gkmt"
         assert MaterialParams.for_regime("modified").regime == "modified"

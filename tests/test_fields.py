@@ -69,11 +69,11 @@ def test_polynomial_closed_forms_match_fd(degree):
     u = make_polynomial(17 + degree, degree)
     rng = np.random.default_rng(degree)
     for x in rng.uniform(-0.8, 0.8, (4, 3)):
-        assert np.allclose(u.grad(x), fd_derivative_oracle(u.value, x, 1),
+        assert np.allclose(u.grad(x), fd_derivative_oracle(u, x, 1),
                            atol=1e-9, rtol=1e-9)
-        assert np.allclose(u.grad2(x), fd_derivative_oracle(u.value, x, 2),
+        assert np.allclose(u.grad2(x), fd_derivative_oracle(u, x, 2),
                            atol=1e-7, rtol=1e-7)
-        assert np.allclose(u.grad3(x), fd_derivative_oracle(u.value, x, 3),
+        assert np.allclose(u.grad3(x), fd_derivative_oracle(u, x, 3),
                            atol=1e-5, rtol=1e-5)
 
 
@@ -125,13 +125,13 @@ class TestConformal:
         w = np.asarray(cp.w_axial)
         expected = (w @ x + cp.p_hat) * np.eye(3) + anti(np.cross(w, x)) + cp.a_hat
         assert np.allclose(G, expected, atol=1e-14)
-        assert np.allclose(G, fd_derivative_oracle(u.value, x, 1), atol=1e-9)
+        assert np.allclose(G, fd_derivative_oracle(u, x, 1), atol=1e-9)
 
     def test_second_gradient_constant(self):
         u = random_conformal(4)
         x1, x2 = np.array([0.1, 0.2, 0.3]), np.array([-0.9, 0.5, 0.0])
         assert np.allclose(u.grad2(x1), u.grad2(x2), atol=1e-15)
-        assert np.allclose(u.grad2(x1), fd_derivative_oracle(u.value, x1, 2),
+        assert np.allclose(u.grad2(x1), fd_derivative_oracle(u, x1, 2),
                            atol=1e-7)
 
     def test_grad_curl_is_twice_the_generator(self):

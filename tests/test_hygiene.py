@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses
+or keeps a private helper it never calls."""
 
 import ast
 from pathlib import Path
@@ -30,6 +31,23 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read - exported)
 
 
+def orphaned_privates(source: str) -> list[str]:
+    """Module-level private functions and classes that the module never
+    references outside their own definition."""
+    tree = ast.parse(source)
+    orphans = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        used = any(isinstance(n, ast.Name) and n.id == node.name
+                   for other in tree.body if other is not node for n in ast.walk(other))
+        if not used:
+            orphans.append(node.name)
+    return orphans
+
+
 def test_detector_flags_an_unused_import():
     assert unused_imports("import math\nimport os\nos.getcwd()\n") == ["math"]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
@@ -38,3 +56,13 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector_flags_an_orphaned_private():
+    source = "def _a():\n    return _a()\n\nclass _B:\n    pass\n\ndef f():\n    return _B()\n"
+    assert orphaned_privates(source) == ["_a"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_orphaned_private_helpers(path):
+    assert orphaned_privates(path.read_text(encoding="utf-8")) == []

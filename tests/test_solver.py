@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from costress import solver
 from costress.constitutive import LoadData, MaterialParams
 from costress.solver import (
     ClampedBasis,
@@ -160,3 +163,31 @@ class TestCosserat:
         p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=0.1, mu_c=1e8)
         sol = cosserat_solve(p, _loads(), 2)
         assert np.linalg.norm(sol.a_coeffs) > 0.0
+
+    def test_sweep_tabulates_once(self, monkeypatch):
+        calls = []
+
+        def counting(basis, pts):
+            calls.append(pts.shape[0])
+            return raw(basis, pts)
+
+        raw = solver._dof_tables
+        monkeypatch.setattr(solver, "_dof_tables", counting)
+        cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 100.0, 1000.0, 10000.0])
+        assert len(calls) == 1
+
+    def test_sweep_matches_independent_solves(self):
+        g = lambda x: np.stack([x[:, 1], np.ones(x.shape[0]), x[:, 0] * x[:, 2]], axis=-1)
+        loads = LoadData(f=_loads().f, m_body=g)
+        mu_cs = [10.0, 100.0, 1000.0, 10000.0]
+        errors, _ = cosserat_limit_sweep(PARAMS, loads, 2, mu_cs)
+        ref = cosserat_constrained_solve(PARAMS, loads, 2).coeffs
+        mass = assemble(PARAMS, loads, 2).M
+        for mc, err in zip(mu_cs, errors):
+            d = cosserat_solve(replace(PARAMS, mu_c=mc), loads, 2).u_coeffs - ref
+            assert err == pytest.approx(np.sqrt(d @ mass @ d / (ref @ mass @ ref)), rel=1e-12)
+
+    def test_sweep_rejects_degenerate_coupling_before_tabulating(self, monkeypatch):
+        monkeypatch.setattr(solver, "_dof_tables", None)
+        with pytest.raises(DegenerateCosseratError):
+            cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 0.0])

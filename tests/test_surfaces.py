@@ -36,6 +36,12 @@ def test_unit_cube_faces_outward():
         assert np.allclose(f.normal(0.5, 0.5), n), which
 
 
+@pytest.mark.parametrize("which", ["z*", "z", "z+ ", "+z", "w+", ""])
+def test_unit_cube_face_names_checked(which):
+    with pytest.raises(ValueError, match="unknown unit cube face"):
+        BoxFace.unit_cube_face(which)
+
+
 def test_hemisphere_geometry(hemisphere):
     x = hemisphere.point(np.pi / 4, 0.0)
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
@@ -98,7 +104,7 @@ def test_stokes_polynomial(hemisphere):
 def test_surface_divergence_theorem(hemisphere, face):
     u = make_polynomial(41, 4)
     for patch in (hemisphere, face):
-        gaps = [surface_divergence_check(u.value, patch, order=o)[2]
+        gaps = [surface_divergence_check(u, patch, order=o)[2]
                 for o in (4, 8, 16)]
         assert gaps[2] <= 1e-6
         assert gaps[0] >= gaps[1] - 1e-12
