@@ -42,7 +42,6 @@ from .solver import (
     assemble,
     coercivity_evidence,
     cosserat_limit_sweep,
-    korn_constant,
     solve,
 )
 from .surfaces import (
@@ -138,7 +137,7 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
     if bad:
         raise ConfigError(f"unknown tolerance names: {sorted(bad)}")
     for k, v in extra.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or np.isnan(v):
+        if not _is_number(v) or np.isnan(v):
             raise ConfigError(f"tolerance {k} must be a number, got {v!r}")
     tols.update({k: float(v) for k, v in extra.items()})
     cfg["tolerances"] = tols
@@ -148,6 +147,22 @@ def _load_config(path: str, command: str, overrides: dict) -> dict:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid material parameters: {exc}")
     return cfg
+
+
+def _is_number(v, kind=(int, float)) -> bool:
+    """A JSON number of the given kind (to Python a bool is an int; not here)."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _solver_sizes(cfg: dict):
+    """(n_modes, quadrature_order) of a solver job, checked to be integers;
+    an order of None takes the solver's default."""
+    n, order = cfg.get("n_modes", 3), cfg.get("quadrature_order")
+    if not _is_number(n, int):
+        raise ConfigError(f"n_modes must be an integer, got {n!r}")
+    if order is not None and not _is_number(order, int):
+        raise ConfigError(f"quadrature_order must be an integer, got {order!r}")
+    return n, order
 
 
 def _material(cfg: dict) -> MaterialParams:
@@ -366,9 +381,7 @@ def _cmd_hd_postulate(cfg):
 
 def _cmd_bvp_solve(cfg):
     params = _material(cfg)
-    n = int(cfg.get("n_modes", 3))
-    order = cfg.get("quadrature_order")
-    order = int(order) if order is not None else None
+    n, order = _solver_sizes(cfg)
     loads = _build_load(cfg.get("load"), cfg["seed"])
     tol = cfg["tolerances"]["solver_residual"]
     try:
@@ -384,7 +397,7 @@ def _cmd_bvp_solve(cfg):
     lam_min = coercivity_evidence(system)
     checks.append(Check("coercivity_lambda_min", lam_min, max(0.0, -lam_min), 0.0,
                         lam_min > 0.0))
-    kc = korn_constant(n, order)
+    kc = system.korn
     checks.append(Check("korn_constant", kc, max(0.0, 1.0 - kc), 0.0,
                         np.isfinite(kc) and kc >= 1.0))
     ident = abs(sol.energy + 0.5 * system.b @ sol.coeffs)
@@ -405,11 +418,11 @@ def _cmd_bvp_solve(cfg):
 
 def _cmd_cosserat_limit(cfg):
     params = _material(cfg)
-    n = int(cfg.get("n_modes", 3))
-    order = cfg.get("quadrature_order")
-    order = int(order) if order is not None else None
+    n, order = _solver_sizes(cfg)
     loads = _build_load(cfg.get("load"), cfg["seed"])
     mu_cs = cfg.get("mu_c_values", [10.0, 100.0, 1000.0, 10000.0])
+    if not isinstance(mu_cs, list) or not all(_is_number(m) for m in mu_cs):
+        raise ConfigError(f"mu_c_values must be a list of numbers, got {mu_cs!r}")
     try:
         errors, slope = cosserat_limit_sweep(params, loads, n, mu_cs, order)
     except (DegenerateCosseratError, WellPosednessError, ValueError) as exc:

@@ -10,7 +10,7 @@ integrands at the default order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
 from .fields import PolynomialField
-from .tensors import EPS3
 
 __all__ = [
     "ClampedBasis",
@@ -126,8 +125,10 @@ class ClampedBasis:
         """Displacement field of a coefficient vector, as a closed-form
         polynomial field."""
         z = np.asarray(z, dtype=float).reshape(3, self.n_modes, self.n_modes, self.n_modes)
-        P = self.coeffs_1d
-        coeffs = np.einsum("cabg,ai,bj,gk->cijk", z, P, P, P)
+        coeffs = z
+        for _ in range(3):
+            # contract the leading mode axis; its monomial axis goes last
+            coeffs = np.tensordot(coeffs, self.coeffs_1d, axes=(1, 0))
         return PolynomialField(coeffs, degree=self.degree)
 
 
@@ -156,9 +157,12 @@ def _dof_tables(basis: ClampedBasis, pts: NDArray) -> _DofTables:
         sl = slice(c * M, (c + 1) * M)
         val[sl, :, c] = B
         grad[sl, :, c, :] = dB
-        # curl(b e_c)_i = eps_ijc d_j b
-        half_curl[sl] = 0.5 * np.einsum("ij,mqj->mqi", EPS3[:, :, c], dB)
-        grad_curl[sl] = np.einsum("ij,mqja->mqia", EPS3[:, :, c], d2B)
+        # curl(b e_c)_i = eps_ijc d_j b: eps_abc = 1 = -eps_bac, zero else
+        a, b = (c + 1) % 3, (c + 2) % 3
+        half_curl[sl, :, a] = 0.5 * dB[:, :, b]
+        half_curl[sl, :, b] = -0.5 * dB[:, :, a]
+        grad_curl[sl, :, a] = d2B[:, :, b]
+        grad_curl[sl, :, b] = -d2B[:, :, a]
         # curl curl (b e_c) = grad d_c b - lap b e_c
         curl_curl[sl] = d2B[:, :, :, c]
         curl_curl[sl, :, c] -= lap
@@ -180,9 +184,11 @@ def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
 
 
 def _gram(X: NDArray, W: NDArray) -> NDArray:
-    """L2 Gram matrix sum_q W_q <X_p(q), X_r(q)> of a (D, Q, ...) table."""
+    """L2 Gram matrix sum_q W_q <X_p(q), X_r(q)> of a (D, Q, ...) table.
+    ``optimize`` lets einsum hand the contraction to one BLAS matrix
+    product; without it the loop is unblocked and memory-bound."""
     X = X.reshape(X.shape[0], X.shape[1], -1)
-    return np.einsum("pqi,rqi->pr", X, X * W[None, :, None])
+    return np.einsum("pqi,rqi->pr", X, X * W[None, :, None], optimize=True)
 
 
 def _work(X: NDArray, F: NDArray, W: NDArray) -> NDArray:
@@ -194,10 +200,18 @@ def _sym(X: NDArray) -> NDArray:
     return 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
-def _elastic_form(params: MaterialParams, tables: _DofTables, W: NDArray) -> NDArray:
-    """Classical stiffness 2 mu (sym grad u, sym grad v) + lam (div u, div v)."""
+def _elastic_form(params: MaterialParams, tables: _DofTables, W: NDArray):
+    """Classical stiffness 2 mu (sym grad u, sym grad v) + lam (div u, div v),
+    and the sym-grad Gram it is built from."""
+    E = _gram(_sym(tables.grad), W)
     div = np.einsum("pqii->pq", tables.grad)
-    return 2.0 * params.mu * _gram(_sym(tables.grad), W) + params.lam * _gram(div, W)
+    return 2.0 * params.mu * E + params.lam * _gram(div, W), E
+
+
+def _korn(tables: _DofTables, W: NDArray, sym_grad_gram: NDArray) -> float:
+    """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span."""
+    vals = scipy.linalg.eigh(_gram(tables.grad, W), sym_grad_gram, eigvals_only=True)
+    return float(np.sqrt(vals[-1]))
 
 
 @dataclass
@@ -210,6 +224,9 @@ class GalerkinSystem:
     M: NDArray          # L2 mass matrix of the vector basis
     b: NDArray
     quadrature_order: int
+    #: discrete Korn constant of the basis span from the same tabulation;
+    #: set by ``assemble``, None for systems built directly
+    korn: float | None = dc_field(default=None, init=False)
 
 
 def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -225,7 +242,7 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
         raise ValueError("curl curl curvature assembly requires alpha1 = alpha2")
     basis = ClampedBasis(n_modes)
     order, pts, W, tables = _tabulate(basis, quadrature_order)
-    K = _elastic_form(params, tables, W)
+    K, E = _elastic_form(params, tables, W)
 
     k = params.mu * params.L_c ** 2
     if curvature_via_curl_curl:
@@ -235,9 +252,11 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
         K = K + 0.5 * params.alpha1 * k * _gram(_sym(C), W)
         K = K + 0.5 * params.alpha2 * k * _gram(0.5 * (C - np.swapaxes(C, -1, -2)), W)
 
-    return GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val, W),
-                          b=_work(tables.val, loads.force(pts), W),
-                          quadrature_order=order)
+    system = GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val, W),
+                            b=_work(tables.val, loads.force(pts), W),
+                            quadrature_order=order)
+    system.korn = _korn(tables, W, E)
+    return system
 
 
 @dataclass
@@ -286,12 +305,10 @@ def coercivity_evidence(system: GalerkinSystem) -> float:
 
 def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
-    clamped basis span (unit cube, L2 norms)."""
+    clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
+    value as ``GalerkinSystem.korn``."""
     _, _, W, tables = _tabulate(ClampedBasis(n_modes), quadrature_order)
-    G = _gram(tables.grad, W)
-    E = _gram(_sym(tables.grad), W)
-    vals = scipy.linalg.eigh(G, E, eigvals_only=True)
-    return float(np.sqrt(vals[-1]))
+    return _korn(tables, W, _gram(_sym(tables.grad), W))
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -333,7 +350,7 @@ def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
     keep = vals > 1e-10 * vals[-1]
     return _CosseratForms(
         params=params, basis=basis, order=order,
-        elastic=_elastic_form(params, tables, W),
+        elastic=_elastic_form(params, tables, W)[0],
         half_curl=half_curl,
         curl=_gram(0.5 * tables.curl_curl, W),
         mass=_gram(tables.val, W),
@@ -411,6 +428,8 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     All solves share one tabulation.  Returns (errors, order_estimate).
     """
     penalized = [_coupled(replace(params, mu_c=float(mc))) for mc in mu_c_values]
+    if len({p.mu_c for p in penalized}) < 2:
+        raise ValueError(f"a convergence order needs two distinct mu_c values, got {mu_c_values!r}")
     forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
     ref = _constrained_solve(forms).coeffs
     ref_norm = float(np.sqrt(ref @ (forms.mass @ ref)))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from costress import solver
 from costress.cli import main, run
 
 
@@ -93,6 +94,27 @@ def test_bad_box_face_exits_2_no_output(tmp_path, which):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("bvp-solve", {"n_modes": 2.5}),
+    ("bvp-solve", {"n_modes": True}),
+    ("bvp-solve", {"n_modes": "3"}),
+    ("bvp-solve", {"n_modes": 2, "quadrature_order": 8.5}),
+    ("bvp-solve", {"n_modes": 2, "quadrature_order": True}),
+    ("cosserat-limit", {"n_modes": 2.5}),
+    ("cosserat-limit", {"n_modes": 2, "quadrature_order": True}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": []}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": [100]}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": [100, 100]}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": [10, "100"]}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": 100}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v, separators=(",", ":")))
+def test_bad_solver_config_exits_2_no_output(tmp_path, command, cfg):
+    path = _write(tmp_path, "c.json", {"seed": 0, **cfg})
+    out = tmp_path / "o"
+    assert run(command, path, str(out)) == 2
+    assert not out.exists()
+
+
 def test_alpha3_alias_in_material(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 0, "cases": 10,
@@ -147,6 +169,24 @@ def test_bvp_solve_small(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert {"solver_residual", "coercivity_lambda_min", "korn_constant",
             "discrete_minimality"} <= names
+
+
+def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(basis, pts):
+        calls.append(pts.shape[0])
+        return raw(basis, pts)
+
+    raw = solver._dof_tables
+    monkeypatch.setattr(solver, "_dof_tables", counting)
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "quadrature_order": 7})
+    out = tmp_path / "o"
+    assert run("bvp-solve", cfg, str(out)) == 0
+    assert len(calls) == 1
+    report = json.loads((out / "report.json").read_text())
+    korn = {c["name"]: c for c in report["checks"]}["korn_constant"]["value"]
+    assert korn == pytest.approx(solver.korn_constant(2, 7), rel=1e-12)
 
 
 def test_cosserat_limit_small(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from costress import solver
 from costress.constitutive import LoadData, MaterialParams
+from costress.tensors import EPS3
 from costress.solver import (
     ClampedBasis,
     DegenerateCosseratError,
@@ -49,6 +50,51 @@ class TestBasis:
     def test_dof_count(self):
         assert ClampedBasis(2).n_dofs == 24
         assert ClampedBasis(3).n_dofs == 81
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_solution_field_matches_one_einsum(self, n):
+        basis = ClampedBasis(n)
+        z = np.random.default_rng(n).normal(size=basis.n_dofs)
+        P = basis.coeffs_1d
+        ref = np.einsum("cabg,ai,bj,gk->cijk", z.reshape(3, n, n, n), P, P, P)
+        got = basis.solution_field(z)._C0
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _tables(n):
+    basis = ClampedBasis(n)
+    pts, W = basis.quadrature(basis.min_quadrature_order)
+    return basis, pts, W, solver._dof_tables(basis, pts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curl_tables_match_levi_civita_contraction(n):
+    basis, pts, _, tables = _tables(n)
+    _, dB, d2B = basis.scalar_tables(pts)
+    M = basis.n_scalar
+    for c in range(3):
+        sl = slice(c * M, (c + 1) * M)
+        half_curl = 0.5 * np.einsum("ij,mqj->mqi", EPS3[:, :, c], dB)
+        grad_curl = np.einsum("ij,mqja->mqia", EPS3[:, :, c], d2B)
+        assert np.array_equal(tables.half_curl[sl], half_curl)
+        assert np.array_equal(tables.grad_curl[sl], grad_curl)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_matches_plain_einsum(n):
+    _, _, W, t = _tables(n)
+    C = t.grad_curl
+    kinds = {
+        "val": t.val, "grad": t.grad, "sym_grad": 0.5 * (t.grad + np.swapaxes(t.grad, -1, -2)),
+        "div": np.einsum("pqii->pq", t.grad), "half_curl": t.half_curl,
+        "sym_grad_curl": 0.5 * (C + np.swapaxes(C, -1, -2)),
+        "skw_grad_curl": 0.5 * (C - np.swapaxes(C, -1, -2)), "curl_curl": t.curl_curl,
+    }
+    for name, X in kinds.items():
+        X3 = X.reshape(X.shape[0], X.shape[1], -1)
+        ref = np.einsum("pqi,rqi->pr", X3, X3 * W[None, :, None])
+        gap = np.max(np.abs(solver._gram(X, W) - ref)) / np.max(np.abs(ref))
+        assert gap <= 1e-13, name
 
 
 class TestSolve:
@@ -121,6 +167,10 @@ def test_curl_curl_assembly_invariant():
 
 
 class TestKorn:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_assembly_reports_the_same_constant(self, n):
+        assert assemble(PARAMS, _loads(), n).korn == pytest.approx(korn_constant(n), rel=1e-12)
+
     def test_value_regression_n2(self):
         # frozen: discrete Korn constant of the N = 2 clamped basis
         assert korn_constant(2) == pytest.approx(1.4071950894605856, rel=1e-10)
@@ -191,3 +241,9 @@ class TestCosserat:
         monkeypatch.setattr(solver, "_dof_tables", None)
         with pytest.raises(DegenerateCosseratError):
             cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 0.0])
+
+    @pytest.mark.parametrize("mu_cs", [[], [100.0], [100.0, 100.0]])
+    def test_sweep_needs_two_distinct_couplings_before_tabulating(self, monkeypatch, mu_cs):
+        monkeypatch.setattr(solver, "_dof_tables", None)
+        with pytest.raises(ValueError, match="two distinct"):
+            cosserat_limit_sweep(PARAMS, _loads(), 2, mu_cs)
