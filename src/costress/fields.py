@@ -339,8 +339,8 @@ class PolynomialField(DisplacementField):
 
 def make_polynomial(seed: int, degree: int) -> PolynomialField:
     """Deterministic random vector polynomial of total degree <= degree."""
-    if degree > 6:
-        raise ValueError(f"polynomial degree must be <= 6, got {degree}")
+    if not 0 <= degree <= 6:
+        raise ValueError(f"polynomial degree must be in [0, 6], got {degree}")
     rng = np.random.default_rng(seed)
     n = degree + 1
     coeffs = rng.uniform(-1.0, 1.0, size=(3, n, n, n))
@@ -528,7 +528,7 @@ _FIELD_BUILDERS = {
     "zero": lambda p: ZeroField(),
     "constant": lambda p: ConstantField(p["c"]),
     "rigid": lambda p: RigidMotionField(p["w_axial"], p.get("b", (0.0, 0.0, 0.0))),
-    "polynomial": lambda p: make_polynomial(int(p["seed"]), int(p["degree"])),
+    "polynomial": lambda p: make_polynomial(p["seed"], p["degree"]),
     "conformal": lambda p: ConformalField(
         ConformalParams(
             w_axial=np.array(p.get("w_axial", (0.0, 0.0, 0.0)), dtype=float),

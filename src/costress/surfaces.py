@@ -281,7 +281,15 @@ class SphericalCap(SurfacePatch):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         e3 = np.asarray(axis, dtype=float)
-        e3 = e3 / np.linalg.norm(e3)
+        norm = np.linalg.norm(e3)
+        if not (0.0 < self.radius < math.inf and 0.0 < theta_max <= math.pi):
+            raise ValueError(f"need 0 < radius < inf and 0 < theta_max <= pi, "
+                             f"got radius {radius}, theta_max {theta_max}")
+        if (self.center.shape != (3,) or e3.shape != (3,) or not np.isfinite(self.center).all()
+                or not 0.0 < norm < math.inf):
+            raise ValueError(f"center and axis must be finite 3-vectors, the axis non-zero, "
+                             f"got center {center}, axis {axis}")
+        e3 = e3 / norm
         helper = np.array([1.0, 0.0, 0.0])
         if abs(helper @ e3) > 0.9:
             helper = np.array([0.0, 1.0, 0.0])

@@ -7,8 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from costress.boundary import boundary_work_identity, hd_postulate_report
-from costress.cli import run as cli_run
+from costress.cli import (
+    cosserat_checks,
+    energy_checks,
+    hd_postulate_checks,
+    operator_checks,
+    run as cli_run,
+    work_identity_check,
+)
 from costress.constitutive import (
     LoadData,
     MaterialParams,
@@ -24,15 +30,9 @@ from costress.fields import (
     make_conformal,
     make_polynomial,
 )
-from costress.solver import (
-    assemble,
-    coercivity_evidence,
-    cosserat_limit_sweep,
-    korn_constant,
-    solve,
-)
+from costress.solver import assemble, coercivity_evidence, korn_constant, solve
 from costress.surfaces import BoxFace, SphericalCap, surface_divergence_check
-from costress.tensors import EPS3, anti, axl, cartan_decompose, dev, inner, skw, sym
+from costress.tensors import EPS3, anti, axl, dev, skw, sym
 
 HEMI = SphericalCap(center=np.zeros(3), radius=1.0, axis=(0.0, 0.0, 1.0),
                     theta_max=np.pi / 2.0)
@@ -44,26 +44,11 @@ def _record(name, gap, tol):
 
 
 def test_criterion_01_operator_suite():
-    rng = np.random.default_rng(1)
-    tol, worst = 1e-12, 0.0
-    for _ in range(1000):
-        v = rng.uniform(-1, 1, 3)
-        X = rng.uniform(-1, 1, (3, 3))
-        E = rng.uniform(-1, 1, (3, 3, 3))
-        worst = max(worst, float(np.max(np.abs(axl(anti(v)) - v))))
-        worst = max(worst, abs(inner(anti(v), anti(v)) - 2.0 * v @ v))
-        parts = cartan_decompose(X)
-        worst = max(worst, float(np.max(np.abs(parts.recombine() - X))))
-        worst = max(worst, abs(inner(parts.devsym, parts.skew)),
-                    abs(inner(parts.devsym, parts.spherical)),
-                    abs(inner(parts.skew, parts.spherical)))
-        loop = np.array([sum(E[i, j, k] * X[k, j]
-                             for j in range(3) for k in range(3))
-                         for i in range(3)])
-        worst = max(worst, float(np.max(np.abs(
-            np.einsum("ijk,kj->i", E, X) - loop))))
-    _record("operator suite (1000 cases)", worst, tol)
-    assert worst <= tol
+    checks = operator_checks(seed=1, cases=1000, tolerances={"operators": 1e-12})
+    worst = max(c.gap for c in checks)
+    _record("operator suite (1000 cases)", worst, 1e-12)
+    assert [c.name for c in checks if not c.passed] == []
+    assert "contraction_vs_loop" in {c.name for c in checks}
 
 
 def test_criterion_02_kinematic_identities():
@@ -96,16 +81,13 @@ def test_criterion_02_kinematic_identities():
 
 
 def test_criterion_03_energy_form_equivalence():
-    rng = np.random.default_rng(3)
     p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.6)
-    tol, worst = 1e-12, 0.0
-    for _ in range(1000):
-        M = dev(rng.uniform(-1, 1, (3, 3)))
-        vals = np.array(list(w_curv(p, M).forms.values()))
-        worst = max(worst, float((vals.max() - vals.min())
-                                 / max(1.0, np.max(np.abs(vals)))))
-    _record("curvature energy three forms (1000 inputs)", worst, tol)
-    assert worst <= tol
+    checks = {c.name: c for c in energy_checks(seed=3, cases=1000, material=p,
+                                               tolerances={"energy_forms": 1e-12})}
+    worst = checks["curvature_three_forms"].gap
+    _record("curvature energy three forms (1000 inputs)", worst, 1e-12)
+    assert worst <= 1e-12
+    assert [c.name for c in checks.values() if not c.passed] == []
 
 
 def test_criterion_04_conformal_invariance():
@@ -167,29 +149,31 @@ def test_criterion_06_surface_divergence_theorem():
 
 
 def test_criterion_07_boundary_work_identity():
-    tol, worst = 1e-6, 0.0
+    tol, checks = 1e-6, []
     for k in range(10):
         u = make_polynomial(100 + k, 3)
         du = make_polynomial(200 + k, 2)
         for regime in ("gkmt", "modified", "hd"):
             p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.4)
             for patch in (FACE, HEMI):
-                worst = max(worst,
-                            boundary_work_identity(p, u, du, patch, order=16).gap)
+                checks.append(work_identity_check(p, u, du, patch, 16, tol))
     _record("boundary work identity (3 regimes x 2 patches x 10 pairs)",
-            worst, tol)
-    assert worst <= tol
+            max(c.gap for c in checks), tol)
+    assert all(c.passed for c in checks)
 
 
 def test_criterion_08_hd_postulate_refutation():
     p = MaterialParams.for_regime("hd", mu=1.0, lam=1.0, L_c=0.5)
     cp = ConformalParams(w_axial=(1.0, -0.5, 0.25), a_hat=anti((0.2, 0.1, -0.3)),
                          b_hat=(0.0, 0.0, 0.0), p_hat=0.4)
-    rep = hd_postulate_report(p, make_conformal(cp), HEMI, order=16)
-    _record("hd postulate sup|<m.n,n>|", rep.sup_normal_moment, 1e-14)
-    print(f"hd postulate residual work norm: {rep.residual_work_norm:.6e}")
-    assert rep.sup_normal_moment <= 1e-14
-    assert rep.residual_work_norm > 1e3 * 1e-14
+    checks = {c.name: c for c in hd_postulate_checks(
+        field=make_conformal(cp), patch=HEMI, quadrature_order=16, material=p,
+        tolerances={"normal_moment": 1e-14})}
+    sup, residual = checks["normal_moment_sup"], checks["residual_work_norm"]
+    _record("hd postulate sup|<m.n,n>|", sup.value, 1e-14)
+    print(f"hd postulate residual work norm: {residual.value:.6e}")
+    assert sup.passed and sup.value <= 1e-14
+    assert residual.passed and residual.value > 1e3 * 1e-14
 
 
 def test_criterion_09_well_posedness_evidence():
@@ -229,11 +213,15 @@ def test_criterion_11_cosserat_limit():
         m_body=lambda x: np.stack([x[:, 1], np.ones(x.shape[0]),
                                    np.zeros(x.shape[0])], axis=-1),
     )
-    errors, order = cosserat_limit_sweep(p, loads, 3,
-                                         [10.0, 100.0, 1000.0, 10000.0])
+    checks = {c.name: c for c in cosserat_checks(
+        n_modes=3, quadrature_order=None, load=loads,
+        mu_c_values=[10.0, 100.0, 1000.0, 10000.0], material=p)}
+    errors = checks["errors_strictly_decreasing"].details["errors"]
+    order = checks["convergence_order"].value
     print(f"cosserat sweep errors: {errors}; observed order {order:.3f}")
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert abs(order - 1.0) <= 0.3
+    assert [c.name for c in checks.values() if not c.passed] == []
 
 
 def test_criterion_12_determinism(tmp_path):

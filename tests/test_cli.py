@@ -1,9 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from costress import solver
+from costress import cli, solver
 from costress.cli import main, run
 
 
@@ -77,7 +79,8 @@ def test_nan_material_exits_2_no_output(tmp_path, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["abc", "1e-6", None, True, [1.0], float("nan")])
+@pytest.mark.parametrize("tol", ["abc", "1e-6", None, True, [1.0], float("nan"), -1.0,
+                                 float("inf")])
 def test_bad_tolerance_exits_2_no_output(tmp_path, tol):
     cfg = _write(tmp_path, "c.json", {"seed": 0, "tolerances": {"operators": tol}})
     out = tmp_path / "o"
@@ -89,6 +92,15 @@ def test_bad_tolerance_exits_2_no_output(tmp_path, tol):
 def test_bad_box_face_exits_2_no_output(tmp_path, which):
     cfg = _write(tmp_path, "c.json",
                  {"seed": 0, "patch": {"type": "box_face", "which": which}})
+    out = tmp_path / "o"
+    assert run("bc-audit", cfg, str(out)) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [{"radius": -1}, {"theta_max": 0}, {"axis": [0, 0, 0]}],
+                         ids=lambda v: json.dumps(v, separators=(",", ":")))
+def test_bad_spherical_cap_exits_2_no_output(tmp_path, cap):
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "patch": {"type": "spherical_cap", **cap}})
     out = tmp_path / "o"
     assert run("bc-audit", cfg, str(out)) == 2
     assert not out.exists()
@@ -107,6 +119,35 @@ def test_bad_box_face_exits_2_no_output(tmp_path, which):
     ("cosserat-limit", {"n_modes": 2, "mu_c_values": [100, 100]}),
     ("cosserat-limit", {"n_modes": 2, "mu_c_values": [10, "100"]}),
     ("cosserat-limit", {"n_modes": 2, "mu_c_values": 100}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": [10, 100, 100]}),
+    ("cosserat-limit", {"n_modes": 2, "mu_c_values": [1000, 100, 10]}),
+    ("verify-operators", {"seed": 1.7}),
+    ("verify-operators", {"seed": True}),
+    ("verify-operators", {"seed": "5"}),
+    ("verify-operators", {"seed": -1}),
+    ("verify-operators", {"cases": 0}),
+    ("verify-operators", {"cases": -5}),
+    ("energy-report", {"cases": 0}),
+    ("energy-report", {"cases": -5}),
+    ("verify-kinematics", {"fields": 0}),
+    ("verify-kinematics", {"fd_fields": 0}),
+    ("verify-kinematics", {"points": 0}),
+    ("conformal-demo", {"points": 0}),
+    ("verify-kinematics", {"points": 2.5}),
+    ("hd-postulate", {"quadrature_order": 2.5}),
+    ("bvp-solve", {"n_modes": 2, "load": {"f_seed": 1.5}}),
+    ("hd-postulate", {"field": {"family": "conformal", "seed": 1.5}}),
+    ("verify-kinematics", {"degree": 7}),
+    ("bvp-solve", {"n_modes": 2, "load": {"f_degree": 9}}),
+    ("bc-audit", {"quadrature_order": -3}),
+    ("bc-audit", {"quadrature_order": 0}),
+    ("verify-operators", {"quadrature_order": 8}),
+    ("verify-kinematics", {"quadrature_order": 8}),
+    ("verify-operators", {"material": {"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
+                                       "alpha1": 1.0, "alpha2": 1.0}}),
+    ("verify-kinematics", {"material": {"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
+                                        "alpha1": 1.0, "alpha2": 1.0}}),
+    ("verify-operators", {"tolerances": {"stokes": 1e-6}}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v, separators=(",", ":")))
 def test_bad_solver_config_exits_2_no_output(tmp_path, command, cfg):
     path = _write(tmp_path, "c.json", {"seed": 0, **cfg})
@@ -229,3 +270,75 @@ def test_quadrature_order_override(tmp_path, base_config):
     assert rc in (0, 1)  # order 8 may legitimately miss the tight gaps
     report = json.loads((out / "report.json").read_text())
     assert report["job"]["quadrature_order"] == 8
+
+
+def _schema_keys(schema, prefix=""):
+    """Every key of a schema, nested ones as ``tolerances.<name>``."""
+    keys = set()
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            keys |= _schema_keys(entry, f"{key}.")
+        else:
+            keys.add(prefix + key)
+    return keys
+
+
+def _readme_tables():
+    """Command -> the keys listed in its README table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tables, command = {}, None
+    for line in text.splitlines():
+        if line.startswith("### `"):
+            command = line.split("`")[1]
+            tables[command] = set()
+        elif command and line.startswith("| `"):
+            tables[command].add(line.split("`")[1])
+        elif line.startswith("## "):
+            command = None
+    return tables
+
+
+def test_readme_tables_list_each_schema():
+    assert _readme_tables() == {
+        command: {"seed"} | _schema_keys(schema) for command, (_, schema) in cli._COMMANDS.items()
+    }
+
+
+# small valid values per key, and values that are wrong in type or range
+_VALID = {
+    "seed": [0, 5], "cases": [1, 3], "fields": [1, 2], "points": [1, 2], "degree": [0, 3],
+    "fd_fields": [1], "n_modes": [1, 2], "quadrature_order": [4, 8],
+    "mu_c_values": [[10.0, 100.0], [1.0, 2.0, 5.0]],
+    "material": [{"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 0.0, "alpha2": 1.0}],
+    "field": [{"family": "polynomial", "seed": 1, "degree": 2}, {"family": "conformal", "seed": 3}],
+    "delta_field": [{"family": "polynomial", "seed": 2, "degree": 1}],
+    "patch": [{"type": "box_face", "which": "x-"}, {"type": "spherical_cap", "theta_max": 1.0}],
+    "load": [{"f_seed": 1}, {"g_seed": 2, "g_degree": 1}],
+}
+_INVALID = [-3, -1, 0, 2.5, True, "3", None, [], {}, [1, "a"], float("nan"),
+            {"type": "spherical_cap", "radius": -1}, {"family": "polynomial", "seed": 1}]
+# sizes that keep each job small unless a drawn value replaces them
+_SMALL = {"cases": 2, "fields": 1, "points": 1, "n_modes": 1, "quadrature_order": 8}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_configs_exit_0_1_2(data):
+    command = data.draw(st.sampled_from(sorted(cli._COMMANDS)))
+    schema = cli._COMMANDS[command][1]
+    cfg = {"seed": 0, **{k: v for k, v in _SMALL.items() if k in schema}}
+    for key in data.draw(st.sets(st.sampled_from(sorted({"seed", "bogus", *schema})))):
+        if key == "tolerances":
+            names = sorted(schema[key])
+            cfg[key] = data.draw(st.dictionaries(st.sampled_from(names + ["stokes"]),
+                                                 st.sampled_from([1e-3, 0, -1, "x"]),
+                                                 max_size=2))
+        else:
+            cfg[key] = data.draw(st.sampled_from(_VALID.get(key, []) + _INVALID))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp), "c.json", cfg)
+        out = Path(tmp) / "o"
+        code = run(command, path, str(out))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()

@@ -42,6 +42,24 @@ def test_unit_cube_face_names_checked(which):
         BoxFace.unit_cube_face(which)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"radius": -1.0}, {"radius": 0.0}, {"radius": np.inf}, {"radius": np.nan},
+    {"theta_max": 0.0}, {"theta_max": -0.5}, {"theta_max": np.pi + 1e-9}, {"theta_max": np.nan},
+    {"axis": (0.0, 0.0, 0.0)}, {"axis": (np.nan, 0.0, 1.0)}, {"axis": (np.inf, 0.0, 1.0)},
+    {"axis": (0.0, 1.0)}, {"center": (0.0, 0.0)}, {"center": (np.nan, 0.0, 0.0)},
+], ids=repr)
+def test_spherical_cap_arguments_checked(kwargs):
+    with pytest.raises(ValueError):
+        SphericalCap(**kwargs)
+
+
+def test_spherical_cap_accepts_the_full_sphere():
+    cap = SphericalCap(radius=2.0, theta_max=np.pi, axis=(0.0, 3.0, 0.0))
+    assert np.allclose(cap.e3, [0.0, 1.0, 0.0])
+    _, w = cap.quadrature(16)
+    assert np.sum(w) == pytest.approx(16.0 * np.pi, rel=1e-12)
+
+
 def test_hemisphere_geometry(hemisphere):
     x = hemisphere.point(np.pi / 4, 0.0)
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
