@@ -21,9 +21,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constitutive import MaterialParams, couple_stress, stresses
-from .fields import DisplacementField, grad_curl_from_grad2
+from .fields import DisplacementField, curl_from_grad, grad_curl_from_grad2
 from .surfaces import SurfacePatch
-from .tensors import EPS3, ID3
+from .tensors import ID3, anti
 
 __all__ = [
     "TractionSet",
@@ -48,11 +48,6 @@ class TractionSet:
     formulation: str
 
 
-def _anti(w: NDArray) -> NDArray:
-    """anti(w)_ij = -eps_ijk w_k over a batch of vectors."""
-    return np.einsum("ijk,...k->...ij", -EPS3, w)
-
-
 def _mv(A: NDArray, v: NDArray) -> NDArray:
     return np.einsum("...ij,...j->...i", A, v)
 
@@ -64,7 +59,7 @@ def _moment_split(m: NDArray, n: NDArray):
     psi = np.einsum("...i,...i->...", m_n, n)
     w = m_n - psi[..., None] * n
     P = ID3 - np.einsum("...i,...j->...ij", n, n)
-    return psi, w, _anti(w) @ P
+    return psi, w, anti(w) @ P
 
 
 def _moment_field(params, field, patch, s, t):
@@ -111,7 +106,7 @@ def complete_tractions(params: MaterialParams, field: DisplacementField,
     t_force = (_mv(st.sigma_total, fr.n)
                - 0.5 * np.cross(fr.n, _grad_psi(params, field, patch, s, t))
                - 0.5 * _tangential_gradient(params, field, patch, s, t))
-    return TractionSet(t_force=t_force, g_double=_mv(_anti(w), fr.n), formulation="complete")
+    return TractionSet(t_force=t_force, g_double=_mv(anti(w), fr.n), formulation="complete")
 
 
 def hd_tractions(params: MaterialParams, field: DisplacementField,
@@ -147,7 +142,7 @@ def edge_jump(params: MaterialParams, field: DisplacementField,
         def q(e):
             ss, tt = patch.edge_offset_point(side, s, t, e, inward=inward)
             _, w, _ = _moment_field(params, field, patch, ss, tt)
-            return _mv(_anti(w), nu)
+            return _mv(anti(w), nu)
 
         return 2.0 * q(eps) - q(2.0 * eps)
 
@@ -182,7 +177,7 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
 
     du = np.asarray(delta_u.value(fr.x), dtype=float)
     Gdu = np.asarray(delta_u.grad(fr.x), dtype=float)
-    axl_skw = 0.5 * np.einsum("ijk,nkj->ni", EPS3, Gdu)
+    axl_skw = 0.5 * curl_from_grad(Gdu)
 
     direct = float(wts @ (-np.einsum("ni,ni->n", t_total, du)
                           - np.einsum("ni,ni->n", m_n, axl_skw)))
@@ -192,7 +187,7 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
     t_force = float(wts @ (-np.einsum("ni,ni->n", t_total, du)))
     t_mt = float(wts @ (0.5 * np.einsum("ni,ni->n", np.cross(fr.n, grad_psi), du)))
     t_tang = float(wts @ (0.5 * np.einsum("ni,ni->n", tang_grad, du)))
-    An = _mv(_anti(w), fr.n)
+    An = _mv(anti(w), fr.n)
     Gdu_n = _mv(Gdu, fr.n)
     t_normal_deriv = float(wts @ (-0.5 * np.einsum("ni,ni->n", An, Gdu_n)))
 
@@ -205,7 +200,7 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
         x = patch.point(Se, Te)
         tau = np.cross(patch.normal(Se, Te), nu)
         du = delta_u.value(x)
-        t_edge_conormal += float(We @ (-0.5 * np.einsum("ni,ni->n", _mv(_anti(w), nu), du)))
+        t_edge_conormal += float(We @ (-0.5 * np.einsum("ni,ni->n", _mv(anti(w), nu), du)))
         t_edge_psi += float(We @ (-0.5 * psi * np.einsum("ni,ni->n", tau, du)))
 
     terms = {

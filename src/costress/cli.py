@@ -32,7 +32,7 @@ from .fields import (fd_derivative_oracle, field_from_spec, grad_curl_from_grad2
 from .solver import (DegenerateCosseratError, WellPosednessError, assemble,
                      coercivity_evidence, cosserat_limit_sweep, solve)
 from .surfaces import BoxFace, SphericalCap, stokes_flux_check, surface_divergence_check
-from .tensors import anti, axl, cartan_decompose, contract_E_X, inner, sym
+from .tensors import anti, axl, cartan_decompose, contract_E_X, dev, inner, sym, tr
 
 __all__ = ["Check", "ConfigError", "main", "run", "operator_checks", "kinematics_checks",
            "energy_checks", "bc_audit_checks", "work_identity_check", "hd_postulate_checks",
@@ -128,6 +128,8 @@ def _field(default):
             return default(job["seed"])
         spec = _object(v)
         if spec.get("family") == "conformal" and "seed" in spec:
+            if set(spec) != {"family", "seed"}:
+                raise ValueError(f"a conformal field with a seed takes no other keys, got {spec}")
             return random_conformal(_int(0)(spec["seed"], job))
         return field_from_spec(spec)
     return parse
@@ -211,38 +213,46 @@ def _load_config(path: str, command: str, overrides: dict) -> tuple[dict, dict]:
 
 
 # -- checks ---------------------------------------------------------------
+# The checks reduce their batched gaps with float(): _fmt writes a Python
+# float with .17g but anything else, a numpy 0-d array too, with str().
+
+
+#: random cases drawn and checked per block: large enough that the per-call
+#: overhead vanishes, small enough that a block's temporaries stay near 1 MB
+_BLOCK = 1024
+
+
+def _blocks(rng: np.random.Generator, cases: int, width: int):
+    """The cases as blocks of up to ``_BLOCK`` rows of ``width`` uniforms on
+    [-1, 1]; the same stream as drawing them one case at a time."""
+    for start in range(0, cases, _BLOCK):
+        yield rng.uniform(-1.0, 1.0, (min(_BLOCK, cases - start), width))
 
 
 def operator_checks(seed: int, cases: int, tolerances: dict) -> list[Check]:
     """Tensor-operator identities on random inputs, ``contract_E_X`` against a loop."""
     rng = np.random.default_rng(seed)
-    tol = tolerances["operators"]
-    g_round = g_norm = g_rec = g_orth = g_contract = 0.0
-    for _ in range(cases):
-        v = rng.uniform(-1.0, 1.0, 3)
-        X = rng.uniform(-1.0, 1.0, (3, 3))
-        E = rng.uniform(-1.0, 1.0, (3, 3, 3))
-        g_round = max(g_round, float(np.max(np.abs(axl(anti(v)) - v))))
-        g_norm = max(g_norm, abs(inner(anti(v), anti(v)) - 2.0 * v @ v))
+    gaps = np.zeros(5)
+    for block in _blocks(rng, cases, 3 + 9 + 27):
+        n = len(block)
+        v, X, E = block[:, :3], block[:, 3:12].reshape(n, 3, 3), block[:, 12:].reshape(n, 3, 3, 3)
+        A = anti(v)
         parts = cartan_decompose(X)
-        g_rec = max(g_rec, float(np.max(np.abs(parts.recombine() - X))))
-        g_orth = max(
-            g_orth,
-            abs(inner(parts.devsym, parts.skew)),
-            abs(inner(parts.devsym, parts.spherical)),
-            abs(inner(parts.skew, parts.spherical)),
-        )
-        loop = np.array(
-            [sum(E[i, j, k] * X[k, j] for j in range(3) for k in range(3)) for i in range(3)]
-        )
-        g_contract = max(g_contract, float(np.max(np.abs(contract_E_X(E, X) - loop))))
-    return [
-        Check.within("axl_anti_round_trip", g_round, tol),
-        Check.within("anti_norm_identity", g_norm, tol),
-        Check.within("cartan_recombination", g_rec, tol),
-        Check.within("cartan_orthogonality", g_orth, tol),
-        Check.within("contraction_vs_loop", g_contract, tol),
-    ]
+        loop = np.zeros((n, 3))  # the oracle: E_ijk X_kj summed term by term
+        for j in range(3):
+            for k in range(3):
+                loop += E[:, :, j, k] * X[:, k, j, None]
+        gaps = np.maximum(gaps, [
+            np.max(np.abs(axl(A) - v)),
+            np.max(np.abs(inner(A, A) - 2.0 * np.sum(v * v, axis=-1))),
+            np.max(np.abs(parts.recombine() - X)),
+            np.max(np.abs([inner(parts.devsym, parts.skew), inner(parts.devsym, parts.spherical),
+                           inner(parts.skew, parts.spherical)])),
+            np.max(np.abs(contract_E_X(E, X) - loop)),
+        ])
+    names = ("axl_anti_round_trip", "anti_norm_identity", "cartan_recombination",
+             "cartan_orthogonality", "contraction_vs_loop")
+    return [Check.within(name, float(g), tolerances["operators"]) for name, g in zip(names, gaps)]
 
 
 def kinematics_checks(seed: int, fields: int, points: int, degree: int, fd_fields: int,
@@ -256,24 +266,25 @@ def kinematics_checks(seed: int, fields: int, points: int, degree: int, fd_field
     for i, s in enumerate(seeds):
         u = make_polynomial(int(s), degree)
         pts = rng.uniform(0.05, 0.95, (points, 3))
-        for x in pts:
-            state = kinematics(u, x)
-            g_curl = max(
-                g_curl,
-                float(np.max(np.abs(state.curl_u - 2.0 * state.axl_skw_grad))),
-            )
-            g_tr = max(g_tr, abs(float(np.trace(state.grad_curl))))
+        state = kinematics(u, pts)
+        g_curl = max(g_curl, float(np.max(np.abs(state.curl_u - 2.0 * state.axl_skw_grad))))
+        g_tr = max(g_tr, float(np.max(np.abs(tr(state.grad_curl)))))
         if i < fd_fields:
-            x = pts[0]
-            H_fd = fd_derivative_oracle(u, x, 2)
-            M_fd = grad_curl_from_grad2(H_fd)
-            state = kinematics(u, x)
-            g_fd = max(g_fd, float(np.max(np.abs(M_fd - state.grad_curl))))
+            M_fd = grad_curl_from_grad2(fd_derivative_oracle(u, pts[0], 2))
+            g_fd = max(g_fd, float(np.max(np.abs(M_fd - state.grad_curl[0]))))
     return [
         Check.within("curl_vs_axl_skw_grad", g_curl, tol_c),
         Check.within("grad_curl_trace_free", g_tr, tol_c),
         Check.within("grad_curl_fd_oracle", g_fd, tol_fd),
     ]
+
+
+def _spread(forms: dict) -> float:
+    """Largest spread max - min of equivalent energy forms over a batch,
+    relative to max(1, their largest magnitude)."""
+    vals = np.stack(list(forms.values()))
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+    return float(np.max((vals.max(axis=0) - vals.min(axis=0)) / scale))
 
 
 def energy_checks(seed: int, cases: int, material: MaterialParams,
@@ -282,23 +293,16 @@ def energy_checks(seed: int, cases: int, material: MaterialParams,
     rng = np.random.default_rng(seed)
     tol = tolerances["energy_forms"]
     g_curv = g_lin = 0.0
-    for _ in range(cases):
-        M = rng.uniform(-1.0, 1.0, (3, 3))
-        M -= (np.trace(M) / 3.0) * np.eye(3)
-        forms = w_curv(material, M).forms
-        vals = np.array(list(forms.values()))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        g_curv = max(g_curv, float((vals.max() - vals.min()) / scale))
-        G = rng.uniform(-1.0, 1.0, (3, 3))
-        lf = w_lin(material, G).forms
-        lv = np.array(list(lf.values()))
-        g_lin = max(g_lin, float((lv.max() - lv.min()) / max(1.0, np.max(np.abs(lv)))))
+    for block in _blocks(rng, cases, 9 + 9):
+        n = len(block)
+        M, G = dev(block[:, :9].reshape(n, 3, 3)), block[:, 9:].reshape(n, 3, 3)
+        g_curv = max(g_curv, _spread(w_curv(material, M).forms))
+        g_lin = max(g_lin, _spread(w_lin(material, G).forms))
     checks = [
         Check.within("curvature_three_forms", g_curv, tol),
         Check.within("local_energy_two_forms", g_lin, tol),
     ]
-    M = rng.uniform(-1.0, 1.0, (3, 3))
-    M -= (np.trace(M) / 3.0) * np.eye(3)
+    M = dev(rng.uniform(-1.0, 1.0, (3, 3)))
     for regime in ("gkmt", "modified", "hd"):
         p = MaterialParams.for_regime(regime, mu=material.mu, lam=material.lam,
                                       L_c=material.L_c)
@@ -407,29 +411,21 @@ def conformal_checks(seed: int, points: int, material: MaterialParams,
     rng = np.random.default_rng(seed + 1)
     pts = rng.uniform(-1.0, 1.0, (points, 3))
     tol = tolerances["conformal"]
-    g_tor = g_dev = 0.0
-    checks = []
-    m_ref = couple_stress(material, grad_curl_from_grad2(u.grad2(pts[0])))
-    g_const = 0.0
-    for i, x in enumerate(pts):
-        G = u.grad(x)
-        M = grad_curl_from_grad2(u.grad2(x))
-        chi = sym(M)
-        ds = sym(G) - (np.trace(G) / 3.0) * np.eye(3)
-        g_tor = max(g_tor, float(np.max(np.abs(chi))))
-        g_dev = max(g_dev, float(np.max(np.abs(ds))))
-        m_here = couple_stress(material, M)
-        g_const = max(g_const, float(np.max(np.abs(m_here - m_ref))))
-        checks.append(
-            Check(f"point_{i}", float(np.linalg.norm(u.value(x))), 0.0, np.inf, True,
-                  details={"x": x.tolist(), "value": u.value(x).tolist(),
-                           "w_curv": float(w_curv(material, M))})
-        )
-    checks.append(Check.within("torsion_free", g_tor, tol))
-    checks.append(Check.within("dev_sym_grad_zero", g_dev, tol))
-    checks.append(Check.within("couple_stress_constant", g_const, tol))
+    G = u.grad(pts)
+    M = grad_curl_from_grad2(u.grad2(pts))
+    m = couple_stress(material, M)
+    values = u.value(pts)
+    energies = w_curv(material, M).value
+    checks = [
+        Check(f"point_{i}", float(np.linalg.norm(val)), 0.0, np.inf, True,
+              details={"x": x.tolist(), "value": val.tolist(), "w_curv": float(w)})
+        for i, (x, val, w) in enumerate(zip(pts, values, energies))
+    ]
+    checks.append(Check.within("torsion_free", float(np.max(np.abs(sym(M)))), tol))
+    checks.append(Check.within("dev_sym_grad_zero", float(np.max(np.abs(dev(sym(G))))), tol))
+    checks.append(Check.within("couple_stress_constant", float(np.max(np.abs(m - m[0]))), tol))
     expect = material.mu * material.L_c ** 2 * material.alpha2 * 2.0 * anti(u.w)
-    g_val = float(np.max(np.abs(m_ref - expect)))
+    g_val = float(np.max(np.abs(m[0] - expect)))
     if material.regime == "hd":
         checks.append(Check.within("couple_stress_closed_form", g_val, tol))
     return checks

@@ -4,12 +4,15 @@ indeterminate couple stress model, for all three parameter regimes:
 * ``gkmt``     alpha1 > 0, alpha2 > 0 (fully positive curvature energy)
 * ``modified`` alpha1 > 0, alpha2 = 0 (symmetric, trace-free couple stress)
 * ``hd``       alpha1 = 0, alpha2 > 0 (skew couple stress)
+
+Energies and stresses broadcast over leading axes, as in :mod:`tensors`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +26,7 @@ from .fields import (
     grad_curl_from_grad2,
     kinematics,
 )
-from .tensors import EPS3, ID3, dev, inner, skw, sym, tr
+from .tensors import EPS3, ID3, anti, dev, inner, is_traceless, skw, sym, tr
 
 __all__ = [
     "LoadData",
@@ -62,9 +65,10 @@ class MaterialParams:
     mu_c: float = 0.0
 
     def __post_init__(self):
-        bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
+        bad = {k: v for k, v in vars(self).items()
+               if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)}
         if bad:
-            raise ValueError(f"material parameters must be finite, got non-finite {bad}")
+            raise ValueError(f"material parameters must be finite numbers, got {bad}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not 3.0 * self.lam + 2.0 * self.mu > 0.0:
@@ -163,13 +167,13 @@ class StressState:
 
 @dataclass(frozen=True)
 class ScalarForms:
-    """A scalar energy together with its algebraically equivalent forms."""
+    """A scalar energy and its algebraically equivalent forms, each over the batch."""
 
-    value: float
+    value: NDArray
     forms: dict
 
     def __float__(self):
-        return self.value
+        return float(self.value)
 
 
 def w_lin(params: MaterialParams, grad_u: NDArray) -> ScalarForms:
@@ -187,13 +191,13 @@ def w_curv(params: MaterialParams, grad_curl_u: NDArray, trace_tol: float = 1e-8
 
     The input is the curvature measure grad curl u, which is trace free
     for any displacement field; a spurious trace (finite-difference
-    noise) triggers a warning and is discarded by the deviatoric form.
+    noise) in any item triggers a warning and is discarded by the dev form.
     """
     M = np.asarray(grad_curl_u, dtype=float)
-    t = tr(M)
-    if abs(t) > trace_tol * max(1.0, np.linalg.norm(M)):
+    spurious = ~is_traceless(M, trace_tol)
+    if np.any(spurious):
         warnings.warn(
-            f"grad curl u has trace {t:.3e}; div curl u should vanish",
+            f"grad curl u has trace {np.extract(spurious, tr(M))[0]:.3e}; div curl u should vanish",
             stacklevel=2,
         )
     k = params.mu * params.L_c ** 2
@@ -214,9 +218,7 @@ def w_curv(params: MaterialParams, grad_curl_u: NDArray, trace_tol: float = 1e-8
 def couple_stress(params: MaterialParams, grad_curl_u: NDArray) -> NDArray:
     """Couple stress m = mu L_c^2 [alpha1 sym + alpha2 skw](grad curl u)."""
     M = np.asarray(grad_curl_u, dtype=float)
-    Mt = np.swapaxes(M, -1, -2)
-    k = params.mu * params.L_c ** 2
-    return k * (params.alpha1 * 0.5 * (M + Mt) + params.alpha2 * 0.5 * (M - Mt))
+    return params.mu * params.L_c ** 2 * (params.alpha1 * sym(M) + params.alpha2 * skw(M))
 
 
 def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> StressState:
@@ -232,9 +234,7 @@ def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> St
     T3 = field.grad3(x)
     if not all(np.all(np.isfinite(a)) for a in (G, H, T3)):
         raise NumericDomainError(f"non-finite derivatives at {x}")
-    sym_G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    tr_G = np.einsum("...ii->...", G)
-    sigma = 2.0 * params.mu * sym_G + params.lam * tr_G[..., None, None] * ID3
+    sigma = 2.0 * params.mu * sym(G) + params.lam * tr(G)[..., None, None] * ID3
     m_tilde = couple_stress(params, grad_curl_from_grad2(H))
     # DM[..., i, j, k] = d_k (grad curl u)_ij = eps_ilm d_k d_j d_l u_m
     DM = np.einsum("ilm,...mljk->...ijk", EPS3, T3)
@@ -242,7 +242,7 @@ def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> St
     d2 = np.einsum("...jij->...i", DM)
     k = params.mu * params.L_c ** 2
     div_m = k * (params.alpha1 * 0.5 * (d1 + d2) + params.alpha2 * 0.5 * (d1 - d2))
-    tau = 0.5 * np.einsum("ijk,...k->...ij", -EPS3, div_m)
+    tau = 0.5 * anti(div_m)
     return StressState(sigma=sigma, m_tilde=m_tilde, tau_tilde=tau, sigma_total=sigma - tau)
 
 

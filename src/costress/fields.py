@@ -227,6 +227,8 @@ class ConstantField(DisplacementField):
 
     def __init__(self, c):
         self.c = np.array(c, dtype=float)
+        if self.c.shape != (3,):
+            raise ValueError(f"a constant field takes a 3-vector c, got {c!r}")
 
     def value(self, x):
         return np.broadcast_to(self.c, np.shape(x)[:-1] + (3,)).copy()
@@ -411,7 +413,7 @@ class ConformalField(DisplacementField):
         wx = x @ self.w
         cross = np.cross(np.broadcast_to(self.w, x.shape), x)
         out = (wx + self.p)[..., None, None] * ID3
-        out = out + np.einsum("ijk,...k->...ij", -EPS3, cross) + self.A
+        out = out + anti(cross) + self.A
         return out
 
     def grad2(self, x):
@@ -473,7 +475,7 @@ class CallableField(DisplacementField):
 
 @dataclass(frozen=True)
 class KinematicState:
-    """All first- and second-gradient kinematic quantities at a point."""
+    """All first- and second-gradient kinematic quantities at points (..., 3)."""
 
     grad_u: NDArray
     sym_grad: NDArray
@@ -496,7 +498,7 @@ def grad_curl_from_grad2(H: NDArray) -> NDArray:
 
 
 def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
-    """Evaluate the full kinematic state of a field at a point.
+    """Evaluate the full kinematic state of a field at points x (..., 3).
 
     Closed-form derivatives are used when the family provides them,
     finite differences otherwise.

@@ -20,6 +20,7 @@ from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
 from .fields import PolynomialField
+from .tensors import skw, sym, tr
 
 __all__ = [
     "ClampedBasis",
@@ -196,15 +197,11 @@ def _work(X: NDArray, F: NDArray, W: NDArray) -> NDArray:
     return np.einsum("pqi,qi->p", X, F * W[:, None])
 
 
-def _sym(X: NDArray) -> NDArray:
-    return 0.5 * (X + np.swapaxes(X, -1, -2))
-
-
 def _elastic_form(params: MaterialParams, tables: _DofTables, W: NDArray):
     """Classical stiffness 2 mu (sym grad u, sym grad v) + lam (div u, div v),
     and the sym-grad Gram it is built from."""
-    E = _gram(_sym(tables.grad), W)
-    div = np.einsum("pqii->pq", tables.grad)
+    E = _gram(sym(tables.grad), W)
+    div = tr(tables.grad)
     return 2.0 * params.mu * E + params.lam * _gram(div, W), E
 
 
@@ -249,8 +246,8 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
         K = K + 0.5 * params.alpha1 * k * _gram(tables.curl_curl, W)
     else:
         C = tables.grad_curl
-        K = K + 0.5 * params.alpha1 * k * _gram(_sym(C), W)
-        K = K + 0.5 * params.alpha2 * k * _gram(0.5 * (C - np.swapaxes(C, -1, -2)), W)
+        K = K + 0.5 * params.alpha1 * k * _gram(sym(C), W)
+        K = K + 0.5 * params.alpha2 * k * _gram(skw(C), W)
 
     system = GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val, W),
                             b=_work(tables.val, loads.force(pts), W),
@@ -308,7 +305,7 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
     value as ``GalerkinSystem.korn``."""
     _, _, W, tables = _tabulate(ClampedBasis(n_modes), quadrature_order)
-    return _korn(tables, W, _gram(_sym(tables.grad), W))
+    return _korn(tables, W, _gram(sym(tables.grad), W))
 
 
 # -- Cosserat penalty problem -------------------------------------------------

@@ -282,8 +282,9 @@ class SphericalCap(SurfacePatch):
         self.radius = float(radius)
         e3 = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(e3)
-        if not (0.0 < self.radius < math.inf and 0.0 < theta_max <= math.pi):
-            raise ValueError(f"need 0 < radius < inf and 0 < theta_max <= pi, "
+        if (isinstance(radius, bool) or isinstance(theta_max, bool)
+                or not (0.0 < self.radius < math.inf and 0.0 < theta_max <= math.pi)):
+            raise ValueError(f"need numbers 0 < radius < inf and 0 < theta_max <= pi, "
                              f"got radius {radius}, theta_max {theta_max}")
         if (self.center.shape != (3,) or e3.shape != (3,) or not np.isfinite(self.center).all()
                 or not 0.0 < norm < math.inf):

@@ -1,9 +1,13 @@
-"""Pointwise algebra of 3-vectors, 3x3 tensors and third-order tensors.
+"""Algebra of 3-vectors, 3x3 tensors and third-order tensors.
 
-All functions are pure and operate on plain numpy arrays: shape (3,) for
-vectors, (3, 3) for second-order tensors and (3, 3, 3) for third-order
-tensors.  No validation of finiteness is performed here; fields reject
-non-finite values at their evaluation boundary.
+All functions are pure and broadcast over leading axes: shape (..., 3)
+for vectors, (..., 3, 3) for second-order tensors and (..., 3, 3, 3) for
+third-order tensors.  Transposes swap the last two axes, traces and inner
+products reduce over them, and the predicates and ``axl`` test each item
+of a batch.  A single case is a batch of one and gets the unbatched
+shapes back (a numpy scalar where the result is a number).  No validation
+of finiteness is performed here; fields reject non-finite values at their
+evaluation boundary.
 """
 
 from __future__ import annotations
@@ -41,45 +45,56 @@ EPS3.flags.writeable = False
 ID3 = np.eye(3)
 ID3.flags.writeable = False
 
+#: (rows, columns) of the entries A[2, 1], A[0, 2], A[1, 0] that hold axl(A)
+_AXL = ([2, 0, 1], [1, 2, 0])
+
+
+def _frobenius(X: NDArray) -> NDArray:
+    return np.linalg.norm(X, axis=(-2, -1))
+
 
 def sym(X: NDArray) -> NDArray:
     """Symmetric part (X + X^T)/2."""
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
 def skw(X: NDArray) -> NDArray:
     """Skew-symmetric part (X - X^T)/2."""
-    return 0.5 * (X - X.T)
+    return 0.5 * (X - np.swapaxes(X, -1, -2))
 
 
-def tr(X: NDArray) -> float:
+def tr(X: NDArray) -> NDArray:
     """Trace of a 3x3 tensor."""
-    return float(np.trace(X))
+    return np.einsum("...ii->...", X)
+
+
+def _spherical(X: NDArray) -> NDArray:
+    return (tr(X) / 3.0)[..., None, None] * ID3
 
 
 def dev(X: NDArray) -> NDArray:
     """Deviatoric (trace-free) part X - tr(X)/3 id."""
-    return X - (np.trace(X) / 3.0) * ID3
+    return X - _spherical(X)
 
 
-def inner(X: NDArray, Y: NDArray) -> float:
+def inner(X: NDArray, Y: NDArray) -> NDArray:
     """Frobenius inner product <X, Y> = tr(X Y^T)."""
-    return float(np.sum(X * Y))
+    return np.sum(X * Y, axis=(-2, -1))
 
 
-def is_symmetric(X: NDArray, tol: float = 1e-12) -> bool:
+def is_symmetric(X: NDArray, tol: float = 1e-12) -> NDArray:
     """Whether X is symmetric within a relative Frobenius tolerance."""
-    return np.linalg.norm(X - X.T) <= tol * max(1.0, np.linalg.norm(X))
+    return _frobenius(X - np.swapaxes(X, -1, -2)) <= tol * np.maximum(1.0, _frobenius(X))
 
 
-def is_skew(X: NDArray, tol: float = 1e-12) -> bool:
+def is_skew(X: NDArray, tol: float = 1e-12) -> NDArray:
     """Whether X is skew-symmetric within a relative Frobenius tolerance."""
-    return np.linalg.norm(X + X.T) <= tol * max(1.0, np.linalg.norm(X))
+    return _frobenius(X + np.swapaxes(X, -1, -2)) <= tol * np.maximum(1.0, _frobenius(X))
 
 
-def is_traceless(X: NDArray, tol: float = 1e-12) -> bool:
+def is_traceless(X: NDArray, tol: float = 1e-12) -> NDArray:
     """Whether tr(X) vanishes within a relative tolerance."""
-    return abs(np.trace(X)) <= tol * max(1.0, np.linalg.norm(X))
+    return np.abs(tr(X)) <= tol * np.maximum(1.0, _frobenius(X))
 
 
 @dataclass(frozen=True)
@@ -100,8 +115,7 @@ def cartan_decompose(X: NDArray) -> CartanParts:
     The three parts are pairwise orthogonal in the Frobenius inner
     product and sum to X.
     """
-    s = sym(X)
-    return CartanParts(devsym=dev(s), skew=skw(X), spherical=(np.trace(X) / 3.0) * ID3)
+    return CartanParts(devsym=dev(sym(X)), skew=skw(X), spherical=_spherical(X))
 
 
 def axl(A: NDArray, tol: float = 1e-12) -> NDArray:
@@ -112,35 +126,36 @@ def axl(A: NDArray, tol: float = 1e-12) -> NDArray:
     Raises
     ------
     ValueError
-        If A is not skew-symmetric within the relative tolerance.
+        If any item of A is not skew-symmetric within the relative tolerance.
     """
-    if not is_skew(A, tol):
+    A = np.asarray(A)
+    skew = is_skew(A, tol)
+    if not np.all(skew):
+        worst = np.max(_frobenius(A + np.swapaxes(A, -1, -2))[~skew])
         raise ValueError(
             "axl requires a skew-symmetric tensor; "
-            f"|A + A^T| = {np.linalg.norm(A + A.T):.3e} exceeds tolerance"
+            f"|A + A^T| = {worst:.3e} exceeds tolerance"
         )
-    return np.array([A[2, 1], A[0, 2], A[1, 0]])
+    return A[..., _AXL[0], _AXL[1]]
 
 
 def anti(v: NDArray) -> NDArray:
     """Skew tensor of an axial vector, anti(v)_ij = -eps_ijk v_k."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    v = np.asarray(v, dtype=float)
+    A = np.zeros(v.shape + (3,))
+    A[..., _AXL[0], _AXL[1]] = v
+    A[..., _AXL[1], _AXL[0]] = -v
+    return A
 
 
 def contract_E_X(E: NDArray, X: NDArray) -> NDArray:
-    """Contraction (E : X)_i = E_ijk X_kj."""
-    return np.einsum("ijk,kj->i", E, X)
+    """Contraction (E : X)_i = E_ijk X_kj = <E_i, X^T>."""
+    return inner(E, np.swapaxes(X, -1, -2)[..., None, :, :])
 
 
 def apply_E_v(E: NDArray, v: NDArray) -> NDArray:
     """Contraction (E . v)_ij = E_ijk v_k."""
-    return np.einsum("ijk,k->ij", E, v)
+    return np.sum(E * np.asarray(v)[..., None, None, :], axis=-1)
 
 
 def tangential_projector(n: NDArray, tol: float = 1e-12) -> NDArray:
@@ -149,9 +164,11 @@ def tangential_projector(n: NDArray, tol: float = 1e-12) -> NDArray:
     Raises
     ------
     ValueError
-        If n is not a unit vector within the tolerance.
+        If any n is not a unit vector within the tolerance.
     """
-    nrm = np.linalg.norm(n)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"normal must be a unit vector, got |n| = {nrm!r}")
-    return ID3 - np.outer(n, n)
+    n = np.asarray(n, dtype=float)
+    nrm = np.linalg.norm(n, axis=-1)
+    bad = np.abs(nrm - 1.0) > tol
+    if np.any(bad):
+        raise ValueError(f"normal must be a unit vector, got |n| = {np.extract(bad, nrm)[0]!r}")
+    return ID3 - n[..., :, None] * n[..., None, :]

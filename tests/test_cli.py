@@ -2,11 +2,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from costress import cli, solver
 from costress.cli import main, run
+from costress.constitutive import MaterialParams, w_curv, w_lin
+from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner
 
 
 def _write(tmp_path, name, obj):
@@ -97,7 +100,8 @@ def test_bad_box_face_exits_2_no_output(tmp_path, which):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cap", [{"radius": -1}, {"theta_max": 0}, {"axis": [0, 0, 0]}],
+@pytest.mark.parametrize("cap", [{"radius": -1}, {"theta_max": 0}, {"axis": [0, 0, 0]},
+                                 {"theta_max": True}, {"radius": True}],
                          ids=lambda v: json.dumps(v, separators=(",", ":")))
 def test_bad_spherical_cap_exits_2_no_output(tmp_path, cap):
     cfg = _write(tmp_path, "c.json", {"seed": 0, "patch": {"type": "spherical_cap", **cap}})
@@ -148,6 +152,12 @@ def test_bad_spherical_cap_exits_2_no_output(tmp_path, cap):
     ("verify-kinematics", {"material": {"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
                                         "alpha1": 1.0, "alpha2": 1.0}}),
     ("verify-operators", {"tolerances": {"stokes": 1e-6}}),
+    ("bc-audit", {"field": {"family": "constant", "c": [1, 2]}}),
+    ("hd-postulate", {"field": {"family": "conformal", "seed": 3, "w_axial": [1, 0, 0]}}),
+    ("energy-report", {"material": {"mu": True, "lambda": 1.0, "L_c": 1.0,
+                                    "alpha1": 1.0, "alpha2": 1.0}}),
+    ("energy-report", {"material": {"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
+                                    "alpha1": 1.0, "alpha2": False}}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v, separators=(",", ":")))
 def test_bad_solver_config_exits_2_no_output(tmp_path, command, cfg):
     path = _write(tmp_path, "c.json", {"seed": 0, **cfg})
@@ -342,3 +352,59 @@ def test_generated_configs_exit_0_1_2(data):
         assert code in (0, 1, 2)
         if code == 2:
             assert not out.exists()
+
+
+def _operator_gaps_per_case(seed, cases):
+    """Reference: the gaps of operator_checks, drawn and checked one case at a time."""
+    rng = np.random.default_rng(seed)
+    g_round = g_norm = g_rec = g_orth = g_contract = 0.0
+    for _ in range(cases):
+        v = rng.uniform(-1.0, 1.0, 3)
+        X = rng.uniform(-1.0, 1.0, (3, 3))
+        E = rng.uniform(-1.0, 1.0, (3, 3, 3))
+        g_round = max(g_round, float(np.max(np.abs(axl(anti(v)) - v))))
+        g_norm = max(g_norm, abs(inner(anti(v), anti(v)) - 2.0 * v @ v))
+        parts = cartan_decompose(X)
+        g_rec = max(g_rec, float(np.max(np.abs(parts.recombine() - X))))
+        g_orth = max(g_orth, abs(inner(parts.devsym, parts.skew)),
+                     abs(inner(parts.devsym, parts.spherical)),
+                     abs(inner(parts.skew, parts.spherical)))
+        loop = np.array([sum(E[i, j, k] * X[k, j] for j in range(3) for k in range(3))
+                         for i in range(3)])
+        g_contract = max(g_contract, float(np.max(np.abs(contract_E_X(E, X) - loop))))
+    return [g_round, g_norm, g_rec, g_orth, g_contract]
+
+
+def _energy_gaps_per_case(seed, cases, material):
+    """Reference: the form-spread gaps of energy_checks, one case at a time, and
+    the trace-free tensor drawn after the cases."""
+    rng = np.random.default_rng(seed)
+    g_curv = g_lin = 0.0
+    for _ in range(cases):
+        M = rng.uniform(-1.0, 1.0, (3, 3))
+        M -= (np.trace(M) / 3.0) * np.eye(3)
+        vals = np.array(list(w_curv(material, M).forms.values()))
+        g_curv = max(g_curv, float((vals.max() - vals.min()) / max(1.0, np.max(np.abs(vals)))))
+        lv = np.array(list(w_lin(material, rng.uniform(-1.0, 1.0, (3, 3))).forms.values()))
+        g_lin = max(g_lin, float((lv.max() - lv.min()) / max(1.0, np.max(np.abs(lv)))))
+    M = rng.uniform(-1.0, 1.0, (3, 3))
+    M -= (np.trace(M) / 3.0) * np.eye(3)
+    return [g_curv, g_lin], M
+
+
+# one full block of cases and a partial one
+@pytest.mark.parametrize("seed", range(5))
+def test_blocked_checks_match_the_per_case_reference(seed):
+    cases, tol = 1100, {"operators": 1e-12, "energy_forms": 1e-12}
+    checks = cli.operator_checks(seed, cases, tol)
+    ref = _operator_gaps_per_case(seed, cases)
+    material = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.6)
+    energy = cli.energy_checks(seed, cases, material, tol)
+    ref_forms, M = _energy_gaps_per_case(seed, cases, material)
+    # the remaining checks see the tensor drawn after the cases: the same stream
+    ref_nonneg = [float(w_curv(MaterialParams.for_regime(r, mu=1.3, lam=0.7, L_c=0.6), M))
+                  for r in ("gkmt", "modified", "hd")]
+    for c, g in zip(checks + energy, ref + ref_forms):
+        assert abs(c.gap - g) <= 2.2e-15 and c.passed == (g <= 1e-12), c.name
+        assert type(c.value) is float and type(c.gap) is float
+    assert [c.value for c in energy[2:]] == ref_nonneg

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,30 @@ def test_curvature_warns_on_spurious_trace():
     M = np.eye(3)
     with pytest.warns(UserWarning, match="trace"):
         w_curv(p, M)
+
+
+def test_curvature_warns_on_one_spurious_trace_in_a_batch():
+    p = MaterialParams.for_regime("gkmt")
+    M = dev(np.random.default_rng(3).uniform(-1, 1, (4, 5, 3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_curv(p, M)
+    M[3, 1] += 1e-3 * np.eye(3)
+    with pytest.warns(UserWarning, match="trace"):
+        w_curv(p, M)
+
+
+@pytest.mark.parametrize("energy, to_input", [(w_lin, lambda X: X), (w_curv, dev)])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_energy_batch_equals_stacked_per_case_calls(energy, to_input, regime):
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.6)
+    X = to_input(np.random.default_rng(4).uniform(-1, 1, (4, 5, 3, 3)))
+
+    def values(w):
+        return np.stack([w.value, *w.forms.values()], axis=-1)
+
+    per_case = [[values(energy(p, X[i, j])) for j in range(5)] for i in range(4)]
+    assert np.array_equal(values(energy(p, X)), np.array(per_case))
 
 
 def test_couple_stress_regimes():

@@ -6,6 +6,7 @@ from costress.fields import (
     CallableField,
     ConformalParams,
     ConstantField,
+    DisplacementField,
     FdStencilError,
     PolynomialField,
     RigidMotionField,
@@ -112,6 +113,34 @@ def test_curl_identity_on_polynomials():
         assert np.allclose(state.curl_u, 2.0 * state.axl_skw_grad, atol=1e-12)
         assert abs(np.trace(state.grad_curl)) <= 1e-12 * max(
             1.0, np.linalg.norm(state.grad_curl))
+
+
+class _PointByPoint(DisplacementField):
+    """A field whose batched derivatives are its per-point ones, stacked, so
+    that a batch and its points feed kinematics the same numbers."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def _stacked(self, derivative, x):
+        rows = [derivative(p) for p in x.reshape(-1, 3)]
+        return np.reshape(rows, x.shape[:-1] + rows[0].shape)
+
+    def grad(self, x):
+        return self._stacked(self.field.grad, x)
+
+    def grad2(self, x):
+        return self._stacked(self.field.grad2, x)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5)])
+def test_kinematics_of_a_batch_equals_its_points(shape):
+    u = _PointByPoint(make_polynomial(5, 4))
+    x = np.random.default_rng(0).uniform(0.05, 0.95, shape + (3,))
+    state = kinematics(u, x)
+    for idx in np.ndindex(*shape):
+        for name, value in vars(kinematics(u, x[idx])).items():
+            assert np.array_equal(getattr(state, name)[idx], value), name
 
 
 class TestConformal:

@@ -121,3 +121,54 @@ def test_tangential_projector():
     assert np.allclose(P @ P, P)
     with pytest.raises(ValueError):
         tangential_projector(np.array([1.0, 1.0, 0.0]))
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _skew(X):
+    return X - np.swapaxes(X, -1, -2)
+
+
+def _parts(X):
+    p = cartan_decompose(X)
+    return np.stack([p.devsym, p.skew, p.spherical], axis=-3)
+
+
+# (function, shapes of its arguments per case)
+BROADCAST = {
+    "sym": (sym, [(3, 3)]),
+    "skw": (skw, [(3, 3)]),
+    "tr": (tr, [(3, 3)]),
+    "dev": (dev, [(3, 3)]),
+    "inner": (inner, [(3, 3), (3, 3)]),
+    "is_symmetric": (lambda X: is_symmetric(sym(X)), [(3, 3)]),
+    "is_skew": (is_skew, [(3, 3)]),
+    "is_traceless": (lambda X: is_traceless(dev(X)), [(3, 3)]),
+    "cartan_decompose": (_parts, [(3, 3)]),
+    "axl": (lambda X: axl(_skew(X)), [(3, 3)]),
+    "anti": (anti, [(3,)]),
+    "contract_E_X": (contract_E_X, [(3, 3, 3), (3, 3)]),
+    "apply_E_v": (apply_E_v, [(3, 3, 3), (3,)]),
+    "tangential_projector": (lambda v: tangential_projector(_unit(v)), [(3,)]),
+}
+
+
+@pytest.mark.parametrize("name", BROADCAST)
+def test_batch_equals_stacked_per_case_calls(name):
+    f, shapes = BROADCAST[name]
+    rng = np.random.default_rng(5)
+    args = [rng.normal(size=(4, 5) + shape) for shape in shapes]
+    per_case = [[f(*(a[i, j] for a in args)) for j in range(5)] for i in range(4)]
+    batch = f(*args)
+    assert np.shape(batch) == (4, 5) + np.shape(per_case[0][0])
+    assert np.array_equal(batch, np.array(per_case))
+
+
+def test_axl_rejects_a_batch_with_one_non_skew_item():
+    A = anti(np.random.default_rng(6).normal(size=(4, 5, 3)))
+    axl(A)
+    A[2, 3] += 1e-3 * np.eye(3)
+    with pytest.raises(ValueError, match="skew"):
+        axl(A)
