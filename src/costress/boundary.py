@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from .constitutive import MaterialParams, couple_stress, stresses
 from .fields import DisplacementField, curl_from_grad, grad_curl_from_grad2
 from .surfaces import SurfacePatch
-from .tensors import ID3, anti
+from .tensors import ID3, anti, sym
 
 __all__ = [
     "TractionSet",
@@ -52,11 +52,15 @@ def _mv(A: NDArray, v: NDArray) -> NDArray:
     return np.einsum("...ij,...j->...i", A, v)
 
 
+def _dot(a: NDArray, b: NDArray) -> NDArray:
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _moment_split(m: NDArray, n: NDArray):
     """psi = <m.n, n>, w = (id - n(x)n) m.n and anti(w)(id - n(x)n) for
     couple stresses m and unit normals n."""
     m_n = _mv(m, n)
-    psi = np.einsum("...i,...i->...", m_n, n)
+    psi = _dot(m_n, n)
     w = m_n - psi[..., None] * n
     P = ID3 - np.einsum("...i,...j->...ij", n, n)
     return psi, w, anti(w) @ P
@@ -70,16 +74,50 @@ def _moment_field(params, field, patch, s, t):
     return _moment_split(m, fr.n)
 
 
-def _grad_psi(params, field, patch, s, t):
+@dataclass(frozen=True)
+class _MomentJet:
+    """psi, w and anti(w)(id - n(x)n) at chart points, with the chart
+    derivatives of psi and anti(w)(id - n(x)n) on a last axis of length 2."""
+
+    psi: NDArray        # (...)
+    w: NDArray          # (..., 3)
+    d_psi: NDArray      # (..., 2)
+    d_wP: NDArray       # (..., 3, 3, 2)
+
+
+def _moment_jet(params, field, patch, s, t) -> _MomentJet:
+    """The moment quantities of :func:`_moment_field` and their chart
+    derivatives by the chain rule: d_a m is the couple stress of the grad
+    curl of grad3 u . x_a (the constitutive map is linear), and d_a n is
+    the patch's own.  Below, a chart axis of length 2 sits before the
+    ambient axes."""
+    fr = patch.frame(s, t)
+    m = couple_stress(params, grad_curl_from_grad2(field.grad2(fr.x)))
+    psi, w, _ = _moment_split(m, fr.n)
+    x_a = np.stack([fr.x_s, fr.x_t], axis=-1)[..., None, None, :, :]    # (..., 1, 1, 3, 2)
+    dH = np.moveaxis(field.grad3(fr.x) @ x_a, -1, -4)                  # (..., 2, 3, 3, 3)
+    dm = couple_stress(params, grad_curl_from_grad2(dH))               # (..., 2, 3, 3)
+    dn = np.stack(patch.normal_derivatives(s, t), axis=-2)             # (..., 2, 3)
+    n = fr.n[..., None, :]
+    dm_n = _mv(dm, n)
+    d_psi = _dot(dm_n, n) + 2.0 * _dot(_mv(sym(m), fr.n)[..., None, :], dn)
+    d_w = (dm_n + _mv(m[..., None, :, :], dn)
+           - d_psi[..., None] * n - psi[..., None, None] * dn)
+    P = ID3 - np.einsum("...i,...j->...ij", fr.n, fr.n)
+    dP = np.einsum("...ai,...j->...aij", dn, fr.n)
+    dP = dP + np.swapaxes(dP, -1, -2)                                   # d_a (n (x) n)
+    d_wP = anti(d_w) @ P[..., None, :, :] - anti(w)[..., None, :, :] @ dP
+    return _MomentJet(psi=psi, w=w, d_psi=d_psi, d_wP=np.moveaxis(d_wP, -3, -1))
+
+
+def _grad_psi(patch, jet: _MomentJet, s, t):
     """Surface gradient of psi = <m.n, n> at chart coordinates (s, t)."""
-    return patch.surface_scalar_gradient(
-        lambda ss, tt: _moment_field(params, field, patch, ss, tt)[0], s, t)
+    return patch.surface_scalar_gradient(jet.d_psi, s, t)
 
 
-def _tangential_gradient(params, field, patch, s, t):
+def _tangential_gradient(patch, jet: _MomentJet, s, t):
     """Row-wise surface divergence of anti(w)(id - n(x)n) at (s, t)."""
-    return patch.surface_rowwise_divergence(
-        lambda ss, tt: _moment_field(params, field, patch, ss, tt)[2], s, t)
+    return patch.surface_rowwise_divergence(jet.d_wP, s, t)
 
 
 def classical_tractions(params: MaterialParams, field: DisplacementField,
@@ -87,10 +125,9 @@ def classical_tractions(params: MaterialParams, field: DisplacementField,
     """Historical Mindlin-Tiersten 3+2 traction quantities at (s, t)."""
     fr = patch.frame(s, t)
     st = stresses(params, field, fr.x)
-    _, w, _ = _moment_split(st.m_tilde, fr.n)
-    grad_psi = _grad_psi(params, field, patch, s, t)
-    t_force = _mv(st.sigma_total, fr.n) - 0.5 * np.cross(fr.n, grad_psi)
-    return TractionSet(t_force=t_force, g_double=w, formulation="classical")
+    jet = _moment_jet(params, field, patch, s, t)
+    t_force = _mv(st.sigma_total, fr.n) - 0.5 * np.cross(fr.n, _grad_psi(patch, jet, s, t))
+    return TractionSet(t_force=t_force, g_double=jet.w, formulation="classical")
 
 
 def complete_tractions(params: MaterialParams, field: DisplacementField,
@@ -102,11 +139,11 @@ def complete_tractions(params: MaterialParams, field: DisplacementField,
     """
     fr = patch.frame(s, t)
     st = stresses(params, field, fr.x)
-    _, w, _ = _moment_split(st.m_tilde, fr.n)
+    jet = _moment_jet(params, field, patch, s, t)
     t_force = (_mv(st.sigma_total, fr.n)
-               - 0.5 * np.cross(fr.n, _grad_psi(params, field, patch, s, t))
-               - 0.5 * _tangential_gradient(params, field, patch, s, t))
-    return TractionSet(t_force=t_force, g_double=_mv(anti(w), fr.n), formulation="complete")
+               - 0.5 * np.cross(fr.n, _grad_psi(patch, jet, s, t))
+               - 0.5 * _tangential_gradient(patch, jet, s, t))
+    return TractionSet(t_force=t_force, g_double=_mv(anti(jet.w), fr.n), formulation="complete")
 
 
 def hd_tractions(params: MaterialParams, field: DisplacementField,
@@ -172,7 +209,7 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
     fr = patch.frame(S, T)
     st = stresses(params, u, fr.x)
     m_n = _mv(st.m_tilde, fr.n)
-    _, w, _ = _moment_split(st.m_tilde, fr.n)
+    jet = _moment_jet(params, u, patch, S, T)
     t_total = _mv(st.sigma_total, fr.n)
 
     du = np.asarray(delta_u.value(fr.x), dtype=float)
@@ -182,12 +219,12 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
     direct = float(wts @ (-np.einsum("ni,ni->n", t_total, du)
                           - np.einsum("ni,ni->n", m_n, axl_skw)))
 
-    grad_psi = _grad_psi(params, u, patch, S, T)
-    tang_grad = _tangential_gradient(params, u, patch, S, T)
+    grad_psi = _grad_psi(patch, jet, S, T)
+    tang_grad = _tangential_gradient(patch, jet, S, T)
     t_force = float(wts @ (-np.einsum("ni,ni->n", t_total, du)))
     t_mt = float(wts @ (0.5 * np.einsum("ni,ni->n", np.cross(fr.n, grad_psi), du)))
     t_tang = float(wts @ (0.5 * np.einsum("ni,ni->n", tang_grad, du)))
-    An = _mv(anti(w), fr.n)
+    An = _mv(anti(jet.w), fr.n)
     Gdu_n = _mv(Gdu, fr.n)
     t_normal_deriv = float(wts @ (-0.5 * np.einsum("ni,ni->n", An, Gdu_n)))
 
@@ -235,8 +272,8 @@ class HdPostulateReport:
 def hd_postulate_report(params: MaterialParams, field: DisplacementField,
                         patch: SurfacePatch, order: int = 16) -> HdPostulateReport:
     (S, T), wts = patch.quadrature(order)
-    psi, _, _ = _moment_field(params, field, patch, S, T)
-    r = _tangential_gradient(params, field, patch, S, T)
+    jet = _moment_jet(params, field, patch, S, T)
+    r = _tangential_gradient(patch, jet, S, T)
     sq = float(wts @ np.einsum("ni,ni->n", r, r))
-    return HdPostulateReport(sup_normal_moment=float(np.max(np.abs(psi))),
+    return HdPostulateReport(sup_normal_moment=float(np.max(np.abs(jet.psi))),
                              residual_work_norm=float(np.sqrt(sq)))

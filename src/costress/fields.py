@@ -12,8 +12,10 @@ finite-difference stencil of the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -170,6 +172,19 @@ def _first(x: NDArray, mask) -> NDArray:
     return np.reshape(x, (-1, 3))[np.ravel(mask)][0]
 
 
+def _finite(name: str, v, shape: tuple[int, ...]) -> NDArray:
+    """v as a float array of the given shape; ValueError unless it is one of
+    finite numbers (booleans and strings are not numbers here)."""
+    a = np.asarray(v, dtype=object)
+    if a.shape != shape or not all(isinstance(e, numbers.Real)
+                                   and not isinstance(e, (bool, np.bool_)) for e in a.flat):
+        raise ValueError(f"{name} must be numbers of shape {shape}, got {v!r}")
+    a = a.astype(float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return a
+
+
 class DisplacementField:
     """A vector-valued field of position with derivatives up to third order.
 
@@ -226,9 +241,7 @@ class ConstantField(DisplacementField):
     has_closed_derivatives = True
 
     def __init__(self, c):
-        self.c = np.array(c, dtype=float)
-        if self.c.shape != (3,):
-            raise ValueError(f"a constant field takes a 3-vector c, got {c!r}")
+        self.c = _finite("c", c, (3,))
 
     def value(self, x):
         return np.broadcast_to(self.c, np.shape(x)[:-1] + (3,)).copy()
@@ -253,8 +266,8 @@ class RigidMotionField(DisplacementField):
     has_closed_derivatives = True
 
     def __init__(self, w_axial, b=(0.0, 0.0, 0.0)):
-        self.w_axial = np.array(w_axial, dtype=float)
-        self.b = np.array(b, dtype=float)
+        self.w_axial = _finite("w_axial", w_axial, (3,))
+        self.b = _finite("b", b, (3,))
         self.W = anti(self.w_axial)
 
     def value(self, x):
@@ -290,13 +303,16 @@ class PolynomialField(DisplacementField):
         self.degree = degree if degree is not None else coeffs.shape[1] - 1
         # stacked coefficient tensors, derivative axes first: C1[i, a],
         # C2[i, a, b], C3[i, a, b, c] all hold (D, D, D) monomial blocks,
-        # zero padded so one einsum evaluates every component at once
-        D = coeffs.shape[1]
+        # zero padded so one contraction evaluates every component at once;
+        # C3 is built on the first grad3 call
+        self._D = coeffs.shape[1]
         self._C0 = coeffs
         self._C1 = np.stack([self._der_block(self._C0, a) for a in range(3)], axis=1)
         self._C2 = np.stack([self._der_block(self._C1, a) for a in range(3)], axis=2)
-        self._C3 = np.stack([self._der_block(self._C2, a) for a in range(3)], axis=3)
-        self._D = D
+
+    @functools.cached_property
+    def _C3(self) -> NDArray:
+        return np.stack([self._der_block(self._C2, a) for a in range(3)], axis=3)
 
     @staticmethod
     def _der_block(C: NDArray, axis: int) -> NDArray:
@@ -369,9 +385,9 @@ class ConformalParams:
     p_hat: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "w_axial", np.array(self.w_axial, dtype=float))
-        object.__setattr__(self, "a_hat", np.array(self.a_hat, dtype=float))
-        object.__setattr__(self, "b_hat", np.array(self.b_hat, dtype=float))
+        for name, shape in (("w_axial", (3,)), ("a_hat", (3, 3)), ("b_hat", (3,))):
+            object.__setattr__(self, name, _finite(name, getattr(self, name), shape))
+        object.__setattr__(self, "p_hat", float(_finite("p_hat", self.p_hat, ())))
         if not np.allclose(self.a_hat, -self.a_hat.T, atol=0.0):
             raise ValueError("a_hat must be exactly skew-symmetric")
 
@@ -487,14 +503,21 @@ class KinematicState:
     second_grad: NDArray
 
 
+#: eps_ilm as a 3 x 9 matrix over (i, (m, l)); its entries are 0 and +-1, so a
+#: product with it rounds once per entry, exactly as the term-by-term sum does
+_EPS_I_ML = np.ascontiguousarray(EPS3.transpose(0, 2, 1).reshape(3, 9))
+
+
 def curl_from_grad(G: NDArray) -> NDArray:
     """curl u from the displacement gradient, c_i = eps_ijk d_j u_k."""
-    return np.einsum("ijk,...kj->...i", EPS3, G)
+    G = np.asarray(G, dtype=float)
+    return G.reshape(G.shape[:-2] + (9,)) @ _EPS_I_ML.T
 
 
 def grad_curl_from_grad2(H: NDArray) -> NDArray:
     """grad curl u from the second gradient, M_ij = eps_ilm d_j d_l u_m."""
-    return np.einsum("ilm,...mlj->...ij", EPS3, H)
+    H = np.asarray(H, dtype=float)
+    return _EPS_I_ML @ H.reshape(H.shape[:-3] + (9, 3))
 
 
 def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
@@ -526,19 +549,14 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
     )
 
 
+#: family -> (builder, the spec keys it reads, each a keyword of the builder)
 _FIELD_BUILDERS = {
-    "zero": lambda p: ZeroField(),
-    "constant": lambda p: ConstantField(p["c"]),
-    "rigid": lambda p: RigidMotionField(p["w_axial"], p.get("b", (0.0, 0.0, 0.0))),
-    "polynomial": lambda p: make_polynomial(p["seed"], p["degree"]),
-    "conformal": lambda p: ConformalField(
-        ConformalParams(
-            w_axial=np.array(p.get("w_axial", (0.0, 0.0, 0.0)), dtype=float),
-            a_hat=np.array(p.get("a_hat", np.zeros((3, 3))), dtype=float),
-            b_hat=np.array(p.get("b_hat", (0.0, 0.0, 0.0)), dtype=float),
-            p_hat=float(p.get("p_hat", 0.0)),
-        )
-    ),
+    "zero": (ZeroField, ()),
+    "constant": (ConstantField, ("c",)),
+    "rigid": (RigidMotionField, ("w_axial", "b")),
+    "polynomial": (make_polynomial, ("seed", "degree")),
+    "conformal": (lambda **p: ConformalField(ConformalParams(**p)),
+                  ("w_axial", "a_hat", "b_hat", "p_hat")),
 }
 
 
@@ -557,4 +575,8 @@ def field_from_spec(spec: dict | str) -> DisplacementField:
     family = spec.pop("family", None)
     if family not in _FIELD_BUILDERS:
         raise ValueError(f"unknown field family {family!r}")
-    return _FIELD_BUILDERS[family](spec)
+    build, keys = _FIELD_BUILDERS[family]
+    unread = set(spec) - set(keys)
+    if unread:
+        raise ValueError(f"keys a {family} field does not read: {sorted(unread)}")
+    return build(**spec)

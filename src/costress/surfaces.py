@@ -6,10 +6,14 @@ surface gradients) and spherical caps (curvature-exercising geometry).
 Every method and check takes chart coordinates (s, t) as arrays and
 broadcasts over them; a scalar pair is a batch of one.  Surface
 gradients are computed in the parametric chart through the first
-fundamental form.  Chart derivatives use the package's one
-finite-difference stencil, :func:`costress.fields.fd_partial`, with a
-step of 1e-3 of the chart range, shrunk to keep the stencil off a
-spherical pole.
+fundamental form, from chart derivatives the caller supplies.  Each
+patch gives its chart tangents and the chart derivatives of its normal
+in closed form, so the moment traction terms of :mod:`costress.boundary`
+differentiate by the chain rule.  The package's one finite-difference
+stencil, :func:`costress.fields.fd_partial`, remains behind
+:meth:`SurfacePatch.chart_gradient` (step 1e-3 of the chart range,
+shrunk to keep the stencil off a spherical pole): the surface divergence
+check uses it, and it is the oracle of the closed forms.
 """
 
 from __future__ import annotations
@@ -77,6 +81,10 @@ class SurfacePatch:
 
     def chart_tangents(self, s, t) -> tuple[NDArray, NDArray]:
         """Chart tangents (x_s, x_t), each of shape (..., 3)."""
+        raise NotImplementedError
+
+    def normal_derivatives(self, s, t) -> tuple[NDArray, NDArray]:
+        """Chart derivatives of the unit normal (n_s, n_t), each (..., 3)."""
         raise NotImplementedError
 
     def normal(self, s, t) -> NDArray:
@@ -189,21 +197,22 @@ class SurfacePatch:
                          for axis in (0, 1)], axis=-1)
 
     # -- intrinsic operators -------------------------------------------------
+    # the surface gradient of a chart field f is d_a f x^a, x^a = g^ab x_b
 
-    def surface_scalar_gradient(self, fun, s, t) -> NDArray:
-        """Surface gradient of a scalar chart field, as an ambient vector."""
+    def _dual_tangents(self, s, t) -> NDArray:
+        """The dual tangent basis x^a = g^ab x_b, shape (..., 2, 3)."""
         fr = self.frame(s, t)
-        coef = np.einsum("...ab,...b->...a", fr.g_inv, self.chart_gradient(fun, s, t))
-        return coef[..., :1] * fr.x_s + coef[..., 1:] * fr.x_t
+        return fr.g_inv @ np.stack([fr.x_s, fr.x_t], axis=-2)
 
-    def surface_rowwise_divergence(self, fun, s, t) -> NDArray:
-        """Row-wise surface divergence of a 3x3 chart field T:
-        r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
-        fr = self.frame(s, t)
-        tangents = np.stack([fr.x_s, fr.x_t], axis=-2)  # (..., 2, 3)
-        # sum_ab g^ab dT_ij/d(chart a) tangents[b, j]
-        return np.einsum("...ab,...ija,...bj->...i", fr.g_inv,
-                         self.chart_gradient(fun, s, t), tangents)
+    def surface_scalar_gradient(self, d_f, s, t) -> NDArray:
+        """Surface gradient of a scalar chart field with chart derivatives
+        d_f (..., 2), as an ambient vector."""
+        return np.einsum("...a,...aj->...j", d_f, self._dual_tangents(s, t))
+
+    def surface_rowwise_divergence(self, d_T, s, t) -> NDArray:
+        """Row-wise surface divergence of a 3x3 chart field T with chart
+        derivatives d_T (..., 3, 3, 2): r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
+        return np.einsum("...ija,...aj->...i", d_T, self._dual_tangents(s, t))
 
     def surface_divergence_tangential(self, vfun, s, t) -> NDArray:
         """div_S of the tangential projection of an ambient vector field.
@@ -259,6 +268,10 @@ class BoxFace(SurfacePatch):
     def chart_tangents(self, s, t):
         shape = np.broadcast_shapes(np.shape(s), np.shape(t)) + (3,)
         return np.broadcast_to(self.e1, shape), np.broadcast_to(self.e2, shape)
+
+    def normal_derivatives(self, s, t):
+        zero = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)) + (3,))
+        return zero, zero
 
     @property
     def diameter(self):
@@ -318,6 +331,10 @@ class SphericalCap(SurfacePatch):
 
     def normal(self, s, t):
         return (self.point(s, t) - self.center) / self.radius
+
+    def normal_derivatives(self, s, t):
+        x_s, x_t = self.chart_tangents(s, t)
+        return x_s / self.radius, x_t / self.radius
 
     @property
     def diameter(self):

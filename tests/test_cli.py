@@ -153,6 +153,12 @@ def test_bad_spherical_cap_exits_2_no_output(tmp_path, cap):
                                         "alpha1": 1.0, "alpha2": 1.0}}),
     ("verify-operators", {"tolerances": {"stokes": 1e-6}}),
     ("bc-audit", {"field": {"family": "constant", "c": [1, 2]}}),
+    ("bc-audit", {"field": {"family": "rigid", "w_axial": [0, 0, 1], "b": [1, 2]}}),
+    ("bc-audit", {"field": {"family": "polynomial", "seed": 1, "degree": 3, "typo_key": 5}}),
+    ("bc-audit", {"delta_field": {"family": "zero", "c": [1, 2, 3]}}),
+    ("hd-postulate", {"field": {"family": "conformal", "b_hat": [1, 2]}}),
+    ("hd-postulate", {"field": {"family": "conformal", "a_hat": [[0, 1], [-1, 0]]}}),
+    ("hd-postulate", {"field": {"family": "conformal", "p_hat": True}}),
     ("hd-postulate", {"field": {"family": "conformal", "seed": 3, "w_axial": [1, 0, 0]}}),
     ("energy-report", {"material": {"mu": True, "lambda": 1.0, "L_c": 1.0,
                                     "alpha1": 1.0, "alpha2": 1.0}}),

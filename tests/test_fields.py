@@ -15,12 +15,13 @@ from costress.fields import (
     fd_derivative_oracle,
     field_from_spec,
     field_to_spec,
+    grad_curl_from_grad2,
     kinematics,
     make_conformal,
     make_polynomial,
     random_conformal,
 )
-from costress.tensors import anti, skw
+from costress.tensors import EPS3, anti, skw
 
 
 def test_fd_oracle_on_known_polynomial():
@@ -230,6 +231,47 @@ def test_field_spec_round_trip():
         field_from_spec({"family": "nope"})
     with pytest.raises(ValueError):
         field_to_spec(CallableField(lambda x: x))
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "polynomial", "seed": 1, "degree": 3, "typo_key": 5},
+    {"family": "zero", "c": [1, 2, 3]},
+    {"family": "constant", "c": [1, 2, float("inf")]},
+    {"family": "rigid", "w_axial": [0, 0, 1], "b": [1, 2]},
+    {"family": "rigid", "w_axial": ["0", 0, 1]},
+    {"family": "rigid", "w_axial": [True, 0, 1]},
+    {"family": "rigid", "w_axial": [0, [0], 1]},
+    {"family": "conformal", "b_hat": [1, 2]},
+    {"family": "conformal", "w_axial": [[1, 0, 0]]},
+    {"family": "conformal", "a_hat": [[0, 1], [-1, 0]]},
+    {"family": "conformal", "p_hat": True},
+    {"family": "conformal", "p_hat": "0.5"},
+    {"family": "conformal", "p_hat": float("nan")},
+], ids=repr)
+def test_field_spec_checked(spec):
+    with pytest.raises(ValueError):
+        field_from_spec(spec)
+
+
+def test_polynomial_third_derivatives_built_on_first_use():
+    u = make_polynomial(12, 4)
+    x = np.random.default_rng(1).uniform(0.0, 1.0, (5, 3))
+    kinematics(u, x)
+    assert "_C3" not in vars(u)   # kinematics never reads third derivatives
+    eager = np.stack([u._der_block(u._C2, a) for a in range(3)], axis=3)
+    assert np.array_equal(u.grad3(x), u._contract(eager, x))
+    C3 = u._C3
+    u.grad3(x)
+    assert u._C3 is C3            # built once
+
+
+def test_curl_forms_equal_the_permutation_sums():
+    # bit for bit: each entry is one difference of two derivatives
+    rng = np.random.default_rng(4)
+    G, H = rng.normal(size=(2, 5, 3, 3)), rng.normal(size=(7, 3, 3, 3))
+    assert np.array_equal(curl_from_grad(G), np.einsum("ijk,...kj->...i", EPS3, G))
+    assert np.array_equal(grad_curl_from_grad2(H), np.einsum("ilm,...mlj->...ij", EPS3, H))
+    assert curl_from_grad(G[0, 0]).shape == (3,) and grad_curl_from_grad2(H[0]).shape == (3, 3)
 
 
 def test_curl_from_grad_convention():

@@ -83,6 +83,20 @@ def test_frames_batch_matches_pointwise(hemisphere, face):
             assert np.allclose(fb.g_inv[i], fr.g_inv, atol=1e-10)
 
 
+@pytest.mark.parametrize("patch", [
+    SphericalCap(), SphericalCap(radius=2.0, theta_max=1.0, axis=(1.0, 1.0, 0.0)),
+    BoxFace.unit_cube_face("z+"), BoxFace.unit_cube_face("x-"),
+], ids=["hemisphere", "off_axis_cap", "face_z+", "face_x-"])
+def test_normal_derivatives_match_the_fd_stencil(patch):
+    (S, T), _ = patch.quadrature(6)
+    closed = np.stack(patch.normal_derivatives(S, T), axis=-1)
+    assert closed.shape == (36, 3, 2)
+    assert np.allclose(closed, patch.chart_gradient(patch.normal, S, T), rtol=0.0, atol=1e-9)
+    # a scalar chart pair is a batch of one
+    n_s, n_t = patch.normal_derivatives(float(S[7]), float(T[7]))
+    assert np.array_equal(np.stack([n_s, n_t], axis=-1), closed[7])
+
+
 def test_conormal_is_tangent_and_outward(hemisphere, face):
     nu = hemisphere.conormal("smax", np.pi / 2.0, 0.3)
     n = hemisphere.normal(np.pi / 2.0, 0.3)
