@@ -380,7 +380,9 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
         Check.within("solver_residual", sol.residual, tolerances["solver_residual"]),
         Check.within("stiffness_symmetry", sym_gap, 1e-12),
         Check("coercivity_lambda_min", lam_min, max(0.0, -lam_min), 0.0, lam_min > 0.0),
-        Check("korn_constant", kc, max(0.0, 1.0 - kc), 0.0, np.isfinite(kc) and kc >= 1.0),
+        # 1 <= kappa always; kappa <= sqrt 2 by Korn's equality on the clamped span
+        Check("korn_constant", kc, max(0.0, 1.0 - kc, kc / math.sqrt(2.0) - 1.0), 1e-9,
+              bool(np.isfinite(kc) and 1.0 <= kc <= math.sqrt(2.0) * (1.0 + 1e-9))),
         Check.within("energy_identity", ident, 1e-10, value=sol.energy),
         Check("discrete_minimality", worst, max(0.0, worst), 0.0, worst < 0.0),
     ]
@@ -433,7 +435,15 @@ def conformal_checks(seed: int, points: int, material: MaterialParams,
 
 _GKMT = (_material("gkmt"), None)
 _ORDER = (_int(1), 16)
-_SOLVER_ORDER = (_int(1, optional=True), None)
+
+
+def _solver_order(v, job):
+    """Parser of the solver's Gauss order: null (the default), or at least
+    n_modes + 4, the lowest order that integrates the stiffness exactly."""
+    return _int(job["n_modes"] + 4, optional=True)(v, job)
+
+
+_SOLVER_ORDER = (_solver_order, None)
 
 #: command -> (checks function, schema); the function takes the schema's keys
 _COMMANDS = {

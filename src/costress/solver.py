@@ -5,7 +5,11 @@ The displacement ansatz is a tensor product of squared-bubble times
 Legendre polynomials, which is conforming for the clamped problem
 (u = 0 and grad u . n = 0 on the boundary).  Everything is assembled
 with tensorized Gauss quadrature that is exact for the polynomial
-integrands at the default order.
+integrands at the default order, from tables that carry the square roots
+of the weights.  On the clamped span, ||grad u||^2 = 2 ||sym grad u||^2 -
+||div u||^2 (Korn's equality), and v = curl u vanishes on the boundary
+and is divergence free, so ||sym grad v||^2 = ||skw grad v||^2 =
+||curl v||^2 / 2 (a null Lagrangian).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
 from .fields import PolynomialField
-from .tensors import skw, sym, tr
+from .tensors import tr
 
 __all__ = [
     "ClampedBasis",
@@ -144,15 +148,17 @@ class _DofTables:
     curl_curl: NDArray  # (D, Q, 3)
 
 
-def _dof_tables(basis: ClampedBasis, pts: NDArray) -> _DofTables:
+def _dof_tables(basis: ClampedBasis, pts: NDArray, sqrt_w: NDArray | None = None) -> _DofTables:
+    """Vector dof tables at the points, each point's entries times ``sqrt_w``."""
     B, dB, d2B = basis.scalar_tables(pts)
+    if sqrt_w is not None:  # on the scalar tables, before the 27-component scatter
+        B *= sqrt_w
+        dB *= sqrt_w[:, None]
+        d2B *= sqrt_w[:, None, None]
     M, Q = B.shape
     D = 3 * M
-    val = np.zeros((D, Q, 3))
-    grad = np.zeros((D, Q, 3, 3))
-    half_curl = np.zeros((D, Q, 3))
-    grad_curl = np.zeros((D, Q, 3, 3))
-    curl_curl = np.zeros((D, Q, 3))
+    val, half_curl, curl_curl = (np.zeros((D, Q, 3)) for _ in range(3))
+    grad, grad_curl = (np.zeros((D, Q, 3, 3)) for _ in range(2))
     lap = np.einsum("mqaa->mq", d2B)
     for c in range(3):
         sl = slice(c * M, (c + 1) * M)
@@ -172,43 +178,44 @@ def _dof_tables(basis: ClampedBasis, pts: NDArray) -> _DofTables:
 
 
 def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
-    """(order, pts, W, tables) of a basis.  The Gauss order defaults to two
-    above the exactness minimum; an order below that minimum is rejected."""
+    """(order, pts, sqrt_w, tables) of a basis, the tables weighted.  The Gauss order
+    defaults to two above the exactness minimum; one below it is rejected."""
     order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
     if order < basis.min_quadrature_order:
-        raise ValueError(
-            f"quadrature order {order} below the exactness minimum "
-            f"{basis.min_quadrature_order} for N = {basis.n_modes}"
-        )
+        raise ValueError(f"quadrature order {order} below the exactness minimum "
+                         f"{basis.min_quadrature_order} for N = {basis.n_modes}")
     pts, W = basis.quadrature(order)
-    return order, pts, W, _dof_tables(basis, pts)
+    sqrt_w = np.sqrt(W)
+    return order, pts, sqrt_w, _dof_tables(basis, pts, sqrt_w)
 
 
-def _gram(X: NDArray, W: NDArray) -> NDArray:
-    """L2 Gram matrix sum_q W_q <X_p(q), X_r(q)> of a (D, Q, ...) table.
-    ``optimize`` lets einsum hand the contraction to one BLAS matrix
-    product; without it the loop is unblocked and memory-bound."""
-    X = X.reshape(X.shape[0], X.shape[1], -1)
-    return np.einsum("pqi,rqi->pr", X, X * W[None, :, None], optimize=True)
+def _gram(X: NDArray) -> NDArray:
+    """L2 Gram matrix sum_q <X_p(q), X_r(q)> of a weighted (D, Q, ...) table.
+    On one flat operand (no unit axis, which einsum would copy), einsum with
+    ``optimize`` runs a BLAS symmetric rank-k update: half the flops of a
+    general product, and an exactly symmetric result."""
+    X = X.reshape(X.shape[0], -1)
+    return np.einsum("pq,rq->pr", X, X, optimize=True)
 
 
-def _work(X: NDArray, F: NDArray, W: NDArray) -> NDArray:
-    """Load work sum_q W_q <X_p(q), F(q)> of a (D, Q, 3) table against F."""
-    return np.einsum("pqi,qi->p", X, F * W[:, None])
+def _work(X: NDArray, F: NDArray, sqrt_w: NDArray) -> NDArray:
+    """Load work sum_q W_q <X_p(q), F(q)> of a weighted (D, Q, 3) table against F."""
+    return np.einsum("pqi,qi->p", X, F * sqrt_w[:, None])
 
 
-def _elastic_form(params: MaterialParams, tables: _DofTables, W: NDArray):
-    """Classical stiffness 2 mu (sym grad u, sym grad v) + lam (div u, div v),
-    and the sym-grad Gram it is built from."""
-    E = _gram(sym(tables.grad), W)
-    div = tr(tables.grad)
-    return 2.0 * params.mu * E + params.lam * _gram(div, W), E
+def _elastic_form(params: MaterialParams, tables: _DofTables):
+    """Classical stiffness mu G(grad u) + (mu + lam) G(div u), by Korn's equality
+    2 mu G(sym grad u) + lam G(div u), and the two Grams it is built from."""
+    grad, div = _gram(tables.grad), _gram(tr(tables.grad))
+    return params.mu * grad + (params.mu + params.lam) * div, grad, div
 
 
-def _korn(tables: _DofTables, W: NDArray, sym_grad_gram: NDArray) -> float:
-    """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span."""
-    vals = scipy.linalg.eigh(_gram(tables.grad, W), sym_grad_gram, eigvals_only=True)
-    return float(np.sqrt(vals[-1]))
+def _korn(grad_gram: NDArray, div_gram: NDArray) -> float:
+    """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
+    with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
+    top = scipy.linalg.eigh(grad_gram, 0.5 * (grad_gram + div_gram), eigvals_only=True,
+                            subset_by_index=[len(grad_gram) - 1] * 2)
+    return float(np.sqrt(top[0]))
 
 
 @dataclass
@@ -227,32 +234,22 @@ class GalerkinSystem:
 
 
 def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
-             quadrature_order: int | None = None,
-             curvature_via_curl_curl: bool = False) -> GalerkinSystem:
+             quadrature_order: int | None = None) -> GalerkinSystem:
     """Assemble stiffness, mass and load for the clamped problem.
 
-    ``curvature_via_curl_curl`` switches the curvature block to the
-    equivalent curl curl quadratic form, valid only when alpha1 = alpha2
-    (the two assemblies then agree to round-off).
+    By the null Lagrangian the curvature block is (alpha1 + alpha2) mu L_c^2 / 4
+    times the curl curl Gram: K depends on alpha1 + alpha2 only, so ``hd`` and
+    ``modified`` materials with equal sums share one stiffness.
     """
-    if curvature_via_curl_curl and params.alpha1 != params.alpha2:
-        raise ValueError("curl curl curvature assembly requires alpha1 = alpha2")
     basis = ClampedBasis(n_modes)
-    order, pts, W, tables = _tabulate(basis, quadrature_order)
-    K, E = _elastic_form(params, tables, W)
-
-    k = params.mu * params.L_c ** 2
-    if curvature_via_curl_curl:
-        K = K + 0.5 * params.alpha1 * k * _gram(tables.curl_curl, W)
-    else:
-        C = tables.grad_curl
-        K = K + 0.5 * params.alpha1 * k * _gram(sym(C), W)
-        K = K + 0.5 * params.alpha2 * k * _gram(skw(C), W)
-
-    system = GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val, W),
-                            b=_work(tables.val, loads.force(pts), W),
+    order, pts, sqrt_w, tables = _tabulate(basis, quadrature_order)
+    K, grad, div = _elastic_form(params, tables)
+    K += 0.25 * (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 \
+        * _gram(tables.curl_curl)
+    system = GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val),
+                            b=_work(tables.val, loads.force(pts), sqrt_w),
                             quadrature_order=order)
-    system.korn = _korn(tables, W, E)
+    system.korn = _korn(grad, div)
     return system
 
 
@@ -304,8 +301,8 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
     clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
     value as ``GalerkinSystem.korn``."""
-    _, _, W, tables = _tabulate(ClampedBasis(n_modes), quadrature_order)
-    return _korn(tables, W, _gram(sym(tables.grad), W))
+    _, _, _, tables = _tabulate(ClampedBasis(n_modes), quadrature_order)
+    return _korn(_gram(tables.grad), _gram(tr(tables.grad)))
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -335,25 +332,27 @@ class _CosseratForms:
     force: NDArray      # force work against u
     couple: NDArray     # couple work against curl u / 2
     C: NDArray
+    half_curl_a: NDArray  # half_curl @ C.T: pairing of curl u / 2 with a
+    curl_a: NDArray       # C @ curl @ C.T: Gram of curl a
 
 
 def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
                     quadrature_order: int | None) -> _CosseratForms:
     basis = ClampedBasis(n_modes)
-    order, pts, W, tables = _tabulate(basis, quadrature_order)
-    half_curl = _gram(tables.half_curl, W)
+    order, pts, sqrt_w, tables = _tabulate(basis, quadrature_order)
+    half_curl = _gram(tables.half_curl)
+    curl = 0.25 * _gram(tables.curl_curl)
     # orthonormal basis of {curl u / 2 : u in span}, relative cutoff 1e-10
     vals, vecs = scipy.linalg.eigh(half_curl)
     keep = vals > 1e-10 * vals[-1]
+    C = (vecs[:, keep] / np.sqrt(vals[keep])).T
     return _CosseratForms(
         params=params, basis=basis, order=order,
-        elastic=_elastic_form(params, tables, W)[0],
-        half_curl=half_curl,
-        curl=_gram(0.5 * tables.curl_curl, W),
-        mass=_gram(tables.val, W),
-        force=_work(tables.val, loads.force(pts), W),
-        couple=_work(tables.half_curl, loads.couple(pts), W),
-        C=(vecs[:, keep] / np.sqrt(vals[keep])).T,
+        elastic=_elastic_form(params, tables)[0],
+        half_curl=half_curl, curl=curl, mass=_gram(tables.val),
+        force=_work(tables.val, loads.force(pts), sqrt_w),
+        couple=_work(tables.half_curl, loads.couple(pts), sqrt_w),
+        C=C, half_curl_a=half_curl @ C.T, curl_a=C @ curl @ C.T,
     )
 
 
@@ -373,10 +372,10 @@ def _penalty_solve(forms: _CosseratForms, params: MaterialParams) -> CosseratSol
     mu, mu_c, L = params.mu, params.mu_c, params.L_c
     C, D = forms.C, forms.basis.n_dofs
     # quadratic form z' A z with z = (u, a); curl a from curl curl u / 2
-    A_ua = -2.0 * mu_c * forms.half_curl @ C.T
+    A_ua = -2.0 * mu_c * forms.half_curl_a
     A = np.block([
         [forms.elastic + 2.0 * mu_c * forms.half_curl, A_ua],
-        [A_ua.T, 2.0 * mu_c * np.eye(len(C)) + 2.0 * mu * L ** 2 * (C @ forms.curl @ C.T)],
+        [A_ua.T, 2.0 * mu_c * np.eye(len(C)) + 2.0 * mu * L ** 2 * forms.curl_a],
     ])
     rhs = np.concatenate([forms.force, C @ forms.couple])
     sol = solve(GalerkinSystem(params=params, basis=forms.basis, K=2.0 * A,

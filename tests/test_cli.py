@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from costress import cli, solver
 from costress.cli import main, run
-from costress.constitutive import MaterialParams, w_curv, w_lin
+from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
 from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner
 
 
@@ -231,9 +231,9 @@ def test_bvp_solve_small(tmp_path):
 def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
     calls = []
 
-    def counting(basis, pts):
+    def counting(basis, pts, *weights):
         calls.append(pts.shape[0])
-        return raw(basis, pts)
+        return raw(basis, pts, *weights)
 
     raw = solver._dof_tables
     monkeypatch.setattr(solver, "_dof_tables", counting)
@@ -244,6 +244,51 @@ def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     korn = {c["name"]: c for c in report["checks"]}["korn_constant"]["value"]
     assert korn == pytest.approx(solver.korn_constant(2, 7), rel=1e-12)
+
+
+@pytest.mark.parametrize("korn, passed", [(1.0, True), (1.2, True), (np.sqrt(2.0), True),
+                                          (np.sqrt(2.0) * (1.0 + 2e-9), False), (1.0 - 1e-12, False),
+                                          (float("nan"), False)])
+def test_korn_check_bounds_the_constant_by_one_and_sqrt2(monkeypatch, korn, passed):
+    def assemble(*args):
+        system = solver.assemble(*args)
+        system.korn = korn
+        return system
+
+    monkeypatch.setattr(cli, "assemble", assemble)
+    material = MaterialParams.for_regime("gkmt", L_c=0.5)
+    checks = cli.bvp_checks(0, 2, None, LoadData(), material, {"solver_residual": 1e-10})
+    check = {c.name: c for c in checks}["korn_constant"]
+    assert bool(check.passed) == passed
+
+
+@pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_quadrature_order_below_the_exactness_floor_exits_2_before_tabulating(
+        tmp_path, monkeypatch, command, via_flag):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
+
+    raw = solver._tabulate
+    monkeypatch.setattr(solver, "_tabulate", counting)
+    floor = solver.ClampedBasis(3).min_quadrature_order
+
+    def main_with(order):
+        cfg = {"seed": 0, "n_modes": 3} if via_flag else {"seed": 0, "n_modes": 3,
+                                                          "quadrature_order": order}
+        out = tmp_path / f"o{order}"
+        flag = ["--quadrature-order", str(order)] if via_flag else []
+        code = main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out),
+                     *flag])
+        return code, out
+
+    code, out = main_with(floor - 1)
+    assert code == 2 and calls == [] and not out.exists()
+    code, out = main_with(floor)
+    assert code == 0 and len(calls) == 1 and out.exists()
 
 
 def test_cosserat_limit_small(tmp_path):

@@ -1,11 +1,14 @@
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from costress import solver
-from costress.constitutive import LoadData, MaterialParams
-from costress.tensors import EPS3
+from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
+from costress.fields import grad_curl_from_grad2
+from costress.tensors import EPS3, skw, sym, tr
 from costress.solver import (
     ClampedBasis,
     DegenerateCosseratError,
@@ -80,21 +83,29 @@ def test_curl_tables_match_levi_civita_contraction(n):
         assert np.array_equal(tables.grad_curl[sl], grad_curl)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_gram_matches_plain_einsum(n):
-    _, _, W, t = _tables(n)
+def _kinds(t):
+    """The tables the solver forms Grams of, and sym/skw ones it no longer does."""
     C = t.grad_curl
-    kinds = {
+    return {
         "val": t.val, "grad": t.grad, "sym_grad": 0.5 * (t.grad + np.swapaxes(t.grad, -1, -2)),
         "div": np.einsum("pqii->pq", t.grad), "half_curl": t.half_curl,
         "sym_grad_curl": 0.5 * (C + np.swapaxes(C, -1, -2)),
         "skw_grad_curl": 0.5 * (C - np.swapaxes(C, -1, -2)), "curl_curl": t.curl_curl,
     }
-    for name, X in kinds.items():
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gram_matches_plain_einsum(n):
+    # the Gram of the sqrt-weighted tables against the plain weighted sum
+    # over the unweighted ones
+    basis, pts, W, t = _tables(n)
+    weighted = _kinds(solver._dof_tables(basis, pts, np.sqrt(W)))
+    for name, X in _kinds(t).items():
         X3 = X.reshape(X.shape[0], X.shape[1], -1)
         ref = np.einsum("pqi,rqi->pr", X3, X3 * W[None, :, None])
-        gap = np.max(np.abs(solver._gram(X, W) - ref)) / np.max(np.abs(ref))
-        assert gap <= 1e-13, name
+        got = solver._gram(weighted[name])
+        assert np.array_equal(got, got.T), name
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-13, name
 
 
 class TestSolve:
@@ -154,16 +165,60 @@ def test_coercivity_positive_all_regimes(regime):
     assert coercivity_evidence(s) > 0.0
 
 
-def test_curl_curl_assembly_invariant():
-    # with alpha1 = alpha2 the grad-curl and curl-curl quadratic forms
-    # integrate to the same stiffness on the clamped span
-    a = assemble(PARAMS, _loads(), 3)
-    b = assemble(PARAMS, _loads(), 3, curvature_via_curl_curl=True)
-    scale = np.max(np.abs(a.K))
-    assert np.max(np.abs(a.K - b.K)) <= 1e-12 * scale
-    p_mod = MaterialParams.for_regime("modified", L_c=0.1)
-    with pytest.raises(ValueError, match="alpha1 = alpha2"):
-        assemble(p_mod, _loads(), 3, curvature_via_curl_curl=True)
+@lru_cache
+def _reference_grams(n):
+    """Grams of the constitutive law's own terms, by a general weighted
+    product over unweighted tables at the lowest exact order:
+    grad u, sym grad u, div u, sym grad curl u and skw grad curl u."""
+    basis = ClampedBasis(n)
+    pts, W = basis.quadrature(basis.min_quadrature_order)
+    t = solver._dof_tables(basis, pts)
+
+    def gram(X):
+        X = X.reshape(X.shape[0], X.shape[1], -1)
+        return np.einsum("pqi,rqi->pr", X, X * W[None, :, None], optimize=True)
+
+    return (gram(t.grad), gram(sym(t.grad)), gram(tr(t.grad)),
+            gram(sym(t.grad_curl)), gram(skw(t.grad_curl)))
+
+
+def _rel_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_stiffness_is_the_constitutive_form_and_depends_on_alpha1_plus_alpha2(regime, n):
+    grad, E, div, S, A = _reference_grams(n)
+    # the null Lagrangian: |sym grad curl u|^2 and |skw grad curl u|^2 integrate
+    # alike over the clamped span; Korn's equality for grad u
+    assert _rel_gap(S, A) <= 1e-12
+    assert _rel_gap(2.0 * E - div, grad) <= 1e-12
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    k = p.mu * p.L_c ** 2
+    ref = 2.0 * p.mu * E + p.lam * div + 0.5 * k * (p.alpha1 * S + p.alpha2 * A)
+    system = assemble(p, _loads(), n)
+    assert _rel_gap(system.K, ref) <= 1e-12
+    mean = 0.5 * (p.alpha1 + p.alpha2)
+    K_mean = assemble(replace(p, alpha1=mean, alpha2=mean), _loads(), n).K
+    assert _rel_gap(system.K, K_mean) <= 1e-12
+    korn = np.sqrt(scipy.linalg.eigh(grad, E, eigvals_only=True)[-1])
+    assert system.korn == pytest.approx(korn, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_solution_energy_equals_the_constitutive_integral(regime, n):
+    # z'Kz/2 at the solution against the quadrature of w_lin + w_curv on the
+    # solution's polynomial field at the solver's points: solver against
+    # constitutive with nothing shared but the basis
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    system = assemble(p, _loads(), n)
+    z = solve(system).coeffs
+    u = system.basis.solution_field(z)
+    pts, W = system.basis.quadrature(system.quadrature_order)
+    density = w_lin(p, u.grad(pts)).value + w_curv(p, grad_curl_from_grad2(u.grad2(pts))).value
+    assert 0.5 * z @ system.K @ z == pytest.approx(W @ density, rel=1e-8)
 
 
 class TestKorn:
@@ -217,9 +272,9 @@ class TestCosserat:
     def test_sweep_tabulates_once(self, monkeypatch):
         calls = []
 
-        def counting(basis, pts):
+        def counting(basis, pts, *weights):
             calls.append(pts.shape[0])
-            return raw(basis, pts)
+            return raw(basis, pts, *weights)
 
         raw = solver._dof_tables
         monkeypatch.setattr(solver, "_dof_tables", counting)
