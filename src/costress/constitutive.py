@@ -24,9 +24,8 @@ from .fields import (
     NumericDomainError,
     fd_partial,
     grad_curl_from_grad2,
-    kinematics,
 )
-from .tensors import EPS3, ID3, anti, dev, inner, is_traceless, skw, sym, tr
+from .tensors import ID3, anti, dev, inner, is_traceless, skw, sym, tr
 
 __all__ = [
     "LoadData",
@@ -36,7 +35,6 @@ __all__ = [
     "couple_stress",
     "equilibrium_residual",
     "stresses",
-    "torsion_and_mean_curvature",
     "w_curv",
     "w_lin",
 ]
@@ -156,11 +154,12 @@ class LoadData:
 
 @dataclass(frozen=True)
 class StressState:
-    """Local, nonlocal and couple stresses; each (..., 3, 3) over a batch
-    of points."""
+    """Local, nonlocal and couple stresses over a batch of points, each
+    (..., 3, 3), and the gradient of the couple stress."""
 
     sigma: NDArray        # symmetric local force stress
     m_tilde: NDArray      # couple stress tensor
+    grad_m: NDArray       # (..., 3, 3, 3), grad_m[..., i, j, k] = d_k m_ij
     tau_tilde: NDArray    # skew nonlocal force stress, anti(Div m)/2
     sigma_total: NDArray  # sigma - tau_tilde
 
@@ -222,11 +221,11 @@ def couple_stress(params: MaterialParams, grad_curl_u: NDArray) -> NDArray:
 
 
 def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> StressState:
-    """All stress measures of the model at points x of shape (..., 3); every
-    array of the result has shape (..., 3, 3).
+    """All stress measures of the model at points x of shape (..., 3), and
+    the gradient of the couple stress; see :class:`StressState`.
 
-    Div m (hence tau) is computed from closed-form third derivatives when
-    the field provides them, otherwise from the FD oracle.
+    grad m, hence Div m and tau, is computed from closed-form third
+    derivatives when the field provides them, otherwise from the FD oracle.
     """
     x = np.asarray(x, dtype=float)
     G = field.grad(x)
@@ -236,14 +235,13 @@ def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> St
         raise NumericDomainError(f"non-finite derivatives at {x}")
     sigma = 2.0 * params.mu * sym(G) + params.lam * tr(G)[..., None, None] * ID3
     m_tilde = couple_stress(params, grad_curl_from_grad2(H))
-    # DM[..., i, j, k] = d_k (grad curl u)_ij = eps_ilm d_k d_j d_l u_m
-    DM = np.einsum("ilm,...mljk->...ijk", EPS3, T3)
-    d1 = np.einsum("...ijj->...i", DM)
-    d2 = np.einsum("...jij->...i", DM)
-    k = params.mu * params.L_c ** 2
-    div_m = k * (params.alpha1 * 0.5 * (d1 + d2) + params.alpha2 * 0.5 * (d1 - d2))
-    tau = 0.5 * anti(div_m)
-    return StressState(sigma=sigma, m_tilde=m_tilde, tau_tilde=tau, sigma_total=sigma - tau)
+    # the constitutive map is linear: d_k m is the couple stress of d_k grad curl u,
+    # the grad curl of the second gradient d_k grad2 u
+    dm = couple_stress(params, grad_curl_from_grad2(np.moveaxis(T3, -1, -4)))   # (..., k, i, j)
+    grad_m = np.moveaxis(dm, -3, -1)
+    tau = 0.5 * anti(np.einsum("...ijj->...i", grad_m))
+    return StressState(sigma=sigma, m_tilde=m_tilde, grad_m=grad_m, tau_tilde=tau,
+                       sigma_total=sigma - tau)
 
 
 def equilibrium_residual(
@@ -274,8 +272,3 @@ def equilibrium_residual(
         raise NumericDomainError(f"non-finite equilibrium residual at {x}")
     return res
 
-
-def torsion_and_mean_curvature(field: DisplacementField, x: NDArray):
-    """(chi, omega) = (sym, skw) parts of grad curl u at a point."""
-    state = kinematics(field, x)
-    return state.chi_torsion, state.omega_mean_curv

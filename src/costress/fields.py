@@ -40,7 +40,6 @@ __all__ = [
     "fd_derivative_oracle",
     "fd_partial",
     "field_from_spec",
-    "field_to_spec",
     "grad_curl_from_grad2",
     "kinematics",
     "make_conformal",
@@ -212,9 +211,6 @@ class DisplacementField:
         """Third gradient T[i, j, k, l] = d^3 u_i / dx_j dx_k dx_l."""
         return fd_derivative_oracle(self, x, 3)
 
-    def params(self) -> dict:
-        return {}
-
     def __call__(self, x: NDArray) -> NDArray:
         return self.value(x)
 
@@ -255,8 +251,6 @@ class ConstantField(DisplacementField):
     def grad3(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
 
-    def params(self):
-        return {"c": self.c.tolist()}
 
 
 class RigidMotionField(DisplacementField):
@@ -284,8 +278,6 @@ class RigidMotionField(DisplacementField):
     def grad3(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
 
-    def params(self):
-        return {"w_axial": self.w_axial.tolist(), "b": self.b.tolist()}
 
 
 class PolynomialField(DisplacementField):
@@ -294,13 +286,11 @@ class PolynomialField(DisplacementField):
     family = "polynomial"
     has_closed_derivatives = True
 
-    def __init__(self, coeffs, seed: int | None = None, degree: int | None = None):
+    def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 4 or coeffs.shape[0] != 3:
             raise ValueError("coefficients must have shape (3, d+1, d+1, d+1)")
         self.coeffs = coeffs
-        self.seed = seed
-        self.degree = degree if degree is not None else coeffs.shape[1] - 1
         # stacked coefficient tensors, derivative axes first: C1[i, a],
         # C2[i, a, b], C3[i, a, b, c] all hold (D, D, D) monomial blocks,
         # zero padded so one contraction evaluates every component at once;
@@ -351,8 +341,6 @@ class PolynomialField(DisplacementField):
     def grad3(self, x):
         return self._contract(self._C3, x)
 
-    def params(self):
-        return {"seed": self.seed, "degree": self.degree}
 
 
 def make_polynomial(seed: int, degree: int) -> PolynomialField:
@@ -367,7 +355,7 @@ def make_polynomial(seed: int, degree: int) -> PolynomialField:
     coeffs[:, total > degree] = 0.0
     # damp high-order terms so values stay O(1) on the unit box
     coeffs /= 1.0 + total
-    return PolynomialField(coeffs, seed=seed, degree=degree)
+    return PolynomialField(coeffs)
 
 
 @dataclass(frozen=True)
@@ -403,7 +391,6 @@ class ConformalField(DisplacementField):
     has_closed_derivatives = True
 
     def __init__(self, params: ConformalParams):
-        self.cparams = params
         self.w = params.w_axial
         self.A = params.a_hat
         self.b = params.b_hat
@@ -438,13 +425,6 @@ class ConformalField(DisplacementField):
     def grad3(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
 
-    def params(self):
-        return {
-            "w_axial": self.w.tolist(),
-            "a_hat": self.A.tolist(),
-            "b_hat": self.b.tolist(),
-            "p_hat": self.p,
-        }
 
 
 def make_conformal(params: ConformalParams) -> ConformalField:
@@ -558,13 +538,6 @@ _FIELD_BUILDERS = {
     "conformal": (lambda **p: ConformalField(ConformalParams(**p)),
                   ("w_axial", "a_hat", "b_hat", "p_hat")),
 }
-
-
-def field_to_spec(field: DisplacementField) -> dict:
-    """JSON-serializable specification of a built-in field."""
-    if field.family not in _FIELD_BUILDERS:
-        raise ValueError(f"field family {field.family!r} is not serializable")
-    return {"family": field.family, **field.params()}
 
 
 def field_from_spec(spec: dict | str) -> DisplacementField:

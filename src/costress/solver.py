@@ -78,7 +78,6 @@ class ClampedBasis:
         for k in range(self.n_modes):
             leg = nleg.Legendre.basis(k, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
             self.coeffs_1d[k, : k + 5] = npoly.polymul(_BUBBLE, leg.coef)
-        self.degree = self.n_modes + 3
 
     # -- quadrature ---------------------------------------------------------
 
@@ -134,7 +133,7 @@ class ClampedBasis:
         for _ in range(3):
             # contract the leading mode axis; its monomial axis goes last
             coeffs = np.tensordot(coeffs, self.coeffs_1d, axes=(1, 0))
-        return PolynomialField(coeffs, degree=self.degree)
+        return PolynomialField(coeffs)
 
 
 @dataclass

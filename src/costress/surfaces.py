@@ -4,12 +4,15 @@ surface differential operators used by the traction decompositions.
 Two geometries are provided: flat box faces (exact geometry, trivial
 surface gradients) and spherical caps (curvature-exercising geometry).
 Every method and check takes chart coordinates (s, t) as arrays and
-broadcasts over them; a scalar pair is a batch of one.  Surface
-gradients are computed in the parametric chart through the first
-fundamental form, from chart derivatives the caller supplies.  Each
-patch gives its chart tangents and the chart derivatives of its normal
-in closed form, so the moment traction terms of :mod:`costress.boundary`
-differentiate by the chain rule.  The package's one finite-difference
+broadcasts over them; a scalar pair is a batch of one.  A :class:`Frame`
+holds everything the surface operators read at one point set: the
+position, chart tangents, normal and its chart derivatives (closed form
+for each patch), metric and dual tangents.  :meth:`SurfacePatch.quadrature`
+returns the frame of its rule, so a caller builds one frame per point
+set.  Surface gradients are computed in the parametric chart through the
+first fundamental form, from chart derivatives the caller supplies; the
+moment traction terms of :mod:`costress.boundary` get theirs by the
+chain rule.  The package's one finite-difference
 stencil, :func:`costress.fields.fd_partial`, remains behind
 :meth:`SurfacePatch.chart_gradient` (step 1e-3 of the chart range,
 shrunk to keep the stencil off a spherical pole): the surface divergence
@@ -38,16 +41,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Frame:
-    """Surface frame at chart points: position, chart tangents, normal and
-    metric, each with the leading shape of the chart coordinates."""
+    """Surface frame at chart points: position, chart tangents, normal,
+    its chart derivatives, metric and dual tangents, each with the leading
+    shape of the chart coordinates.
+
+    The surface gradient of a chart field f is d_a f x^a, with the dual
+    tangents x^a = g^ab x_b.
+    """
 
     x: NDArray
     x_s: NDArray
     x_t: NDArray
     n: NDArray
+    dn: NDArray         # chart derivatives (n_s, n_t) of the normal, (..., 2, 3)
     jac: NDArray        # area element |x_s x x_t|
     g: NDArray          # first fundamental form, (..., 2, 2)
     g_inv: NDArray
+    dual: NDArray       # dual tangents (x^s, x^t), (..., 2, 3)
+
+    def surface_scalar_gradient(self, d_f) -> NDArray:
+        """Surface gradient of a scalar chart field with chart derivatives
+        d_f (..., 2), as an ambient vector."""
+        return np.einsum("...a,...aj->...j", d_f, self.dual)
+
+    def surface_rowwise_divergence(self, d_T) -> NDArray:
+        """Row-wise surface divergence of a 3x3 chart field T with chart
+        derivatives d_T (..., 3, 3, 2): r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
+        return np.einsum("...ija,...aj->...i", d_T, self.dual)
 
 
 def _gauss(order: int, a: float, b: float):
@@ -99,14 +119,17 @@ class SurfacePatch:
         g_st = _dot(x_s, x_t)
         g = np.stack([_dot(x_s, x_s), g_st, g_st, _dot(x_t, x_t)], axis=-1)
         g = g.reshape(jac.shape + (2, 2))
+        g_inv = np.linalg.inv(g)
         return Frame(
             x=self.point(s, t),
             x_s=x_s,
             x_t=x_t,
             n=nv / jac[..., None],
+            dn=np.stack(self.normal_derivatives(s, t), axis=-2),
             jac=jac,
             g=g,
-            g_inv=np.linalg.inv(g),
+            g_inv=g_inv,
+            dual=g_inv @ np.stack([x_s, x_t], axis=-2),
         )
 
     @property
@@ -117,15 +140,17 @@ class SurfacePatch:
 
     def quadrature(self, order: int):
         """Tensor Gauss rule: chart coordinates (S, T) and weights that
-        include the area element, each of shape (order**2,)."""
+        include the area element, each of shape (order**2,), and the
+        frame at (S, T)."""
         s_nodes, s_w = _gauss(order, *self.s_range)
         t_nodes, t_w = _gauss(order, *self.t_range)
         S, T = (a.ravel() for a in np.meshgrid(s_nodes, t_nodes, indexing="ij"))
-        return (S, T), np.outer(s_w, t_w).ravel() * self.frame(S, T).jac
+        fr = self.frame(S, T)
+        return (S, T), np.outer(s_w, t_w).ravel() * fr.jac, fr
 
     def integrate(self, fun, order: int) -> float:
         """Integral of a chart field fun(S, T) -> (n,) over the patch."""
-        (S, T), W = self.quadrature(order)
+        (S, T), W, _ = self.quadrature(order)
         return float(W @ fun(S, T))
 
     # -- edges -------------------------------------------------------------
@@ -197,22 +222,6 @@ class SurfacePatch:
                          for axis in (0, 1)], axis=-1)
 
     # -- intrinsic operators -------------------------------------------------
-    # the surface gradient of a chart field f is d_a f x^a, x^a = g^ab x_b
-
-    def _dual_tangents(self, s, t) -> NDArray:
-        """The dual tangent basis x^a = g^ab x_b, shape (..., 2, 3)."""
-        fr = self.frame(s, t)
-        return fr.g_inv @ np.stack([fr.x_s, fr.x_t], axis=-2)
-
-    def surface_scalar_gradient(self, d_f, s, t) -> NDArray:
-        """Surface gradient of a scalar chart field with chart derivatives
-        d_f (..., 2), as an ambient vector."""
-        return np.einsum("...a,...aj->...j", d_f, self._dual_tangents(s, t))
-
-    def surface_rowwise_divergence(self, d_T, s, t) -> NDArray:
-        """Row-wise surface divergence of a 3x3 chart field T with chart
-        derivatives d_T (..., 3, 3, 2): r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
-        return np.einsum("...ija,...aj->...i", d_T, self._dual_tangents(s, t))
 
     def surface_divergence_tangential(self, vfun, s, t) -> NDArray:
         """div_S of the tangential projection of an ambient vector field.
@@ -362,11 +371,8 @@ def stokes_flux_check(field, patch: SurfacePatch, order: int = 16):
     """Stokes theorem on a patch: flux of curl u against the circulation
     of u along the edge with tangent tau = n x nu."""
 
-    def flux_integrand(S, T):
-        fr = patch.frame(S, T)
-        return _dot(curl_from_grad(field.grad(fr.x)), fr.n)
-
-    flux = patch.integrate(flux_integrand, order)
+    _, W, fr = patch.quadrature(order)
+    flux = float(W @ _dot(curl_from_grad(field.grad(fr.x)), fr.n))
     circ = 0.0
     for side in patch.edge_sides:
         S, T, W = patch.edge_quadrature(side, order)

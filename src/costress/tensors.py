@@ -21,14 +21,12 @@ __all__ = [
     "EPS3",
     "CartanParts",
     "anti",
-    "apply_E_v",
     "axl",
     "cartan_decompose",
     "contract_E_X",
     "dev",
     "inner",
     "is_skew",
-    "is_symmetric",
     "is_traceless",
     "skw",
     "sym",
@@ -80,11 +78,6 @@ def dev(X: NDArray) -> NDArray:
 def inner(X: NDArray, Y: NDArray) -> NDArray:
     """Frobenius inner product <X, Y> = tr(X Y^T)."""
     return np.sum(X * Y, axis=(-2, -1))
-
-
-def is_symmetric(X: NDArray, tol: float = 1e-12) -> NDArray:
-    """Whether X is symmetric within a relative Frobenius tolerance."""
-    return _frobenius(X - np.swapaxes(X, -1, -2)) <= tol * np.maximum(1.0, _frobenius(X))
 
 
 def is_skew(X: NDArray, tol: float = 1e-12) -> NDArray:
@@ -151,11 +144,6 @@ def anti(v: NDArray) -> NDArray:
 def contract_E_X(E: NDArray, X: NDArray) -> NDArray:
     """Contraction (E : X)_i = E_ijk X_kj = <E_i, X^T>."""
     return inner(E, np.swapaxes(X, -1, -2)[..., None, :, :])
-
-
-def apply_E_v(E: NDArray, v: NDArray) -> NDArray:
-    """Contraction (E . v)_ij = E_ijk v_k."""
-    return np.sum(E * np.asarray(v)[..., None, None, :], axis=-1)
 
 
 def tangential_projector(n: NDArray, tol: float = 1e-12) -> NDArray:

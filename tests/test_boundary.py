@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from costress.boundary import (
-    _grad_psi,
-    _moment_field,
-    _moment_jet,
-    _tangential_gradient,
+    _split,
     boundary_work_identity,
     classical_tractions,
     complete_tractions,
@@ -16,12 +13,14 @@ from costress.boundary import (
 from costress.constitutive import MaterialParams, stresses
 from costress.fields import (
     CallableField,
+    DisplacementField,
     PolynomialField,
     fd_derivative_oracle,
     make_polynomial,
     random_conformal,
 )
-from costress.surfaces import BoxFace, SphericalCap, surface_divergence_check
+from costress.surfaces import BoxFace, SphericalCap, SurfacePatch, surface_divergence_check
+from costress.tensors import anti, tangential_projector
 
 HEMI = SphericalCap(center=np.zeros(3), radius=1.0, axis=(0.0, 0.0, 1.0),
                     theta_max=np.pi / 2.0)
@@ -69,18 +68,6 @@ def test_tractions_shapes_and_tangency():
     ts_hd = hd_tractions(MaterialParams.for_regime("hd", L_c=0.4), u, FACE, s, t)
     st = stresses(MaterialParams.for_regime("hd", L_c=0.4), u, FACE.point(s, t))
     assert np.allclose(ts_hd.t_force, st.sigma_total @ n, atol=1e-13)
-
-
-def test_hd_plus_variant_differs():
-    # the printed (sigma + tau).n variant disagrees with the total force
-    # stress whenever tau is nonzero
-    p = MaterialParams.for_regime("hd", L_c=0.4)
-    u = make_polynomial(11, 3)
-    a = hd_tractions(p, u, FACE, 0.4, 0.6)
-    b = hd_tractions(p, u, FACE, 0.4, 0.6, plus_variant=True)
-    st = stresses(p, u, FACE.point(0.4, 0.6))
-    assert np.linalg.norm(a.t_force - b.t_force) == pytest.approx(
-        np.linalg.norm(2.0 * st.tau_tilde @ FACE.normal(0.4, 0.6)), rel=1e-10)
 
 
 def test_edge_jump_vanishes_for_smooth_fields():
@@ -169,19 +156,20 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
     # the oracle: the moment chart field differentiated by the FD chart
     # stencil, fed through the same intrinsic operators
     p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.4)
-    (S, T), _ = patch.quadrature(8)
+    (S, T), _, fr = patch.quadrature(8)
 
-    def fd(k):
-        return patch.chart_gradient(lambda ss, tt: _moment_field(p, field, patch, ss, tt)[k], S, T)
+    def fd(moment):
+        return patch.chart_gradient(lambda ss, tt: moment(_split(p, field, patch.frame(ss, tt))),
+                                    S, T)
 
-    jet = _moment_jet(p, field, patch, S, T)
-    psi, w, _ = _moment_field(p, field, patch, S, T)
-    assert np.array_equal(jet.psi, psi) and np.array_equal(jet.w, w)
+    d_psi = fd(lambda q: q.psi)
+    d_wP = fd(lambda q: anti(q.w) @ tangential_projector(q.frame.n))
+    sp = _split(p, field, fr)
     pairs = [
-        (_grad_psi(patch, jet, S, T), patch.surface_scalar_gradient(fd(0), S, T)),
-        (_tangential_gradient(patch, jet, S, T), patch.surface_rowwise_divergence(fd(2), S, T)),
+        (sp.t_psi, -0.5 * np.cross(fr.n, fr.surface_scalar_gradient(d_psi))),
+        (sp.t_tang, -0.5 * fr.surface_rowwise_divergence(d_wP)),
     ]
-    scale = max([np.max(np.abs(w))] + [np.max(np.abs(ref)) for _, ref in pairs])
+    scale = max([np.max(np.abs(sp.w))] + [np.max(np.abs(ref)) for _, ref in pairs])
     for closed, ref in pairs:
         assert closed.shape == ref.shape == (64, 3)
         assert np.max(np.abs(closed - ref)) <= 1e-9 * scale   # measured 1.4e-12
@@ -194,3 +182,80 @@ def test_work_identity_off_axis_cap_at_order_24():
     gaps = [boundary_work_identity(p, make_polynomial(s, 3), make_polynomial(s + 1, 3), CAP,
                                    order=24).gap for s in range(40)]
     assert max(gaps) <= 1e-11   # measured 1.4e-14
+
+
+@pytest.mark.parametrize("patch, missing", [(HEMI, 0.208659), (CAP, 0.790194), (FACE, -0.00445838)],
+                         ids=["hemisphere", "off_axis_cap", "face"])
+def test_complete_tractions_close_the_work_identity(patch, missing):
+    # through the public tractions: -int t.du - 1/2 int g.(grad du n) plus the
+    # edge terms is the direct work, and the classical split misses exactly
+    # the tangential-gradient term
+    p = MaterialParams.for_regime("gkmt", L_c=0.5)
+    u, du = make_polynomial(0, 3), make_polynomial(1, 3)
+    rep = boundary_work_identity(p, u, du, patch, order=24)
+    (S, T), W, fr = patch.quadrature(24)
+    v, dv_n = du.value(fr.x), du.grad(fr.x) @ fr.n[..., None]
+    complete = complete_tractions(p, u, patch, S, T)
+    classical = classical_tractions(p, u, patch, S, T)
+    work = (-W @ np.sum(complete.t_force * v, axis=-1)
+            - 0.5 * W @ np.sum(complete.g_double * dv_n[..., 0], axis=-1))
+    edges = rep.terms["edge_conormal"] + rep.terms["edge_normal_moment"]
+    scale = max(abs(term) for term in rep.terms.values())
+    assert abs(work + edges - rep.direct) <= 1e-12 * scale
+    missed = W @ np.sum((classical.t_force - complete.t_force) * v, axis=-1)
+    assert abs(missed - rep.terms["tangential_gradient"]) <= 1e-12 * scale
+    assert missed == pytest.approx(missing, rel=1e-5)
+
+
+class _CountingField(DisplacementField):
+    """Delegates to a field and counts its derivative evaluations."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = {"grad": 0, "grad2": 0, "grad3": 0}
+
+    def value(self, x):
+        return self.field.value(x)
+
+    def _count(self, name, x):
+        self.calls[name] += 1
+        return getattr(self.field, name)(x)
+
+    def grad(self, x):
+        return self._count("grad", x)
+
+    def grad2(self, x):
+        return self._count("grad2", x)
+
+    def grad3(self, x):
+        return self._count("grad3", x)
+
+
+@pytest.mark.parametrize("patch", [HEMI, FACE], ids=["hemisphere", "face"])
+def test_one_frame_and_one_derivative_evaluation_per_point_set(patch, monkeypatch):
+    p = MaterialParams.for_regime("gkmt", L_c=0.5)
+    (S, T), _, _ = patch.quadrature(8)
+    frames = []
+    build = SurfacePatch.frame
+
+    def counted(self, s, t):
+        frames.append(s)
+        return build(self, s, t)
+
+    monkeypatch.setattr(SurfacePatch, "frame", counted)
+
+    def counts(run):
+        u = _CountingField(make_polynomial(0, 3))
+        frames.clear()
+        run(u)
+        return len(frames), u.calls
+
+    # the surface rule, then one rule per edge
+    point_sets = 1 + len(patch.edge_sides)
+    n, calls = counts(lambda u: boundary_work_identity(p, u, make_polynomial(1, 3), patch, 8))
+    assert n == point_sets and calls == dict.fromkeys(calls, point_sets)
+    for run in (lambda u: hd_postulate_report(p, u, patch, 8),
+                lambda u: classical_tractions(p, u, patch, S, T),
+                lambda u: complete_tractions(p, u, patch, S, T)):
+        n, calls = counts(run)
+        assert n == 1 and calls == dict.fromkeys(calls, 1)

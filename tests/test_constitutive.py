@@ -10,13 +10,14 @@ from costress.constitutive import (
     couple_stress,
     equilibrium_residual,
     stresses,
-    torsion_and_mean_curvature,
     w_curv,
     w_lin,
 )
 from costress.fields import (
     ConformalParams,
+    fd_partial,
     grad_curl_from_grad2,
+    kinematics,
     make_conformal,
     make_polynomial,
     random_conformal,
@@ -210,10 +211,27 @@ class TestConformalInvariance:
         assert np.allclose(r, [10.0, 0.0, 0.0], atol=1e-7)
 
 
+@pytest.mark.parametrize("field", [make_polynomial(5, 3), random_conformal(3)],
+                         ids=["cubic", "conformal"])
+def test_stresses_carry_the_gradient_of_m(field):
+    # the oracle: the FD stencil on m_tilde; Div m and tau follow from it
+    p = MaterialParams(mu=1.3, lam=0.7, L_c=0.4, alpha1=0.8, alpha2=1.5)
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (10, 3))
+    st = stresses(p, field, x)
+    ref = np.stack([fd_partial(lambda y: stresses(p, field, y).m_tilde, x, (k,), 1e-3)
+                    for k in range(3)], axis=-1)
+    assert st.grad_m.shape == ref.shape == (10, 3, 3, 3)
+    scale = max(np.max(np.abs(st.m_tilde)), np.max(np.abs(ref)))
+    assert np.max(np.abs(st.grad_m - ref)) <= 1e-9 * scale
+    tau_ref = 0.5 * anti(np.einsum("...ijj->...i", ref))
+    assert np.max(np.abs(st.tau_tilde - tau_ref)) <= 1e-9 * scale
+
+
 def test_torsion_and_mean_curvature_split():
     u = make_polynomial(37, 4)
     x = np.array([0.25, 0.5, 0.75])
-    chi, omega = torsion_and_mean_curvature(u, x)
+    state = kinematics(u, x)
+    chi, omega = state.chi_torsion, state.omega_mean_curv
     M = grad_curl_from_grad2(u.grad2(x))
     assert np.allclose(chi + omega, M, atol=1e-13)
     assert np.allclose(chi, chi.T, atol=1e-13)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from costress.fields import (
     curl_from_grad,
     fd_derivative_oracle,
     field_from_spec,
-    field_to_spec,
     grad_curl_from_grad2,
     kinematics,
     make_conformal,
@@ -220,17 +221,26 @@ def test_zero_and_constant_fields():
     assert np.allclose(c.grad(X), 0.0)
 
 
-def test_field_spec_round_trip():
-    for f in [ZeroField(), ConstantField((1, 2, 3)),
-              RigidMotionField((0.1, 0.2, 0.3), b=(1, 0, 0)),
-              make_polynomial(8, 3), random_conformal(5)]:
-        g = field_from_spec(field_to_spec(f))
-        x = np.array([0.25, -0.5, 0.75])
+def test_field_from_spec_builds_each_family():
+    a_hat = anti(np.array([0.1, -0.4, 0.2]))
+    cases = [
+        ({"family": "zero"}, ZeroField()),
+        ({"family": "constant", "c": [1, 2, 3]}, ConstantField((1, 2, 3))),
+        ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
+         RigidMotionField((0.1, 0.2, 0.3), b=(1, 0, 0))),
+        ({"family": "polynomial", "seed": 8, "degree": 3}, make_polynomial(8, 3)),
+        (json.dumps({"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "a_hat": a_hat.tolist(),
+                     "b_hat": [1, 2, 3], "p_hat": 0.4}),
+         make_conformal(ConformalParams(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat,
+                                        b_hat=(1, 2, 3), p_hat=0.4))),
+    ]
+    x = np.array([0.25, -0.5, 0.75])
+    for spec, f in cases:
+        g = field_from_spec(spec)
+        assert type(g) is type(f)
         assert np.allclose(f.value(x), g.value(x), atol=1e-14)
     with pytest.raises(ValueError):
         field_from_spec({"family": "nope"})
-    with pytest.raises(ValueError):
-        field_to_spec(CallableField(lambda x: x))
 
 
 @pytest.mark.parametrize("spec", [

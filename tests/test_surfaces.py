@@ -25,7 +25,7 @@ def test_face_geometry(face):
     assert np.allclose(face.point(0.3, 0.7), [0.3, 0.7, 1.0])
     assert np.allclose(face.normal(0.5, 0.5), [0.0, 0.0, 1.0])
     # quadrature integrates the area exactly
-    _, w = face.quadrature(4)
+    _, w, _ = face.quadrature(4)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -56,7 +56,7 @@ def test_spherical_cap_arguments_checked(kwargs):
 def test_spherical_cap_accepts_the_full_sphere():
     cap = SphericalCap(radius=2.0, theta_max=np.pi, axis=(0.0, 3.0, 0.0))
     assert np.allclose(cap.e3, [0.0, 1.0, 0.0])
-    _, w = cap.quadrature(16)
+    _, w, _ = cap.quadrature(16)
     assert np.sum(w) == pytest.approx(16.0 * np.pi, rel=1e-12)
 
 
@@ -65,14 +65,14 @@ def test_hemisphere_geometry(hemisphere):
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
     n = hemisphere.normal(np.pi / 4, 0.0)
     assert np.allclose(n, x, atol=1e-14)  # radially outward
-    _, w = hemisphere.quadrature(16)
+    _, w, _ = hemisphere.quadrature(16)
     assert np.sum(w) == pytest.approx(2.0 * np.pi, abs=1e-10)
 
 
 def test_frames_batch_matches_pointwise(hemisphere, face):
     # a stacked batch of chart points equals the per-point calls
     for patch in (hemisphere, face):
-        (S, T), _ = patch.quadrature(4)
+        (S, T), _, _ = patch.quadrature(4)
         fb = patch.frame(S, T)
         assert fb.x.shape == fb.n.shape == (16, 3) and fb.g_inv.shape == (16, 2, 2)
         for i, (s, t) in enumerate(zip(S, T)):
@@ -88,7 +88,7 @@ def test_frames_batch_matches_pointwise(hemisphere, face):
     BoxFace.unit_cube_face("z+"), BoxFace.unit_cube_face("x-"),
 ], ids=["hemisphere", "off_axis_cap", "face_z+", "face_x-"])
 def test_normal_derivatives_match_the_fd_stencil(patch):
-    (S, T), _ = patch.quadrature(6)
+    (S, T), _, _ = patch.quadrature(6)
     closed = np.stack(patch.normal_derivatives(S, T), axis=-1)
     assert closed.shape == (36, 3, 2)
     assert np.allclose(closed, patch.chart_gradient(patch.normal, S, T), rtol=0.0, atol=1e-9)

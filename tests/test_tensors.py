@@ -7,14 +7,12 @@ from hypothesis.extra.numpy import arrays
 from costress.tensors import (
     EPS3,
     anti,
-    apply_E_v,
     axl,
     cartan_decompose,
     contract_E_X,
     dev,
     inner,
     is_skew,
-    is_symmetric,
     is_traceless,
     skw,
     sym,
@@ -82,7 +80,7 @@ def test_sym_skw_dev_tr():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(3, 3))
     assert np.allclose(sym(X) + skw(X), X)
-    assert is_symmetric(sym(X))
+    assert np.array_equal(sym(X), sym(X).T)
     assert is_skew(skw(X))
     assert tr(dev(X)) == pytest.approx(0.0, abs=1e-14)
     assert tr(X) == pytest.approx(X[0, 0] + X[1, 1] + X[2, 2])
@@ -92,19 +90,12 @@ def test_contraction_matches_explicit_loops():
     rng = np.random.default_rng(7)
     E = rng.normal(size=(3, 3, 3))
     X = rng.normal(size=(3, 3))
-    v = rng.normal(size=3)
     loop = np.zeros(3)
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 loop[i] += E[i, j, k] * X[k, j]
     assert np.allclose(contract_E_X(E, X), loop, atol=1e-14)
-    loop2 = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                loop2[i, j] += E[i, j, k] * v[k]
-    assert np.allclose(apply_E_v(E, v), loop2, atol=1e-14)
 
 
 def test_anti_via_permutation_tensor():
@@ -143,14 +134,12 @@ BROADCAST = {
     "tr": (tr, [(3, 3)]),
     "dev": (dev, [(3, 3)]),
     "inner": (inner, [(3, 3), (3, 3)]),
-    "is_symmetric": (lambda X: is_symmetric(sym(X)), [(3, 3)]),
     "is_skew": (is_skew, [(3, 3)]),
     "is_traceless": (lambda X: is_traceless(dev(X)), [(3, 3)]),
     "cartan_decompose": (_parts, [(3, 3)]),
     "axl": (lambda X: axl(_skew(X)), [(3, 3)]),
     "anti": (anti, [(3,)]),
     "contract_E_X": (contract_E_X, [(3, 3, 3), (3, 3)]),
-    "apply_E_v": (apply_E_v, [(3, 3, 3), (3,)]),
     "tangential_projector": (lambda v: tangential_projector(_unit(v)), [(3,)]),
 }
 
