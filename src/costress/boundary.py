@@ -141,16 +141,16 @@ def hd_tractions(params: MaterialParams, field: DisplacementField,
 
 
 def edge_jump(params: MaterialParams, field: DisplacementField,
-              patch: SurfacePatch, side: str, s, t,
-              eps_rel: float = 1e-4) -> NDArray:
+              patch: SurfacePatch, side: str, s, t) -> NDArray:
     """Jump of anti((id - n(x)n) m.n) . nu across edge points (s, t).
 
     Evaluated as one-sided limits at geodesic offsets eps and 2 eps on
-    either side of the edge, each extrapolated linearly to the edge.  For
-    fields smooth across the edge the jump vanishes.
+    either side of the edge (eps = 1e-4 of the patch diameter), each
+    extrapolated linearly to the edge.  For fields smooth across the edge
+    the jump vanishes.
     """
     nu = patch.conormal(side, s, t)
-    eps = eps_rel * patch.diameter
+    eps = 1e-4 * patch.diameter
 
     def one_sided(inward: bool) -> NDArray:
         def q(e):

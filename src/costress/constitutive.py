@@ -185,15 +185,16 @@ def w_lin(params: MaterialParams, grad_u: NDArray) -> ScalarForms:
     return ScalarForms(value=mu_lambda, forms={"mu_lambda": mu_lambda, "dev_bulk": dev_bulk})
 
 
-def w_curv(params: MaterialParams, grad_curl_u: NDArray, trace_tol: float = 1e-8) -> ScalarForms:
+def w_curv(params: MaterialParams, grad_curl_u: NDArray) -> ScalarForms:
     """Curvature energy density in its three equivalent algebraic forms.
 
     The input is the curvature measure grad curl u, which is trace free
     for any displacement field; a spurious trace (finite-difference
-    noise) in any item triggers a warning and is discarded by the dev form.
+    noise) above 1e-8 of max(1, |M|) in any item triggers a warning and
+    is discarded by the dev form.
     """
     M = np.asarray(grad_curl_u, dtype=float)
-    spurious = ~is_traceless(M, trace_tol)
+    spurious = ~is_traceless(M, 1e-8)
     if np.any(spurious):
         warnings.warn(
             f"grad curl u has trace {np.extract(spurious, tr(M))[0]:.3e}; div curl u should vanish",

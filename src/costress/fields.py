@@ -1,9 +1,10 @@
 """Displacement fields with derivative evaluation up to third order.
 
-Built-in families (zero, constant, rigid motion, seeded polynomial,
-infinitesimal conformal) carry closed-form derivatives; arbitrary
-callables fall back to a finite-difference oracle.  The same oracle
-doubles as the independent cross-check for every closed form.
+Two families carry closed-form derivatives: seeded polynomials and
+infinitesimal conformal maps, whose presets also give the zero, constant
+and rigid-motion fields.  Arbitrary callables fall back to a
+finite-difference oracle.  The same oracle doubles as the independent
+cross-check for every closed form.
 
 Evaluations take points of shape (..., 3) and broadcast over the leading
 axes; a single point is a batch of one.  :func:`fd_partial` is the one
@@ -25,54 +26,31 @@ from numpy.typing import NDArray
 from .tensors import EPS3, ID3, anti, axl, skw, sym
 
 __all__ = [
-    "Box",
     "CallableField",
+    "ConformalField",
     "ConformalParams",
-    "ConstantField",
     "DisplacementField",
-    "FdStencilError",
     "KinematicState",
     "NumericDomainError",
     "PolynomialField",
-    "RigidMotionField",
-    "ZeroField",
     "curl_from_grad",
     "fd_derivative_oracle",
     "fd_partial",
     "field_from_spec",
     "grad_curl_from_grad2",
     "kinematics",
-    "make_conformal",
     "make_polynomial",
     "random_conformal",
 ]
-
-
-class FdStencilError(ValueError):
-    """A finite-difference stencil cannot be fit inside the domain."""
 
 
 class NumericDomainError(ArithmeticError):
     """A field evaluation produced a non-finite value."""
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box domain."""
-
-    lo: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    hi: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def boundary_distance(self, x: NDArray) -> NDArray:
-        """Distance of each point (..., 3) to the nearest face, shape (...)."""
-        x = np.asarray(x, dtype=float)
-        return np.minimum(np.min(x - self.lo, axis=-1), np.min(self.hi - x, axis=-1))
-
-
 # Base step per derivative order; tuned so that after one Richardson
 # level truncation and roundoff balance in double precision.
 _FD_BASE_STEP = {1: 1e-3, 2: 4e-3, 3: 1.5e-2}
-_FD_MIN_STEP = 1e-7
 
 # 4th-order central first-derivative stencil (center weight is zero).
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -106,13 +84,7 @@ def fd_partial(func, x: NDArray, axes: tuple[int, ...], h) -> NDArray:
     return (16.0 * fine - coarse) / 15.0
 
 
-def fd_derivative_oracle(
-    field,
-    x: NDArray,
-    order: int,
-    h_base: float | None = None,
-    domain: Box | None = None,
-) -> NDArray:
+def fd_derivative_oracle(field, x: NDArray, order: int) -> NDArray:
     """Central finite differences of formal order 4 plus one Richardson level.
 
     Returns the derivative tensor D[..., i, a1, ..., a_order] = d^order u_i /
@@ -125,36 +97,15 @@ def fd_derivative_oracle(
         A :class:`DisplacementField` or a plain callable ``x -> (3,)``,
         which is evaluated point by point through :class:`CallableField`.
     order
-        Derivative order, 1, 2 or 3.
-    h_base
-        Override for the base step; defaults to a per-order tuned value
+        Derivative order, 1, 2 or 3; the step is a per-order tuned value
         scaled by ``1 + |x|``.
-    domain
-        Optional box; the stencil shrinks its step near the boundary and
-        raises :class:`FdStencilError` once no usable step remains.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     if not isinstance(field, DisplacementField):
         field = CallableField(field)
     x = np.asarray(x, dtype=float)
-    if domain is None:
-        domain = field.domain
-
-    scale = 1.0 + np.linalg.norm(x, axis=-1)
-    h = (h_base if h_base is not None else _FD_BASE_STEP[order]) * scale
-    if domain is not None:
-        margin = domain.boundary_distance(x)
-        if np.any(margin <= 0.0):
-            raise FdStencilError(
-                f"point {_first(x, margin <= 0.0)} is on or outside the domain boundary"
-            )
-        h = np.minimum(h, 0.999 * margin / (2.0 * order))
-        small = h < _FD_MIN_STEP * scale
-        if np.any(small):
-            raise FdStencilError(
-                f"stencil step {np.min(h):.3e} too small near the boundary at {_first(x, small)}"
-            )
+    h = _FD_BASE_STEP[order] * (1.0 + np.linalg.norm(x, axis=-1))
 
     out = np.zeros(x.shape[:-1] + (3,) + (3,) * order)
     for combo in itertools.combinations_with_replacement(range(3), order):
@@ -164,11 +115,6 @@ def fd_derivative_oracle(
     if not np.all(np.isfinite(out)):
         raise NumericDomainError(f"finite differences produced non-finite values at {x}")
     return out
-
-
-def _first(x: NDArray, mask) -> NDArray:
-    """The first point of x (..., 3) where mask (...) holds."""
-    return np.reshape(x, (-1, 3))[np.ravel(mask)][0]
 
 
 def _finite(name: str, v, shape: tuple[int, ...]) -> NDArray:
@@ -192,10 +138,6 @@ class DisplacementField:
     and safe to evaluate concurrently.
     """
 
-    family: str = "abstract"
-    domain: Box | None = None
-    has_closed_derivatives: bool = False
-
     def value(self, x: NDArray) -> NDArray:
         raise NotImplementedError
 
@@ -215,76 +157,8 @@ class DisplacementField:
         return self.value(x)
 
 
-class ZeroField(DisplacementField):
-    family = "zero"
-    has_closed_derivatives = True
-
-    def value(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3,))
-
-    def grad(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3))
-
-    def grad2(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3))
-
-    def grad3(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
-
-
-class ConstantField(DisplacementField):
-    family = "constant"
-    has_closed_derivatives = True
-
-    def __init__(self, c):
-        self.c = _finite("c", c, (3,))
-
-    def value(self, x):
-        return np.broadcast_to(self.c, np.shape(x)[:-1] + (3,)).copy()
-
-    def grad(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3))
-
-    def grad2(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3))
-
-    def grad3(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
-
-
-
-class RigidMotionField(DisplacementField):
-    """u(x) = W x + b with W skew, given by its axial vector."""
-
-    family = "rigid"
-    has_closed_derivatives = True
-
-    def __init__(self, w_axial, b=(0.0, 0.0, 0.0)):
-        self.w_axial = _finite("w_axial", w_axial, (3,))
-        self.b = _finite("b", b, (3,))
-        self.W = anti(self.w_axial)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.W.T + self.b
-
-    def grad(self, x):
-        shape = np.shape(x)[:-1] + (3, 3)
-        return np.broadcast_to(self.W, shape).copy()
-
-    def grad2(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3))
-
-    def grad3(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
-
-
-
 class PolynomialField(DisplacementField):
     """Trivariate vector polynomial with closed-form derivatives."""
-
-    family = "polynomial"
-    has_closed_derivatives = True
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -342,7 +216,6 @@ class PolynomialField(DisplacementField):
         return self._contract(self._C3, x)
 
 
-
 def make_polynomial(seed: int, degree: int) -> PolynomialField:
     """Deterministic random vector polynomial of total degree <= degree."""
     if not 0 <= degree <= 6:
@@ -387,9 +260,6 @@ class ConformalField(DisplacementField):
     sym grad curl vanishes identically.
     """
 
-    family = "conformal"
-    has_closed_derivatives = True
-
     def __init__(self, params: ConformalParams):
         self.w = params.w_axial
         self.A = params.a_hat
@@ -426,12 +296,6 @@ class ConformalField(DisplacementField):
         return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
 
 
-
-def make_conformal(params: ConformalParams) -> ConformalField:
-    """Build the infinitesimal conformal displacement field."""
-    return ConformalField(params)
-
-
 def random_conformal(seed: int) -> ConformalField:
     """Deterministic random conformal field with O(1) parameters."""
     rng = np.random.default_rng(seed)
@@ -451,14 +315,8 @@ class CallableField(DisplacementField):
     evaluated row by row over a batch of points, and derivatives come
     from the FD oracle."""
 
-    family = "callable"
-    has_closed_derivatives = False
-
-    def __init__(self, func: Callable[[NDArray], NDArray], domain: Box | None = None,
-                 name: str = "callable"):
+    def __init__(self, func: Callable[[NDArray], NDArray]):
         self._func = func
-        self.domain = domain
-        self.name = name
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -529,11 +387,18 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
     )
 
 
+def _rigid(w_axial, b=(0.0, 0.0, 0.0)) -> ConformalField:
+    """u(x) = W x + b with W = anti(w_axial): the conformal preset
+    a_hat = W, b_hat = b."""
+    return ConformalField(ConformalParams(a_hat=anti(_finite("w_axial", w_axial, (3,))),
+                                          b_hat=_finite("b", b, (3,))))
+
+
 #: family -> (builder, the spec keys it reads, each a keyword of the builder)
 _FIELD_BUILDERS = {
-    "zero": (ZeroField, ()),
-    "constant": (ConstantField, ("c",)),
-    "rigid": (RigidMotionField, ("w_axial", "b")),
+    "zero": (lambda: _rigid(np.zeros(3)), ()),
+    "constant": (lambda c: _rigid(np.zeros(3), _finite("c", c, (3,))), ("c",)),
+    "rigid": (_rigid, ("w_axial", "b")),
     "polynomial": (make_polynomial, ("seed", "degree")),
     "conformal": (lambda **p: ConformalField(ConformalParams(**p)),
                   ("w_axial", "a_hat", "b_hat", "p_hat")),

@@ -7,20 +7,21 @@ Every method and check takes chart coordinates (s, t) as arrays and
 broadcasts over them; a scalar pair is a batch of one.  A :class:`Frame`
 holds everything the surface operators read at one point set: the
 position, chart tangents, normal and its chart derivatives (closed form
-for each patch), metric and dual tangents.  :meth:`SurfacePatch.quadrature`
+for each patch) and dual tangents.  :meth:`SurfacePatch.quadrature`
 returns the frame of its rule, so a caller builds one frame per point
-set.  Surface gradients are computed in the parametric chart through the
-first fundamental form, from chart derivatives the caller supplies; the
-moment traction terms of :mod:`costress.boundary` get theirs by the
-chain rule.  The package's one finite-difference
-stencil, :func:`costress.fields.fd_partial`, remains behind
+set.  Surface gradients and divergences are closed forms on the frame:
+they act on chart derivatives the caller supplies (the moment traction
+terms of :mod:`costress.boundary` get theirs by the chain rule) or on an
+ambient gradient.  The package's one finite-difference stencil,
+:func:`costress.fields.fd_partial`, remains behind
 :meth:`SurfacePatch.chart_gradient` (step 1e-3 of the chart range,
-shrunk to keep the stencil off a spherical pole): the surface divergence
-check uses it, and it is the oracle of the closed forms.
+shrunk to keep the stencil off a spherical pole) as the oracle of these
+closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,8 +43,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Frame:
     """Surface frame at chart points: position, chart tangents, normal,
-    its chart derivatives, metric and dual tangents, each with the leading
-    shape of the chart coordinates.
+    its chart derivatives and dual tangents, each with the leading shape
+    of the chart coordinates.
 
     The surface gradient of a chart field f is d_a f x^a, with the dual
     tangents x^a = g^ab x_b.
@@ -55,8 +56,6 @@ class Frame:
     n: NDArray
     dn: NDArray         # chart derivatives (n_s, n_t) of the normal, (..., 2, 3)
     jac: NDArray        # area element |x_s x x_t|
-    g: NDArray          # first fundamental form, (..., 2, 2)
-    g_inv: NDArray
     dual: NDArray       # dual tangents (x^s, x^t), (..., 2, 3)
 
     def surface_scalar_gradient(self, d_f) -> NDArray:
@@ -69,9 +68,25 @@ class Frame:
         derivatives d_T (..., 3, 3, 2): r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
         return np.einsum("...ija,...aj->...i", d_T, self.dual)
 
+    def tangential_divergence(self, v, grad_v) -> NDArray:
+        """div_S(P v) of an ambient vector field, P = id - n n, from its
+        values v (..., 3) and gradient grad_v (..., 3, 3) at the frame
+        points: tr(P grad v) - (v.n) div_S n, with div_S n = x^a . d_a n."""
+        n = self.n
+        n_grad_n = np.einsum("...i,...ij,...j->...", n, grad_v, n)
+        div_n = np.einsum("...aj,...aj->...", self.dual, self.dn)
+        return np.trace(grad_v, axis1=-2, axis2=-1) - n_grad_n - _dot(v, n) * div_n
+
+
+@functools.cache
+def _leggauss(order: int):
+    return np.polynomial.legendre.leggauss(order)
+
 
 def _gauss(order: int, a: float, b: float):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [a, b], fresh arrays over the
+    cached reference rule."""
+    nodes, weights = _leggauss(order)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * nodes, half * weights
 
@@ -119,7 +134,6 @@ class SurfacePatch:
         g_st = _dot(x_s, x_t)
         g = np.stack([_dot(x_s, x_s), g_st, g_st, _dot(x_t, x_t)], axis=-1)
         g = g.reshape(jac.shape + (2, 2))
-        g_inv = np.linalg.inv(g)
         return Frame(
             x=self.point(s, t),
             x_s=x_s,
@@ -127,9 +141,7 @@ class SurfacePatch:
             n=nv / jac[..., None],
             dn=np.stack(self.normal_derivatives(s, t), axis=-2),
             jac=jac,
-            g=g,
-            g_inv=g_inv,
-            dual=g_inv @ np.stack([x_s, x_t], axis=-2),
+            dual=np.linalg.inv(g) @ np.stack([x_s, x_t], axis=-2),
         )
 
     @property
@@ -147,11 +159,6 @@ class SurfacePatch:
         S, T = (a.ravel() for a in np.meshgrid(s_nodes, t_nodes, indexing="ij"))
         fr = self.frame(S, T)
         return (S, T), np.outer(s_w, t_w).ravel() * fr.jac, fr
-
-    def integrate(self, fun, order: int) -> float:
-        """Integral of a chart field fun(S, T) -> (n,) over the patch."""
-        (S, T), W, _ = self.quadrature(order)
-        return float(W @ fun(S, T))
 
     # -- edges -------------------------------------------------------------
 
@@ -220,24 +227,6 @@ class SurfacePatch:
         return np.stack([fd_partial(lambda y: fun(y[..., 0], y[..., 1]), st, (axis,),
                                     self.chart_step(axis, s, t))
                          for axis in (0, 1)], axis=-1)
-
-    # -- intrinsic operators -------------------------------------------------
-
-    def surface_divergence_tangential(self, vfun, s, t) -> NDArray:
-        """div_S of the tangential projection of an ambient vector field.
-
-        vfun maps ambient points (..., 3) to vectors (..., 3); only their
-        tangential part enters the covariant components.  Uses
-        (1/sqrt g) d_a (sqrt g w^a)."""
-
-        def sqrt_g_w(ss, tt):
-            fr = self.frame(ss, tt)
-            w = vfun(fr.x)
-            cov = np.stack([_dot(w, fr.x_s), _dot(w, fr.x_t)], axis=-1)
-            return fr.jac[..., None] * np.einsum("...ab,...b->...a", fr.g_inv, cov)
-
-        dq = self.chart_gradient(sqrt_g_w, s, t)
-        return (dq[..., 0, 0] + dq[..., 1, 1]) / self.frame(s, t).jac
 
 
 class BoxFace(SurfacePatch):
@@ -357,9 +346,8 @@ def surface_divergence_check(v, patch: SurfacePatch, order: int = 16):
     pointwise callable.  Returns (lhs, rhs, gap)."""
     if not isinstance(v, DisplacementField):
         v = CallableField(v)
-    lhs = patch.integrate(
-        lambda S, T: patch.surface_divergence_tangential(v.value, S, T), order
-    )
+    _, W, fr = patch.quadrature(order)
+    lhs = float(W @ fr.tangential_divergence(v.value(fr.x), v.grad(fr.x)))
     rhs = 0.0
     for side in patch.edge_sides:
         S, T, W = patch.edge_quadrature(side, order)

@@ -23,11 +23,11 @@ from costress.constitutive import (
     w_curv,
 )
 from costress.fields import (
+    ConformalField,
     ConformalParams,
     fd_derivative_oracle,
     grad_curl_from_grad2,
     kinematics,
-    make_conformal,
     make_polynomial,
 )
 from costress.solver import assemble, coercivity_evidence, korn_constant, solve
@@ -100,7 +100,7 @@ def test_criterion_04_conformal_invariance():
             w_axial=rng.uniform(-1, 1, 3), a_hat=anti(rng.uniform(-1, 1, 3)),
             b_hat=rng.uniform(-1, 1, 3), p_hat=float(rng.uniform(-1, 1)),
         )
-        u = make_conformal(cp)
+        u = ConformalField(cp)
         W = anti(np.asarray(cp.w_axial))
         pts = rng.uniform(-1, 1, (20, 3))
         m_expect = p_hd.mu * p_hd.L_c ** 2 * p_hd.alpha2 * 2.0 * W
@@ -167,7 +167,7 @@ def test_criterion_08_hd_postulate_refutation():
     cp = ConformalParams(w_axial=(1.0, -0.5, 0.25), a_hat=anti((0.2, 0.1, -0.3)),
                          b_hat=(0.0, 0.0, 0.0), p_hat=0.4)
     checks = {c.name: c for c in hd_postulate_checks(
-        field=make_conformal(cp), patch=HEMI, quadrature_order=16, material=p,
+        field=ConformalField(cp), patch=HEMI, quadrature_order=16, material=p,
         tolerances={"normal_moment": 1e-14})}
     sup, residual = checks["normal_moment_sup"], checks["residual_work_norm"]
     _record("hd postulate sup|<m.n,n>|", sup.value, 1e-14)

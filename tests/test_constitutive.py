@@ -14,11 +14,11 @@ from costress.constitutive import (
     w_lin,
 )
 from costress.fields import (
+    ConformalField,
     ConformalParams,
     fd_partial,
     grad_curl_from_grad2,
     kinematics,
-    make_conformal,
     make_polynomial,
     random_conformal,
 )
@@ -192,7 +192,7 @@ class TestConformalInvariance:
     def test_hd_regime_sees_conformal_fields(self):
         # m = mu L^2 alpha2 . 2 W for phi_c generated by W: constant, skew
         cp = ConformalParams(w_axial=(2.0, 0.0, 0.0))
-        u = make_conformal(cp)
+        u = ConformalField(cp)
         p = MaterialParams.for_regime("hd", mu=1.0, lam=1.0, L_c=1.0)
         W = anti(np.array([2.0, 0.0, 0.0]))
         for x in np.random.default_rng(1).uniform(-1, 1, (5, 3)):
@@ -205,7 +205,7 @@ class TestConformalInvariance:
         # Div sigma is constant: (2 mu + 3 lam) axl(W); with mu = lam = 1
         # and axl(W) = (2, 0, 0) the residual is (10, 0, 0)
         cp = ConformalParams(w_axial=(2.0, 0.0, 0.0))
-        u = make_conformal(cp)
+        u = ConformalField(cp)
         p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=1.0)
         r = equilibrium_residual(p, u, LoadData(), np.array([0.3, 0.1, -0.2]))
         assert np.allclose(r, [10.0, 0.0, 0.0], atol=1e-7)

@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from costress.fields import (
-    Box,
     CallableField,
+    ConformalField,
     ConformalParams,
-    ConstantField,
     DisplacementField,
-    FdStencilError,
     PolynomialField,
-    RigidMotionField,
-    ZeroField,
     curl_from_grad,
     fd_derivative_oracle,
     field_from_spec,
     grad_curl_from_grad2,
     kinematics,
-    make_conformal,
     make_polynomial,
     random_conformal,
 )
@@ -55,18 +50,6 @@ def test_fd_oracle_rejects_bad_order():
         fd_derivative_oracle(lambda x: x, np.zeros(3), 4)
 
 
-def test_fd_oracle_boundary_shrink_and_failure():
-    box = Box(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0))
-    u = make_polynomial(2, 3)
-    x = np.array([0.01, 0.5, 0.5])
-    G = fd_derivative_oracle(u.value, x, 1, domain=box)
-    assert np.allclose(G, u.grad(x), atol=1e-6)
-    with pytest.raises(FdStencilError):
-        fd_derivative_oracle(u.value, np.array([1e-9, 0.5, 0.5]), 1, domain=box)
-    with pytest.raises(FdStencilError):
-        fd_derivative_oracle(u.value, np.array([0.0, 0.5, 0.5]), 1, domain=box)
-
-
 @pytest.mark.parametrize("degree", [1, 3, 5])
 def test_polynomial_closed_forms_match_fd(degree):
     u = make_polynomial(17 + degree, degree)
@@ -98,8 +81,10 @@ def test_make_polynomial_is_deterministic_and_degree_capped():
 
 def test_rigid_motion_kinematics():
     w = np.array([0.3, -0.2, 0.5])
-    u = RigidMotionField(w, b=(1.0, 0.0, 0.0))
+    u = field_from_spec({"family": "rigid", "w_axial": w.tolist(), "b": [1.0, 0.0, 0.0]})
     x = np.array([0.2, 0.7, -0.3])
+    # u = W x + b with W x = w x x
+    assert np.allclose(u.value(x), np.cross(w, x) + [1.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
     state = kinematics(u, x)
     assert np.allclose(state.sym_grad, 0.0, atol=1e-15)
     assert np.allclose(state.curl_u, 2.0 * w, atol=1e-14)
@@ -150,7 +135,7 @@ class TestConformal:
         # grad phi_c = (<w,x> + p) id + anti(w x x) + A pointwise
         cp = ConformalParams(w_axial=(0.5, -1.0, 0.25), a_hat=anti((0.1, 0.2, 0.3)),
                              b_hat=(1.0, 2.0, 3.0), p_hat=0.7)
-        u = make_conformal(cp)
+        u = ConformalField(cp)
         x = np.array([0.3, -0.8, 0.6])
         G = u.grad(x)
         w = np.asarray(cp.w_axial)
@@ -167,7 +152,7 @@ class TestConformal:
 
     def test_grad_curl_is_twice_the_generator(self):
         cp = ConformalParams(w_axial=(2.0, 0.0, 0.0))
-        u = make_conformal(cp)
+        u = ConformalField(cp)
         state = kinematics(u, np.array([0.4, 0.1, -0.2]))
         W = anti(np.array(cp.w_axial))
         assert np.allclose(state.grad_curl, 2.0 * W, atol=1e-12)
@@ -194,7 +179,7 @@ def test_printed_counterexample_field_is_torsion_free():
         return np.array([x[0] ** 2 - x[1] ** 2 - x[2] ** 2,
                          2.0 * x[0] * x[1], 2.0 * x[0] * x[2]])
 
-    field = CallableField(u, name="printed-counterexample")
+    field = CallableField(u)
     rng = np.random.default_rng(55)
     for x in rng.uniform(-1.0, 1.0, (10, 3)):
         H = fd_derivative_oracle(u, x, 2)
@@ -211,27 +196,33 @@ def test_printed_counterexample_field_is_torsion_free():
     assert np.max(np.abs(g0 - g1)) > 0.5
 
 
-def test_zero_and_constant_fields():
-    z = ZeroField()
-    c = ConstantField((1.0, -2.0, 0.5))
+@pytest.mark.parametrize("spec, value, grad", [
+    ({"family": "zero"}, lambda x: np.zeros_like(x), np.zeros((3, 3))),
+    ({"family": "constant", "c": [1.0, -2.0, 0.5]},
+     lambda x: np.broadcast_to([1.0, -2.0, 0.5], x.shape), np.zeros((3, 3))),
+    ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3]},
+     lambda x: np.cross([0.1, 0.2, 0.3], x), anti([0.1, 0.2, 0.3])),
+    ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
+     lambda x: np.cross([0.1, 0.2, 0.3], x) + [1.0, 0.0, 0.0], anti([0.1, 0.2, 0.3])),
+], ids=["zero", "constant", "rigid", "rigid_b"])
+def test_low_degree_families_are_conformal_presets(spec, value, grad):
+    # u = W x + b written out: no quadratic part, no dilation
+    u = field_from_spec(spec)
+    assert type(u) is ConformalField and not u.w.any() and u.p == 0.0
     X = np.random.default_rng(0).uniform(-1, 1, (4, 3))
-    assert np.allclose(z.value(X), 0.0)
-    assert np.allclose(c.value(X) - np.array([1.0, -2.0, 0.5]), 0.0)
-    assert c.grad(X).shape == (4, 3, 3)
-    assert np.allclose(c.grad(X), 0.0)
+    assert np.allclose(u.value(X), value(X), rtol=0.0, atol=1e-15)
+    assert np.array_equal(u.grad(X), np.broadcast_to(grad, (4, 3, 3)))
+    assert not u.grad2(X).any() and not u.grad3(X).any()
+    assert u.grad2(X).shape == (4, 3, 3, 3) and u.grad3(X).shape == (4, 3, 3, 3, 3)
 
 
 def test_field_from_spec_builds_each_family():
     a_hat = anti(np.array([0.1, -0.4, 0.2]))
     cases = [
-        ({"family": "zero"}, ZeroField()),
-        ({"family": "constant", "c": [1, 2, 3]}, ConstantField((1, 2, 3))),
-        ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
-         RigidMotionField((0.1, 0.2, 0.3), b=(1, 0, 0))),
         ({"family": "polynomial", "seed": 8, "degree": 3}, make_polynomial(8, 3)),
         (json.dumps({"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "a_hat": a_hat.tolist(),
                      "b_hat": [1, 2, 3], "p_hat": 0.4}),
-         make_conformal(ConformalParams(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat,
+         ConformalField(ConformalParams(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat,
                                         b_hat=(1, 2, 3), p_hat=0.4))),
     ]
     x = np.array([0.25, -0.5, 0.75])
