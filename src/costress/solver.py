@@ -14,10 +14,11 @@ and is divergence free, so ||sym grad v||^2 = ||skw grad v||^2 =
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy  # not scipy.linalg: _tabulate loads it, so commands that never solve skip it
 from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
@@ -183,6 +184,9 @@ def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
     if order < basis.min_quadrature_order:
         raise ValueError(f"quadrature order {order} below the exactness minimum "
                          f"{basis.min_quadrature_order} for N = {basis.n_modes}")
+    # load LAPACK here, before the first Gram: loaded later, while numpy's BLAS
+    # threads still spin after a product, it took 25-60 ms longer on two cores
+    importlib.import_module("scipy.linalg")
     pts, W = basis.quadrature(order)
     sqrt_w = np.sqrt(W)
     return order, pts, sqrt_w, _dof_tables(basis, pts, sqrt_w)
@@ -341,19 +345,23 @@ def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
                     quadrature_order: int | None) -> _CosseratForms:
     basis = ClampedBasis(n_modes)
     order, pts, sqrt_w, tables = _tabulate(basis, quadrature_order)
-    half_curl = _gram(tables.half_curl)
+    elastic, grad, div = _elastic_form(params, tables)
+    # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, the skew
+    # half of Korn's equality
+    half_curl = 0.25 * (grad - div)
     curl = 0.25 * _gram(tables.curl_curl)
     # orthonormal basis of {curl u / 2 : u in span}, relative cutoff 1e-10
     vals, vecs = scipy.linalg.eigh(half_curl)
     keep = vals > 1e-10 * vals[-1]
     C = (vecs[:, keep] / np.sqrt(vals[keep])).T
+    # two GEMMs leave C curl C' symmetric to round-off only; Cholesky reads one triangle
+    curl_a = C @ curl @ C.T
     return _CosseratForms(
-        params=params, basis=basis, order=order,
-        elastic=_elastic_form(params, tables)[0],
+        params=params, basis=basis, order=order, elastic=elastic,
         half_curl=half_curl, curl=curl, mass=_gram(tables.val),
         force=_work(tables.val, loads.force(pts), sqrt_w),
         couple=_work(tables.half_curl, loads.couple(pts), sqrt_w),
-        C=C, half_curl_a=half_curl @ C.T, curl_a=C @ curl @ C.T,
+        C=C, half_curl_a=half_curl @ C.T, curl_a=0.5 * (curl_a + curl_a.T),
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,11 @@ from hypothesis import given, settings, strategies as st
 from costress import cli, solver
 from costress.cli import main, run
 from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
+from costress.fields import make_polynomial
+from costress.surfaces import SphericalCap
 from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, name, obj):
@@ -204,6 +211,29 @@ def test_bc_audit_divergence_ladder_starts_past_preasymptotic_orders(tmp_path):
     assert mono["passed"] and mono["details"]["orders"] == [8, 16, 32]
 
 
+@pytest.mark.parametrize("order, orders", [(16, [8, 16, 32]), (24, [8, 16, 24, 32])])
+def test_bc_audit_runs_each_divergence_order_once(tmp_path, monkeypatch, order, orders):
+    calls = []
+
+    def counting(field, patch, quadrature_order):
+        calls.append(quadrature_order)
+        return raw(field, patch, quadrature_order)
+
+    raw = cli.surface_divergence_check
+    monkeypatch.setattr(cli, "surface_divergence_check", counting)
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "quadrature_order": order})
+    out = tmp_path / "o"
+    assert run("bc-audit", cfg, str(out)) == 0
+    assert sorted(calls) == orders
+    report = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    # the default field and patch of seed 0, checked directly
+    u, patch = make_polynomial(0, 3), SphericalCap()
+    assert checks["surface_divergence"]["gap"] == raw(u, patch, order)[2]
+    assert checks["surface_divergence_monotone"]["details"]["gaps"] == [
+        raw(u, patch, o)[2] for o in (8, 16, 32)]
+
+
 def test_hd_postulate_report_content(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 11,
@@ -322,6 +352,46 @@ def test_main_entry_point(tmp_path, base_config):
     rc = main(["verify-kinematics", "--config", base_config,
                "--out", str(tmp_path / "o"), "--seed", "1"])
     assert rc == 0
+
+
+#: small configs of the six commands that never solve
+_NON_SOLVER = {
+    "verify-operators": {"cases": 10}, "energy-report": {"cases": 10},
+    "verify-kinematics": {"fields": 2, "points": 2, "fd_fields": 1},
+    "bc-audit": {}, "hd-postulate": {"quadrature_order": 8}, "conformal-demo": {"points": 2},
+}
+
+_RUN_IN_FRESH_INTERPRETER = """
+import json, sys
+from costress.cli import main
+jobs = json.loads(sys.argv[1])
+codes = [main([c, "--config", cfg, "--out", out]) for c, cfg, out in jobs]
+print(json.dumps({"codes": codes, "linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_only_solving_commands_load_scipy_linalg(tmp_path):
+    # the pytest process holds scipy.linalg already: each side needs a fresh
+    # interpreter, run from the source tree as `python -m costress` would be
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    jobs = [(c, _write(tmp_path, f"{c}.json", {"seed": 0, **cfg}), str(tmp_path / c))
+            for c, cfg in _NON_SOLVER.items()]
+    proc = subprocess.run([sys.executable, "-c", _RUN_IN_FRESH_INTERPRETER, json.dumps(jobs)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(jobs), "linalg": False}
+    # -X importtime lists the modules the run imports on stderr; a submodule
+    # of scipy.linalg is imported only after the package itself
+    cfg = _write(tmp_path, "bvp.json", {"seed": 0, "n_modes": 2})
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "costress", "bvp-solve",
+                           "--config", cfg, "--out", str(tmp_path / "bvp")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert any(name.startswith("scipy.linalg.") for name in imported)
+    assert (tmp_path / "bvp" / "bvp-solve.csv").is_file()
 
 
 def test_quadrature_order_override(tmp_path, base_config):

@@ -302,3 +302,40 @@ class TestCosserat:
         monkeypatch.setattr(solver, "_dof_tables", None)
         with pytest.raises(ValueError, match="two distinct"):
             cosserat_limit_sweep(PARAMS, _loads(), 2, mu_cs)
+
+
+@pytest.mark.parametrize("n, rank", [(1, 3), (2, 24), (3, 80), (4, 184), (5, 348)])
+def test_half_curl_gram_is_the_skew_half_of_korns_equality(n, rank):
+    # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, so the
+    # forms take G(curl u / 2) from the elastic Grams; against the direct Gram
+    forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
+    *_, tables = solver._tabulate(ClampedBasis(n), None)
+    assert _rel_gap(forms.half_curl, solver._gram(tables.half_curl)) <= 1e-13
+    # the rotation basis keeps the same rank, with the null floor far below
+    # the 1e-10 cutoff and the kept spectrum far above it
+    vals = scipy.linalg.eigh(forms.half_curl, eigvals_only=True)
+    kept = vals > 1e-10 * vals[-1]
+    assert forms.C.shape == (rank, 3 * n ** 3) and kept.sum() == rank
+    assert np.all(np.abs(vals[~kept]) <= 1e-12 * vals[-1])
+    assert vals[kept][0] >= 1e-8 * vals[-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_penalty_matrix_is_exactly_symmetric(monkeypatch, n):
+    # Cholesky reads one triangle, so a penalty matrix symmetric only to
+    # round-off would make the solution depend on which
+    forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
+    assert np.array_equal(forms.curl_a, forms.curl_a.T)
+    systems = []
+
+    def capturing(system):
+        systems.append(system)
+        return raw(system)
+
+    raw = solver.solve
+    monkeypatch.setattr(solver, "solve", capturing)
+    sol = solver._penalty_solve(forms, replace(PARAMS, mu_c=1e4))
+    K = systems[0].K
+    assert np.array_equal(K, K.T)
+    flipped = raw(replace(systems[0], K=K.T))
+    assert np.array_equal(flipped.coeffs, np.concatenate([sol.u_coeffs, sol.a_coeffs]))
