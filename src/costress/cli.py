@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ import scipy
 from . import __version__
 from .constitutive import LoadData, MaterialParams, couple_stress, w_curv, w_lin
 from .boundary import boundary_work_identity, hd_postulate_report
-from .fields import (fd_derivative_oracle, field_from_spec, grad_curl_from_grad2, kinematics,
-                     make_polynomial, random_conformal)
+from .fields import (PolynomialField, fd_derivative_oracle, field_from_spec,
+                     grad_curl_from_grad2, kinematics, make_polynomial, random_conformal)
 from .solver import (DegenerateCosseratError, WellPosednessError, assemble,
                      coercivity_evidence, cosserat_limit_sweep, solve)
 from .surfaces import BoxFace, SphericalCap, stokes_flux_check, surface_divergence_check
@@ -220,6 +220,8 @@ def _load_config(path: str, command: str, overrides: dict) -> tuple[dict, dict]:
 #: random cases drawn and checked per block: large enough that the per-call
 #: overhead vanishes, small enough that a block's temporaries stay near 1 MB
 _BLOCK = 1024
+#: that 1 MB, for blocks sized by the bytes their cases take
+_BLOCK_BYTES = 2 ** 20
 
 
 def _blocks(rng: np.random.Generator, cases: int, width: int):
@@ -257,21 +259,29 @@ def operator_checks(seed: int, cases: int, tolerances: dict) -> list[Check]:
 
 def kinematics_checks(seed: int, fields: int, points: int, degree: int, fd_fields: int,
                       tolerances: dict) -> list[Check]:
-    """Kinematic identities of random polynomials, the first ``fd_fields`` against FD."""
+    """Kinematic identities of random polynomials, the first ``fd_fields`` against FD.
+
+    The fields are evaluated as batches of polynomials, so many fields per
+    ``kinematics`` call; the largest temporary, the grad2 contraction of
+    27 (degree + 1)^2 doubles per point, stays near ``_BLOCK_BYTES``.
+    """
     rng = np.random.default_rng(seed)
     tol_c = tolerances["kinematics_closed"]
     tol_fd = tolerances["kinematics_fd"]
     g_curl = g_tr = g_fd = 0.0
     seeds = rng.integers(0, 2 ** 31, size=fields)
-    for i, s in enumerate(seeds):
-        u = make_polynomial(int(s), degree)
-        pts = rng.uniform(0.05, 0.95, (points, 3))
+    per_block = max(1, _BLOCK_BYTES // (8 * points * 27 * (degree + 1) ** 2))
+    for start in range(0, fields, per_block):
+        u = make_polynomial(seeds[start:start + per_block], degree)
+        pts = rng.uniform(0.05, 0.95, (len(u.coeffs), points, 3))
         state = kinematics(u, pts)
         g_curl = max(g_curl, float(np.max(np.abs(state.curl_u - 2.0 * state.axl_skw_grad))))
         g_tr = max(g_tr, float(np.max(np.abs(tr(state.grad_curl)))))
-        if i < fd_fields:
-            M_fd = grad_curl_from_grad2(fd_derivative_oracle(u, pts[0], 2))
-            g_fd = max(g_fd, float(np.max(np.abs(M_fd - state.grad_curl[0]))))
+        # the oracle runs field by field: FD on a batch rounds differently
+        for f in range(min(len(u.coeffs), fd_fields - start)):
+            u_f = PolynomialField(u.coeffs[f])
+            M_fd = grad_curl_from_grad2(fd_derivative_oracle(u_f, pts[f, 0], 2))
+            g_fd = max(g_fd, float(np.max(np.abs(M_fd - state.grad_curl[f, 0]))))
     return [
         Check.within("curl_vs_axl_skw_grad", g_curl, tol_c),
         Check.within("grad_curl_trace_free", g_tr, tol_c),
@@ -519,7 +529,7 @@ def _write_outputs(out_dir: Path, command: str, job: dict, checks: list[Check],
     report = {
         "command": command,
         "job": _jsonable(job),
-        "checks": [_jsonable(asdict(c)) for c in checks],
+        "checks": [_jsonable(vars(c)) for c in checks],
         "environment": {
             "package_version": __version__,
             "numpy_version": np.__version__,

@@ -7,8 +7,10 @@ finite-difference oracle.  The same oracle doubles as the independent
 cross-check for every closed form.
 
 Evaluations take points of shape (..., 3) and broadcast over the leading
-axes; a single point is a batch of one.  :func:`fd_partial` is the one
-finite-difference stencil of the package.
+axes; a single point is a batch of one.  Polynomials also come in batches
+of fields: their coefficients carry leading field axes, which pair with
+the leading axes of the points, and a single field is a batch of none.
+:func:`fd_partial` is the one finite-difference stencil of the package.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -158,25 +161,38 @@ class DisplacementField:
 
 
 class PolynomialField(DisplacementField):
-    """Trivariate vector polynomial with closed-form derivatives."""
+    """Trivariate vector polynomial with closed-form derivatives.
+
+    The coefficients have shape (..., 3, n, n, n): component, then the
+    powers of x1, x2 and x3.  Leading axes are *field* axes, one field per
+    index, and pair with the leading axes of the points: field f is
+    evaluated at ``x[f]``, so coefficients (F, 3, n, n, n) take points
+    (F, P, 3) or (F, 3).  A single field is a batch of none.
+    """
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != 4 or coeffs.shape[0] != 3:
-            raise ValueError("coefficients must have shape (3, d+1, d+1, d+1)")
+        if coeffs.ndim < 4 or coeffs.shape[-4] != 3 or len(set(coeffs.shape[-3:])) != 1:
+            raise ValueError(f"coefficients must have shape (..., 3, n, n, n), got {coeffs.shape}")
         self.coeffs = coeffs
-        # stacked coefficient tensors, derivative axes first: C1[i, a],
-        # C2[i, a, b], C3[i, a, b, c] all hold (D, D, D) monomial blocks,
-        # zero padded so one contraction evaluates every component at once;
-        # C3 is built on the first grad3 call
-        self._D = coeffs.shape[1]
-        self._C0 = coeffs
-        self._C1 = np.stack([self._der_block(self._C0, a) for a in range(3)], axis=1)
-        self._C2 = np.stack([self._der_block(self._C1, a) for a in range(3)], axis=2)
+        self._D = coeffs.shape[-1]
+
+    # stacked coefficient tensors, derivative axes after the component:
+    # C1[..., i, a], C2[..., i, a, b], C3[..., i, a, b, c] all hold (D, D, D)
+    # monomial blocks, zero padded so one contraction evaluates every
+    # component at once; each is built on first use
+
+    @functools.cached_property
+    def _C1(self) -> NDArray:
+        return np.stack([self._der_block(self.coeffs, a) for a in range(3)], axis=-4)
+
+    @functools.cached_property
+    def _C2(self) -> NDArray:
+        return np.stack([self._der_block(self._C1, a) for a in range(3)], axis=-4)
 
     @functools.cached_property
     def _C3(self) -> NDArray:
-        return np.stack([self._der_block(self._C2, a) for a in range(3)], axis=3)
+        return np.stack([self._der_block(self._C2, a) for a in range(3)], axis=-4)
 
     @staticmethod
     def _der_block(C: NDArray, axis: int) -> NDArray:
@@ -190,21 +206,26 @@ class PolynomialField(DisplacementField):
         return out
 
     def _contract(self, C: NDArray, x: NDArray) -> NDArray:
-        """sum_ijk C[..., i, j, k] x1^i x2^j x3^k at points x (..., 3); the
-        leading axes of C become the trailing axes of the result.  The
-        monomial axes are contracted one at a time by matrix products."""
-        D = self._D
-        P = np.asarray(x, dtype=float)[..., None] ** np.arange(D)   # (..., 3, D)
+        """sum_ijk C[f, ..., i, j, k] x1^i x2^j x3^k at the points x[f] (..., 3)
+        of each field f; the axes of C between its field and monomial axes
+        become the trailing axes of the result.  The monomial axes are
+        contracted one at a time by matrix products, stacked over fields."""
+        D, fields = self._D, self.coeffs.shape[:-4]
+        x = np.asarray(x, dtype=float)
+        if x.ndim <= len(fields) or x.shape[:len(fields)] != fields:
+            raise ValueError(f"points of shape {x.shape} do not lead with the field axes {fields}")
+        P = x[..., None] ** np.arange(D)                     # (F..., P..., 3, D)
         lead = P.shape[:-2]
-        P = P.reshape(-1, 3, D)
-        n = len(P)
-        v = P[:, 2, :] @ C.reshape(-1, D).T                 # (n, q * D * D), k summed
-        v = v.reshape(n, -1, D) @ P[:, 1, :, None]          # (n, q * D, 1), j summed
-        v = v.reshape(n, -1, D) @ P[:, 0, :, None]          # (n, q, 1), i summed
-        return v.reshape(lead + C.shape[:-3])
+        F = math.prod(fields)
+        P = P.reshape(F, -1, 3, D)
+        n = P.shape[1]
+        v = P[:, :, 2, :] @ C.reshape(F, -1, D).transpose(0, 2, 1)  # (F, n, q * D * D), k summed
+        v = v.reshape(F, n, -1, D) @ P[:, :, 1, :, None]             # (F, n, q * D, 1), j summed
+        v = v.reshape(F, n, -1, D) @ P[:, :, 0, :, None]             # (F, n, q, 1), i summed
+        return v.reshape(lead + C.shape[len(fields):-3])
 
     def value(self, x):
-        return self._contract(self._C0, x)
+        return self._contract(self.coeffs, x)
 
     def grad(self, x):
         return self._contract(self._C1, x)
@@ -216,19 +237,34 @@ class PolynomialField(DisplacementField):
         return self._contract(self._C3, x)
 
 
-def make_polynomial(seed: int, degree: int) -> PolynomialField:
-    """Deterministic random vector polynomial of total degree <= degree."""
+def make_polynomial(seed: int | NDArray, degree: int) -> PolynomialField:
+    """Deterministic random vector polynomial of total degree <= degree.
+
+    ``seed`` is one seed, or a 1-D array of F seeds for a batch of F fields
+    (coefficients (F, 3, n, n, n)) whose field f is the polynomial of
+    ``seed[f]``, drawn and damped exactly as on its own.
+    """
     if not 0 <= degree <= 6:
         raise ValueError(f"polynomial degree must be in [0, 6], got {degree}")
-    rng = np.random.default_rng(seed)
+    if np.ndim(seed) > 1:
+        raise ValueError(f"seed must be one seed or a 1-D array of seeds, got {np.shape(seed)}")
     n = degree + 1
-    coeffs = rng.uniform(-1.0, 1.0, size=(3, n, n, n))
+    seeds = seed if np.ndim(seed) else [seed]
+    coeffs = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, size=(3, n, n, n))
+                       for s in seeds])
     i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
     total = i + j + k
-    coeffs[:, total > degree] = 0.0
+    coeffs[..., total > degree] = 0.0
     # damp high-order terms so values stay O(1) on the unit box
     coeffs /= 1.0 + total
-    return PolynomialField(coeffs)
+    return PolynomialField(coeffs if np.ndim(seed) else coeffs[0])
+
+
+def _polynomial(seed, degree) -> PolynomialField:
+    """The polynomial of a field spec: one field, so one seed."""
+    if np.ndim(seed):
+        raise ValueError(f"a polynomial field takes one seed, got {seed!r}")
+    return make_polynomial(seed, degree)
 
 
 @dataclass(frozen=True)
@@ -399,7 +435,7 @@ _FIELD_BUILDERS = {
     "zero": (lambda: _rigid(np.zeros(3)), ()),
     "constant": (lambda c: _rigid(np.zeros(3), _finite("c", c, (3,))), ("c",)),
     "rigid": (_rigid, ("w_axial", "b")),
-    "polynomial": (make_polynomial, ("seed", "degree")),
+    "polynomial": (_polynomial, ("seed", "degree")),
     "conformal": (lambda **p: ConformalField(ConformalParams(**p)),
                   ("w_axial", "a_hat", "b_hat", "p_hat")),
 }

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from costress import cli, solver
 from costress.cli import main, run
 from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
-from costress.fields import make_polynomial
+from costress.fields import (fd_derivative_oracle, grad_curl_from_grad2, kinematics,
+                             make_polynomial)
 from costress.surfaces import SphericalCap
-from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner
+from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner, tr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -529,3 +531,46 @@ def test_blocked_checks_match_the_per_case_reference(seed):
         assert abs(c.gap - g) <= 2.2e-15 and c.passed == (g <= 1e-12), c.name
         assert type(c.value) is float and type(c.gap) is float
     assert [c.value for c in energy[2:]] == ref_nonneg
+
+
+def _kinematics_gaps_per_field(seed, fields, points, degree, fd_fields):
+    """Reference: the gaps of kinematics_checks, one field at a time."""
+    rng = np.random.default_rng(seed)
+    g_curl = g_tr = g_fd = 0.0
+    for i, s in enumerate(rng.integers(0, 2 ** 31, size=fields)):
+        u = make_polynomial(int(s), degree)
+        pts = rng.uniform(0.05, 0.95, (points, 3))
+        state = kinematics(u, pts)
+        g_curl = max(g_curl, float(np.max(np.abs(state.curl_u - 2.0 * state.axl_skw_grad))))
+        g_tr = max(g_tr, float(np.max(np.abs(tr(state.grad_curl)))))
+        if i < fd_fields:
+            M_fd = grad_curl_from_grad2(fd_derivative_oracle(u, pts[0], 2))
+            g_fd = max(g_fd, float(np.max(np.abs(M_fd - state.grad_curl[0]))))
+    return [g_curl, g_tr, g_fd]
+
+
+# (degree, points, fields, fd_fields): three blocks, the last one partial,
+# every field against FD; one point per field, one block and a field more
+@pytest.mark.parametrize("degree, points, fields, fd_fields",
+                         [(4, 20, 2 * 9 + 5, 30), (6, 1, 99 + 1, 3)])
+def test_kinematics_checks_match_the_per_field_loop(degree, points, fields, fd_fields):
+    per_block = cli._BLOCK_BYTES // (8 * points * 27 * (degree + 1) ** 2)
+    assert fields % per_block and fields > per_block
+    tol = {"kinematics_closed": 1e-12, "kinematics_fd": 1e-8}
+    for seed in range(10):
+        checks = cli.kinematics_checks(seed, fields, points, degree, fd_fields, tol)
+        assert [c.gap for c in checks] == _kinematics_gaps_per_field(
+            seed, fields, points, degree, fd_fields), seed
+
+
+def test_kinematics_checks_memory_stays_blocked():
+    # unblocked, the grad2 contraction alone would hold 200 * 20 * 27 * 49
+    # doubles, 42 MB; blocked it holds about 1 MB
+    tol = {"kinematics_closed": 1e-12, "kinematics_fd": 1e-8}
+    tracemalloc.start()
+    try:
+        cli.kinematics_checks(0, 200, 20, 6, 3, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

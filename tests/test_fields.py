@@ -71,6 +71,51 @@ def test_polynomial_batch_evaluation_consistent():
     assert np.allclose(u.grad3(X), np.stack([u.grad3(x) for x in X]))
 
 
+@pytest.mark.parametrize("points", [(5, 3), (5, 4, 3)], ids=["(F,3)", "(F,P,3)"])
+@pytest.mark.parametrize("degree", range(7))
+def test_a_field_batch_equals_its_fields_bit_for_bit(degree, points):
+    seeds = np.random.default_rng(degree).integers(0, 2 ** 31, size=points[0])
+    batch = make_polynomial(seeds, degree)
+    fields = [make_polynomial(int(s), degree) for s in seeds]
+    x = np.random.default_rng(7).uniform(0.05, 0.95, points)
+    for name in ("value", "grad", "grad2", "grad3"):
+        stacked = np.stack([getattr(u, name)(p) for u, p in zip(fields, x)])
+        assert np.array_equal(getattr(batch, name)(x), stacked), name
+
+
+def test_make_polynomial_of_seeds_stacks_each_seeds_field():
+    seeds = np.array([3, 0, 2 ** 31 - 1, 3])
+    batch = make_polynomial(seeds, 4)
+    assert batch.coeffs.shape == (4, 3, 5, 5, 5)
+    for row, s in zip(batch.coeffs, seeds):
+        assert np.array_equal(row, make_polynomial(int(s), 4).coeffs)
+    with pytest.raises(ValueError):
+        make_polynomial(seeds.reshape(2, 2), 4)
+
+
+def test_fields_may_carry_several_field_axes():
+    batch = make_polynomial(np.arange(6), 3)
+    grid = PolynomialField(batch.coeffs.reshape(2, 3, 3, 4, 4, 4))
+    x = np.random.default_rng(2).uniform(0.05, 0.95, (2, 3, 5, 3))
+    assert grid.grad2(x).shape == (2, 3, 5, 3, 3, 3)
+    assert np.array_equal(grid.grad2(x).reshape(6, 5, 3, 3, 3), batch.grad2(x.reshape(6, 5, 3)))
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros((3, 3, 3)), np.zeros((2, 3, 3, 3)),
+                                    np.zeros((3, 3, 3, 2)), np.zeros((4, 2, 3, 3, 3))],
+                         ids=["no_component", "two_components", "not_a_cube", "batch_of_pairs"])
+def test_polynomial_coefficients_of_a_bad_shape_are_rejected(coeffs):
+    with pytest.raises(ValueError):
+        PolynomialField(coeffs)
+
+
+@pytest.mark.parametrize("points", [(3,), (1, 3), (4, 3), (2, 3, 3)])
+def test_points_must_lead_with_the_field_axes(points):
+    u = make_polynomial(np.arange(3), 2)
+    with pytest.raises(ValueError, match="field axes"):
+        u.grad(np.zeros(points))
+
+
 def test_make_polynomial_is_deterministic_and_degree_capped():
     a = make_polynomial(42, 3)
     b = make_polynomial(42, 3)
@@ -236,6 +281,7 @@ def test_field_from_spec_builds_each_family():
 
 @pytest.mark.parametrize("spec", [
     {"family": "polynomial", "seed": 1, "degree": 3, "typo_key": 5},
+    {"family": "polynomial", "seed": [1, 2], "degree": 3},
     {"family": "zero", "c": [1, 2, 3]},
     {"family": "constant", "c": [1, 2, float("inf")]},
     {"family": "rigid", "w_axial": [0, 0, 1], "b": [1, 2]},
@@ -254,9 +300,11 @@ def test_field_spec_checked(spec):
         field_from_spec(spec)
 
 
-def test_polynomial_third_derivatives_built_on_first_use():
+def test_polynomial_derivatives_built_on_first_use():
     u = make_polynomial(12, 4)
     x = np.random.default_rng(1).uniform(0.0, 1.0, (5, 3))
+    u.value(x)
+    assert not {"_C1", "_C2", "_C3"} & set(vars(u))   # values need no derivative block
     kinematics(u, x)
     assert "_C3" not in vars(u)   # kinematics never reads third derivatives
     eager = np.stack([u._der_block(u._C2, a) for a in range(3)], axis=3)

@@ -60,7 +60,7 @@ class TestBasis:
         z = np.random.default_rng(n).normal(size=basis.n_dofs)
         P = basis.coeffs_1d
         ref = np.einsum("cabg,ai,bj,gk->cijk", z.reshape(3, n, n, n), P, P, P)
-        got = basis.solution_field(z)._C0
+        got = basis.solution_field(z).coeffs
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
