@@ -220,8 +220,9 @@ class PolynomialField(DisplacementField):
         P = P.reshape(F, -1, 3, D)
         n = P.shape[1]
         v = P[:, :, 2, :] @ C.reshape(F, -1, D).transpose(0, 2, 1)  # (F, n, q * D * D), k summed
-        v = v.reshape(F, n, -1, D) @ P[:, :, 1, :, None]             # (F, n, q * D, 1), j summed
-        v = v.reshape(F, n, -1, D) @ P[:, :, 0, :, None]             # (F, n, q, 1), i summed
+        # explicit sizes: with no points, a -1 could not be inferred
+        v = v.reshape(F, n, v.shape[2] // D, D) @ P[:, :, 1, :, None]  # (F, n, q * D, 1), j summed
+        v = v.reshape(F, n, v.shape[2] // D, D) @ P[:, :, 0, :, None]  # (F, n, q, 1), i summed
         return v.reshape(lead + C.shape[len(fields):-3])
 
     def value(self, x):
@@ -357,7 +358,7 @@ class CallableField(DisplacementField):
     def value(self, x):
         x = np.asarray(x, dtype=float)
         rows = [np.asarray(self._func(row), dtype=float) for row in x.reshape(-1, 3)]
-        out = np.reshape(rows, x.shape[:-1] + rows[0].shape)
+        out = np.reshape(rows, x.shape[:-1] + (3,))
         if not np.all(np.isfinite(out)):
             raise NumericDomainError(f"field evaluation non-finite at {x}")
         return out

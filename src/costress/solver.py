@@ -3,7 +3,9 @@ problem and its Cosserat penalty approximation.
 
 The displacement ansatz is a tensor product of squared-bubble times
 Legendre polynomials, which is conforming for the clamped problem
-(u = 0 and grad u . n = 0 on the boundary).  Everything is assembled
+(u = 0 and grad u . n = 0 on the boundary).  One tabulation of its 1d
+Legendre series by Clenshaw recurrence, with no power coefficients, gives
+both the quadrature tables and the solution fields.  Everything is assembled
 with tensorized Gauss quadrature that is exact for the polynomial
 integrands at the default order, from tables that carry the square roots
 of the weights.  On the clamped span, ||grad u||^2 = 2 ||sym grad u||^2 -
@@ -14,17 +16,19 @@ and is divergence free, so ||sym grad v||^2 = ||skw grad v||^2 =
 
 from __future__ import annotations
 
+import functools
 import importlib
+import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 import scipy  # not scipy.linalg: _tabulate loads it, so commands that never solve skip it
-from numpy.polynomial import legendre as nleg
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import Legendre
+from numpy.polynomial.legendre import legder, leggauss, legval
 from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
-from .fields import PolynomialField
+from .fields import DisplacementField
 from .tensors import tr
 
 __all__ = [
@@ -43,10 +47,6 @@ __all__ = [
     "solve",
 ]
 
-#: coefficients of the clamping window x^2 (1 - x)^2 in the power basis
-_BUBBLE = np.array([0.0, 0.0, 1.0, -2.0, 1.0])
-
-
 class WellPosednessError(RuntimeError):
     """The assembled stiffness matrix is not positive definite."""
 
@@ -63,7 +63,8 @@ class ClampedBasis:
     """Tensor-product polynomial basis with clamped boundary values.
 
     One-dimensional modes are beta_k(x) = x^2 (1-x)^2 P_k(2x - 1) for
-    k = 0..N-1; every mode and its first derivative vanish at x = 0, 1.
+    k = 0..N-1, as Legendre series on [0, 1]; every mode and its first
+    derivative vanish at x = 0, 1.
     Scalar modes are the N^3 tensor products, vector modes attach a
     Cartesian direction (component-major ordering).
     """
@@ -74,11 +75,12 @@ class ClampedBasis:
         self.n_modes = int(n_modes)
         self.n_scalar = self.n_modes ** 3
         self.n_dofs = 3 * self.n_scalar
-        #: 1d power-basis coefficients, shape (N, N + 4)
-        self.coeffs_1d = np.zeros((self.n_modes, self.n_modes + 4))
+        bubble = Legendre.fromroots([0.0, 0.0, 1.0, 1.0], domain=[0.0, 1.0])
+        #: Legendre coefficients of the 1d modes in t = 2x - 1, one column per mode
+        self._coef = np.zeros((self.n_modes + 4, self.n_modes))
         for k in range(self.n_modes):
-            leg = nleg.Legendre.basis(k, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
-            self.coeffs_1d[k, : k + 5] = npoly.polymul(_BUBBLE, leg.coef)
+            c = (bubble * Legendre.basis(k, domain=[0.0, 1.0])).coef
+            self._coef[: len(c), k] = c
 
     # -- quadrature ---------------------------------------------------------
 
@@ -89,52 +91,55 @@ class ClampedBasis:
 
     def quadrature(self, order: int):
         """Tensorized Gauss rule on the unit cube: (points, weights)."""
-        x, w = np.polynomial.legendre.leggauss(order)
-        x = 0.5 * (x + 1.0)
-        w = 0.5 * w
-        X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-        W = np.einsum("i,j,k->ijk", w, w, w).ravel()
-        return pts, W
+        x, w = leggauss(order)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+        pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+        return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()
 
     # -- tabulation ----------------------------------------------------------
 
-    def _tables_1d(self, nodes: NDArray):
-        """(values, d1, d2) of all 1d modes at the nodes, each (N, len)."""
-        return tuple(np.array([npoly.polyval(nodes, npoly.polyder(c, m)) for c in self.coeffs_1d])
-                     for m in range(3))
+    def derivatives(self, pts: NDArray, order: int, z: NDArray | None = None) -> NDArray:
+        """Partial derivatives of one order (0: values) at points (..., 3): of every
+        scalar mode, shape (M, ...) + (3,) * order with M = N^3, or, given coefficients
+        z (3 M), of the field sum_p z_p u_p, shape (..., 3) + (3,) * order.  Each distinct
+        partial is one tensor product of 1d tables; its symmetric entries are copies."""
+        pts = np.asarray(pts, dtype=float)
+        lead, x, n = pts.shape[:-1], pts.reshape(-1, 3), self.n_modes
+        # tabs[d][k]: k-th derivative of each 1d mode at coordinate d, (N, Q); a Gauss grid
+        # has only Q^(1/3) distinct values per coordinate, so the series run on those
+        tabs = []
+        for d in range(3):
+            nodes, at = np.unique(x[:, d], return_inverse=True)
+            tabs.append([legval(2.0 * nodes - 1.0, legder(self._coef, k, scl=2.0)).take(at, axis=1)
+                         for k in range(order + 1)])
+        if z is None:  # every scalar mode
+            spec, head, flat, shape = "aq,bq,gq->abgq", (), (n ** 3, len(x)), (n ** 3,) + lead
+        else:          # one vector field
+            spec, head, flat, shape = "cabg,aq,bq,gq->qc", (np.reshape(z, (3, n, n, n)),), \
+                (len(x), 3), lead + (3,)
+        out = np.empty(flat + (3,) * order)
+        for combo in itertools.combinations_with_replacement(range(3), order):
+            v = np.einsum(spec, *head, *(tabs[d][combo.count(d)] for d in range(3)), optimize=True)
+            for perm in set(itertools.permutations(combo)):
+                out[(..., *perm)] = v.reshape(flat)
+        return out.reshape(shape + (3,) * order)
 
     def scalar_tables(self, pts: NDArray):
-        """Scalar mode tables at arbitrary points of the cube.
+        """Scalar mode tables (B, dB, d2B) at points (Q, 3): (M, Q), (M, Q, 3), (M, Q, 3, 3)."""
+        return tuple(self.derivatives(pts, k) for k in range(3))
 
-        Returns (B, dB, d2B) with shapes (M, Q), (M, Q, 3), (M, Q, 3, 3)
-        where M = N^3.
-        """
-        tabs = [self._tables_1d(pts[:, d]) for d in range(3)]
-        Q, M = pts.shape[0], self.n_scalar
+    def solution_field(self, z: NDArray) -> DisplacementField:
+        """Displacement field sum_p z_p u_p of a coefficient vector (3 M)."""
+        return _BasisField(self, np.asarray(z, dtype=float))
 
-        def deriv(*axes):
-            # tensor product with one derivative along each listed axis
-            fx, fy, fz = (tabs[d][axes.count(d)] for d in range(3))
-            return np.einsum("aq,bq,cq->abcq", fx, fy, fz).reshape(M, Q)
 
-        dB = np.empty((M, Q, 3))
-        d2B = np.empty((M, Q, 3, 3))
-        for a in range(3):
-            dB[:, :, a] = deriv(a)
-            for b in range(3):
-                d2B[:, :, a, b] = deriv(a, b)
-        return deriv(), dB, d2B
+class _BasisField(DisplacementField):
+    """The field sum_p z_p u_p of a clamped basis: its value and each gradient
+    contract z with the basis tabulation."""
 
-    def solution_field(self, z: NDArray) -> PolynomialField:
-        """Displacement field of a coefficient vector, as a closed-form
-        polynomial field."""
-        z = np.asarray(z, dtype=float).reshape(3, self.n_modes, self.n_modes, self.n_modes)
-        coeffs = z
-        for _ in range(3):
-            # contract the leading mode axis; its monomial axis goes last
-            coeffs = np.tensordot(coeffs, self.coeffs_1d, axes=(1, 0))
-        return PolynomialField(coeffs)
+    def __init__(self, basis: ClampedBasis, z: NDArray):
+        self.value, self.grad, self.grad2, self.grad3 = (
+            functools.partial(basis.derivatives, order=k, z=z) for k in range(4))
 
 
 @dataclass
@@ -259,7 +264,6 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
 @dataclass
 class GalerkinSolution:
     coeffs: NDArray
-    field: PolynomialField | None
     energy: float
     residual: float
 
@@ -288,11 +292,7 @@ def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolutio
     z = scipy.linalg.cho_solve(cf, b)
     res = np.linalg.norm(K @ z - b) / max(1.0, np.linalg.norm(b))
     energy = float(0.5 * z @ (K @ z) - b @ z)
-    # mixed systems carry extra dofs; only a pure displacement vector
-    # reconstructs to a field
-    field = system.basis.solution_field(z) if z.size == system.basis.n_dofs else None
-    return GalerkinSolution(coeffs=z, field=field,
-                            energy=energy, residual=float(res))
+    return GalerkinSolution(coeffs=z, energy=energy, residual=float(res))
 
 
 def coercivity_evidence(system: GalerkinSystem) -> float:
@@ -317,7 +317,6 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
 class CosseratSolution:
     u_coeffs: NDArray
     a_coeffs: NDArray
-    field: PolynomialField
     energy: float
 
 
@@ -390,8 +389,7 @@ def _penalty_solve(forms: _CosseratForms, params: MaterialParams) -> CosseratSol
     sol = solve(GalerkinSystem(params=params, basis=forms.basis, K=2.0 * A,
                                M=np.eye(len(rhs)), b=rhs, quadrature_order=forms.order))
     z_u, z_a = sol.coeffs[:D], sol.coeffs[D:]
-    return CosseratSolution(u_coeffs=z_u, a_coeffs=z_a,
-                            field=forms.basis.solution_field(z_u), energy=sol.energy)
+    return CosseratSolution(u_coeffs=z_u, a_coeffs=z_a, energy=sol.energy)
 
 
 def _constrained_solve(forms: _CosseratForms) -> GalerkinSolution:

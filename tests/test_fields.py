@@ -17,6 +17,7 @@ from costress.fields import (
     make_polynomial,
     random_conformal,
 )
+from costress.solver import ClampedBasis
 from costress.tensors import EPS3, anti, skw
 
 
@@ -173,6 +174,21 @@ def test_kinematics_of_a_batch_equals_its_points(shape):
     for idx in np.ndindex(*shape):
         for name, value in vars(kinematics(u, x[idx])).items():
             assert np.array_equal(getattr(state, name)[idx], value), name
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5, 3), (0, 3)], ids=["point", "grid", "empty"])
+@pytest.mark.parametrize("family", ["polynomial", "conformal", "rigid", "basis", "callable"])
+def test_every_field_family_keeps_the_point_shape(family, shape):
+    u = {
+        "polynomial": lambda: make_polynomial(3, 4),
+        "conformal": lambda: random_conformal(3),
+        "rigid": lambda: field_from_spec({"family": "rigid", "w_axial": [0.1, 0.2, 0.3]}),
+        "basis": lambda: ClampedBasis(2).solution_field(np.arange(24.0)),
+        "callable": lambda: CallableField(lambda p: p * p[::-1]),
+    }[family]()
+    x = np.random.default_rng(0).uniform(0.05, 0.95, shape)
+    for order, name in enumerate(("value", "grad", "grad2", "grad3")):
+        assert getattr(u, name)(x).shape == shape + (3,) * order, name
 
 
 class TestConformal:

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 
 from costress import solver
-from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
-from costress.fields import grad_curl_from_grad2
+from costress.constitutive import LoadData, MaterialParams, equilibrium_residual, w_curv, w_lin
+from costress.fields import fd_derivative_oracle, grad_curl_from_grad2
 from costress.tensors import EPS3, skw, sym, tr
 from costress.solver import (
     ClampedBasis,
@@ -55,13 +55,23 @@ class TestBasis:
         assert ClampedBasis(3).n_dofs == 81
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_solution_field_matches_one_einsum(self, n):
+    def test_solution_field_matches_fd_and_the_tables(self, n):
+        # each derivative of sum_p z_p u_p against the FD oracle, and the
+        # value, gradient and second gradient against the scalar tables
+        # contracted with z
         basis = ClampedBasis(n)
         z = np.random.default_rng(n).normal(size=basis.n_dofs)
-        P = basis.coeffs_1d
-        ref = np.einsum("cabg,ai,bj,gk->cijk", z.reshape(3, n, n, n), P, P, P)
-        got = basis.solution_field(z).coeffs
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        u = basis.solution_field(z)
+        x = np.random.default_rng(10 + n).uniform(0.05, 0.95, (5, 3))
+        derivs = [u.value(x), u.grad(x), u.grad2(x), u.grad3(x)]
+        zc = z.reshape(3, basis.n_scalar)
+        for order, (got, table) in enumerate(zip(derivs, basis.scalar_tables(x))):
+            ref = np.moveaxis(np.tensordot(zc, table, axes=(1, 0)), 0, 1)
+            assert got.shape == (5,) + (3,) * (order + 1)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), order
+        for order, tol in ((1, 1e-11), (2, 1e-9), (3, 1e-6)):
+            ref = fd_derivative_oracle(u, x, order)
+            assert np.max(np.abs(derivs[order] - ref)) <= tol * np.max(np.abs(ref)), order
 
 
 def _tables(n):
@@ -148,7 +158,7 @@ class TestSolve:
         B, _, _ = system.basis.scalar_tables(x[None, :])
         M = system.basis.n_scalar
         direct = np.array([sol.coeffs[c * M:(c + 1) * M] @ B[:, 0] for c in range(3)])
-        assert np.allclose(sol.field.value(x), direct, atol=1e-12)
+        assert np.allclose(system.basis.solution_field(sol.coeffs).value(x), direct, atol=1e-12)
 
     def test_non_spd_raises_with_eigenvalue(self, system):
         bad = assemble(PARAMS, _loads(), 2)
@@ -206,19 +216,39 @@ def test_stiffness_is_the_constitutive_form_and_depends_on_alpha1_plus_alpha2(re
     assert system.korn == pytest.approx(korn, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
 def test_solution_energy_equals_the_constitutive_integral(regime, n):
     # z'Kz/2 at the solution against the quadrature of w_lin + w_curv on the
-    # solution's polynomial field at the solver's points: solver against
-    # constitutive with nothing shared but the basis
+    # solution field at the solver's points: solver against constitutive
+    # with nothing shared but the basis
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     system = assemble(p, _loads(), n)
     z = solve(system).coeffs
     u = system.basis.solution_field(z)
     pts, W = system.basis.quadrature(system.quadrature_order)
-    density = w_lin(p, u.grad(pts)).value + w_curv(p, grad_curl_from_grad2(u.grad2(pts))).value
-    assert 0.5 * z @ system.K @ z == pytest.approx(W @ density, rel=1e-8)
+    M = grad_curl_from_grad2(u.grad2(pts))
+    assert np.max(np.abs(tr(M))) <= 1e-15
+    density = w_lin(p, u.grad(pts)).value + w_curv(p, M).value
+    assert 0.5 * z @ system.K @ z == pytest.approx(W @ density, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_load_of_a_manufactured_solution_is_its_stiffness_image(regime, n):
+    # the strong force f* = -Div(sigma - tau)(u*) of a field u* in the span,
+    # integrated against the basis, is K z*: the load vector and K against
+    # the field equations, and solve recovers z*
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    basis = ClampedBasis(n)
+    z_star = np.random.default_rng(n).normal(size=basis.n_dofs)
+    u_star = basis.solution_field(z_star)
+    loads = LoadData(f=lambda x: -equilibrium_residual(p, u_star, LoadData(), x))
+    system = assemble(p, loads, n)
+    Kz = system.K @ z_star
+    assert np.linalg.norm(system.b - Kz) <= 1e-12 * np.linalg.norm(Kz)
+    z = solve(system).coeffs
+    assert np.linalg.norm(z - z_star) <= 1e-12 * np.linalg.norm(z_star)
 
 
 class TestKorn:
