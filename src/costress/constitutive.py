@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import (
-    DisplacementField,
-    NumericDomainError,
-    fd_partial,
-    grad_curl_from_grad2,
-)
+from .fields import DisplacementField, NumericDomainError, grad_curl_from_grad2
 from .tensors import ID3, anti, dev, inner, is_traceless, skw, sym, tr
 
 __all__ = [
@@ -250,26 +245,23 @@ def equilibrium_residual(
     field: DisplacementField,
     loads: LoadData,
     x: NDArray,
-    h: float = 1e-3,
 ) -> NDArray:
-    """Residual Div(sigma - tau) + f at points x of shape (..., 3).
+    """Residual Div(sigma - tau) + f at points x of shape (..., 3), from the
+    field's second and fourth gradients.
 
-    Div tau needs fourth derivatives of u; it is obtained by finite
-    differences on the nonlocal stress field (which itself uses
-    closed-form third derivatives where available).
+    The field equations depend on alpha1 + alpha2 only: Div (grad curl u)^T =
+    grad div curl u = 0, so Div m = mu L_c^2 (alpha1 + alpha2) Lap curl u / 2
+    whatever the split, and Div tau = -curl Div m / 2 =
+    k (Lap Lap u - grad div Lap u) with k = mu L_c^2 (alpha1 + alpha2) / 4.
     """
     x = np.asarray(x, dtype=float)
     H = field.grad2(x)
+    Q = field.grad4(x)
     div_sigma = (params.mu * np.einsum("...ijj->...i", H)
                  + (params.mu + params.lam) * np.einsum("...jij->...i", H))
-
-    def tau_field(y):
-        return stresses(params, field, y).tau_tilde
-
-    hh = h * (1.0 + np.linalg.norm(x, axis=-1))
-    div_tau = sum(fd_partial(tau_field, x, (j,), hh)[..., :, j] for j in range(3))
+    k = 0.25 * params.mu * params.L_c ** 2 * (params.alpha1 + params.alpha2)
+    div_tau = k * (np.einsum("...iaabb->...i", Q) - np.einsum("...jjiaa->...i", Q))
     res = div_sigma - div_tau + loads.force(x)
     if not np.all(np.isfinite(res)):
         raise NumericDomainError(f"non-finite equilibrium residual at {x}")
     return res
-

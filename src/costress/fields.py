@@ -1,10 +1,11 @@
-"""Displacement fields with derivative evaluation up to third order.
+"""Displacement fields with derivative evaluation up to fourth order.
 
 Two families carry closed-form derivatives: seeded polynomials and
 infinitesimal conformal maps, whose presets also give the zero, constant
 and rigid-motion fields.  Arbitrary callables fall back to a
 finite-difference oracle.  The same oracle doubles as the independent
-cross-check for every closed form.
+cross-check for every closed form; no other evaluation path differentiates
+a field numerically.
 
 Evaluations take points of shape (..., 3) and broadcast over the leading
 axes; a single point is a batch of one.  Polynomials also come in batches
@@ -15,7 +16,6 @@ the leading axes of the points, and a single field is a batch of none.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -53,7 +53,7 @@ class NumericDomainError(ArithmeticError):
 
 # Base step per derivative order; tuned so that after one Richardson
 # level truncation and roundoff balance in double precision.
-_FD_BASE_STEP = {1: 1e-3, 2: 4e-3, 3: 1.5e-2}
+_FD_BASE_STEP = {1: 1e-3, 2: 4e-3, 3: 1.5e-2, 4: 1e-2}
 
 # 4th-order central first-derivative stencil (center weight is zero).
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -100,11 +100,11 @@ def fd_derivative_oracle(field, x: NDArray, order: int) -> NDArray:
         A :class:`DisplacementField` or a plain callable ``x -> (3,)``,
         which is evaluated point by point through :class:`CallableField`.
     order
-        Derivative order, 1, 2 or 3; the step is a per-order tuned value
+        Derivative order, 1 to 4; the step is a per-order tuned value
         scaled by ``1 + |x|``.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
+    if order not in _FD_BASE_STEP:
+        raise ValueError(f"derivative order must be 1, 2, 3 or 4, got {order}")
     if not isinstance(field, DisplacementField):
         field = CallableField(field)
     x = np.asarray(x, dtype=float)
@@ -134,7 +134,7 @@ def _finite(name: str, v, shape: tuple[int, ...]) -> NDArray:
 
 
 class DisplacementField:
-    """A vector-valued field of position with derivatives up to third order.
+    """A vector-valued field of position with derivatives up to fourth order.
 
     Subclasses either provide closed-form derivatives or inherit the
     finite-difference fallbacks.  Fields are immutable after construction
@@ -156,6 +156,10 @@ class DisplacementField:
         """Third gradient T[i, j, k, l] = d^3 u_i / dx_j dx_k dx_l."""
         return fd_derivative_oracle(self, x, 3)
 
+    def grad4(self, x: NDArray) -> NDArray:
+        """Fourth gradient Q[i, j, k, l, m] = d^4 u_i / dx_j dx_k dx_l dx_m."""
+        return fd_derivative_oracle(self, x, 4)
+
     def __call__(self, x: NDArray) -> NDArray:
         return self.value(x)
 
@@ -176,23 +180,21 @@ class PolynomialField(DisplacementField):
             raise ValueError(f"coefficients must have shape (..., 3, n, n, n), got {coeffs.shape}")
         self.coeffs = coeffs
         self._D = coeffs.shape[-1]
+        #: derivative order -> its stacked coefficient tensor, see _block
+        self._blocks = {0: coeffs}
 
-    # stacked coefficient tensors, derivative axes after the component:
-    # C1[..., i, a], C2[..., i, a, b], C3[..., i, a, b, c] all hold (D, D, D)
-    # monomial blocks, zero padded so one contraction evaluates every
-    # component at once; each is built on first use
-
-    @functools.cached_property
-    def _C1(self) -> NDArray:
-        return np.stack([self._der_block(self.coeffs, a) for a in range(3)], axis=-4)
-
-    @functools.cached_property
-    def _C2(self) -> NDArray:
-        return np.stack([self._der_block(self._C1, a) for a in range(3)], axis=-4)
-
-    @functools.cached_property
-    def _C3(self) -> NDArray:
-        return np.stack([self._der_block(self._C2, a) for a in range(3)], axis=-4)
+    def _block(self, order: int) -> NDArray:
+        """Stacked coefficient tensor of one derivative order, its derivative axes
+        after the component, C[..., i, a1, ..., a_order], each entry a (D, D, D)
+        monomial block, zero padded so one contraction evaluates every component
+        at once.  Built on first use from the order below; threads that race
+        may build a block twice but all keep the one stored first."""
+        C = self._blocks.get(order)
+        if C is None:
+            below = self._block(order - 1)
+            C = self._blocks.setdefault(
+                order, np.stack([self._der_block(below, a) for a in range(3)], axis=-4))
+        return C
 
     @staticmethod
     def _der_block(C: NDArray, axis: int) -> NDArray:
@@ -229,13 +231,16 @@ class PolynomialField(DisplacementField):
         return self._contract(self.coeffs, x)
 
     def grad(self, x):
-        return self._contract(self._C1, x)
+        return self._contract(self._block(1), x)
 
     def grad2(self, x):
-        return self._contract(self._C2, x)
+        return self._contract(self._block(2), x)
 
     def grad3(self, x):
-        return self._contract(self._C3, x)
+        return self._contract(self._block(3), x)
+
+    def grad4(self, x):
+        return self._contract(self._block(4), x)
 
 
 def make_polynomial(seed: int | NDArray, degree: int) -> PolynomialField:
@@ -332,6 +337,9 @@ class ConformalField(DisplacementField):
     def grad3(self, x):
         return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
 
+    def grad4(self, x):
+        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3, 3))
+
 
 def random_conformal(seed: int) -> ConformalField:
     """Deterministic random conformal field with O(1) parameters."""
@@ -375,7 +383,6 @@ class KinematicState:
     grad_curl: NDArray
     chi_torsion: NDArray
     omega_mean_curv: NDArray
-    second_grad: NDArray
 
 
 #: eps_ilm as a 3 x 9 matrix over (i, (m, l)); its entries are 0 and +-1, so a
@@ -420,7 +427,6 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
         grad_curl=M,
         chi_torsion=sym(M),
         omega_mean_curv=skw(M),
-        second_grad=H,
     )
 
 

@@ -138,8 +138,8 @@ class _BasisField(DisplacementField):
     contract z with the basis tabulation."""
 
     def __init__(self, basis: ClampedBasis, z: NDArray):
-        self.value, self.grad, self.grad2, self.grad3 = (
-            functools.partial(basis.derivatives, order=k, z=z) for k in range(4))
+        self.value, self.grad, self.grad2, self.grad3, self.grad4 = (
+            functools.partial(basis.derivatives, order=k, z=z) for k in range(5))
 
 
 @dataclass

@@ -16,12 +16,14 @@ from costress.constitutive import (
 from costress.fields import (
     ConformalField,
     ConformalParams,
+    PolynomialField,
     fd_partial,
     grad_curl_from_grad2,
     kinematics,
     make_polynomial,
     random_conformal,
 )
+from costress.solver import ClampedBasis
 from costress.tensors import anti, dev, inner, skw, sym, tr
 
 
@@ -166,14 +168,61 @@ def test_stresses_batch_matches_pointwise():
         assert np.allclose(sb.tau_tilde[i], st.tau_tilde, atol=1e-12)
 
 
-def test_equilibrium_manufactured_solution():
-    # f := -Div(sigma - tau) makes the residual vanish
-    p = MaterialParams.for_regime("gkmt", mu=1.0, lam=2.0, L_c=0.4)
-    u = make_polynomial(29, 4)
-    x = np.array([0.4, 0.2, 0.6])
-    r0 = equilibrium_residual(p, u, LoadData(), x)
-    loads = LoadData(f=lambda y: -r0 if np.allclose(y, x) else -r0)
-    assert np.allclose(equilibrium_residual(p, u, loads, x), 0.0, atol=1e-9)
+#: the four splits of alpha1 + alpha2 = 2 that the field equations cannot tell apart
+_SPLITS = [(2.0, 0.0), (0.0, 2.0), (1.0, 1.0), (1.5, 0.5)]
+
+
+@pytest.mark.parametrize("alphas", _SPLITS, ids=str)
+def test_equilibrium_hand_case(alphas):
+    # u = x2^4 e1: Div sigma = 12 mu x2^2 e1 and Div tau = k Lap Lap u = 24 k e1,
+    # with k = mu L_c^2 (alpha1 + alpha2) / 4 and grad div Lap u = 0
+    p = MaterialParams(mu=1.3, lam=0.7, L_c=0.4, alpha1=alphas[0], alpha2=alphas[1])
+    coeffs = np.zeros((3, 5, 5, 5))
+    coeffs[0, 0, 4, 0] = 1.0
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 3))
+    expected = np.zeros((20, 3))
+    expected[:, 0] = 12.0 * p.mu * x[:, 1] ** 2 - 6.0 * p.mu * p.L_c ** 2 * sum(alphas)
+    u = PolynomialField(coeffs)
+    r = equilibrium_residual(p, u, LoadData(), x)
+    assert np.max(np.abs(r - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the load f = -r balances it
+    loads = LoadData(f=lambda y: -equilibrium_residual(p, u, LoadData(), y))
+    assert not equilibrium_residual(p, u, loads, x).any()
+
+
+def _fd_residual(p, field, x):
+    """The oracle: Div sigma from grad2 and Div tau by the FD stencil on
+    stresses(...).tau_tilde."""
+    H = field.grad2(x)
+    div_sigma = p.mu * np.einsum("...ijj->...i", H) + (p.mu + p.lam) * np.einsum("...jij->...i", H)
+    h = 1e-3 * (1.0 + np.linalg.norm(x, axis=-1))
+    div_tau = sum(fd_partial(lambda y: stresses(p, field, y).tau_tilde, x, (j,), h)[..., :, j]
+                  for j in range(3))
+    return div_sigma - div_tau
+
+
+@pytest.mark.parametrize("field", [make_polynomial(7, 5), random_conformal(4),
+                                   ClampedBasis(3).solution_field(
+                                       np.random.default_rng(3).normal(size=81))],
+                         ids=["quintic", "conformal", "basis-N3"])
+def test_residual_matches_the_fd_oracle(field):
+    x = np.random.default_rng(5).uniform(0.05, 0.95, (30, 3))
+    materials = [MaterialParams.for_regime(r, mu=1.3, lam=0.7, L_c=0.4)
+                 for r in ("gkmt", "modified", "hd")]
+    materials.append(MaterialParams(mu=1.3, lam=0.7, L_c=0.4, alpha1=0.8, alpha2=1.5))
+    for p in materials:
+        ref = _fd_residual(p, field, x)
+        r = equilibrium_residual(p, field, LoadData(), x)
+        assert np.max(np.abs(r - ref)) <= 1e-11 * np.max(np.abs(ref)), p.regime
+    # the oracle path sees alpha1 + alpha2 only, although m_tilde sees the split
+    splits = [MaterialParams(mu=1.3, lam=0.7, L_c=0.4, alpha1=a1, alpha2=a2) for a1, a2 in _SPLITS]
+    refs = [_fd_residual(p, field, x) for p in splits]
+    scale = np.max(np.abs(refs[0]))
+    for ref in refs[1:]:
+        assert np.max(np.abs(ref - refs[0])) <= 1e-12 * scale
+    if not isinstance(field, ConformalField):
+        m = [stresses(p, field, x).m_tilde for p in splits]
+        assert min(np.max(np.abs(mi - m[0])) for mi in m[1:]) >= 0.1 * np.max(np.abs(m[0]))
 
 
 class TestConformalInvariance:
@@ -208,7 +257,7 @@ class TestConformalInvariance:
         u = ConformalField(cp)
         p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=1.0)
         r = equilibrium_residual(p, u, LoadData(), np.array([0.3, 0.1, -0.2]))
-        assert np.allclose(r, [10.0, 0.0, 0.0], atol=1e-7)
+        assert np.allclose(r, [10.0, 0.0, 0.0], rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("field", [make_polynomial(5, 3), random_conformal(3)],

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from costress.fields import (
     PolynomialField,
     curl_from_grad,
     fd_derivative_oracle,
+    fd_partial,
     field_from_spec,
     grad_curl_from_grad2,
     kinematics,
@@ -44,11 +48,15 @@ def test_fd_oracle_on_known_polynomial():
     T = fd_derivative_oracle(u, x, 3)
     assert T[2, 0, 0, 0] == pytest.approx(6.0, abs=1e-6)
     assert T[0, 0, 0, 1] == pytest.approx(2.0, abs=1e-6)
+    # d^4 (x^2 y^2 z) / dx^2 dy^2 = 4 z
+    Q = fd_derivative_oracle(lambda x: np.array([x[0] ** 2 * x[1] ** 2 * x[2], 0.0, 0.0]), x, 4)
+    assert Q[0, 0, 1, 0, 1] == pytest.approx(4 * 0.3, abs=1e-6)
 
 
-def test_fd_oracle_rejects_bad_order():
+@pytest.mark.parametrize("order", [0, 5])
+def test_fd_oracle_rejects_bad_order(order):
     with pytest.raises(ValueError):
-        fd_derivative_oracle(lambda x: x, np.zeros(3), 4)
+        fd_derivative_oracle(lambda x: x, np.zeros(3), order)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 5])
@@ -62,6 +70,11 @@ def test_polynomial_closed_forms_match_fd(degree):
                            atol=1e-7, rtol=1e-7)
         assert np.allclose(u.grad3(x), fd_derivative_oracle(u, x, 3),
                            atol=1e-5, rtol=1e-5)
+        assert np.allclose(u.grad4(x), fd_derivative_oracle(u, x, 4),
+                           atol=1e-6, rtol=1e-6)
+        # the stencil on the closed-form third gradient is exact up to round-off
+        ref = np.stack([fd_partial(u.grad3, x, (a,), 1e-3) for a in range(3)], axis=-1)
+        assert np.allclose(u.grad4(x), ref, atol=1e-11, rtol=1e-11)
 
 
 def test_polynomial_batch_evaluation_consistent():
@@ -70,6 +83,7 @@ def test_polynomial_batch_evaluation_consistent():
     assert np.allclose(u.value(X), np.stack([u.value(x) for x in X]))
     assert np.allclose(u.grad2(X), np.stack([u.grad2(x) for x in X]))
     assert np.allclose(u.grad3(X), np.stack([u.grad3(x) for x in X]))
+    assert np.allclose(u.grad4(X), np.stack([u.grad4(x) for x in X]))
 
 
 @pytest.mark.parametrize("points", [(5, 3), (5, 4, 3)], ids=["(F,3)", "(F,P,3)"])
@@ -79,7 +93,7 @@ def test_a_field_batch_equals_its_fields_bit_for_bit(degree, points):
     batch = make_polynomial(seeds, degree)
     fields = [make_polynomial(int(s), degree) for s in seeds]
     x = np.random.default_rng(7).uniform(0.05, 0.95, points)
-    for name in ("value", "grad", "grad2", "grad3"):
+    for name in ("value", "grad", "grad2", "grad3", "grad4"):
         stacked = np.stack([getattr(u, name)(p) for u, p in zip(fields, x)])
         assert np.array_equal(getattr(batch, name)(x), stacked), name
 
@@ -187,7 +201,7 @@ def test_every_field_family_keeps_the_point_shape(family, shape):
         "callable": lambda: CallableField(lambda p: p * p[::-1]),
     }[family]()
     x = np.random.default_rng(0).uniform(0.05, 0.95, shape)
-    for order, name in enumerate(("value", "grad", "grad2", "grad3")):
+    for order, name in enumerate(("value", "grad", "grad2", "grad3", "grad4")):
         assert getattr(u, name)(x).shape == shape + (3,) * order, name
 
 
@@ -273,8 +287,9 @@ def test_low_degree_families_are_conformal_presets(spec, value, grad):
     X = np.random.default_rng(0).uniform(-1, 1, (4, 3))
     assert np.allclose(u.value(X), value(X), rtol=0.0, atol=1e-15)
     assert np.array_equal(u.grad(X), np.broadcast_to(grad, (4, 3, 3)))
-    assert not u.grad2(X).any() and not u.grad3(X).any()
+    assert not u.grad2(X).any() and not u.grad3(X).any() and not u.grad4(X).any()
     assert u.grad2(X).shape == (4, 3, 3, 3) and u.grad3(X).shape == (4, 3, 3, 3, 3)
+    assert u.grad4(X).shape == (4, 3, 3, 3, 3, 3)
 
 
 def test_field_from_spec_builds_each_family():
@@ -320,14 +335,38 @@ def test_polynomial_derivatives_built_on_first_use():
     u = make_polynomial(12, 4)
     x = np.random.default_rng(1).uniform(0.0, 1.0, (5, 3))
     u.value(x)
-    assert not {"_C1", "_C2", "_C3"} & set(vars(u))   # values need no derivative block
+    assert set(u._blocks) == {0}      # values need no derivative block
     kinematics(u, x)
-    assert "_C3" not in vars(u)   # kinematics never reads third derivatives
-    eager = np.stack([u._der_block(u._C2, a) for a in range(3)], axis=3)
+    assert set(u._blocks) == {0, 1, 2}   # kinematics never reads third derivatives
+    eager = np.stack([u._der_block(u._blocks[2], a) for a in range(3)], axis=3)
     assert np.array_equal(u.grad3(x), u._contract(eager, x))
-    C3 = u._C3
+    C3 = u._blocks[3]
     u.grad3(x)
-    assert u._C3 is C3            # built once
+    assert u._blocks[3] is C3         # built once
+
+
+def test_threads_that_race_for_a_block_keep_one():
+    # more threads than cores, switching often: every thread reads the block
+    # stored first, and its values equal a serial evaluation's bit for bit
+    x = np.random.default_rng(2).uniform(-1.0, 1.0, (6, 3))
+    ref = make_polynomial(9, 6).grad4(x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for _ in range(20):
+                u = make_polynomial(9, 6)
+                start = threading.Barrier(8)
+
+                def read(_, u=u, start=start):
+                    start.wait(timeout=10)
+                    return u._block(4), u.grad4(x)
+
+                got = [f.result(timeout=30) for f in [pool.submit(read, i) for i in range(8)]]
+                assert all(block is u._blocks[4] for block, _ in got)
+                assert all(np.array_equal(q, ref) for _, q in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_curl_forms_equal_the_permutation_sums():

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses
-or keeps a private helper it never calls."""
+or keeps a private helper it never calls, and finite differences stay in
+the oracles."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,32 @@ def test_detector_flags_an_orphaned_private():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_orphaned_private_helpers(path):
     assert orphaned_privates(path.read_text(encoding="utf-8")) == []
+
+
+def reads_name(source: str, name: str) -> bool:
+    """Whether the module imports, reads or looks up ``name`` as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.split(".")[-1] == name for a in node.names):
+                return True
+        elif isinstance(node, ast.Name) and node.id == name:
+            return True
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+    return False
+
+
+def test_detector_finds_a_read_name():
+    assert reads_name("from .fields import fd_partial as d\n", "fd_partial")
+    assert reads_name("from . import fields\nfields.fd_partial(f, x, (0,), 1e-3)\n", "fd_partial")
+    assert not reads_name("def f():\n    return 'fd_partial'\n", "fd_partial")
+
+
+#: the FD oracle and its fallbacks live in fields; surfaces keeps its chart stencil
+_FD_READERS = {"fields.py", "surfaces.py"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name not in _FD_READERS),
+                         ids=lambda p: p.name)
+def test_finite_differences_only_in_the_oracles(path):
+    assert not reads_name(path.read_text(encoding="utf-8"), "fd_partial")
