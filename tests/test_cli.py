@@ -333,6 +333,19 @@ def test_cosserat_limit_small(tmp_path):
     assert len(rows) == 1 + 3 + 2  # per-mu_c rows + the two verdicts
 
 
+def test_cosserat_limit_converges_at_large_mu_c(tmp_path):
+    # the reduced form has no term that grows with mu_c, so the first-order
+    # penalty error stays above round-off far into the asymptotic range
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 3,
+                                      "mu_c_values": [1e8, 1e9, 1e10]})
+    out = tmp_path / "o"
+    assert run("cosserat-limit", cfg, str(out)) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    errors = [checks[f"relative_error_mu_c_{mc:g}"]["value"] for mc in (1e8, 1e9, 1e10)]
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+    assert abs(checks["convergence_order"]["value"] - 1.0) <= 1e-6
+
+
 def test_conformal_demo(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 2, "points": 4,

@@ -314,8 +314,7 @@ class TestCosserat:
         assert len(calls) == 1
 
     def test_sweep_matches_independent_solves(self):
-        g = lambda x: np.stack([x[:, 1], np.ones(x.shape[0]), x[:, 0] * x[:, 2]], axis=-1)
-        loads = LoadData(f=_loads().f, m_body=g)
+        loads = _couple_loads()
         mu_cs = [10.0, 100.0, 1000.0, 10000.0]
         errors, _ = cosserat_limit_sweep(PARAMS, loads, 2, mu_cs)
         ref = cosserat_constrained_solve(PARAMS, loads, 2).coeffs
@@ -339,25 +338,27 @@ class TestCosserat:
 @pytest.mark.parametrize("n, rank", [(1, 3), (2, 24), (3, 80), (4, 184), (5, 348)])
 def test_half_curl_gram_is_the_skew_half_of_korns_equality(n, rank):
     # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, so the
-    # forms take G(curl u / 2) from the elastic Grams; against the direct Gram
+    # forms take H = G(curl u / 2) from the elastic Grams; against the direct
+    # Gram, through B = H W
     forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
     *_, tables = solver._tabulate(ClampedBasis(n), None)
-    assert _rel_gap(forms.half_curl, solver._gram(tables.half_curl)) <= 1e-13
+    H = solver._gram(tables.half_curl)
+    assert _rel_gap(forms.B, H @ forms.W) <= 1e-13
     # the rotation basis keeps the same rank, with the null floor far below
     # the 1e-10 cutoff and the kept spectrum far above it
-    vals = scipy.linalg.eigh(forms.half_curl, eigvals_only=True)
+    vals = scipy.linalg.eigh(H, eigvals_only=True)
     kept = vals > 1e-10 * vals[-1]
-    assert forms.C.shape == (rank, 3 * n ** 3) and kept.sum() == rank
+    assert forms.W.shape == (3 * n ** 3, rank) and kept.sum() == rank
     assert np.all(np.abs(vals[~kept]) <= 1e-12 * vals[-1])
     assert vals[kept][0] >= 1e-8 * vals[-1]
 
 
+@pytest.mark.parametrize("mu_c", [1e4, np.inf])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_penalty_matrix_is_exactly_symmetric(monkeypatch, n):
-    # Cholesky reads one triangle, so a penalty matrix symmetric only to
+def test_reduced_stiffness_is_exactly_symmetric(monkeypatch, n, mu_c):
+    # Cholesky reads one triangle, so a stiffness symmetric only to
     # round-off would make the solution depend on which
     forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
-    assert np.array_equal(forms.curl_a, forms.curl_a.T)
     systems = []
 
     def capturing(system):
@@ -366,8 +367,73 @@ def test_penalty_matrix_is_exactly_symmetric(monkeypatch, n):
 
     raw = solver.solve
     monkeypatch.setattr(solver, "solve", capturing)
-    sol = solver._penalty_solve(forms, replace(PARAMS, mu_c=1e4))
+    [(sol, _)] = solver._reduced_solves(forms, [mu_c])
     K = systems[0].K
     assert np.array_equal(K, K.T)
-    flipped = raw(replace(systems[0], K=K.T))
-    assert np.array_equal(flipped.coeffs, np.concatenate([sol.u_coeffs, sol.a_coeffs]))
+    assert np.array_equal(raw(replace(systems[0], K=K.T)).coeffs, sol.coeffs)
+
+
+def _couple_loads():
+    g = lambda x: np.stack([x[:, 1], np.ones(x.shape[0]), x[:, 0] * x[:, 2]], axis=-1)
+    return LoadData(f=_loads().f, m_body=g)
+
+
+@lru_cache
+def _cosserat_grams(n):
+    """Direct Grams and load works of the Cosserat problem at the solver's
+    default order: grad u, div u, curl u / 2, curl curl u / 2 and the mass;
+    the force and couple works; and an L2-orthonormal basis C of the
+    rotations curl u / 2, one mode per row."""
+    basis = ClampedBasis(n)
+    _, pts, sqrt_w, t = solver._tabulate(basis, None)
+    loads = _couple_loads()
+    H = solver._gram(t.half_curl)
+    vals, vecs = scipy.linalg.eigh(H)
+    keep = vals > 1e-10 * vals[-1]
+    return dict(
+        grad=solver._gram(t.grad), div=solver._gram(tr(t.grad)), H=H,
+        curl=0.25 * solver._gram(t.curl_curl), mass=solver._gram(t.val),
+        f=np.einsum("pqi,qi->p", t.val, loads.force(pts) * sqrt_w[:, None]),
+        g=np.einsum("pqi,qi->p", t.half_curl, loads.couple(pts) * sqrt_w[:, None]),
+        C=(vecs[:, keep] / np.sqrt(vals[keep])).T)
+
+
+def _m_gap(z, ref, mass):
+    d = z - ref
+    return np.sqrt(d @ mass @ d / (ref @ mass @ ref))
+
+
+@pytest.mark.parametrize("mu_c", [10.0, 100.0, 1e3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_reduced_solve_matches_the_block_system(regime, n, mu_c):
+    # the oracle: the Cosserat functional in (u, a), a on the orthonormal
+    # rotation modes C, factored as one (D + R)-square block system
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5, mu_c=mu_c)
+    G = _cosserat_grams(n)
+    C, D = G["C"], 3 * n ** 3
+    E = p.mu * G["grad"] + (p.mu + p.lam) * G["div"]
+    A_ua = -2.0 * mu_c * G["H"] @ C.T
+    A = np.block([[E + 2.0 * mu_c * G["H"], A_ua],
+                  [A_ua.T, 2.0 * mu_c * np.eye(len(C))
+                   + 2.0 * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T]])
+    z = np.linalg.solve(2.0 * A, np.concatenate([G["f"], C @ G["g"]]))
+    sol = cosserat_solve(p, _couple_loads(), n)
+    assert _m_gap(sol.u_coeffs, z[:D], G["mass"]) <= 1e-12
+    # the microrotations as combinations of the curl u_p / 2, in the H-norm; the
+    # block system's own round-off in a grows linearly with mu_c
+    assert _m_gap(solver._cosserat_forms(p, _couple_loads(), n, None).W @ sol.a_coeffs,
+                  C.T @ z[D:], G["H"]) <= max(1e-12, 1e-14 * mu_c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_infinite_coupling_is_the_constrained_system(regime, n):
+    # microrotation = curl u / 2: stiffness 2(E + 2 mu L_c^2 G(curl curl u / 2)),
+    # and the couple works against curl u / 2
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    G = _cosserat_grams(n)
+    K = 2.0 * (p.mu * G["grad"] + (p.mu + p.lam) * G["div"] + 2.0 * p.mu * p.L_c ** 2 * G["curl"])
+    ref = np.linalg.solve(K, G["f"] + G["g"])
+    got = cosserat_constrained_solve(p, _couple_loads(), n).coeffs
+    assert _m_gap(got, ref, G["mass"]) <= 1e-12
