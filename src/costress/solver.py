@@ -5,13 +5,14 @@ The displacement ansatz is a tensor product of squared-bubble times
 Legendre polynomials, which is conforming for the clamped problem
 (u = 0 and grad u . n = 0 on the boundary).  One tabulation of its 1d
 Legendre series by Clenshaw recurrence, with no power coefficients, gives
-both the quadrature tables and the solution fields.  Everything is assembled
-with tensorized Gauss quadrature that is exact for the polynomial
-integrands at the default order, from tables that carry the square roots
-of the weights.  On the clamped span, ||grad u||^2 = 2 ||sym grad u||^2 -
-||div u||^2 (Korn's equality), and v = curl u vanishes on the boundary
-and is divergence free, so ||sym grad v||^2 = ||skw grad v||^2 =
-||curl v||^2 / 2 (a null Lagrangian).
+both the 1d quadrature tables and the solution fields.  Every Gram matrix is
+a short sum of Kronecker products of the 1d Grams A^ij = int beta^(i) beta^(j),
+i, j <= 2, and a load on the tensor Gauss rule (exact for the polynomial
+integrands at the default order) is contracted one axis at a time (sum
+factorization): no 3d table of the modes is formed.  On the clamped span,
+||grad u||^2 = 2 ||sym grad u||^2 - ||div u||^2 (Korn's equality), and
+v = curl u vanishes on the boundary and is divergence free, so
+||sym grad v||^2 = ||skw grad v||^2 = ||curl v||^2 / 2 (a null Lagrangian).
 
 The Cosserat microrotation, on L2-orthonormal modes W of the rotations
 curl u / 2 that diagonalize the Gram of curl a (Lambda), is eliminated in
@@ -37,7 +38,6 @@ from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
 from .fields import DisplacementField
-from .tensors import tr
 
 __all__ = [
     "ClampedBasis",
@@ -132,10 +132,6 @@ class ClampedBasis:
                 out[(..., *perm)] = v.reshape(flat)
         return out.reshape(shape + (3,) * order)
 
-    def scalar_tables(self, pts: NDArray):
-        """Scalar mode tables (B, dB, d2B) at points (Q, 3): (M, Q), (M, Q, 3), (M, Q, 3, 3)."""
-        return tuple(self.derivatives(pts, k) for k in range(3))
-
     def solution_field(self, z: NDArray) -> DisplacementField:
         """Displacement field sum_p z_p u_p of a coefficient vector (3 M)."""
         return _BasisField(self, np.asarray(z, dtype=float))
@@ -150,79 +146,82 @@ class _BasisField(DisplacementField):
             functools.partial(basis.derivatives, order=k, z=z) for k in range(5))
 
 
-@dataclass
-class _DofTables:
-    """Quadrature-point tables of all vector degrees of freedom."""
-
-    val: NDArray        # (D, Q, 3)
-    grad: NDArray       # (D, Q, 3, 3)
-    half_curl: NDArray  # (D, Q, 3)   axl(skw grad u) = curl u / 2
-    grad_curl: NDArray  # (D, Q, 3, 3)
-    curl_curl: NDArray  # (D, Q, 3)
-
-
-def _dof_tables(basis: ClampedBasis, pts: NDArray, sqrt_w: NDArray | None = None) -> _DofTables:
-    """Vector dof tables at the points, each point's entries times ``sqrt_w``."""
-    B, dB, d2B = basis.scalar_tables(pts)
-    if sqrt_w is not None:  # on the scalar tables, before the 27-component scatter
-        B *= sqrt_w
-        dB *= sqrt_w[:, None]
-        d2B *= sqrt_w[:, None, None]
-    M, Q = B.shape
-    D = 3 * M
-    val, half_curl, curl_curl = (np.zeros((D, Q, 3)) for _ in range(3))
-    grad, grad_curl = (np.zeros((D, Q, 3, 3)) for _ in range(2))
-    lap = np.einsum("mqaa->mq", d2B)
-    for c in range(3):
-        sl = slice(c * M, (c + 1) * M)
-        val[sl, :, c] = B
-        grad[sl, :, c, :] = dB
-        # curl(b e_c)_i = eps_ijc d_j b: eps_abc = 1 = -eps_bac, zero else
-        a, b = (c + 1) % 3, (c + 2) % 3
-        half_curl[sl, :, a] = 0.5 * dB[:, :, b]
-        half_curl[sl, :, b] = -0.5 * dB[:, :, a]
-        grad_curl[sl, :, a] = d2B[:, :, b]
-        grad_curl[sl, :, b] = -d2B[:, :, a]
-        # curl curl (b e_c) = grad d_c b - lap b e_c
-        curl_curl[sl] = d2B[:, :, :, c]
-        curl_curl[sl, :, c] -= lap
-    return _DofTables(val=val, grad=grad, half_curl=half_curl,
-                      grad_curl=grad_curl, curl_curl=curl_curl)
-
-
 def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
-    """(order, pts, sqrt_w, tables) of a basis, the tables weighted.  The Gauss order
-    defaults to two above the exactness minimum; one below it is rejected."""
+    """(Gauss order, tensor Gauss points (q^3, 3), derivatives k = 0..2 of each 1d
+    mode times each node's weight (3, N, q), 1d Grams A[i, j] = int beta^(i) beta^(j)
+    (3, 3, N, N)).  The order defaults to two above the exactness minimum; one below
+    it is rejected."""
     order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
     if order < basis.min_quadrature_order:
         raise ValueError(f"quadrature order {order} below the exactness minimum "
                          f"{basis.min_quadrature_order} for N = {basis.n_modes}")
-    # load LAPACK here, before the first Gram: loaded later, while numpy's BLAS
+    # load LAPACK here, before the first matrix product: loaded while numpy's BLAS
     # threads still spin after a product, it took 25-60 ms longer on two cores
     importlib.import_module("scipy.linalg")
-    pts, W = basis.quadrature(order)
-    sqrt_w = np.sqrt(W)
-    return order, pts, sqrt_w, _dof_tables(basis, pts, sqrt_w)
+    x, w = leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    T = np.stack([legval(2.0 * x - 1.0, legder(basis._coef, k, scl=2.0)) for k in range(3)])
+    A = np.einsum("iaq,jbq->ijab", T * w, T)
+    # A[j, i] = A[i, j]' exactly: the reduced Cosserat solve amplifies round-off in
+    # the forms (N = 5: a gap of 1.5e-12 to the 3d quadrature oracle, 4.5e-13 with it)
+    return order, basis.quadrature(order)[0], T * w, 0.5 * (A + A.transpose(1, 0, 3, 2))
+
+
+# Differential operators, c -> the image of the vector mode phi e_c as terms
+# (component, coefficient, partial of phi as the axes it differentiates along):
+# grad(phi e_c) = e_c (x) grad phi, curl(phi e_c) = grad phi x e_c and
+# curl curl(phi e_c) = grad d_c phi - lap phi e_c
+_OPS = {
+    "value": lambda c: [(c, 1.0, ())],
+    "grad": lambda c: [((c, j), 1.0, (j,)) for j in range(3)],
+    "div": lambda c: [(0, 1.0, (c,))],
+    "half_curl": lambda c: [((c + 1) % 3, 0.5, ((c + 2) % 3,)),
+                            ((c + 2) % 3, -0.5, ((c + 1) % 3,))],
+    "curl_curl": lambda c: [(i, 1.0, (i, c)) for i in range(3)]
+                           + [(c, -1.0, (k, k)) for k in range(3)],
+}
+
+
+def _form(A: NDArray, op: str) -> NDArray:
+    """Gram matrix int <op(u_p), op(u_r)> of the vector modes, exactly symmetric: each
+    pair of partials a, b of the scalar modes contributes the Kronecker product of the
+    1d Grams of the three axes, in the a N^2 + b N + g order of the modes."""
+    n = A.shape[-1]
+    kron = functools.cache(lambda a, b: np.kron(A[a.count(0), b.count(0)], np.kron(
+        A[a.count(1), b.count(1)], A[a.count(2), b.count(2)])))
+    F = np.zeros((3, n ** 3, 3, n ** 3))
+    for c, d in itertools.product(range(3), repeat=2):
+        for (i, s, a), (j, r, b) in itertools.product(_OPS[op](c), _OPS[op](d)):
+            if i == j:
+                F[c, :, d] += s * r * kron(a, b)
+    return 0.5 * (F + F.transpose(2, 3, 0, 1)).reshape(3 * n ** 3, -1)
+
+
+def _work(wT: NDArray, op: str, F: NDArray) -> NDArray:
+    """Load work int <op(u_p), F> of the vector modes against a vector field F at
+    the tensor Gauss points, (q^3, 3), contracted one axis at a time."""
+    _, n, q = wT.shape
+    moments = functools.cache(lambda a: np.einsum("aq,br,gs,qrsi->iabg", *(
+        wT[a.count(d)] for d in range(3)), np.reshape(F, (q, q, q, 3)), optimize=True))
+    out = np.zeros((3, n, n, n))
+    for c in range(3):
+        for i, s, a in _OPS[op](c):
+            out[c] += s * moments(a)[i]
+    return out.ravel()
 
 
 def _gram(X: NDArray) -> NDArray:
-    """L2 Gram matrix sum_q <X_p(q), X_r(q)> of a weighted (D, Q, ...) table.
-    On one flat operand (no unit axis, which einsum would copy), einsum with
-    ``optimize`` runs a BLAS symmetric rank-k update: half the flops of a
-    general product, and an exactly symmetric result."""
-    X = X.reshape(X.shape[0], -1)
+    """Gram matrix X X' of the rows of a matrix.  On one flat operand (no unit
+    axis, which einsum would copy), einsum with ``optimize`` runs a BLAS symmetric
+    rank-k update: half the flops of a general product, and an exactly symmetric
+    result."""
     return np.einsum("pq,rq->pr", X, X, optimize=True)
 
 
-def _work(X: NDArray, F: NDArray, sqrt_w: NDArray) -> NDArray:
-    """Load work sum_q W_q <X_p(q), F(q)> of a weighted (D, Q, 3) table against F."""
-    return np.einsum("pqi,qi->p", X, F * sqrt_w[:, None])
-
-
-def _elastic_form(params: MaterialParams, tables: _DofTables):
+def _elastic_form(params: MaterialParams, A: NDArray):
     """Classical stiffness mu G(grad u) + (mu + lam) G(div u), by Korn's equality
     2 mu G(sym grad u) + lam G(div u), and the two Grams it is built from."""
-    grad, div = _gram(tables.grad), _gram(tr(tables.grad))
+    grad, div = _form(A, "grad"), _form(A, "div")
     return params.mu * grad + (params.mu + params.lam) * div, grad, div
 
 
@@ -258,12 +257,13 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     ``modified`` materials with equal sums share one stiffness.
     """
     basis = ClampedBasis(n_modes)
-    order, pts, sqrt_w, tables = _tabulate(basis, quadrature_order)
-    K, grad, div = _elastic_form(params, tables)
+    order, pts, wT, A = _tabulate(basis, quadrature_order)
+    K, grad, div = _elastic_form(params, A)
     K += 0.25 * (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 \
-        * _gram(tables.curl_curl)
-    system = GalerkinSystem(params=params, basis=basis, K=K, M=_gram(tables.val),
-                            b=_work(tables.val, loads.force(pts), sqrt_w),
+        * _form(A, "curl_curl")
+    system = GalerkinSystem(params=params, basis=basis, K=K, M=_form(A, "value"),
+                            b=_work(wT, "value", loads.force(pts))
+                            + _work(wT, "half_curl", loads.couple(pts)),
                             quadrature_order=order)
     system.korn = _korn(grad, div)
     return system
@@ -314,8 +314,8 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
     clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
     value as ``GalerkinSystem.korn``."""
-    _, _, _, tables = _tabulate(ClampedBasis(n_modes), quadrature_order)
-    return _korn(_gram(tables.grad), _gram(tr(tables.grad)))
+    *_, A = _tabulate(ClampedBasis(n_modes), quadrature_order)
+    return _korn(_form(A, "grad"), _form(A, "div"))
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -348,8 +348,8 @@ class _CosseratForms:
 def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
                     quadrature_order: int | None) -> _CosseratForms:
     basis = ClampedBasis(n_modes)
-    order, pts, sqrt_w, tables = _tabulate(basis, quadrature_order)
-    elastic, grad, div = _elastic_form(params, tables)
+    order, pts, wT, A = _tabulate(basis, quadrature_order)
+    elastic, grad, div = _elastic_form(params, A)
     # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, the skew
     # half of Korn's equality
     half_curl = 0.25 * (grad - div)
@@ -359,12 +359,12 @@ def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
     keep = vals > 1e-10 * vals[-1]
     C = (vecs[:, keep] / np.sqrt(vals[keep])).T
     # rotated to the eigenbasis of the Gram of curl a (eigh reads one triangle)
-    lam, V = scipy.linalg.eigh(C @ (0.25 * _gram(tables.curl_curl)) @ C.T, driver="evd")
+    lam, V = scipy.linalg.eigh(C @ (0.25 * _form(A, "curl_curl")) @ C.T, driver="evd")
     W = C.T @ V
     return _CosseratForms(
-        params=params, basis=basis, order=order, elastic=elastic, mass=_gram(tables.val),
-        force=_work(tables.val, loads.force(pts), sqrt_w), W=W, B=half_curl @ W, curl_eigs=lam,
-        couple=W.T @ _work(tables.half_curl, loads.couple(pts), sqrt_w),
+        params=params, basis=basis, order=order, elastic=elastic, mass=_form(A, "value"),
+        force=_work(wT, "value", loads.force(pts)), W=W, B=half_curl @ W, curl_eigs=lam,
+        couple=W.T @ _work(wT, "half_curl", loads.couple(pts)),
     )
 
 

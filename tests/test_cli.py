@@ -260,15 +260,26 @@ def test_bvp_solve_small(tmp_path):
             "discrete_minimality"} <= names
 
 
+def test_bvp_solve_reads_the_body_couple(tmp_path):
+    def energy(load):
+        out = tmp_path / f"o{len(load)}"
+        assert run("bvp-solve", _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2,
+                                                              "load": load}), str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        return {c["name"]: c for c in report["checks"]}["energy_identity"]["value"]
+
+    assert energy({"f_seed": 0, "g_seed": 3}) != energy({"f_seed": 0})
+
+
 def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
     calls = []
 
-    def counting(basis, pts, *weights):
-        calls.append(pts.shape[0])
-        return raw(basis, pts, *weights)
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
 
-    raw = solver._dof_tables
-    monkeypatch.setattr(solver, "_dof_tables", counting)
+    raw = solver._tabulate
+    monkeypatch.setattr(solver, "_tabulate", counting)
     cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "quadrature_order": 7})
     out = tmp_path / "o"
     assert run("bvp-solve", cfg, str(out)) == 0

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ class TestBasis:
         x = np.random.default_rng(10 + n).uniform(0.05, 0.95, (5, 3))
         derivs = [u.value(x), u.grad(x), u.grad2(x), u.grad3(x), u.grad4(x)]
         zc = z.reshape(3, basis.n_scalar)
-        for order, (got, table) in enumerate(zip(derivs, basis.scalar_tables(x))):
-            ref = np.moveaxis(np.tensordot(zc, table, axes=(1, 0)), 0, 1)
+        for order, got in enumerate(derivs[:3]):
+            ref = np.moveaxis(np.tensordot(zc, basis.derivatives(x, order), axes=(1, 0)), 0, 1)
             assert got.shape == (5,) + (3,) * (order + 1)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), order
         for order, tol in ((1, 1e-11), (2, 1e-9), (3, 1e-6), (4, 1e-8)):
@@ -76,16 +77,47 @@ class TestBasis:
         assert np.max(np.abs(derivs[4] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _oracle_tables(basis, pts, sqrt_w=None):
+    """Tables of every vector mode at the points, each point's entries times
+    ``sqrt_w``, from the 3d tabulation of the scalar modes: the value, gradient,
+    curl / 2, gradient of the curl and curl curl, (D, Q, 3) or (D, Q, 3, 3)."""
+    B, dB, d2B = (basis.derivatives(pts, k) for k in range(3))
+    if sqrt_w is not None:
+        B *= sqrt_w
+        dB *= sqrt_w[:, None]
+        d2B *= sqrt_w[:, None, None]
+    M, Q = B.shape
+    D = 3 * M
+    val, half_curl, curl_curl = (np.zeros((D, Q, 3)) for _ in range(3))
+    grad, grad_curl = (np.zeros((D, Q, 3, 3)) for _ in range(2))
+    lap = np.einsum("mqaa->mq", d2B)
+    for c in range(3):
+        sl = slice(c * M, (c + 1) * M)
+        val[sl, :, c] = B
+        grad[sl, :, c, :] = dB
+        # curl(b e_c)_i = eps_ijc d_j b: eps_abc = 1 = -eps_bac, zero else
+        a, b = (c + 1) % 3, (c + 2) % 3
+        half_curl[sl, :, a] = 0.5 * dB[:, :, b]
+        half_curl[sl, :, b] = -0.5 * dB[:, :, a]
+        grad_curl[sl, :, a] = d2B[:, :, b]
+        grad_curl[sl, :, b] = -d2B[:, :, a]
+        # curl curl (b e_c) = grad d_c b - lap b e_c
+        curl_curl[sl] = d2B[:, :, :, c]
+        curl_curl[sl, :, c] -= lap
+    return SimpleNamespace(val=val, grad=grad, half_curl=half_curl, grad_curl=grad_curl,
+                           curl_curl=curl_curl)
+
+
 def _tables(n):
     basis = ClampedBasis(n)
     pts, W = basis.quadrature(basis.min_quadrature_order)
-    return basis, pts, W, solver._dof_tables(basis, pts)
+    return basis, pts, W, _oracle_tables(basis, pts)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_curl_tables_match_levi_civita_contraction(n):
     basis, pts, _, tables = _tables(n)
-    _, dB, d2B = basis.scalar_tables(pts)
+    dB, d2B = basis.derivatives(pts, 1), basis.derivatives(pts, 2)
     M = basis.n_scalar
     for c in range(3):
         sl = slice(c * M, (c + 1) * M)
@@ -96,7 +128,7 @@ def test_curl_tables_match_levi_civita_contraction(n):
 
 
 def _kinds(t):
-    """The tables the solver forms Grams of, and sym/skw ones it no longer does."""
+    """The oracle tables, the divergence and the sym/skw parts of the two gradients."""
     C = t.grad_curl
     return {
         "val": t.val, "grad": t.grad, "sym_grad": 0.5 * (t.grad + np.swapaxes(t.grad, -1, -2)),
@@ -111,11 +143,11 @@ def test_gram_matches_plain_einsum(n):
     # the Gram of the sqrt-weighted tables against the plain weighted sum
     # over the unweighted ones
     basis, pts, W, t = _tables(n)
-    weighted = _kinds(solver._dof_tables(basis, pts, np.sqrt(W)))
+    weighted = _kinds(_oracle_tables(basis, pts, np.sqrt(W)))
     for name, X in _kinds(t).items():
         X3 = X.reshape(X.shape[0], X.shape[1], -1)
         ref = np.einsum("pqi,rqi->pr", X3, X3 * W[None, :, None])
-        got = solver._gram(weighted[name])
+        got = solver._gram(weighted[name].reshape(len(X), -1))
         assert np.array_equal(got, got.T), name
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-13, name
 
@@ -157,7 +189,7 @@ class TestSolve:
     def test_solution_field_reconstruction(self, system):
         sol = solve(system)
         x = np.array([0.3, 0.6, 0.2])
-        B, _, _ = system.basis.scalar_tables(x[None, :])
+        B = system.basis.derivatives(x[None, :], 0)
         M = system.basis.n_scalar
         direct = np.array([sol.coeffs[c * M:(c + 1) * M] @ B[:, 0] for c in range(3)])
         assert np.allclose(system.basis.solution_field(sol.coeffs).value(x), direct, atol=1e-12)
@@ -177,21 +209,39 @@ def test_coercivity_positive_all_regimes(regime):
     assert coercivity_evidence(s) > 0.0
 
 
+def _couple_loads():
+    g = lambda x: np.stack([x[:, 1], np.ones(x.shape[0]), x[:, 0] * x[:, 2]], axis=-1)
+    return LoadData(f=_loads().f, m_body=g)
+
+
 @lru_cache
-def _reference_grams(n):
-    """Grams of the constitutive law's own terms, by a general weighted
-    product over unweighted tables at the lowest exact order:
-    grad u, sym grad u, div u, sym grad curl u and skw grad curl u."""
+def _oracle(n):
+    """Grams of the vector modes by a general weighted product over the
+    unweighted oracle tables at the lowest exact order: of u, grad u, sym grad u,
+    div u, curl u / 2 (H), curl curl u / 2, sym grad curl u and skw grad curl u;
+    the force and couple works of ``_couple_loads``; and an L2-orthonormal basis
+    C of the rotations curl u / 2, one mode per row."""
     basis = ClampedBasis(n)
     pts, W = basis.quadrature(basis.min_quadrature_order)
-    t = solver._dof_tables(basis, pts)
+    t = _oracle_tables(basis, pts)
 
     def gram(X):
         X = X.reshape(X.shape[0], X.shape[1], -1)
         return np.einsum("pqi,rqi->pr", X, X * W[None, :, None], optimize=True)
 
-    return (gram(t.grad), gram(sym(t.grad)), gram(tr(t.grad)),
-            gram(sym(t.grad_curl)), gram(skw(t.grad_curl)))
+    def work(X, F):
+        return np.einsum("pqi,qi->p", X, F * W[:, None])
+
+    loads = _couple_loads()
+    H = gram(t.half_curl)
+    vals, vecs = scipy.linalg.eigh(H)
+    keep = vals > 1e-10 * vals[-1]
+    return dict(
+        mass=gram(t.val), grad=gram(t.grad), sym_grad=gram(sym(t.grad)), div=gram(tr(t.grad)),
+        H=H, curl=0.25 * gram(t.curl_curl), sym_grad_curl=gram(sym(t.grad_curl)),
+        skw_grad_curl=gram(skw(t.grad_curl)),
+        f=work(t.val, loads.force(pts)), g=work(t.half_curl, loads.couple(pts)),
+        C=(vecs[:, keep] / np.sqrt(vals[keep])).T)
 
 
 def _rel_gap(a, b):
@@ -201,7 +251,9 @@ def _rel_gap(a, b):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
 def test_stiffness_is_the_constitutive_form_and_depends_on_alpha1_plus_alpha2(regime, n):
-    grad, E, div, S, A = _reference_grams(n)
+    G = _oracle(n)
+    grad, E, div = G["grad"], G["sym_grad"], G["div"]
+    S, A = G["sym_grad_curl"], G["skw_grad_curl"]
     # the null Lagrangian: |sym grad curl u|^2 and |skw grad curl u|^2 integrate
     # alike over the clamped span; Korn's equality for grad u
     assert _rel_gap(S, A) <= 1e-12
@@ -216,6 +268,34 @@ def test_stiffness_is_the_constitutive_form_and_depends_on_alpha1_plus_alpha2(re
     assert _rel_gap(system.K, K_mean) <= 1e-12
     korn = np.sqrt(scipy.linalg.eigh(grad, E, eigvals_only=True)[-1])
     assert system.korn == pytest.approx(korn, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
+    # every Kronecker-product Gram and sum-factorized load work against plain
+    # 3d quadrature over the oracle tables, and each form exactly symmetric
+    G = _oracle(n)
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    *_, A = solver._tabulate(ClampedBasis(n), None)
+    forms = {name: solver._form(A, op) for name, op in (
+        ("mass", "value"), ("grad", "grad"), ("div", "div"), ("curl", "curl_curl"))}
+    forms["curl"] *= 0.25
+    system = assemble(p, _couple_loads(), n)
+    cosserat = solver._cosserat_forms(p, _couple_loads(), n, None)
+    E = p.mu * G["grad"] + (p.mu + p.lam) * G["div"]
+    pairs = {
+        **{name: (X, G[name]) for name, X in forms.items()},
+        "K": (system.K, E + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * G["curl"]),
+        "M": (system.M, G["mass"]), "E": (cosserat.elastic, E),
+        "b": (system.b, G["f"] + G["g"]), "force": (cosserat.force, G["f"]),
+        "B": (cosserat.B, G["H"] @ cosserat.W), "couple": (cosserat.couple, cosserat.W.T @ G["g"]),
+    }
+    for name, (got, ref) in pairs.items():
+        assert _rel_gap(got, ref) <= 1e-12, name
+    for X in (*forms.values(), system.K, system.M, cosserat.elastic, cosserat.mass):
+        assert np.array_equal(X, X.T)
+    assert system.korn == korn_constant(n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -304,12 +384,12 @@ class TestCosserat:
     def test_sweep_tabulates_once(self, monkeypatch):
         calls = []
 
-        def counting(basis, pts, *weights):
-            calls.append(pts.shape[0])
-            return raw(basis, pts, *weights)
+        def counting(*args):
+            calls.append(args)
+            return raw(*args)
 
-        raw = solver._dof_tables
-        monkeypatch.setattr(solver, "_dof_tables", counting)
+        raw = solver._tabulate
+        monkeypatch.setattr(solver, "_tabulate", counting)
         cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 100.0, 1000.0, 10000.0])
         assert len(calls) == 1
 
@@ -324,13 +404,13 @@ class TestCosserat:
             assert err == pytest.approx(np.sqrt(d @ mass @ d / (ref @ mass @ ref)), rel=1e-12)
 
     def test_sweep_rejects_degenerate_coupling_before_tabulating(self, monkeypatch):
-        monkeypatch.setattr(solver, "_dof_tables", None)
+        monkeypatch.setattr(solver, "_tabulate", None)
         with pytest.raises(DegenerateCosseratError):
             cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 0.0])
 
     @pytest.mark.parametrize("mu_cs", [[], [100.0], [100.0, 100.0]])
     def test_sweep_needs_two_distinct_couplings_before_tabulating(self, monkeypatch, mu_cs):
-        monkeypatch.setattr(solver, "_dof_tables", None)
+        monkeypatch.setattr(solver, "_tabulate", None)
         with pytest.raises(ValueError, match="two distinct"):
             cosserat_limit_sweep(PARAMS, _loads(), 2, mu_cs)
 
@@ -341,8 +421,7 @@ def test_half_curl_gram_is_the_skew_half_of_korns_equality(n, rank):
     # forms take H = G(curl u / 2) from the elastic Grams; against the direct
     # Gram, through B = H W
     forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
-    *_, tables = solver._tabulate(ClampedBasis(n), None)
-    H = solver._gram(tables.half_curl)
+    H = _oracle(n)["H"]
     assert _rel_gap(forms.B, H @ forms.W) <= 1e-13
     # the rotation basis keeps the same rank, with the null floor far below
     # the 1e-10 cutoff and the kept spectrum far above it
@@ -373,31 +452,6 @@ def test_reduced_stiffness_is_exactly_symmetric(monkeypatch, n, mu_c):
     assert np.array_equal(raw(replace(systems[0], K=K.T)).coeffs, sol.coeffs)
 
 
-def _couple_loads():
-    g = lambda x: np.stack([x[:, 1], np.ones(x.shape[0]), x[:, 0] * x[:, 2]], axis=-1)
-    return LoadData(f=_loads().f, m_body=g)
-
-
-@lru_cache
-def _cosserat_grams(n):
-    """Direct Grams and load works of the Cosserat problem at the solver's
-    default order: grad u, div u, curl u / 2, curl curl u / 2 and the mass;
-    the force and couple works; and an L2-orthonormal basis C of the
-    rotations curl u / 2, one mode per row."""
-    basis = ClampedBasis(n)
-    _, pts, sqrt_w, t = solver._tabulate(basis, None)
-    loads = _couple_loads()
-    H = solver._gram(t.half_curl)
-    vals, vecs = scipy.linalg.eigh(H)
-    keep = vals > 1e-10 * vals[-1]
-    return dict(
-        grad=solver._gram(t.grad), div=solver._gram(tr(t.grad)), H=H,
-        curl=0.25 * solver._gram(t.curl_curl), mass=solver._gram(t.val),
-        f=np.einsum("pqi,qi->p", t.val, loads.force(pts) * sqrt_w[:, None]),
-        g=np.einsum("pqi,qi->p", t.half_curl, loads.couple(pts) * sqrt_w[:, None]),
-        C=(vecs[:, keep] / np.sqrt(vals[keep])).T)
-
-
 def _m_gap(z, ref, mass):
     d = z - ref
     return np.sqrt(d @ mass @ d / (ref @ mass @ ref))
@@ -406,11 +460,11 @@ def _m_gap(z, ref, mass):
 @pytest.mark.parametrize("mu_c", [10.0, 100.0, 1e3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
-def test_reduced_solve_matches_the_block_system(regime, n, mu_c):
+def test_reduced_solve_matches_the_block_system(monkeypatch, regime, n, mu_c):
     # the oracle: the Cosserat functional in (u, a), a on the orthonormal
     # rotation modes C, factored as one (D + R)-square block system
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5, mu_c=mu_c)
-    G = _cosserat_grams(n)
+    G = _oracle(n)
     C, D = G["C"], 3 * n ** 3
     E = p.mu * G["grad"] + (p.mu + p.lam) * G["div"]
     A_ua = -2.0 * mu_c * G["H"] @ C.T
@@ -418,12 +472,20 @@ def test_reduced_solve_matches_the_block_system(regime, n, mu_c):
                   [A_ua.T, 2.0 * mu_c * np.eye(len(C))
                    + 2.0 * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T]])
     z = np.linalg.solve(2.0 * A, np.concatenate([G["f"], C @ G["g"]]))
+    built = []
+
+    def capturing(*args):
+        built.append(raw(*args))
+        return built[-1]
+
+    raw = solver._cosserat_forms
+    monkeypatch.setattr(solver, "_cosserat_forms", capturing)
     sol = cosserat_solve(p, _couple_loads(), n)
     assert _m_gap(sol.u_coeffs, z[:D], G["mass"]) <= 1e-12
     # the microrotations as combinations of the curl u_p / 2, in the H-norm; the
     # block system's own round-off in a grows linearly with mu_c
-    assert _m_gap(solver._cosserat_forms(p, _couple_loads(), n, None).W @ sol.a_coeffs,
-                  C.T @ z[D:], G["H"]) <= max(1e-12, 1e-14 * mu_c)
+    [forms] = built
+    assert _m_gap(forms.W @ sol.a_coeffs, C.T @ z[D:], G["H"]) <= max(1e-12, 1e-14 * mu_c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -432,7 +494,7 @@ def test_infinite_coupling_is_the_constrained_system(regime, n):
     # microrotation = curl u / 2: stiffness 2(E + 2 mu L_c^2 G(curl curl u / 2)),
     # and the couple works against curl u / 2
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
-    G = _cosserat_grams(n)
+    G = _oracle(n)
     K = 2.0 * (p.mu * G["grad"] + (p.mu + p.lam) * G["div"] + 2.0 * p.mu * p.L_c ** 2 * G["curl"])
     ref = np.linalg.solve(K, G["f"] + G["g"])
     got = cosserat_constrained_solve(p, _couple_loads(), n).coeffs
