@@ -14,13 +14,19 @@ factorization): no 3d table of the modes is formed.  On the clamped span,
 v = curl u vanishes on the boundary and is divergence free, so
 ||sym grad v||^2 = ||skw grad v||^2 = ||curl v||^2 / 2 (a null Lagrangian).
 
-The Cosserat microrotation, on L2-orthonormal modes W of the rotations
-curl u / 2 that diagonalize the Gram of curl a (Lambda), is eliminated in
-closed form: with E the classical stiffness, k = mu L_c^2 and s = 1 /
-(1 + k Lambda / mu_c), the reduced stiffness is 2 E + B diag(4 k Lambda s) B',
-B = G(curl u / 2) W, and the load f + B diag(s) W'g (f, g: force and couple
-work).  No term grows with mu_c; mu_c = inf (s = 1) is the constrained
-problem, microrotation = curl u / 2.
+The Cosserat functional
+
+  Pi(u, a) = u'Eu/2 + mu_c ||curl u / 2 - a||^2 + (alpha1 + alpha2) mu L_c^2 ||curl a||^2 / 2
+             - f.u - int g.a,
+
+E the classical stiffness, f and g the force and couple work, is minimized with
+its microrotation a on L2-orthonormal modes W of the rotations curl u / 2 that
+diagonalize the Gram of curl a (Lambda), eliminated in closed form: with the
+curvature d = (alpha1 + alpha2) mu L_c^2 Lambda and s = 1 / (1 + d / (2 mu_c)),
+the reduced stiffness is E + B diag(d s) B', B = G(curl u / 2) W, the load
+f + B diag(s) W'g, and the microrotation s (B'u + W'g / (2 mu_c)).  No term
+grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``,
+microrotation = curl u / 2.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ __all__ = [
     "WellPosednessError",
     "assemble",
     "coercivity_evidence",
-    "cosserat_constrained_solve",
     "cosserat_limit_sweep",
     "cosserat_solve",
     "korn_constant",
@@ -218,13 +223,6 @@ def _gram(X: NDArray) -> NDArray:
     return np.einsum("pq,rq->pr", X, X, optimize=True)
 
 
-def _elastic_form(params: MaterialParams, A: NDArray):
-    """Classical stiffness mu G(grad u) + (mu + lam) G(div u), by Korn's equality
-    2 mu G(sym grad u) + lam G(div u), and the two Grams it is built from."""
-    grad, div = _form(A, "grad"), _form(A, "div")
-    return params.mu * grad + (params.mu + params.lam) * div, grad, div
-
-
 def _korn(grad_gram: NDArray, div_gram: NDArray) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
     with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
@@ -248,6 +246,24 @@ class GalerkinSystem:
     korn: float | None = dc_field(default=None, init=False)
 
 
+def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
+             quadrature_order: int | None):
+    """The clamped problem from one tabulation: its system, with the curvature
+    block (alpha1 + alpha2) mu L_c^2 G(curl curl u / 2) and the load f + g; the
+    classical stiffness E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality
+    2 mu G(sym grad u) + lam G(div u); the Grams of grad u, div u and
+    curl curl u / 2; and the force work f and couple work g (against curl u / 2)."""
+    basis = ClampedBasis(n_modes)
+    order, pts, wT, A = _tabulate(basis, quadrature_order)
+    grad, div, curl = _form(A, "grad"), _form(A, "div"), 0.25 * _form(A, "curl_curl")
+    elastic = params.mu * grad + (params.mu + params.lam) * div
+    force, couple = _work(wT, "value", loads.force(pts)), _work(wT, "half_curl", loads.couple(pts))
+    k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
+    system = GalerkinSystem(params=params, basis=basis, K=elastic + k * curl, M=_form(A, "value"),
+                            b=force + couple, quadrature_order=order)
+    return system, elastic, grad, div, curl, force, couple
+
+
 def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
              quadrature_order: int | None = None) -> GalerkinSystem:
     """Assemble stiffness, mass and load for the clamped problem.
@@ -256,15 +272,7 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     times the curl curl Gram: K depends on alpha1 + alpha2 only, so ``hd`` and
     ``modified`` materials with equal sums share one stiffness.
     """
-    basis = ClampedBasis(n_modes)
-    order, pts, wT, A = _tabulate(basis, quadrature_order)
-    K, grad, div = _elastic_form(params, A)
-    K += 0.25 * (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 \
-        * _form(A, "curl_curl")
-    system = GalerkinSystem(params=params, basis=basis, K=K, M=_form(A, "value"),
-                            b=_work(wT, "value", loads.force(pts))
-                            + _work(wT, "half_curl", loads.couple(pts)),
-                            quadrature_order=order)
+    system, _, grad, div, *_ = _problem(params, loads, n_modes, quadrature_order)
     system.korn = _korn(grad, div)
     return system
 
@@ -324,8 +332,9 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
 @dataclass
 class CosseratSolution:
     u_coeffs: NDArray
-    #: microrotation coefficients on the modes psi_r = sum_p W[p, r] curl(u_p) / 2
-    #: of ``_CosseratForms.W``: L2-orthonormal, and orthogonal for the Gram of curl a
+    #: microrotation coefficients s (B'u + W'g / (2 mu_c)) on the modes
+    #: psi_r = sum_p W[p, r] curl(u_p) / 2 of ``_CosseratForms.W``: L2-orthonormal,
+    #: and orthogonal for the Gram of curl a
     a_coeffs: NDArray
 
 
@@ -333,23 +342,19 @@ class CosseratSolution:
 class _CosseratForms:
     """The mu_c-independent parts of the Cosserat problem, from one tabulation."""
 
-    params: MaterialParams
-    basis: ClampedBasis
-    order: int
+    system: GalerkinSystem  # the clamped problem of ``assemble``, the mu_c = inf limit
     elastic: NDArray    # classical stiffness form E
-    mass: NDArray
     force: NDArray      # force work f against u
     W: NDArray          # (D, R): column r gives the mode psi_r = sum_p W[p, r] curl(u_p) / 2
     B: NDArray          # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
-    curl_eigs: NDArray  # (R,) Lambda, the diagonal Gram of curl psi_r
+    curvature: NDArray  # (R,) d = (alpha1 + alpha2) mu L_c^2 Lambda, Lambda the Gram of curl psi_r
     couple: NDArray     # (R,) W' g, the couple work against each psi_r
 
 
 def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
                     quadrature_order: int | None) -> _CosseratForms:
-    basis = ClampedBasis(n_modes)
-    order, pts, wT, A = _tabulate(basis, quadrature_order)
-    elastic, grad, div = _elastic_form(params, A)
+    system, elastic, grad, div, curl, force, couple = _problem(params, loads, n_modes,
+                                                               quadrature_order)
     # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, the skew
     # half of Korn's equality
     half_curl = 0.25 * (grad - div)
@@ -359,12 +364,12 @@ def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
     keep = vals > 1e-10 * vals[-1]
     C = (vecs[:, keep] / np.sqrt(vals[keep])).T
     # rotated to the eigenbasis of the Gram of curl a (eigh reads one triangle)
-    lam, V = scipy.linalg.eigh(C @ (0.25 * _form(A, "curl_curl")) @ C.T, driver="evd")
+    lam, V = scipy.linalg.eigh(C @ curl @ C.T, driver="evd")
     W = C.T @ V
     return _CosseratForms(
-        params=params, basis=basis, order=order, elastic=elastic, mass=_form(A, "value"),
-        force=_work(wT, "value", loads.force(pts)), W=W, B=half_curl @ W, curl_eigs=lam,
-        couple=W.T @ _work(wT, "half_curl", loads.couple(pts)),
+        system=system, elastic=elastic, force=force, W=W, B=half_curl @ W,
+        curvature=(params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 * lam,
+        couple=W.T @ couple,
     )
 
 
@@ -385,14 +390,12 @@ def _reduced_solves(forms: _CosseratForms, mu_c_values) -> list[tuple[GalerkinSo
     coefficients).  Every stiffness is built before the first factorization:
     numpy's BLAS and scipy's LAPACK keep separate thread pools, and switching
     between them per mu_c cost about 20 of 170 ms in an N = 4 sweep on two cores."""
-    k, lam = forms.params.mu * forms.params.L_c ** 2, forms.curl_eigs
-    scales = [1.0 / (1.0 + k * lam / mu_c) for mu_c in mu_c_values]
-    systems = [GalerkinSystem(params=forms.params, basis=forms.basis,
-                              K=2.0 * forms.elastic + _gram(forms.B * np.sqrt(4.0 * k * lam * s)),
-                              M=forms.mass, b=forms.force + forms.B @ (s * forms.couple),
-                              quadrature_order=forms.order) for s in scales]
+    d = forms.curvature
+    scales = [1.0 / (1.0 + d / (2.0 * mu_c)) for mu_c in mu_c_values]
+    systems = [replace(forms.system, K=forms.elastic + _gram(forms.B * np.sqrt(d * s)),
+                       b=forms.force + forms.B @ (s * forms.couple)) for s in scales]
     solutions = [solve(system) for system in systems]
-    return [(sol, s * (forms.B.T @ sol.coeffs + forms.couple / (4.0 * mu_c)))
+    return [(sol, s * (forms.B.T @ sol.coeffs + forms.couple / (2.0 * mu_c)))
             for sol, s, mu_c in zip(solutions, scales, mu_c_values)]
 
 
@@ -402,29 +405,18 @@ def cosserat_solve(params: MaterialParams, loads: LoadData, n_modes: int,
 
     The microrotation is discretized on the curl span of the
     displacement basis, so that the mu_c -> infinity limit of the
-    discrete problem is exactly the constrained discrete problem.
+    discrete problem is exactly the clamped problem of ``assemble``.
     """
     forms = _cosserat_forms(_coupled(params), loads, n_modes, quadrature_order)
     [(sol, a)] = _reduced_solves(forms, [params.mu_c])
     return CosseratSolution(u_coeffs=sol.coeffs, a_coeffs=a)
 
 
-def cosserat_constrained_solve(params: MaterialParams, loads: LoadData,
-                               n_modes: int,
-                               quadrature_order: int | None = None) -> GalerkinSolution:
-    """Solve the constrained limit problem (microrotation = curl u / 2).
-
-    The couple load enters through the constraint: it performs work
-    against curl u / 2.
-    """
-    forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
-    return _reduced_solves(forms, [np.inf])[0][0]
-
-
 def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
                          mu_c_values, quadrature_order: int | None = None):
-    """Relative L2 errors against the constrained solution over a mu_c
-    sweep, plus the least-squares convergence order in 1/mu_c.
+    """Relative L2 errors against the mu_c = inf solution, that of the clamped
+    problem of ``assemble``, over a mu_c sweep, plus the least-squares
+    convergence order in 1/mu_c.
 
     All solves share one tabulation.  Returns (errors, order_estimate).
     """
@@ -434,8 +426,8 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
     ref, *sols = (sol.coeffs for sol, _ in
                   _reduced_solves(forms, [np.inf, *(p.mu_c for p in penalized)]))
-    ref_norm = float(np.sqrt(ref @ (forms.mass @ ref)))
-    errors = [float(np.sqrt((z - ref) @ (forms.mass @ (z - ref)))) / ref_norm for z in sols]
+    ref_norm = float(np.sqrt(ref @ (forms.system.M @ ref)))
+    errors = [float(np.sqrt((z - ref) @ (forms.system.M @ (z - ref)))) / ref_norm for z in sols]
     x = np.log(1.0 / np.asarray(mu_c_values, dtype=float))
     slope = float(np.polyfit(x, np.log(errors), 1)[0])
     return errors, slope

@@ -3,6 +3,7 @@ shipped guarantee, at the stated tolerances.  Each test prints its worst
 observed gap for the record."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from costress.fields import (
     kinematics,
     make_polynomial,
 )
-from costress.solver import assemble, coercivity_evidence, korn_constant, solve
+from costress.solver import (assemble, coercivity_evidence, cosserat_solve, korn_constant,
+                             solve)
 from costress.surfaces import BoxFace, SphericalCap, surface_divergence_check
 from costress.tensors import EPS3, anti, axl, dev, skw, sym
 
@@ -207,22 +209,29 @@ def test_criterion_10_solver_round_trip():
     assert lin <= 1e-10
 
 
-def test_criterion_11_cosserat_limit():
-    p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=0.1)
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_criterion_11_cosserat_limit(regime):
+    p = MaterialParams.for_regime(regime, mu=1.0, lam=1.0, L_c=0.1)
     loads = LoadData(
         f=lambda x: np.stack([np.ones(x.shape[0]), x[:, 0], -x[:, 1]], axis=-1),
         m_body=lambda x: np.stack([x[:, 1], np.ones(x.shape[0]),
                                    np.zeros(x.shape[0])], axis=-1),
     )
+    mu_cs = [10.0, 100.0, 1000.0, 10000.0]
     checks = {c.name: c for c in cosserat_checks(
-        n_modes=3, quadrature_order=None, load=loads,
-        mu_c_values=[10.0, 100.0, 1000.0, 10000.0], material=p)}
+        n_modes=3, quadrature_order=None, load=loads, mu_c_values=mu_cs, material=p)}
     errors = checks["errors_strictly_decreasing"].details["errors"]
     order = checks["convergence_order"].value
-    print(f"cosserat sweep errors: {errors}; observed order {order:.3f}")
+    print(f"cosserat sweep errors ({regime}): {errors}; observed order {order:.3f}")
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert abs(order - 1.0) <= 0.3
     assert [c.name for c in checks.values() if not c.passed] == []
+    # the limit is bvp-solve's solution: the errors against the clamped system
+    system = assemble(p, loads, 3)
+    ref = solve(system).coeffs
+    for mc, err in zip(mu_cs, errors):
+        d = cosserat_solve(replace(p, mu_c=mc), loads, 3).u_coeffs - ref
+        assert err == pytest.approx(np.sqrt(d @ system.M @ d / (ref @ system.M @ ref)), rel=1e-9)
 
 
 def test_criterion_12_determinism(tmp_path):

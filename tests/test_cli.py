@@ -357,6 +357,29 @@ def test_cosserat_limit_converges_at_large_mu_c(tmp_path):
     assert abs(checks["convergence_order"]["value"] - 1.0) <= 1e-6
 
 
+def test_cosserat_limit_reads_alpha1_plus_alpha2(tmp_path):
+    # the Cosserat limit is the clamped problem, whose curvature is
+    # (alpha1 + alpha2) mu L_c^2 G(curl curl u / 2): modified and hd share one
+    # sweep, gkmt has its own, frozen at its values before alpha entered
+    def csv(name, material=None):
+        cfg = {"seed": 0} if material is None else {"seed": 0, "material": {
+            "mu": 1.0, "lambda": 1.0, "L_c": 0.5, **material}}
+        out = tmp_path / name
+        assert run("cosserat-limit", _write(tmp_path, "c.json", cfg), str(out)) == 0
+        return (out / "cosserat-limit.csv").read_bytes()
+
+    modified = csv("modified", {"alpha1": 1.0, "alpha2": 0.0})
+    hd = csv("hd", {"alpha1": 0.0, "alpha2": 1.0})
+    gkmt = csv("gkmt")
+    assert modified == hd
+    assert modified != gkmt
+    rows = {row.split(",")[0]: float(row.split(",")[1])
+            for row in gkmt.decode().splitlines()[1:]}
+    for mc, err in [("10", 1.1334458269429519), ("100", 0.15548893891422105),
+                    ("1000", 0.016299218193234061), ("10000", 0.0016391799245969783)]:
+        assert rows[f"relative_error_mu_c_{mc}"] == pytest.approx(err, rel=1e-12), mc
+
+
 def test_conformal_demo(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 2, "points": 4,

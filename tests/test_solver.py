@@ -16,7 +16,6 @@ from costress.solver import (
     WellPosednessError,
     assemble,
     coercivity_evidence,
-    cosserat_constrained_solve,
     cosserat_limit_sweep,
     cosserat_solve,
     korn_constant,
@@ -293,8 +292,11 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     }
     for name, (got, ref) in pairs.items():
         assert _rel_gap(got, ref) <= 1e-12, name
-    for X in (*forms.values(), system.K, system.M, cosserat.elastic, cosserat.mass):
+    for X in (*forms.values(), system.K, system.M, cosserat.elastic):
         assert np.array_equal(X, X.T)
+    # both solvers start from one clamped problem
+    for name in ("K", "M", "b"):
+        assert np.array_equal(getattr(cosserat.system, name), getattr(system, name)), name
     assert system.korn == korn_constant(n)
 
 
@@ -367,7 +369,7 @@ class TestCosserat:
 
     def test_large_penalty_matches_constrained(self):
         loads = _loads()
-        ref = cosserat_constrained_solve(PARAMS, loads, 2)
+        ref = solve(assemble(PARAMS, loads, 2))
         p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=0.1, mu_c=1e8)
         sol = cosserat_solve(p, loads, 2)
         rel = (np.linalg.norm(sol.u_coeffs - ref.coeffs)
@@ -397,8 +399,8 @@ class TestCosserat:
         loads = _couple_loads()
         mu_cs = [10.0, 100.0, 1000.0, 10000.0]
         errors, _ = cosserat_limit_sweep(PARAMS, loads, 2, mu_cs)
-        ref = cosserat_constrained_solve(PARAMS, loads, 2).coeffs
-        mass = assemble(PARAMS, loads, 2).M
+        system = assemble(PARAMS, loads, 2)
+        ref, mass = solve(system).coeffs, system.M
         for mc, err in zip(mu_cs, errors):
             d = cosserat_solve(replace(PARAMS, mu_c=mc), loads, 2).u_coeffs - ref
             assert err == pytest.approx(np.sqrt(d @ mass @ d / (ref @ mass @ ref)), rel=1e-12)
@@ -461,8 +463,11 @@ def _m_gap(z, ref, mass):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
 def test_reduced_solve_matches_the_block_system(monkeypatch, regime, n, mu_c):
-    # the oracle: the Cosserat functional in (u, a), a on the orthonormal
-    # rotation modes C, factored as one (D + R)-square block system
+    # the oracle: the Cosserat functional
+    # Pi = u'Eu/2 + mu_c ||curl u / 2 - a||^2 + (alpha1 + alpha2) mu L_c^2 ||curl a||^2 / 2
+    #      - f.u - int g.a
+    # in (u, a), a on the orthonormal rotation modes C, factored as one
+    # (D + R)-square block system
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5, mu_c=mu_c)
     G = _oracle(n)
     C, D = G["C"], 3 * n ** 3
@@ -470,8 +475,8 @@ def test_reduced_solve_matches_the_block_system(monkeypatch, regime, n, mu_c):
     A_ua = -2.0 * mu_c * G["H"] @ C.T
     A = np.block([[E + 2.0 * mu_c * G["H"], A_ua],
                   [A_ua.T, 2.0 * mu_c * np.eye(len(C))
-                   + 2.0 * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T]])
-    z = np.linalg.solve(2.0 * A, np.concatenate([G["f"], C @ G["g"]]))
+                   + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T]])
+    z = np.linalg.solve(A, np.concatenate([G["f"], C @ G["g"]]))
     built = []
 
     def capturing(*args):
@@ -490,12 +495,16 @@ def test_reduced_solve_matches_the_block_system(monkeypatch, regime, n, mu_c):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
-def test_infinite_coupling_is_the_constrained_system(regime, n):
-    # microrotation = curl u / 2: stiffness 2(E + 2 mu L_c^2 G(curl curl u / 2)),
-    # and the couple works against curl u / 2
+@pytest.mark.parametrize("loads", [_loads, _couple_loads], ids=["force", "force_and_couple"])
+def test_infinite_coupling_is_the_constrained_system(loads, regime, n):
+    # microrotation = curl u / 2: stiffness E + (alpha1 + alpha2) mu L_c^2 G(curl curl u / 2),
+    # and the couple works against curl u / 2; the clamped problem of assemble
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     G = _oracle(n)
-    K = 2.0 * (p.mu * G["grad"] + (p.mu + p.lam) * G["div"] + 2.0 * p.mu * p.L_c ** 2 * G["curl"])
-    ref = np.linalg.solve(K, G["f"] + G["g"])
-    got = cosserat_constrained_solve(p, _couple_loads(), n).coeffs
-    assert _m_gap(got, ref, G["mass"]) <= 1e-12
+    K = p.mu * G["grad"] + (p.mu + p.lam) * G["div"] \
+        + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * G["curl"]
+    g = G["g"] if loads is _couple_loads else 0.0
+    ref = np.linalg.solve(K, G["f"] + g)
+    [(sol, _)] = solver._reduced_solves(solver._cosserat_forms(p, loads(), n, None), [np.inf])
+    assert _m_gap(sol.coeffs, ref, G["mass"]) <= 1e-12
+    assert _m_gap(sol.coeffs, solve(assemble(p, loads(), n)).coeffs, G["mass"]) <= 1e-12
