@@ -163,7 +163,7 @@ def _load(v, job) -> LoadData:
     f_seed = job["seed"] if spec["f_seed"] is None else spec["f_seed"]
     f = make_polynomial(f_seed, spec["f_degree"])
     g = spec["g_seed"]
-    g = None if g is None else make_polynomial(g, spec["g_degree"]).value
+    g = None if g is None else make_polynomial(g, spec["g_degree"])
     return LoadData(f=f.value, m_body=g)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import DisplacementField, NumericDomainError, grad_curl_from_grad2
+from .fields import DisplacementField, NumericDomainError, curl_from_grad, grad_curl_from_grad2
 from .tensors import ID3, anti, dev, inner, is_traceless, skw, sym, tr
 
 __all__ = [
@@ -134,7 +134,9 @@ class LoadData:
     """Body force density and (for the Cosserat problem) body couple."""
 
     f: object = None        # callable x -> (3,) or None for zero
-    m_body: object = None   # callable x -> (3,) axial couple density
+    #: axial couple density g, x -> (3,), or None for zero; ``equilibrium_residual``
+    #: needs it as a DisplacementField, for curl g from its gradient
+    m_body: object = None
 
     def force(self, x: NDArray) -> NDArray:
         if self.f is None:
@@ -246,13 +248,15 @@ def equilibrium_residual(
     loads: LoadData,
     x: NDArray,
 ) -> NDArray:
-    """Residual Div(sigma - tau) + f at points x of shape (..., 3), from the
-    field's second and fourth gradients.
+    """Residual Div(sigma - tau) + f + curl g / 2 at points x of shape (..., 3),
+    from the field's second and fourth gradients and the body couple's gradient.
 
     The field equations depend on alpha1 + alpha2 only: Div (grad curl u)^T =
     grad div curl u = 0, so Div m = mu L_c^2 (alpha1 + alpha2) Lap curl u / 2
     whatever the split, and Div tau = -curl Div m / 2 =
     k (Lap Lap u - grad div Lap u) with k = mu L_c^2 (alpha1 + alpha2) / 4.
+    The body couple works against curl u / 2, int g . curl v / 2 =
+    int curl g / 2 . v for v clamped, so it loads the field equations as curl g / 2.
     """
     x = np.asarray(x, dtype=float)
     H = field.grad2(x)
@@ -262,6 +266,8 @@ def equilibrium_residual(
     k = 0.25 * params.mu * params.L_c ** 2 * (params.alpha1 + params.alpha2)
     div_tau = k * (np.einsum("...iaabb->...i", Q) - np.einsum("...jjiaa->...i", Q))
     res = div_sigma - div_tau + loads.force(x)
+    if loads.m_body is not None:
+        res = res + 0.5 * curl_from_grad(loads.m_body.grad(x))
     if not np.all(np.isfinite(res)):
         raise NumericDomainError(f"non-finite equilibrium residual at {x}")
     return res

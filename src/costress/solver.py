@@ -14,6 +14,15 @@ factorization): no 3d table of the modes is formed.  On the clamped span,
 v = curl u vanishes on the boundary and is divergence free, so
 ||sym grad v||^2 = ||skw grad v||^2 = ||curl v||^2 / 2 (a null Lagrangian).
 
+The material is isotropic, so the clamped problem on the cube is invariant under
+the reflections x_d -> 1 - x_d.  Each 1d mode beta_k is even or odd about x = 1/2,
+as (-1)^k, so each vector mode beta_a beta_b beta_g e_c is even or odd under each
+reflection, the one of axis c flipping e_c too: 8 parity classes.  Every form of
+the problem (K, M, E and the grad, div, curl and curl curl Grams) pairs only modes
+of one class, so it is block-diagonal over the classes (``ClampedBasis.blocks``),
+and every factorization and eigen-solve runs once per block, at about 1/8 of the
+dofs.  The 1d Grams hold the zeros exactly, so the blocks are exact.
+
 The Cosserat functional
 
   Pi(u, a) = u'Eu/2 + mu_c ||curl u / 2 - a||^2 + (alpha1 + alpha2) mu L_c^2 ||curl a||^2 / 2
@@ -32,12 +41,11 @@ microrotation = curl u / 2.
 from __future__ import annotations
 
 import functools
-import importlib
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy  # not scipy.linalg: _tabulate loads it, so commands that never solve skip it
+import scipy  # not scipy.linalg: it loads on first use, so commands that never solve skip it
 from numpy.polynomial import Legendre
 from numpy.polynomial.legendre import legder, leggauss, legval
 from numpy.typing import NDArray
@@ -69,7 +77,8 @@ class WellPosednessError(RuntimeError):
 
 
 class DegenerateCosseratError(ValueError):
-    """The Cosserat rotational coupling is absent or negative."""
+    """The Cosserat rotational coupling is absent or negative, or a mu_c sweep
+    has no curvature energy to converge with."""
 
 
 class ClampedBasis:
@@ -94,6 +103,13 @@ class ClampedBasis:
         for k in range(self.n_modes):
             c = (bubble * Legendre.basis(k, domain=[0.0, 1.0])).coef
             self._coef[: len(c), k] = c
+        # under x_d -> 1 - x_d the mode (c; a, b, g) = beta_a beta_b beta_g e_c keeps or
+        # flips its sign: beta_k has the parity (-1)^k, and the reflection flips e_d
+        c, a, b, g = np.indices((3,) + (self.n_modes,) * 3).reshape(4, -1)
+        key = 4 * ((a + (c == 0)) % 2) + 2 * ((b + (c == 1)) % 2) + (g + (c == 2)) % 2
+        #: the dofs of each non-empty reflection-parity block, ascending: every form of
+        #: the isotropic clamped problem is block-diagonal over them
+        self.blocks = [i for i in (np.flatnonzero(key == k) for k in range(8)) if i.size]
 
     # -- quadrature ---------------------------------------------------------
 
@@ -160,16 +176,17 @@ def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
     if order < basis.min_quadrature_order:
         raise ValueError(f"quadrature order {order} below the exactness minimum "
                          f"{basis.min_quadrature_order} for N = {basis.n_modes}")
-    # load LAPACK here, before the first matrix product: loaded while numpy's BLAS
-    # threads still spin after a product, it took 25-60 ms longer on two cores
-    importlib.import_module("scipy.linalg")
     x, w = leggauss(order)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     T = np.stack([legval(2.0 * x - 1.0, legder(basis._coef, k, scl=2.0)) for k in range(3)])
     A = np.einsum("iaq,jbq->ijab", T * w, T)
     # A[j, i] = A[i, j]' exactly: the reduced Cosserat solve amplifies round-off in
     # the forms (N = 5: a gap of 1.5e-12 to the 3d quadrature oracle, 4.5e-13 with it)
-    return order, basis.quadrature(order)[0], T * w, 0.5 * (A + A.transpose(1, 0, 3, 2))
+    A = 0.5 * (A + A.transpose(1, 0, 3, 2))
+    # beta_k^(i) has the parity (-1)^(k+i) about x = 1/2, so A[i, j][k, l] = 0 for odd
+    # i + j + k + l; exact zeros make every form exactly block-diagonal
+    A[np.indices(A.shape).sum(axis=0) % 2 == 1] = 0.0
+    return order, basis.quadrature(order)[0], T * w, A
 
 
 # Differential operators, c -> the image of the vector mode phi e_c as terms
@@ -192,8 +209,14 @@ def _form(A: NDArray, op: str) -> NDArray:
     pair of partials a, b of the scalar modes contributes the Kronecker product of the
     1d Grams of the three axes, in the a N^2 + b N + g order of the modes."""
     n = A.shape[-1]
-    kron = functools.cache(lambda a, b: np.kron(A[a.count(0), b.count(0)], np.kron(
-        A[a.count(1), b.count(1)], A[a.count(2), b.count(2)])))
+
+    @functools.cache
+    def kron(a, b):
+        # X (x) Y (x) Z in one broadcast, entries X * (Y * Z) as np.kron(X, np.kron(Y, Z))
+        X, Y, Z = (A[a.count(d), b.count(d)] for d in range(3))
+        YZ = Y[:, None, :, None] * Z[None, :, None, :]
+        return (X[:, None, None, :, None, None] * YZ[None, :, :, None]).reshape(n ** 3, n ** 3)
+
     F = np.zeros((3, n ** 3, 3, n ** 3))
     for c, d in itertools.product(range(3), repeat=2):
         for (i, s, a), (j, r, b) in itertools.product(_OPS[op](c), _OPS[op](d)):
@@ -223,12 +246,24 @@ def _gram(X: NDArray) -> NDArray:
     return np.einsum("pq,rq->pr", X, X, optimize=True)
 
 
-def _korn(grad_gram: NDArray, div_gram: NDArray) -> float:
+def _block(X: NDArray, dofs: NDArray) -> NDArray:
+    """The diagonal block of a form on some dofs, as a new array."""
+    return X[np.ix_(dofs, dofs)]
+
+
+def _extreme_eig(blocks, X: NDArray, Y: NDArray | None = None, top: bool = False) -> float:
+    """Smallest (``top``: largest) eigenvalue of the block-diagonal form X, or of the
+    pencil (X, Y), over the parity blocks: one eigen-solve per block."""
+    vals = [scipy.linalg.eigh(_block(X, i), None if Y is None else _block(Y, i),
+                              eigvals_only=True, subset_by_index=[len(i) - 1 if top else 0] * 2)[0]
+            for i in blocks]
+    return float(max(vals) if top else min(vals))
+
+
+def _korn(blocks, grad_gram: NDArray, div_gram: NDArray) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
     with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
-    top = scipy.linalg.eigh(grad_gram, 0.5 * (grad_gram + div_gram), eigvals_only=True,
-                            subset_by_index=[len(grad_gram) - 1] * 2)
-    return float(np.sqrt(top[0]))
+    return float(np.sqrt(_extreme_eig(blocks, grad_gram, 0.5 * (grad_gram + div_gram), top=True)))
 
 
 @dataclass
@@ -273,7 +308,7 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     ``modified`` materials with equal sums share one stiffness.
     """
     system, _, grad, div, *_ = _problem(params, loads, n_modes, quadrature_order)
-    system.korn = _korn(grad, div)
+    system.korn = _korn(system.basis.blocks, grad, div)
     return system
 
 
@@ -285,27 +320,28 @@ class GalerkinSolution:
 
 
 def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolution:
-    """Solve K z = b by Cholesky factorization, which reads one triangle of
-    the symmetric K.
+    """Solve K z = b by one Cholesky factorization per parity block of the
+    basis, each reading one triangle of the symmetric block.
 
     Raises
     ------
     WellPosednessError
-        If K is not symmetric positive definite; the smallest
-        eigenvalue is attached to the exception.
+        If a block of K is not symmetric positive definite; the smallest
+        eigenvalue over the blocks is attached to the exception.
     """
-    # the transpose view of the symmetric K is the same matrix, C-ordered
-    # for an assembled K, so K @ z below runs as row dot products
-    K = system.K.T
+    K, blocks = system.K, system.basis.blocks
     b = system.b if rhs is None else np.asarray(rhs, dtype=float)
+    z = np.zeros(len(b))
     try:
-        cf = scipy.linalg.cho_factor(K)
+        for i in blocks:
+            z[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(_block(K, i), overwrite_a=True),
+                                          b[i])
     except np.linalg.LinAlgError as exc:
-        lam_min = float(scipy.linalg.eigh(K, eigvals_only=True, subset_by_index=[0, 0])[0])
+        lam_min = _extreme_eig(blocks, K)
         raise WellPosednessError(
             f"stiffness not positive definite (lambda_min = {lam_min:.3e})", lam_min
         ) from exc
-    z = scipy.linalg.cho_solve(cf, b)
+    # against the whole K, so that entries outside the blocks show in the residual
     res = np.linalg.norm(K @ z - b) / max(1.0, np.linalg.norm(b))
     energy = float(0.5 * z @ (K @ z) - b @ z)
     return GalerkinSolution(coeffs=z, energy=energy, residual=float(res))
@@ -314,16 +350,16 @@ def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolutio
 def coercivity_evidence(system: GalerkinSystem) -> float:
     """Smallest generalized eigenvalue of (K, M): the discrete coercivity
     constant with respect to the L2 norm."""
-    vals = scipy.linalg.eigh(system.K, system.M, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
+    return _extreme_eig(system.basis.blocks, system.K, system.M)
 
 
 def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
     clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
     value as ``GalerkinSystem.korn``."""
-    *_, A = _tabulate(ClampedBasis(n_modes), quadrature_order)
-    return _korn(_form(A, "grad"), _form(A, "div"))
+    basis = ClampedBasis(n_modes)
+    *_, A = _tabulate(basis, quadrature_order)
+    return _korn(basis.blocks, _form(A, "grad"), _form(A, "div"))
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -349,6 +385,9 @@ class _CosseratForms:
     B: NDArray          # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
     curvature: NDArray  # (R,) d = (alpha1 + alpha2) mu L_c^2 Lambda, Lambda the Gram of curl psi_r
     couple: NDArray     # (R,) W' g, the couple work against each psi_r
+    #: the columns of W and B on each parity block of ``system.basis.blocks``; both
+    #: are zero outside these (rows, columns) blocks
+    columns: list[slice]
 
 
 def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -358,18 +397,32 @@ def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
     # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, the skew
     # half of Korn's equality
     half_curl = 0.25 * (grad - div)
-    # orthonormal basis of {curl u / 2 : u in span}, relative cutoff 1e-10; the
-    # divide-and-conquer driver takes a third to a quarter of the default's time
-    vals, vecs = scipy.linalg.eigh(half_curl, driver="evd")
-    keep = vals > 1e-10 * vals[-1]
-    C = (vecs[:, keep] / np.sqrt(vals[keep])).T
-    # rotated to the eigenbasis of the Gram of curl a (eigh reads one triangle)
-    lam, V = scipy.linalg.eigh(C @ curl @ C.T, driver="evd")
-    W = C.T @ V
+    blocks = system.basis.blocks
+    # per parity block, an orthonormal basis C of {curl u / 2 : u in span}, cut off at
+    # 1e-10 of the largest eigenvalue over all blocks.  C scales eigenvectors by
+    # 1 / sqrt(eigenvalue), so it takes the default driver: with divide-and-conquer
+    # the mu_c = inf solve drifts from ``solve(assemble(...))`` by 2.2e-12 at N = 8
+    # (gkmt, force and couple), against 8.0e-13
+    eigs = [scipy.linalg.eigh(_block(half_curl, i)) for i in blocks]
+    cutoff = 1e-10 * max(vals[-1] for vals, _ in eigs)
+    kept = [(vecs[:, vals > cutoff], np.sqrt(vals[vals > cutoff])) for vals, vecs in eigs]
+    ends = np.cumsum([0] + [len(root) for _, root in kept])
+    columns = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    W, B = np.zeros((2, len(half_curl), ends[-1]))
+    lam = np.zeros(ends[-1])
+    for i, r, (U, root) in zip(blocks, columns, kept):
+        C = (U / root).T
+        # rotated to the eigenbasis of the Gram of curl a (eigh reads one triangle;
+        # divide-and-conquer takes half the default's time here)
+        lam[r], V = scipy.linalg.eigh(C @ _block(curl, i) @ C.T, driver="evd")
+        W[i, r] = C.T @ V
+        # H W from the eigenpairs of H, without a product with H: the mu_c = inf
+        # drift at N = 8 is 8.0e-13, against 1.9e-12 for H W
+        B[i, r] = (U * root) @ V
     return _CosseratForms(
-        system=system, elastic=elastic, force=force, W=W, B=half_curl @ W,
+        system=system, elastic=elastic, force=force, W=W, B=B,
         curvature=(params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 * lam,
-        couple=W.T @ couple,
+        couple=W.T @ couple, columns=columns,
     )
 
 
@@ -387,16 +440,18 @@ def _reduced_solves(forms: _CosseratForms, mu_c_values) -> list[tuple[GalerkinSo
     """Minimize the Cosserat functional at each couple modulus mu_c (inf: the
     constrained problem) over the forms' span, with the microrotation
     eliminated: per mu_c, (solution of the reduced system for u, microrotation
-    coefficients).  Every stiffness is built before the first factorization:
-    numpy's BLAS and scipy's LAPACK keep separate thread pools, and switching
-    between them per mu_c cost about 20 of 170 ms in an N = 4 sweep on two cores."""
-    d = forms.curvature
-    scales = [1.0 / (1.0 + d / (2.0 * mu_c)) for mu_c in mu_c_values]
-    systems = [replace(forms.system, K=forms.elastic + _gram(forms.B * np.sqrt(d * s)),
-                       b=forms.force + forms.B @ (s * forms.couple)) for s in scales]
-    solutions = [solve(system) for system in systems]
-    return [(sol, s * (forms.B.T @ sol.coeffs + forms.couple / (2.0 * mu_c)))
-            for sol, s, mu_c in zip(solutions, scales, mu_c_values)]
+    coefficients)."""
+    d, B = forms.curvature, forms.B
+    out = []
+    for mu_c in mu_c_values:
+        s = 1.0 / (1.0 + d / (2.0 * mu_c))
+        # E + B diag(d s) B', one SYRK per parity block
+        K = forms.elastic.copy()
+        for i, r in zip(forms.system.basis.blocks, forms.columns):
+            K[np.ix_(i, i)] += _gram(B[i, r] * np.sqrt(d[r] * s[r]))
+        sol = solve(replace(forms.system, K=K, b=forms.force + B @ (s * forms.couple)))
+        out.append((sol, s * (B.T @ sol.coeffs + forms.couple / (2.0 * mu_c))))
+    return out
 
 
 def cosserat_solve(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -423,6 +478,11 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     penalized = [_coupled(replace(params, mu_c=float(mc))) for mc in mu_c_values]
     if len({p.mu_c for p in penalized}) < 2:
         raise ValueError(f"a convergence order needs two distinct mu_c values, got {mu_c_values!r}")
+    if (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 == 0.0:
+        raise DegenerateCosseratError(
+            f"(alpha1 + alpha2) mu L_c^2 = 0 (alpha1 = {params.alpha1}, alpha2 = {params.alpha2}, "
+            f"L_c = {params.L_c}): without curvature energy every mu_c gives the mu_c = inf "
+            "solution, so there is no convergence to measure")
     forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
     ref, *sols = (sol.coeffs for sol, _ in
                   _reduced_solves(forms, [np.inf, *(p.mu_c for p in penalized)]))

@@ -380,6 +380,21 @@ def test_cosserat_limit_reads_alpha1_plus_alpha2(tmp_path):
         assert rows[f"relative_error_mu_c_{mc}"] == pytest.approx(err, rel=1e-12), mc
 
 
+@pytest.mark.parametrize("material", [
+    {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 0.0, "alpha2": 0.0},
+    {"mu": 1.0, "lambda": 1.0, "L_c": 0.0, "alpha1": 1.0, "alpha2": 1.0},
+], ids=["classical", "L_c=0"])
+def test_cosserat_limit_without_curvature_energy_exits_2_before_tabulating(
+        tmp_path, monkeypatch, material):
+    # (alpha1 + alpha2) L_c^2 = 0: every mu_c gives the limit, so there is no
+    # convergence to measure
+    monkeypatch.setattr(solver, "_tabulate", None)
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "material": material})
+    out = tmp_path / "o"
+    assert run("cosserat-limit", cfg, str(out)) == 2
+    assert not out.exists()
+
+
 def test_conformal_demo(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 2, "points": 4,

@@ -190,6 +190,18 @@ def test_equilibrium_hand_case(alphas):
     assert not equilibrium_residual(p, u, loads, x).any()
 
 
+def test_body_couple_loads_the_field_equations_as_half_its_curl():
+    # g = x1 x2^2 e3 has curl g = (2 x1 x2, -x2^2, 0); with u = 0 the residual is curl g / 2
+    p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.4)
+    coeffs = np.zeros((3, 3, 3, 3))
+    coeffs[2, 1, 2, 0] = 1.0
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (20, 3))
+    r = equilibrium_residual(p, PolynomialField(np.zeros((3, 1, 1, 1))),
+                             LoadData(m_body=PolynomialField(coeffs)), x)
+    expected = np.stack([x[:, 0] * x[:, 1], -0.5 * x[:, 1] ** 2, np.zeros(20)], axis=-1)
+    assert np.max(np.abs(r - expected)) <= 1e-15
+
+
 def _fd_residual(p, field, x):
     """The oracle: Div sigma from grad2 and Div tau by the FD stencil on
     stresses(...).tau_tilde."""

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import scipy.linalg
 
 from costress import solver
 from costress.constitutive import LoadData, MaterialParams, equilibrium_residual, w_curv, w_lin
-from costress.fields import fd_derivative_oracle, fd_partial, grad_curl_from_grad2
+from costress.fields import fd_derivative_oracle, fd_partial, grad_curl_from_grad2, make_polynomial
 from costress.tensors import EPS3, skw, sym, tr
 from costress.solver import (
     ClampedBasis,
@@ -300,6 +301,138 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     assert system.korn == korn_constant(n)
 
 
+def _kron_form(A, op):
+    """The np.kron oracle of ``solver._form``: each Kronecker product as nested np.kron."""
+    n = A.shape[-1]
+    F = np.zeros((3, n ** 3, 3, n ** 3))
+    for c, d in itertools.product(range(3), repeat=2):
+        for (i, s, a), (j, r, b) in itertools.product(solver._OPS[op](c), solver._OPS[op](d)):
+            if i == j:
+                F[c, :, d] += s * r * np.kron(A[a.count(0), b.count(0)], np.kron(
+                    A[a.count(1), b.count(1)], A[a.count(2), b.count(2)]))
+    return 0.5 * (F + F.transpose(2, 3, 0, 1)).reshape(3 * n ** 3, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_broadcast_kronecker_products_are_np_kron(n):
+    *_, A = solver._tabulate(ClampedBasis(n), None)
+    for op in solver._OPS:
+        assert np.array_equal(solver._form(A, op), _kron_form(A, op)), op
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_parity_blocks_are_the_reflection_symmetries_of_the_modes(n):
+    # a mode of the block (px, py, pz) satisfies R u(R x) = s u(x) for the reflection
+    # R: x_d -> 1 - x_d of each axis, with s = +1 for an even axis and -1 for an odd
+    basis = ClampedBasis(n)
+    blocks, D = basis.blocks, basis.n_dofs
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(D))
+    assert len(blocks) == (3 if n == 1 else 8)
+    assert max(map(len, blocks)) <= -(-D // 8) + 3 * n ** 2
+    x = np.random.default_rng(n).uniform(0.0, 1.0, (7, 3))
+    values = np.zeros((D, 7, 3))   # vector mode p at the points
+    for c in range(3):
+        values[c * n ** 3:(c + 1) * n ** 3, :, c] = basis.derivatives(x, 0)
+    for d in range(3):
+        y = x.copy()
+        y[:, d] = 1.0 - y[:, d]
+        reflected = np.zeros((D, 7, 3))
+        for c in range(3):
+            reflected[c * n ** 3:(c + 1) * n ** 3, :, c] = basis.derivatives(y, 0)
+        reflected[:, :, d] *= -1.0
+        for i in blocks:
+            signs = np.sign(np.einsum("pqi,pqi->p", reflected[i], values[i]))
+            assert len(set(signs)) == 1, (d, i)
+            assert np.allclose(reflected[i], signs[0] * values[i], atol=1e-14)
+
+
+def _capture_solves(monkeypatch):
+    """The list that every system passed to ``solver.solve`` is appended to."""
+    systems, raw = [], solver.solve
+
+    def capturing(system):
+        systems.append(system)
+        return raw(system)
+
+    monkeypatch.setattr(solver, "solve", capturing)
+    return systems
+
+
+def _outside_blocks(basis):
+    """Mask of the (dof, dof) pairs in different parity blocks."""
+    key = np.zeros(basis.n_dofs, dtype=int)
+    for b, i in enumerate(basis.blocks):
+        key[i] = b
+    return key[:, None] != key[None, :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_every_form_and_stiffness_is_exactly_block_diagonal(monkeypatch, n):
+    p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.5)
+    basis = ClampedBasis(n)
+    outside = _outside_blocks(basis)
+    *_, A = solver._tabulate(basis, None)
+    system = assemble(p, _couple_loads(), n)
+    forms = solver._cosserat_forms(p, _couple_loads(), n, None)
+    systems = _capture_solves(monkeypatch)
+    solver._reduced_solves(forms, [10.0, np.inf])
+    named = {**{op: solver._form(A, op) for op in solver._OPS}, "K": system.K, "M": system.M,
+             "E": forms.elastic, "K(10)": systems[0].K, "K(inf)": systems[1].K}
+    for name, X in named.items():
+        assert not X[outside].any(), name
+    # W and B live on the (rows, columns) blocks of the parity blocks
+    for X in (forms.W, forms.B):
+        inside = np.zeros(X.shape, dtype=bool)
+        for i, r in zip(basis.blocks, forms.columns):
+            inside[np.ix_(i, np.arange(X.shape[1])[r])] = True
+        assert not X[~inside].any()
+
+
+@lru_cache
+def _dense_cosserat(regime, n):
+    """Dense oracle of the Cosserat forms: one eigen-solve of the whole H for an
+    orthonormal rotation basis C (cutoff 1e-10 of the largest eigenvalue), one of
+    C curl C', and (E, B = H W, d, W' g, f) on the solver's clamped problem."""
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    system, E, grad, div, curl, force, couple = solver._problem(p, _couple_loads(), n, None)
+    H = 0.25 * (grad - div)
+    vals, vecs = scipy.linalg.eigh(H)
+    keep = vals > 1e-10 * vals[-1]
+    C = (vecs[:, keep] / np.sqrt(vals[keep])).T
+    lam, V = scipy.linalg.eigh(C @ curl @ C.T)
+    B = H @ C.T @ V
+    return p, system, grad, div, E, B, (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * lam, \
+        V.T @ C @ couple, force
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+def test_block_solves_match_a_dense_oracle(monkeypatch, regime, n):
+    # every factorization and eigen-solve runs per parity block: against dense
+    # solves and eigen-solves of the whole forms
+    p, system, grad, div, E, B, d, Wg, f = _dense_cosserat(regime, n)
+    M = system.M
+    z = scipy.linalg.solve(system.K, system.b, assume_a="pos")
+    assert _m_gap(solve(system).coeffs, z, M) <= 1e-12
+    lam_min = scipy.linalg.eigh(system.K, M, eigvals_only=True)[0]
+    assert coercivity_evidence(system) == pytest.approx(lam_min, rel=1e-12)
+    korn = np.sqrt(scipy.linalg.eigh(grad, 0.5 * (grad + div), eigvals_only=True)[-1])
+    assert solver._korn(system.basis.blocks, grad, div) == pytest.approx(korn, rel=1e-12)
+    # the mu_c sweep: each reduced system, and the sweep's relative errors.  The
+    # reduced systems do not depend on the choice of rotation basis; their
+    # solutions do at round-off amplified by the basis's 1 / sqrt(eigenvalue)
+    mu_cs = [10.0, 100.0, 1e3, 1e4]
+    systems, dense = _capture_solves(monkeypatch), []
+    errors, _ = cosserat_limit_sweep(p, _couple_loads(), n, mu_cs)
+    for mu_c, got in zip([np.inf, *mu_cs], systems):
+        s = 1.0 / (1.0 + d / (2.0 * mu_c))
+        K, b = E + (B * (d * s)) @ B.T, f + B @ (s * Wg)
+        assert _rel_gap(got.K, K) <= 1e-12 and _rel_gap(got.b, b) <= 1e-12, mu_c
+        dense.append(scipy.linalg.solve(K, b, assume_a="pos"))
+    ref_errors = [_m_gap(z_mu, dense[0], M) for z_mu in dense[1:]]
+    assert np.max(np.abs(np.subtract(errors, ref_errors))) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
 def test_solution_energy_equals_the_constitutive_integral(regime, n):
@@ -319,18 +452,23 @@ def test_solution_energy_equals_the_constitutive_integral(regime, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
-def test_load_of_a_manufactured_solution_is_its_stiffness_image(regime, n):
-    # the strong force f* = -Div(sigma - tau)(u*) of a field u* in the span,
-    # integrated against the basis, is K z*: the load vector and K against
-    # the field equations, and solve recovers z*
+@pytest.mark.parametrize("g_seed", [None, 7], ids=["force", "force_and_couple"])
+def test_load_of_a_manufactured_solution_is_its_stiffness_image(g_seed, regime, n):
+    # the strong force f* = -Div(sigma - tau)(u*) - curl g / 2 of a field u* in the
+    # span and a polynomial body couple g, integrated against the basis with g's work
+    # against curl u / 2, is K z*: the load vector and K against the field
+    # equations, and solve recovers z*
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     basis = ClampedBasis(n)
     z_star = np.random.default_rng(n).normal(size=basis.n_dofs)
     u_star = basis.solution_field(z_star)
-    loads = LoadData(f=lambda x: -equilibrium_residual(p, u_star, LoadData(), x))
-    system = assemble(p, loads, n)
-    Kz = system.K @ z_star
-    assert np.linalg.norm(system.b - Kz) <= 2e-14 * np.linalg.norm(Kz)
+    g = None if g_seed is None else make_polynomial(g_seed, 2)
+    loads = LoadData(f=lambda x: -equilibrium_residual(p, u_star, LoadData(m_body=g), x),
+                     m_body=g)
+    system, *_, force, couple = solver._problem(p, loads, n, None)
+    # b = force + couple, and with a couple the two parts cancel down to K z*
+    gap = np.linalg.norm(system.b - system.K @ z_star)
+    assert gap <= 2e-14 * (np.linalg.norm(force) + np.linalg.norm(couple))
     z = solve(system).coeffs
     assert np.linalg.norm(z - z_star) <= 1e-10 * np.linalg.norm(z_star)
 
@@ -440,18 +578,11 @@ def test_reduced_stiffness_is_exactly_symmetric(monkeypatch, n, mu_c):
     # Cholesky reads one triangle, so a stiffness symmetric only to
     # round-off would make the solution depend on which
     forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
-    systems = []
-
-    def capturing(system):
-        systems.append(system)
-        return raw(system)
-
-    raw = solver.solve
-    monkeypatch.setattr(solver, "solve", capturing)
+    systems = _capture_solves(monkeypatch)
     [(sol, _)] = solver._reduced_solves(forms, [mu_c])
     K = systems[0].K
     assert np.array_equal(K, K.T)
-    assert np.array_equal(raw(replace(systems[0], K=K.T)).coeffs, sol.coeffs)
+    assert np.array_equal(solve(replace(systems[0], K=K.T)).coeffs, sol.coeffs)
 
 
 def _m_gap(z, ref, mass):
@@ -459,38 +590,41 @@ def _m_gap(z, ref, mass):
     return np.sqrt(d @ mass @ d / (ref @ mass @ ref))
 
 
+@lru_cache
+def _block_system_parts(regime, n):
+    """The mu_c-independent parts of the oracle of
+    ``test_reduced_solve_matches_the_block_system`` and the solver's Cosserat forms,
+    shared by its mu_c values."""
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
+    G = _oracle(n)
+    C = G["C"]
+    return dict(
+        E=p.mu * G["grad"] + (p.mu + p.lam) * G["div"], H=G["H"], HC=G["H"] @ C.T,
+        curl=(p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T,
+        load=np.concatenate([G["f"], C @ G["g"]]),
+        forms=solver._cosserat_forms(p, _couple_loads(), n, None))
+
+
 @pytest.mark.parametrize("mu_c", [10.0, 100.0, 1e3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
-def test_reduced_solve_matches_the_block_system(monkeypatch, regime, n, mu_c):
+def test_reduced_solve_matches_the_block_system(regime, n, mu_c):
     # the oracle: the Cosserat functional
     # Pi = u'Eu/2 + mu_c ||curl u / 2 - a||^2 + (alpha1 + alpha2) mu L_c^2 ||curl a||^2 / 2
     #      - f.u - int g.a
     # in (u, a), a on the orthonormal rotation modes C, factored as one
     # (D + R)-square block system
-    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5, mu_c=mu_c)
-    G = _oracle(n)
-    C, D = G["C"], 3 * n ** 3
-    E = p.mu * G["grad"] + (p.mu + p.lam) * G["div"]
-    A_ua = -2.0 * mu_c * G["H"] @ C.T
-    A = np.block([[E + 2.0 * mu_c * G["H"], A_ua],
-                  [A_ua.T, 2.0 * mu_c * np.eye(len(C))
-                   + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T]])
-    z = np.linalg.solve(A, np.concatenate([G["f"], C @ G["g"]]))
-    built = []
-
-    def capturing(*args):
-        built.append(raw(*args))
-        return built[-1]
-
-    raw = solver._cosserat_forms
-    monkeypatch.setattr(solver, "_cosserat_forms", capturing)
-    sol = cosserat_solve(p, _couple_loads(), n)
-    assert _m_gap(sol.u_coeffs, z[:D], G["mass"]) <= 1e-12
+    G, parts, D = _oracle(n), _block_system_parts(regime, n), 3 * n ** 3
+    A = np.block([[parts["E"] + 2.0 * mu_c * parts["H"], -2.0 * mu_c * parts["HC"]],
+                  [-2.0 * mu_c * parts["HC"].T,
+                   2.0 * mu_c * np.eye(len(G["C"])) + parts["curl"]]])
+    z = np.linalg.solve(A, parts["load"])
+    forms = parts["forms"]
+    [(sol, a)] = solver._reduced_solves(forms, [mu_c])
+    assert _m_gap(sol.coeffs, z[:D], G["mass"]) <= 1e-12
     # the microrotations as combinations of the curl u_p / 2, in the H-norm; the
     # block system's own round-off in a grows linearly with mu_c
-    [forms] = built
-    assert _m_gap(forms.W @ sol.a_coeffs, C.T @ z[D:], G["H"]) <= max(1e-12, 1e-14 * mu_c)
+    assert _m_gap(forms.W @ a, G["C"].T @ z[D:], G["H"]) <= max(1e-12, 1e-14 * mu_c)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
