@@ -376,7 +376,8 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
         sol = solve(system)
     except (WellPosednessError, ValueError) as exc:
         raise ConfigError(str(exc))
-    sym_gap = float(np.linalg.norm(system.K - system.K.T) / np.linalg.norm(system.K))
+    sym_gap = float(np.linalg.norm([np.linalg.norm(K - K.T) for K in system.K])
+                    / np.linalg.norm([np.linalg.norm(K) for K in system.K]))
     lam_min = coercivity_evidence(system)
     kc = system.korn
     ident = abs(sol.energy + 0.5 * system.b @ sol.coeffs) / max(1.0, abs(sol.energy))
@@ -386,7 +387,7 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
         v = rng.normal(size=sol.coeffs.size)
         v *= 1e-3 / np.linalg.norm(v)
         z = sol.coeffs + v
-        pert = float(0.5 * z @ (system.K @ z) - system.b @ z)
+        pert = float(0.5 * z @ system.basis.apply(system.K, z) - system.b @ z)
         worst = max(worst, sol.energy - pert)
     return [
         Check.within("solver_residual", sol.residual, tolerances["solver_residual"]),

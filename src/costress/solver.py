@@ -1,27 +1,22 @@
 """Galerkin solver on the unit cube for the fourth-order couple stress
 problem and its Cosserat penalty approximation.
 
-The displacement ansatz is a tensor product of squared-bubble times
-Legendre polynomials, which is conforming for the clamped problem
-(u = 0 and grad u . n = 0 on the boundary).  One tabulation of its 1d
-Legendre series by Clenshaw recurrence, with no power coefficients, gives
-both the 1d quadrature tables and the solution fields.  Every Gram matrix is
-a short sum of Kronecker products of the 1d Grams A^ij = int beta^(i) beta^(j),
-i, j <= 2, and a load on the tensor Gauss rule (exact for the polynomial
-integrands at the default order) is contracted one axis at a time (sum
-factorization): no 3d table of the modes is formed.  On the clamped span,
-||grad u||^2 = 2 ||sym grad u||^2 - ||div u||^2 (Korn's equality), and
-v = curl u vanishes on the boundary and is divergence free, so
-||sym grad v||^2 = ||skw grad v||^2 = ||curl v||^2 / 2 (a null Lagrangian).
+The displacement ansatz is a tensor product of squared-bubble times Legendre
+polynomials, conforming for the clamped problem (u = 0 and grad u . n = 0 on the
+boundary).  Every Gram matrix is a short sum of Kronecker products of the 1d Grams
+A^ij = int beta^(i) beta^(j), i, j <= 2, and a load on the tensor Gauss rule is
+contracted one axis at a time (sum factorization): no 3d table of the modes is
+formed.  On the clamped span ||grad u||^2 = 2 ||sym grad u||^2 - ||div u||^2
+(Korn's equality), and v = curl u vanishes on the boundary and is divergence free,
+so ||sym grad v||^2 = ||skw grad v||^2 = ||curl v||^2 / 2 (a null Lagrangian).
 
-The material is isotropic, so the clamped problem on the cube is invariant under
-the reflections x_d -> 1 - x_d.  Each 1d mode beta_k is even or odd about x = 1/2,
-as (-1)^k, so each vector mode beta_a beta_b beta_g e_c is even or odd under each
-reflection, the one of axis c flipping e_c too: 8 parity classes.  Every form of
-the problem (K, M, E and the grad, div, curl and curl curl Grams) pairs only modes
-of one class, so it is block-diagonal over the classes (``ClampedBasis.blocks``),
-and every factorization and eigen-solve runs once per block, at about 1/8 of the
-dofs.  The 1d Grams hold the zeros exactly, so the blocks are exact.
+The material is isotropic and each 1d mode beta_k is even or odd about x = 1/2, as
+(-1)^k, so each vector mode beta_a beta_b beta_g e_c is even or odd under each
+reflection x_d -> 1 - x_d (that of axis c flips e_c too): 8 parity classes.  Every
+form of the clamped problem pairs only modes of one class, so each is built from
+strided slices of the 1d Grams, held, factored and eigen-solved as its diagonal
+blocks (``ClampedBasis.blocks``, about 1/8 of the dofs each): no matrix on all the
+dofs is formed.
 
 The Cosserat functional
 
@@ -34,8 +29,7 @@ diagonalize the Gram of curl a (Lambda), eliminated in closed form: with the
 curvature d = (alpha1 + alpha2) mu L_c^2 Lambda and s = 1 / (1 + d / (2 mu_c)),
 the reduced stiffness is E + B diag(d s) B', B = G(curl u / 2) W, the load
 f + B diag(s) W'g, and the microrotation s (B'u + W'g / (2 mu_c)).  No term
-grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``,
-microrotation = curl u / 2.
+grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``.
 """
 
 from __future__ import annotations
@@ -53,20 +47,10 @@ from numpy.typing import NDArray
 from .constitutive import LoadData, MaterialParams
 from .fields import DisplacementField
 
-__all__ = [
-    "ClampedBasis",
-    "CosseratSolution",
-    "DegenerateCosseratError",
-    "GalerkinSolution",
-    "GalerkinSystem",
-    "WellPosednessError",
-    "assemble",
-    "coercivity_evidence",
-    "cosserat_limit_sweep",
-    "cosserat_solve",
-    "korn_constant",
-    "solve",
-]
+__all__ = ["ClampedBasis", "CosseratSolution", "DegenerateCosseratError", "GalerkinSolution",
+           "GalerkinSystem", "WellPosednessError", "assemble", "coercivity_evidence",
+           "cosserat_limit_sweep", "cosserat_solve", "korn_constant", "solve"]
+
 
 class WellPosednessError(RuntimeError):
     """The assembled stiffness matrix is not positive definite."""
@@ -77,8 +61,8 @@ class WellPosednessError(RuntimeError):
 
 
 class DegenerateCosseratError(ValueError):
-    """The Cosserat rotational coupling is absent or negative, or a mu_c sweep
-    has no curvature energy to converge with."""
+    """The Cosserat rotational coupling is absent or negative, or a mu_c sweep has
+    no curvature energy to converge with, or errors below round-off."""
 
 
 class ClampedBasis:
@@ -103,13 +87,21 @@ class ClampedBasis:
         for k in range(self.n_modes):
             c = (bubble * Legendre.basis(k, domain=[0.0, 1.0])).coef
             self._coef[: len(c), k] = c
-        # under x_d -> 1 - x_d the mode (c; a, b, g) = beta_a beta_b beta_g e_c keeps or
-        # flips its sign: beta_k has the parity (-1)^k, and the reflection flips e_d
-        c, a, b, g = np.indices((3,) + (self.n_modes,) * 3).reshape(4, -1)
-        key = 4 * ((a + (c == 0)) % 2) + 2 * ((b + (c == 1)) % 2) + (g + (c == 2)) % 2
+        # under x_d -> 1 - x_d the mode (c; a, b, g) = beta_a beta_b beta_g e_c keeps or flips
+        # its sign: beta_k has the parity (-1)^k, and the reflection flips e_d.  The class of
+        # signs (s_x, s_y, s_z) holds the modes of component c whose index along axis d has the
+        # parity s_d + [c = d], ``_parities[k, c, d]``; ``_slots[k]``: its dofs, -1 past N
+        parities = (np.indices((2, 2, 2)).reshape(3, 8).T[:, None] + np.eye(3, dtype=int)) % 2
+        n, m = self.n_modes, (self.n_modes + 1) // 2
+        dof = np.full((3,) + (2 * m,) * 3, -1)
+        dof[:, :n, :n, :n] = np.arange(self.n_dofs).reshape(3, n, n, n)
+        slots = np.array([[dof[c, x::2, y::2, z::2] for c, (x, y, z) in enumerate(p)]
+                          for p in parities]).reshape(8, -1)
+        kept = slots.max(axis=1) >= 0
+        self._parities, self._slots = parities[kept], slots[kept]
         #: the dofs of each non-empty reflection-parity block, ascending: every form of
         #: the isotropic clamped problem is block-diagonal over them
-        self.blocks = [i for i in (np.flatnonzero(key == k) for k in range(8)) if i.size]
+        self.blocks = [i[i >= 0] for i in self._slots]
 
     # -- quadrature ---------------------------------------------------------
 
@@ -157,6 +149,14 @@ class ClampedBasis:
         """Displacement field sum_p z_p u_p of a coefficient vector (3 M)."""
         return _BasisField(self, np.asarray(z, dtype=float))
 
+    def apply(self, form: list[NDArray], z: NDArray) -> NDArray:
+        """The product X z of a form held as its parity blocks (``form[k]`` on the
+        dofs ``blocks[k]``) with a coefficient vector (3 M)."""
+        out = np.empty(self.n_dofs)
+        for i, X in zip(self.blocks, form):
+            out[i] = X @ z[i]
+        return out
+
 
 class _BasisField(DisplacementField):
     """The field sum_p z_p u_p of a clamped basis: its value and each gradient
@@ -184,7 +184,7 @@ def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
     # the forms (N = 5: a gap of 1.5e-12 to the 3d quadrature oracle, 4.5e-13 with it)
     A = 0.5 * (A + A.transpose(1, 0, 3, 2))
     # beta_k^(i) has the parity (-1)^(k+i) about x = 1/2, so A[i, j][k, l] = 0 for odd
-    # i + j + k + l; exact zeros make every form exactly block-diagonal
+    # i + j + k + l, held exact: the blocks read only even entries, the rest pair blocks
     A[np.indices(A.shape).sum(axis=0) % 2 == 1] = 0.0
     return order, basis.quadrature(order)[0], T * w, A
 
@@ -204,25 +204,32 @@ _OPS = {
 }
 
 
-def _form(A: NDArray, op: str) -> NDArray:
-    """Gram matrix int <op(u_p), op(u_r)> of the vector modes, exactly symmetric: each
-    pair of partials a, b of the scalar modes contributes the Kronecker product of the
-    1d Grams of the three axes, in the a N^2 + b N + g order of the modes."""
-    n = A.shape[-1]
-
-    @functools.cache
-    def kron(a, b):
-        # X (x) Y (x) Z in one broadcast, entries X * (Y * Z) as np.kron(X, np.kron(Y, Z))
-        X, Y, Z = (A[a.count(d), b.count(d)] for d in range(3))
-        YZ = Y[:, None, :, None] * Z[None, :, None, :]
-        return (X[:, None, None, :, None, None] * YZ[None, :, :, None]).reshape(n ** 3, n ** 3)
-
-    F = np.zeros((3, n ** 3, 3, n ** 3))
-    for c, d in itertools.product(range(3), repeat=2):
-        for (i, s, a), (j, r, b) in itertools.product(_OPS[op](c), _OPS[op](d)):
-            if i == j:
-                F[c, :, d] += s * r * kron(a, b)
-    return 0.5 * (F + F.transpose(2, 3, 0, 1)).reshape(3 * n ** 3, -1)
+def _form(basis: ClampedBasis, A: NDArray, op: str) -> list[NDArray]:
+    """Gram matrix int <op(u_p), op(u_r)> of the vector modes on each parity block of
+    the basis, exactly symmetric.  Between the components c and d of a block, each pair
+    of partials a, b of the scalar modes contributes X (x) Y (x) Z, X the 1d Gram
+    A[a_x, b_x] of axis x on the index parities of c's and d's modes along x (a strided
+    slice), and Y, Z likewise: one broadcast product per term for all blocks and pairs."""
+    n, m, par = basis.n_modes, (basis.n_modes + 1) // 2, basis._parities
+    # the 1d Grams padded to 2 m modes: S[i, j, p, q] = A[i, j][p::2, q::2], each (m, m)
+    S = np.pad(A, [(0, 0)] * 2 + [(0, 2 * m - n)] * 2).reshape(3, 3, m, 2, m, 2)
+    S = S.transpose(0, 1, 3, 5, 2, 4)
+    terms = [[(c, d, s * r, a, b) for (i, s, a), (j, r, b)
+              in itertools.product(_OPS[op](c), _OPS[op](d)) if i == j]
+             for c, d in itertools.product(range(3), repeat=2)]
+    F = np.zeros((len(par), 3, 3) + (m,) * 6)
+    for products in itertools.zip_longest(*terms):  # the t-th term of each pair that has one
+        c, d, coef, a, b = zip(*filter(None, products))
+        # (block, pair, m, m) per axis; entries X * (Y * Z) as np.kron(X, np.kron(Y, Z))
+        X, Y, Z = (S[[t.count(x) for t in a], [t.count(x) for t in b], par[:, c, x], par[:, d, x]]
+                   for x in range(3))
+        YZ = Y[..., :, None, :, None] * Z[..., None, :, None, :]
+        F[:, c, d] += np.reshape(coef, (-1,) + (1,) * 6) * (
+            X[..., :, None, None, :, None, None] * YZ[..., None, :, :, None, :, :])
+    F = F.transpose(0, 1, 3, 4, 5, 2, 6, 7, 8).reshape(len(par), 3 * m ** 3, -1)
+    F = 0.5 * (F + F.transpose(0, 2, 1))
+    # columns first, for C-ordered blocks: BLAS rounds a Fortran-ordered operand otherwise
+    return [X[:, i >= 0][i >= 0] for X, i in zip(F, basis._slots)]
 
 
 def _work(wT: NDArray, op: str, F: NDArray) -> NDArray:
@@ -246,34 +253,30 @@ def _gram(X: NDArray) -> NDArray:
     return np.einsum("pq,rq->pr", X, X, optimize=True)
 
 
-def _block(X: NDArray, dofs: NDArray) -> NDArray:
-    """The diagonal block of a form on some dofs, as a new array."""
-    return X[np.ix_(dofs, dofs)]
-
-
-def _extreme_eig(blocks, X: NDArray, Y: NDArray | None = None, top: bool = False) -> float:
-    """Smallest (``top``: largest) eigenvalue of the block-diagonal form X, or of the
-    pencil (X, Y), over the parity blocks: one eigen-solve per block."""
-    vals = [scipy.linalg.eigh(_block(X, i), None if Y is None else _block(Y, i),
-                              eigvals_only=True, subset_by_index=[len(i) - 1 if top else 0] * 2)[0]
-            for i in blocks]
+def _extreme_eig(X: list[NDArray], Y: list[NDArray] | None = None, top: bool = False) -> float:
+    """Smallest (``top``: largest) eigenvalue of a form held as its parity blocks, or
+    of the pencil (X, Y): one eigen-solve per block."""
+    vals = [scipy.linalg.eigh(x, y, eigvals_only=True, subset_by_index=[len(x) - 1 if top else 0] * 2)[0]
+            for x, y in zip(X, itertools.repeat(None) if Y is None else Y)]
     return float(max(vals) if top else min(vals))
 
 
-def _korn(blocks, grad_gram: NDArray, div_gram: NDArray) -> float:
+def _korn(grad_gram: list[NDArray], div_gram: list[NDArray]) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
     with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
-    return float(np.sqrt(_extreme_eig(blocks, grad_gram, 0.5 * (grad_gram + div_gram), top=True)))
+    return float(np.sqrt(_extreme_eig(grad_gram, [0.5 * (g + d) for g, d in zip(grad_gram, div_gram)],
+                                      top=True)))
 
 
 @dataclass
 class GalerkinSystem:
-    """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z."""
+    """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z.  K and M are
+    held as their parity blocks, ``K[k]`` on the dofs ``basis.blocks[k]``."""
 
     params: MaterialParams
     basis: ClampedBasis
-    K: NDArray
-    M: NDArray          # L2 mass matrix of the vector basis
+    K: list[NDArray]
+    M: list[NDArray]    # L2 mass matrix of the vector basis
     b: NDArray
     quadrature_order: int
     #: discrete Korn constant of the basis span from the same tabulation;
@@ -283,19 +286,20 @@ class GalerkinSystem:
 
 def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
              quadrature_order: int | None):
-    """The clamped problem from one tabulation: its system, with the curvature
-    block (alpha1 + alpha2) mu L_c^2 G(curl curl u / 2) and the load f + g; the
-    classical stiffness E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality
-    2 mu G(sym grad u) + lam G(div u); the Grams of grad u, div u and
-    curl curl u / 2; and the force work f and couple work g (against curl u / 2)."""
+    """The clamped problem from one tabulation, each form as its parity blocks: its system,
+    with the curvature block (alpha1 + alpha2) mu L_c^2 G(curl curl u / 2) and the load f + g;
+    the classical stiffness E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality
+    2 mu G(sym grad u) + lam G(div u); the Grams of grad u, div u and curl curl u / 2; and
+    the force work f and couple work g (against curl u / 2)."""
     basis = ClampedBasis(n_modes)
     order, pts, wT, A = _tabulate(basis, quadrature_order)
-    grad, div, curl = _form(A, "grad"), _form(A, "div"), 0.25 * _form(A, "curl_curl")
-    elastic = params.mu * grad + (params.mu + params.lam) * div
+    grad, div = _form(basis, A, "grad"), _form(basis, A, "div")
+    curl = [0.25 * X for X in _form(basis, A, "curl_curl")]
+    elastic = [params.mu * g + (params.mu + params.lam) * d for g, d in zip(grad, div)]
     force, couple = _work(wT, "value", loads.force(pts)), _work(wT, "half_curl", loads.couple(pts))
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
-    system = GalerkinSystem(params=params, basis=basis, K=elastic + k * curl, M=_form(A, "value"),
-                            b=force + couple, quadrature_order=order)
+    system = GalerkinSystem(params=params, basis=basis, K=[E + k * C for E, C in zip(elastic, curl)],
+                            M=_form(basis, A, "value"), b=force + couple, quadrature_order=order)
     return system, elastic, grad, div, curl, force, couple
 
 
@@ -308,7 +312,7 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     ``modified`` materials with equal sums share one stiffness.
     """
     system, _, grad, div, *_ = _problem(params, loads, n_modes, quadrature_order)
-    system.korn = _korn(system.basis.blocks, grad, div)
+    system.korn = _korn(grad, div)
     return system
 
 
@@ -320,8 +324,8 @@ class GalerkinSolution:
 
 
 def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolution:
-    """Solve K z = b by one Cholesky factorization per parity block of the
-    basis, each reading one triangle of the symmetric block.
+    """Solve K z = b by one Cholesky factorization per parity block of K, each
+    reading one triangle of the symmetric block.
 
     Raises
     ------
@@ -329,28 +333,25 @@ def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolutio
         If a block of K is not symmetric positive definite; the smallest
         eigenvalue over the blocks is attached to the exception.
     """
-    K, blocks = system.K, system.basis.blocks
+    K, basis = system.K, system.basis
     b = system.b if rhs is None else np.asarray(rhs, dtype=float)
     z = np.zeros(len(b))
     try:
-        for i in blocks:
-            z[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(_block(K, i), overwrite_a=True),
-                                          b[i])
+        for i, X in zip(basis.blocks, K):
+            z[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(X), b[i])
     except np.linalg.LinAlgError as exc:
-        lam_min = _extreme_eig(blocks, K)
-        raise WellPosednessError(
-            f"stiffness not positive definite (lambda_min = {lam_min:.3e})", lam_min
-        ) from exc
-    # against the whole K, so that entries outside the blocks show in the residual
-    res = np.linalg.norm(K @ z - b) / max(1.0, np.linalg.norm(b))
-    energy = float(0.5 * z @ (K @ z) - b @ z)
-    return GalerkinSolution(coeffs=z, energy=energy, residual=float(res))
+        lam_min = _extreme_eig(K)
+        raise WellPosednessError(f"stiffness not positive definite (lambda_min = {lam_min:.3e})",
+                                 lam_min) from exc
+    Kz = basis.apply(K, z)
+    return GalerkinSolution(coeffs=z, energy=float(0.5 * z @ Kz - b @ z),
+                            residual=float(np.linalg.norm(Kz - b) / max(1.0, np.linalg.norm(b))))
 
 
 def coercivity_evidence(system: GalerkinSystem) -> float:
     """Smallest generalized eigenvalue of (K, M): the discrete coercivity
     constant with respect to the L2 norm."""
-    return _extreme_eig(system.basis.blocks, system.K, system.M)
+    return _extreme_eig(system.K, system.M)
 
 
 def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
@@ -359,7 +360,7 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     value as ``GalerkinSystem.korn``."""
     basis = ClampedBasis(n_modes)
     *_, A = _tabulate(basis, quadrature_order)
-    return _korn(basis.blocks, _form(A, "grad"), _form(A, "div"))
+    return _korn(_form(basis, A, "grad"), _form(basis, A, "div"))
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -369,61 +370,47 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
 class CosseratSolution:
     u_coeffs: NDArray
     #: microrotation coefficients s (B'u + W'g / (2 mu_c)) on the modes
-    #: psi_r = sum_p W[p, r] curl(u_p) / 2 of ``_CosseratForms.W``: L2-orthonormal,
-    #: and orthogonal for the Gram of curl a
+    #: psi_r = sum_p W[p, r] curl(u_p) / 2 of ``_CosseratForms.W``, block after block:
+    #: L2-orthonormal, and orthogonal for the Gram of curl a
     a_coeffs: NDArray
 
 
 @dataclass
 class _CosseratForms:
-    """The mu_c-independent parts of the Cosserat problem, from one tabulation."""
+    """The mu_c-independent parts of the Cosserat problem, from one tabulation, per block i."""
 
-    system: GalerkinSystem  # the clamped problem of ``assemble``, the mu_c = inf limit
-    elastic: NDArray    # classical stiffness form E
-    force: NDArray      # force work f against u
-    W: NDArray          # (D, R): column r gives the mode psi_r = sum_p W[p, r] curl(u_p) / 2
-    B: NDArray          # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
-    curvature: NDArray  # (R,) d = (alpha1 + alpha2) mu L_c^2 Lambda, Lambda the Gram of curl psi_r
-    couple: NDArray     # (R,) W' g, the couple work against each psi_r
-    #: the columns of W and B on each parity block of ``system.basis.blocks``; both
-    #: are zero outside these (rows, columns) blocks
-    columns: list[slice]
+    system: GalerkinSystem    # the clamped problem of ``assemble``, the mu_c = inf limit
+    elastic: list[NDArray]    # classical stiffness form E
+    force: NDArray            # force work f against u
+    W: list[NDArray]          # (len(i), R_i): column r gives psi_r = sum_p W[p, r] curl(u_p) / 2
+    B: list[NDArray]          # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
+    curvature: list[NDArray]  # (R_i,) d = (alpha1 + alpha2) mu L_c^2 Lambda, Lambda: Gram of curl psi_r
+    couple: list[NDArray]     # (R_i,) W' g, the couple work against each psi_r
 
 
 def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
                     quadrature_order: int | None) -> _CosseratForms:
-    system, elastic, grad, div, curl, force, couple = _problem(params, loads, n_modes,
-                                                               quadrature_order)
-    # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, the skew
-    # half of Korn's equality
-    half_curl = 0.25 * (grad - div)
-    blocks = system.basis.blocks
-    # per parity block, an orthonormal basis C of {curl u / 2 : u in span}, cut off at
-    # 1e-10 of the largest eigenvalue over all blocks.  C scales eigenvectors by
-    # 1 / sqrt(eigenvalue), so it takes the default driver: with divide-and-conquer
-    # the mu_c = inf solve drifts from ``solve(assemble(...))`` by 2.2e-12 at N = 8
-    # (gkmt, force and couple), against 8.0e-13
-    eigs = [scipy.linalg.eigh(_block(half_curl, i)) for i in blocks]
+    system, elastic, grad, div, curl, force, couple = _problem(params, loads, n_modes, quadrature_order)
+    k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
+    forms = _CosseratForms(system, elastic, force, W=[], B=[], curvature=[], couple=[])
+    # per parity block, an orthonormal basis C of {curl u / 2 : u in span} from its Gram
+    # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality), cut off at 1e-10 of
+    # the largest eigenvalue over all blocks.  C scales eigenvectors by 1 / sqrt(eigenvalue),
+    # so the default driver: divide-and-conquer drifts by 2.2e-12 at N = 8, against 8.0e-13
+    eigs = [scipy.linalg.eigh(0.25 * (g - d)) for g, d in zip(grad, div)]
     cutoff = 1e-10 * max(vals[-1] for vals, _ in eigs)
-    kept = [(vecs[:, vals > cutoff], np.sqrt(vals[vals > cutoff])) for vals, vecs in eigs]
-    ends = np.cumsum([0] + [len(root) for _, root in kept])
-    columns = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    W, B = np.zeros((2, len(half_curl), ends[-1]))
-    lam = np.zeros(ends[-1])
-    for i, r, (U, root) in zip(blocks, columns, kept):
+    for i, (vals, vecs), X in zip(system.basis.blocks, eigs, curl):
+        U, root = vecs[:, vals > cutoff], np.sqrt(vals[vals > cutoff])
         C = (U / root).T
-        # rotated to the eigenbasis of the Gram of curl a (eigh reads one triangle;
-        # divide-and-conquer takes half the default's time here)
-        lam[r], V = scipy.linalg.eigh(C @ _block(curl, i) @ C.T, driver="evd")
-        W[i, r] = C.T @ V
-        # H W from the eigenpairs of H, without a product with H: the mu_c = inf
-        # drift at N = 8 is 8.0e-13, against 1.9e-12 for H W
-        B[i, r] = (U * root) @ V
-    return _CosseratForms(
-        system=system, elastic=elastic, force=force, W=W, B=B,
-        curvature=(params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 * lam,
-        couple=W.T @ couple, columns=columns,
-    )
+        # rotated to the eigenbasis of the Gram of curl a (divide-and-conquer: half the
+        # default's time here); B = H W from the eigenpairs of H, without a product with H
+        # (the mu_c = inf drift at N = 8 is 8.0e-13, against 1.9e-12 for H W)
+        lam, V = scipy.linalg.eigh(C @ X @ C.T, driver="evd")
+        forms.W.append(C.T @ V)
+        forms.B.append((U * root) @ V)
+        forms.curvature.append(k * lam)
+        forms.couple.append(forms.W[-1].T @ couple[i])
+    return forms
 
 
 def _coupled(params: MaterialParams) -> MaterialParams:
@@ -441,16 +428,19 @@ def _reduced_solves(forms: _CosseratForms, mu_c_values) -> list[tuple[GalerkinSo
     constrained problem) over the forms' span, with the microrotation
     eliminated: per mu_c, (solution of the reduced system for u, microrotation
     coefficients)."""
-    d, B = forms.curvature, forms.B
     out = []
     for mu_c in mu_c_values:
-        s = 1.0 / (1.0 + d / (2.0 * mu_c))
+        s = [1.0 / (1.0 + d / (2.0 * mu_c)) for d in forms.curvature]
+        parts = list(zip(forms.system.basis.blocks, forms.B, s, forms.couple))
         # E + B diag(d s) B', one SYRK per parity block
-        K = forms.elastic.copy()
-        for i, r in zip(forms.system.basis.blocks, forms.columns):
-            K[np.ix_(i, i)] += _gram(B[i, r] * np.sqrt(d[r] * s[r]))
-        sol = solve(replace(forms.system, K=K, b=forms.force + B @ (s * forms.couple)))
-        out.append((sol, s * (B.T @ sol.coeffs + forms.couple / (2.0 * mu_c))))
+        K = [E + _gram(B * np.sqrt(d * si))
+             for E, B, d, si in zip(forms.elastic, forms.B, forms.curvature, s)]
+        b = forms.force.copy()
+        for i, B, si, g in parts:
+            b[i] += B @ (si * g)
+        sol = solve(replace(forms.system, K=K, b=b))
+        out.append((sol, np.concatenate([si * (B.T @ sol.coeffs[i] + g / (2.0 * mu_c))
+                                         for i, B, si, g in parts])))
     return out
 
 
@@ -478,7 +468,8 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     penalized = [_coupled(replace(params, mu_c=float(mc))) for mc in mu_c_values]
     if len({p.mu_c for p in penalized}) < 2:
         raise ValueError(f"a convergence order needs two distinct mu_c values, got {mu_c_values!r}")
-    if (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2 == 0.0:
+    k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
+    if k == 0.0:
         raise DegenerateCosseratError(
             f"(alpha1 + alpha2) mu L_c^2 = 0 (alpha1 = {params.alpha1}, alpha2 = {params.alpha2}, "
             f"L_c = {params.L_c}): without curvature energy every mu_c gives the mu_c = inf "
@@ -486,8 +477,15 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
     ref, *sols = (sol.coeffs for sol, _ in
                   _reduced_solves(forms, [np.inf, *(p.mu_c for p in penalized)]))
-    ref_norm = float(np.sqrt(ref @ (forms.system.M @ ref)))
-    errors = [float(np.sqrt((z - ref) @ (forms.system.M @ (z - ref)))) / ref_norm for z in sols]
+    basis, M = forms.system.basis, forms.system.M
+    ref_norm = float(np.sqrt(ref @ basis.apply(M, ref)))
+    errors = [float(np.sqrt((z - ref) @ basis.apply(M, z - ref))) / ref_norm for z in sols]
+    for mu_c, err in zip(mu_c_values, errors):
+        if not 0.0 < err < np.inf:
+            raise DegenerateCosseratError(
+                f"the error at mu_c = {mu_c:g} reads {err:g}, not a positive finite number: "
+                f"the curvature modulus (alpha1 + alpha2) mu L_c^2 = {k:g} (L_c = {params.L_c:g}) "
+                "is too small against mu_c")
     x = np.log(1.0 / np.asarray(mu_c_values, dtype=float))
     slope = float(np.polyfit(x, np.log(errors), 1)[0])
     return errors, slope

@@ -395,6 +395,33 @@ def test_cosserat_limit_without_curvature_energy_exits_2_before_tabulating(
     assert not out.exists()
 
 
+def _small_curvature(tmp_path, L_c):
+    return _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "material": {
+        "mu": 1.0, "lambda": 1.0, "L_c": L_c, "alpha1": 1.0, "alpha2": 1.0}})
+
+
+@pytest.mark.parametrize("L_c", [1e-4, 1e-6])
+def test_cosserat_limit_with_errors_below_round_off_exits_2(tmp_path, capsys, L_c):
+    # a tiny curvature modulus leaves the penalty error of some mu_c at round-off
+    # (exactly 0 here), so no convergence order can be fitted to the sweep
+    out = tmp_path / "o"
+    assert run("cosserat-limit", _small_curvature(tmp_path, L_c), str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "the error at mu_c = " in err and f"L_c = {L_c:g}" in err
+
+
+def test_cosserat_limit_with_a_small_curvature_modulus_above_round_off(tmp_path):
+    out = tmp_path / "o"
+    assert run("cosserat-limit", _small_curvature(tmp_path, 1e-3), str(out)) == 0
+    rows = {row.split(",")[0]: float(row.split(",")[1])
+            for row in (out / "cosserat-limit.csv").read_text().splitlines()[1:]}
+    for mc, err in [("10", 1.7633809572011837e-10), ("100", 1.7633685872132266e-11),
+                    ("1000", 1.7634962184105142e-12), ("10000", 1.7576044421635029e-13)]:
+        assert rows[f"relative_error_mu_c_{mc}"] == pytest.approx(err, rel=1e-2), mc
+    assert rows["convergence_order"] == pytest.approx(1.0004243582179222, abs=1e-3)
+
+
 def test_conformal_demo(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 2, "points": 4,
