@@ -30,6 +30,11 @@ curvature d = (alpha1 + alpha2) mu L_c^2 Lambda and s = 1 / (1 + d / (2 mu_c)),
 the reduced stiffness is E + B diag(d s) B', B = G(curl u / 2) W, the load
 f + B diag(s) W'g, and the microrotation s (B'u + W'g / (2 mu_c)).  No term
 grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``.
+
+The material and the load only scale and pair material-free operators (the basis,
+its tables, the Grams, the Korn constant, W, B and Lambda): they are built once per
+(N, Gauss order) per process, held read-only and shared by every job, with at most
+2 kept (``_operators``).  Each job builds only its own stiffness and load.
 """
 
 from __future__ import annotations
@@ -101,7 +106,7 @@ class ClampedBasis:
         self._parities, self._slots = parities[kept], slots[kept]
         #: the dofs of each non-empty reflection-parity block, ascending: every form of
         #: the isotropic clamped problem is block-diagonal over them
-        self.blocks = [i[i >= 0] for i in self._slots]
+        self.blocks = tuple(i[i >= 0] for i in self._slots)
 
     # -- quadrature ---------------------------------------------------------
 
@@ -167,15 +172,20 @@ class _BasisField(DisplacementField):
             functools.partial(basis.derivatives, order=k, z=z) for k in range(5))
 
 
-def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
-    """(Gauss order, tensor Gauss points (q^3, 3), derivatives k = 0..2 of each 1d
-    mode times each node's weight (3, N, q), 1d Grams A[i, j] = int beta^(i) beta^(j)
-    (3, 3, N, N)).  The order defaults to two above the exactness minimum; one below
-    it is rejected."""
-    order = basis.min_quadrature_order + 2 if quadrature_order is None else quadrature_order
-    if order < basis.min_quadrature_order:
+def _gauss_order(n_modes: int, quadrature_order: int | None) -> int:
+    """The solver's Gauss order: by default two above the exactness minimum N + 4
+    (``ClampedBasis.min_quadrature_order``); one below it is rejected."""
+    order = n_modes + 6 if quadrature_order is None else quadrature_order
+    if order < n_modes + 4:
         raise ValueError(f"quadrature order {order} below the exactness minimum "
-                         f"{basis.min_quadrature_order} for N = {basis.n_modes}")
+                         f"{n_modes + 4} for N = {n_modes}")
+    return order
+
+
+def _tabulate(basis: ClampedBasis, order: int):
+    """(tensor Gauss points (q^3, 3), derivatives k = 0..2 of each 1d mode times each
+    node's weight (3, N, q), 1d Grams A[i, j] = int beta^(i) beta^(j) (3, 3, N, N)) on
+    the Gauss rule of ``order`` nodes."""
     x, w = leggauss(order)
     x, w = 0.5 * (x + 1.0), 0.5 * w
     T = np.stack([legval(2.0 * x - 1.0, legder(basis._coef, k, scl=2.0)) for k in range(3)])
@@ -186,7 +196,7 @@ def _tabulate(basis: ClampedBasis, quadrature_order: int | None):
     # beta_k^(i) has the parity (-1)^(k+i) about x = 1/2, so A[i, j][k, l] = 0 for odd
     # i + j + k + l, held exact: the blocks read only even entries, the rest pair blocks
     A[np.indices(A.shape).sum(axis=0) % 2 == 1] = 0.0
-    return order, basis.quadrature(order)[0], T * w, A
+    return basis.quadrature(order)[0], T * w, A
 
 
 # Differential operators, c -> the image of the vector mode phi e_c as terms
@@ -261,11 +271,66 @@ def _extreme_eig(X: list[NDArray], Y: list[NDArray] | None = None, top: bool = F
     return float(max(vals) if top else min(vals))
 
 
-def _korn(grad_gram: list[NDArray], div_gram: list[NDArray]) -> float:
-    """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
-    with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
-    return float(np.sqrt(_extreme_eig(grad_gram, [0.5 * (g + d) for g, d in zip(grad_gram, div_gram)],
-                                      top=True)))
+def _shared(arrays) -> tuple:
+    """The arrays as a tuple, each set read-only: ``_operators`` shares them across jobs."""
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
+
+
+@dataclass(frozen=True, eq=False)
+class _Operators:
+    """The material-free parts of the clamped problem at one (N, Gauss order), read-only:
+    the load work's Gauss points and weighted 1d tables, and the parity blocks of the Grams
+    of grad u, div u, curl curl u / 2 and u; the Korn constant and rotations on first use."""
+
+    basis: ClampedBasis
+    order: int
+    pts: NDArray
+    wT: NDArray
+    grad: tuple[NDArray, ...]
+    div: tuple[NDArray, ...]
+    curl: tuple[NDArray, ...]
+    value: tuple[NDArray, ...]
+
+    @functools.cached_property
+    def korn(self) -> float:
+        """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
+        with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
+        sym_grad = [0.5 * (g + d) for g, d in zip(self.grad, self.div)]
+        return float(np.sqrt(_extreme_eig(self.grad, sym_grad, top=True)))
+
+    @functools.cached_property
+    def rotations(self) -> tuple[tuple[NDArray, NDArray, NDArray], ...]:
+        """Per parity block, (W, B, Lambda) of ``_CosseratForms``; Lambda: Gram of curl psi_r."""
+        # per parity block, an orthonormal basis C of {curl u / 2 : u in span} from its Gram
+        # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality), cut off at 1e-10 of
+        # the largest eigenvalue over all blocks.  C scales eigenvectors by 1 / sqrt(eigenvalue),
+        # so the default driver: divide-and-conquer drifts by 2.2e-12 at N = 8, against 8.0e-13
+        eigs = [scipy.linalg.eigh(0.25 * (g - d)) for g, d in zip(self.grad, self.div)]
+        cutoff = 1e-10 * max(vals[-1] for vals, _ in eigs)
+        out = []
+        for (vals, vecs), X in zip(eigs, self.curl):
+            U, root = vecs[:, vals > cutoff], np.sqrt(vals[vals > cutoff])
+            C = (U / root).T
+            # rotated to the eigenbasis of the Gram of curl a (divide-and-conquer: half the
+            # default's time here); B = H W from the eigenpairs of H, without a product with H
+            # (the mu_c = inf drift at N = 8 is 8.0e-13, against 1.9e-12 for H W)
+            lam, V = scipy.linalg.eigh(C @ X @ C.T, driver="evd")
+            out.append(_shared([C.T @ V, (U * root) @ V, lam]))
+        return tuple(out)
+
+
+@functools.lru_cache(maxsize=2)  # the galerkin benchmark's three jobs use two keys
+def _operators(n_modes: int, order: int) -> _Operators:
+    """The operators at N modes and a Gauss order resolved by ``_gauss_order``, built
+    once and shared by every job at that key."""
+    basis = ClampedBasis(n_modes)
+    _shared([basis._coef, basis._parities, basis._slots, *basis.blocks])
+    pts, wT, A = _tabulate(basis, order)
+    grad, div, curl, value = (_form(basis, A, op) for op in ("grad", "div", "curl_curl", "value"))
+    return _Operators(basis, order, *_shared([pts, wT]), _shared(grad), _shared(div),
+                      _shared([0.25 * X for X in curl]), _shared(value))
 
 
 @dataclass
@@ -286,21 +351,20 @@ class GalerkinSystem:
 
 def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
              quadrature_order: int | None):
-    """The clamped problem from one tabulation, each form as its parity blocks: its system,
-    with the curvature block (alpha1 + alpha2) mu L_c^2 G(curl curl u / 2) and the load f + g;
-    the classical stiffness E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality
-    2 mu G(sym grad u) + lam G(div u); the Grams of grad u, div u and curl curl u / 2; and
-    the force work f and couple work g (against curl u / 2)."""
-    basis = ClampedBasis(n_modes)
-    order, pts, wT, A = _tabulate(basis, quadrature_order)
-    grad, div = _form(basis, A, "grad"), _form(basis, A, "div")
-    curl = [0.25 * X for X in _form(basis, A, "curl_curl")]
-    elastic = [params.mu * g + (params.mu + params.lam) * d for g, d in zip(grad, div)]
-    force, couple = _work(wT, "value", loads.force(pts)), _work(wT, "half_curl", loads.couple(pts))
+    """The clamped problem on the shared operators of (N, Gauss order), each form as its
+    parity blocks: its system, with the curvature block (alpha1 + alpha2) mu L_c^2
+    G(curl curl u / 2) and the load f + g; the operators; the classical stiffness
+    E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality 2 mu G(sym grad u) +
+    lam G(div u); and the force work f and couple work g (against curl u / 2)."""
+    ops = _operators(n_modes, _gauss_order(n_modes, quadrature_order))
+    elastic = [params.mu * g + (params.mu + params.lam) * d for g, d in zip(ops.grad, ops.div)]
+    force = _work(ops.wT, "value", loads.force(ops.pts))
+    couple = _work(ops.wT, "half_curl", loads.couple(ops.pts))
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
-    system = GalerkinSystem(params=params, basis=basis, K=[E + k * C for E, C in zip(elastic, curl)],
-                            M=_form(basis, A, "value"), b=force + couple, quadrature_order=order)
-    return system, elastic, grad, div, curl, force, couple
+    K = [E + k * C for E, C in zip(elastic, ops.curl)]
+    system = GalerkinSystem(params=params, basis=ops.basis, K=K, M=list(ops.value), b=force + couple,
+                            quadrature_order=ops.order)
+    return system, ops, elastic, force, couple
 
 
 def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -311,8 +375,8 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     times the curl curl Gram: K depends on alpha1 + alpha2 only, so ``hd`` and
     ``modified`` materials with equal sums share one stiffness.
     """
-    system, _, grad, div, *_ = _problem(params, loads, n_modes, quadrature_order)
-    system.korn = _korn(grad, div)
+    system, ops, *_ = _problem(params, loads, n_modes, quadrature_order)
+    system.korn = ops.korn
     return system
 
 
@@ -358,9 +422,7 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
     clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
     value as ``GalerkinSystem.korn``."""
-    basis = ClampedBasis(n_modes)
-    *_, A = _tabulate(basis, quadrature_order)
-    return _korn(_form(basis, A, "grad"), _form(basis, A, "div"))
+    return _operators(n_modes, _gauss_order(n_modes, quadrature_order)).korn
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -377,40 +439,24 @@ class CosseratSolution:
 
 @dataclass
 class _CosseratForms:
-    """The mu_c-independent parts of the Cosserat problem, from one tabulation, per block i."""
+    """The mu_c-independent parts of the Cosserat problem, on the shared operators, per block i."""
 
     system: GalerkinSystem    # the clamped problem of ``assemble``, the mu_c = inf limit
     elastic: list[NDArray]    # classical stiffness form E
     force: NDArray            # force work f against u
-    W: list[NDArray]          # (len(i), R_i): column r gives psi_r = sum_p W[p, r] curl(u_p) / 2
-    B: list[NDArray]          # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
+    W: tuple[NDArray, ...]    # (len(i), R_i): column r gives psi_r = sum_p W[p, r] curl(u_p) / 2
+    B: tuple[NDArray, ...]    # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
     curvature: list[NDArray]  # (R_i,) d = (alpha1 + alpha2) mu L_c^2 Lambda, Lambda: Gram of curl psi_r
     couple: list[NDArray]     # (R_i,) W' g, the couple work against each psi_r
 
 
 def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
                     quadrature_order: int | None) -> _CosseratForms:
-    system, elastic, grad, div, curl, force, couple = _problem(params, loads, n_modes, quadrature_order)
+    system, ops, elastic, force, couple = _problem(params, loads, n_modes, quadrature_order)
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
-    forms = _CosseratForms(system, elastic, force, W=[], B=[], curvature=[], couple=[])
-    # per parity block, an orthonormal basis C of {curl u / 2 : u in span} from its Gram
-    # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality), cut off at 1e-10 of
-    # the largest eigenvalue over all blocks.  C scales eigenvectors by 1 / sqrt(eigenvalue),
-    # so the default driver: divide-and-conquer drifts by 2.2e-12 at N = 8, against 8.0e-13
-    eigs = [scipy.linalg.eigh(0.25 * (g - d)) for g, d in zip(grad, div)]
-    cutoff = 1e-10 * max(vals[-1] for vals, _ in eigs)
-    for i, (vals, vecs), X in zip(system.basis.blocks, eigs, curl):
-        U, root = vecs[:, vals > cutoff], np.sqrt(vals[vals > cutoff])
-        C = (U / root).T
-        # rotated to the eigenbasis of the Gram of curl a (divide-and-conquer: half the
-        # default's time here); B = H W from the eigenpairs of H, without a product with H
-        # (the mu_c = inf drift at N = 8 is 8.0e-13, against 1.9e-12 for H W)
-        lam, V = scipy.linalg.eigh(C @ X @ C.T, driver="evd")
-        forms.W.append(C.T @ V)
-        forms.B.append((U * root) @ V)
-        forms.curvature.append(k * lam)
-        forms.couple.append(forms.W[-1].T @ couple[i])
-    return forms
+    W, B, lam = zip(*ops.rotations)
+    return _CosseratForms(system, elastic, force, W=W, B=B, curvature=[k * x for x in lam],
+                          couple=[w.T @ couple[i] for i, w in zip(ops.basis.blocks, W)])
 
 
 def _coupled(params: MaterialParams) -> MaterialParams:

@@ -80,7 +80,10 @@ class Frame:
 
 @functools.cache
 def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    """The Gauss-Legendre rule on [-1, 1], read-only: every call shares it."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss(order: int, a: float, b: float):

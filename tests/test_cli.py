@@ -272,6 +272,7 @@ def test_bvp_solve_reads_the_body_couple(tmp_path):
 
 
 def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
+    solver._operators.cache_clear()  # a cold cache: the job's one tabulation is its own
     calls = []
 
     def counting(*args):
@@ -309,6 +310,7 @@ def test_korn_check_bounds_the_constant_by_one_and_sqrt2(monkeypatch, korn, pass
 @pytest.mark.parametrize("via_flag", [False, True])
 def test_quadrature_order_below_the_exactness_floor_exits_2_before_tabulating(
         tmp_path, monkeypatch, command, via_flag):
+    solver._operators.cache_clear()  # a cold cache: the accepted job's one tabulation is its own
     calls = []
 
     def counting(*args):
@@ -332,6 +334,28 @@ def test_quadrature_order_below_the_exactness_floor_exits_2_before_tabulating(
     assert code == 2 and calls == [] and not out.exists()
     code, out = main_with(floor)
     assert code == 0 and len(calls) == 1 and out.exists()
+
+
+def test_solver_csvs_do_not_depend_on_the_operator_cache(tmp_path):
+    # bvp-solve and cosserat-limit at one N share the solver's cached operators: a
+    # second pass writes the first pass's bytes, and so does each job on a cleared cache
+    jobs = [("bvp-solve", {"seed": 0, "n_modes": 3, "load": {"f_seed": 1, "g_seed": 2}}),
+            ("cosserat-limit", {"seed": 0, "n_modes": 3})]
+
+    def csvs(tag, clear=False):
+        out = []
+        for command, cfg in jobs:
+            if clear:
+                solver._operators.cache_clear()
+            d = tmp_path / f"{tag}-{command}"
+            assert run(command, _write(tmp_path, "c.json", cfg), str(d)) == 0
+            out.append((d / f"{command}.csv").read_bytes())
+        return out
+
+    solver._operators.cache_clear()
+    first = csvs("first")
+    assert csvs("second") == first
+    assert csvs("cleared", clear=True) == first
 
 
 def test_cosserat_limit_small(tmp_path):

@@ -247,7 +247,7 @@ def _oracle(n):
 
 
 def _flat(x):
-    return np.concatenate([y.ravel() for y in x]) if isinstance(x, list) else x
+    return np.concatenate([y.ravel() for y in x]) if isinstance(x, (list, tuple)) else x
 
 
 def _rel_gap(a, b):
@@ -316,7 +316,7 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     G = _oracle(n)
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     basis = ClampedBasis(n)
-    *_, A = solver._tabulate(basis, None)
+    *_, A = solver._tabulate(basis, basis.min_quadrature_order + 2)
     forms = {name: solver._form(basis, A, op) for name, op in (
         ("mass", "value"), ("grad", "grad"), ("div", "div"), ("curl", "curl_curl"))}
     forms["curl"] = [0.25 * X for X in forms["curl"]]
@@ -363,7 +363,7 @@ def test_broadcast_kronecker_products_are_np_kron(n):
     # the oracle's entries outside the parity blocks are exact zeros, and the
     # builder's blocks are the oracle's, bit for bit
     basis = ClampedBasis(n)
-    *_, A = solver._tabulate(basis, None)
+    *_, A = solver._tabulate(basis, basis.min_quadrature_order + 2)
     outside = _outside_blocks(basis)
     for op in solver._OPS:
         F = _kron_form(A, op)
@@ -439,8 +439,8 @@ def _dense_cosserat(regime, n):
     orthonormal rotation basis C (cutoff 1e-10 of the largest eigenvalue), one of
     C curl C', and (E, B = H W, d, W' g, f) on the solver's clamped problem."""
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
-    system, *forms, force, couple = solver._problem(p, _couple_loads(), n, None)
-    E, grad, div, curl = (_dense(system.basis, X) for X in forms)
+    system, ops, E, force, couple = solver._problem(p, _couple_loads(), n, None)
+    E, grad, div, curl = (_dense(system.basis, X) for X in (E, ops.grad, ops.div, ops.curl))
     H = 0.25 * (grad - div)
     vals, vecs = scipy.linalg.eigh(H)
     keep = vals > 1e-10 * vals[-1]
@@ -464,8 +464,7 @@ def test_block_solves_match_a_dense_oracle(monkeypatch, regime, n):
     lam_min = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
     assert coercivity_evidence(system) == pytest.approx(lam_min, rel=1e-12)
     korn = np.sqrt(scipy.linalg.eigh(grad, 0.5 * (grad + div), eigvals_only=True)[-1])
-    korn_blocks = solver._korn(_on_blocks(basis, grad), _on_blocks(basis, div))
-    assert korn_blocks == pytest.approx(korn, rel=1e-12)
+    assert korn_constant(n) == pytest.approx(korn, rel=1e-12)
     # the mu_c sweep: each reduced system, and the sweep's relative errors.  The
     # reduced systems do not depend on the choice of rotation basis; their
     # solutions do at round-off amplified by the basis's 1 / sqrt(eigenvalue)
@@ -570,14 +569,8 @@ class TestCosserat:
         assert np.linalg.norm(sol.a_coeffs) > 0.0
 
     def test_sweep_tabulates_once(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return raw(*args)
-
-        raw = solver._tabulate
-        monkeypatch.setattr(solver, "_tabulate", counting)
+        solver._operators.cache_clear()  # a cold cache: the sweep's one tabulation is its own
+        calls = _counting_tabulate(monkeypatch)
         cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 100.0, 1000.0, 10000.0])
         assert len(calls) == 1
 
@@ -693,3 +686,89 @@ def test_infinite_coupling_is_the_constrained_system(loads, regime, n):
     [(sol, _)] = solver._reduced_solves(solver._cosserat_forms(p, loads(), n, None), [np.inf])
     assert _m_gap(sol.coeffs, ref, G["mass"]) <= 1e-12
     assert _m_gap(sol.coeffs, solve(assemble(p, loads(), n)).coeffs, G["mass"]) <= 1e-12
+
+
+def _counting_tabulate(monkeypatch):
+    """The list that every ``solver._tabulate`` call is appended to."""
+    calls, raw = [], solver._tabulate
+
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(solver, "_tabulate", counting)
+    return calls
+
+
+def _cold(job):
+    """``job()`` on an empty operator cache."""
+    solver._operators.cache_clear()
+    return job()
+
+
+class TestOperatorCache:
+    def test_a_warm_assembly_tabulates_nothing_and_is_bit_identical(self, monkeypatch):
+        calls = _counting_tabulate(monkeypatch)
+        job = lambda: assemble(PARAMS, _couple_loads(), 3)
+        _cold(job)
+        assert len(calls) == 1
+        warm = job()
+        assert len(calls) == 1
+        cold = _cold(job)   # its own, fresh entry
+        for name in ("K", "M"):
+            assert all(map(np.array_equal, getattr(warm, name), getattr(cold, name))), name
+        assert np.array_equal(warm.b, cold.b) and warm.korn == cold.korn
+
+    def test_a_warm_sweep_is_bit_identical(self):
+        mu_cs = [10.0, 100.0, 1e3]
+        job = lambda: cosserat_limit_sweep(PARAMS, _couple_loads(), 3, mu_cs)
+        cold = _cold(job)
+        assert job() == cold
+        assert _cold(lambda: (assemble(PARAMS, _loads(), 3), job())[1]) == cold
+
+    def test_materials_and_the_default_order_share_one_entry(self, monkeypatch):
+        # the operators are material-free, and K depends on alpha1 + alpha2 only
+        calls = _counting_tabulate(monkeypatch)
+        hd, modified = (MaterialParams.for_regime(r, mu=1.3, lam=0.7, L_c=0.5) for r in ("hd", "modified"))
+        a = _cold(lambda: assemble(hd, _loads(), 3))
+        b = assemble(modified, _loads(), 3, quadrature_order=3 + 6)
+        assert len(calls) == 1 and solver._operators.cache_info().currsize == 1
+        assert all(map(np.array_equal, a.K, b.K))
+
+    def test_at_most_two_entries_are_kept(self):
+        solver._operators.cache_clear()
+        for n in (2, 3, 4):
+            korn_constant(n)
+        assert solver._operators.cache_info().currsize <= 2
+
+    def test_a_rejected_order_is_neither_tabulated_nor_cached(self, monkeypatch):
+        calls = _counting_tabulate(monkeypatch)
+        solver._operators.cache_clear()
+        with pytest.raises(ValueError, match="exactness minimum"):
+            assemble(PARAMS, _loads(), 3, quadrature_order=6)
+        assert calls == [] and solver._operators.cache_info().currsize == 0
+
+    def test_every_shared_array_is_read_only(self):
+        ops = solver._operators(3, 9)
+        W, B, lam = zip(*ops.rotations)
+        arrays = [ops.pts, ops.wT, *ops.basis.blocks, *W, *B, *lam,
+                  *ops.grad, *ops.div, *ops.curl, *ops.value]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_a_job_gets_fresh_writable_arrays(self):
+        # mutating what a job gets back leaves the next job's system as it was
+        def job():
+            system = assemble(PARAMS, _couple_loads(), 3)
+            return system, solver._cosserat_forms(PARAMS, _couple_loads(), 3, None)
+
+        ref, ref_forms = job()
+        system, forms = job()
+        for X in (*system.K, system.b, *forms.elastic, forms.force, *forms.curvature, *forms.couple):
+            X[...] = np.nan
+        system.M.clear()
+        again, again_forms = job()
+        assert all(map(np.array_equal, again.K, ref.K)) and np.array_equal(again.b, ref.b)
+        assert all(map(np.array_equal, again.M, ref.M))
+        assert all(map(np.array_equal, again_forms.elastic, ref_forms.elastic))

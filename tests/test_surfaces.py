@@ -5,6 +5,8 @@ from costress.fields import make_polynomial
 from costress.surfaces import (
     BoxFace,
     SphericalCap,
+    _gauss,
+    _leggauss,
     stokes_flux_check,
     surface_divergence_check,
 )
@@ -183,3 +185,13 @@ def test_edge_offset_points(face):
 def test_unknown_edge_side_raises(face):
     with pytest.raises(ValueError):
         face.edge_quadrature("rim", 4)
+
+
+def test_the_cached_gauss_rule_is_read_only_and_its_scaled_copies_are_fresh():
+    nodes, weights = _leggauss(5)
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    x, w = _gauss(5, 0.0, 1.0)
+    x[0] = w[0] = -1.0
+    assert np.array_equal(_gauss(5, 0.0, 1.0)[0], 0.5 + 0.5 * nodes)
