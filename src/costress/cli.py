@@ -30,7 +30,7 @@ from .boundary import boundary_work_identity, hd_postulate_report
 from .fields import (PolynomialField, fd_derivative_oracle, field_from_spec,
                      grad_curl_from_grad2, kinematics, make_polynomial, random_conformal)
 from .solver import (DegenerateCosseratError, WellPosednessError, assemble,
-                     coercivity_evidence, cosserat_limit_sweep, solve)
+                     coercivity_evidence, cosserat_limit_sweep, min_quadrature_order, solve)
 from .surfaces import BoxFace, SphericalCap, stokes_flux_check, surface_divergence_check
 from .tensors import anti, axl, cartan_decompose, contract_E_X, dev, inner, sym, tr
 
@@ -452,8 +452,8 @@ _ORDER = (_int(1), 16)
 
 def _solver_order(v, job):
     """Parser of the solver's Gauss order: null (the default), or at least
-    n_modes + 4, the lowest order that integrates the stiffness exactly."""
-    return _int(job["n_modes"] + 4, optional=True)(v, job)
+    ``min_quadrature_order``, the lowest that integrates the stiffness exactly."""
+    return _int(min_quadrature_order(job["n_modes"]), optional=True)(v, job)
 
 
 _SOLVER_ORDER = (_solver_order, None)

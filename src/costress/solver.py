@@ -31,10 +31,9 @@ the reduced stiffness is E + B diag(d s) B', B = G(curl u / 2) W, the load
 f + B diag(s) W'g, and the microrotation s (B'u + W'g / (2 mu_c)).  No term
 grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``.
 
-The material and the load only scale and pair material-free operators (the basis,
-its tables, the Grams, the Korn constant, W, B and Lambda): they are built once per
-(N, Gauss order) per process, held read-only and shared by every job, with at most
-2 kept (``_operators``).  Each job builds only its own stiffness and load.
+The material and the load only scale and pair material-free operators (the Grams, the
+Korn constant, W, B, Lambda): ``_operators`` builds them once per (N, Gauss order) per
+process, read-only and shared by every job, at most 2 kept.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .fields import DisplacementField
 
 __all__ = ["ClampedBasis", "CosseratSolution", "DegenerateCosseratError", "GalerkinSolution",
            "GalerkinSystem", "WellPosednessError", "assemble", "coercivity_evidence",
-           "cosserat_limit_sweep", "cosserat_solve", "korn_constant", "solve"]
+           "cosserat_limit_sweep", "cosserat_solve", "korn_constant", "min_quadrature_order", "solve"]
 
 
 class WellPosednessError(RuntimeError):
@@ -68,6 +67,13 @@ class WellPosednessError(RuntimeError):
 class DegenerateCosseratError(ValueError):
     """The Cosserat rotational coupling is absent or negative, or a mu_c sweep has
     no curvature energy to converge with, or errors below round-off."""
+
+
+def _shared(arrays) -> tuple:
+    """The arrays as a tuple, each set read-only: ``_operators`` shares them across jobs."""
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 class ClampedBasis:
@@ -107,13 +113,9 @@ class ClampedBasis:
         #: the dofs of each non-empty reflection-parity block, ascending: every form of
         #: the isotropic clamped problem is block-diagonal over them
         self.blocks = tuple(i[i >= 0] for i in self._slots)
+        _shared([self._coef, self._parities, self._slots, *self.blocks])  # ``_operators`` shares a basis
 
     # -- quadrature ---------------------------------------------------------
-
-    @property
-    def min_quadrature_order(self) -> int:
-        """Smallest Gauss order exact for the stiffness integrands."""
-        return self.n_modes + 4
 
     def quadrature(self, order: int):
         """Tensorized Gauss rule on the unit cube: (points, weights)."""
@@ -172,13 +174,18 @@ class _BasisField(DisplacementField):
             functools.partial(basis.derivatives, order=k, z=z) for k in range(5))
 
 
+def min_quadrature_order(n_modes: int) -> int:
+    """Smallest Gauss order exact for the stiffness integrands at N modes per direction."""
+    return n_modes + 4
+
+
 def _gauss_order(n_modes: int, quadrature_order: int | None) -> int:
-    """The solver's Gauss order: by default two above the exactness minimum N + 4
-    (``ClampedBasis.min_quadrature_order``); one below it is rejected."""
-    order = n_modes + 6 if quadrature_order is None else quadrature_order
-    if order < n_modes + 4:
-        raise ValueError(f"quadrature order {order} below the exactness minimum "
-                         f"{n_modes + 4} for N = {n_modes}")
+    """The solver's Gauss order: by default two above ``min_quadrature_order``; one
+    below it is rejected."""
+    floor = min_quadrature_order(n_modes)
+    order = floor + 2 if quadrature_order is None else quadrature_order
+    if order < floor:
+        raise ValueError(f"quadrature order {order} below the exactness minimum {floor} for N = {n_modes}")
     return order
 
 
@@ -271,13 +278,6 @@ def _extreme_eig(X: list[NDArray], Y: list[NDArray] | None = None, top: bool = F
     return float(max(vals) if top else min(vals))
 
 
-def _shared(arrays) -> tuple:
-    """The arrays as a tuple, each set read-only: ``_operators`` shares them across jobs."""
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
-
-
 @dataclass(frozen=True, eq=False)
 class _Operators:
     """The material-free parts of the clamped problem at one (N, Gauss order), read-only:
@@ -285,7 +285,6 @@ class _Operators:
     of grad u, div u, curl curl u / 2 and u; the Korn constant and rotations on first use."""
 
     basis: ClampedBasis
-    order: int
     pts: NDArray
     wT: NDArray
     grad: tuple[NDArray, ...]
@@ -321,15 +320,16 @@ class _Operators:
         return tuple(out)
 
 
-@functools.lru_cache(maxsize=2)  # the galerkin benchmark's three jobs use two keys
+# two entries: a job on a second key (another N or Gauss order) keeps the first; an entry
+# retains about 2.5 MB at N = 6 and 150 MB at N = 12
+@functools.lru_cache(maxsize=2)
 def _operators(n_modes: int, order: int) -> _Operators:
     """The operators at N modes and a Gauss order resolved by ``_gauss_order``, built
     once and shared by every job at that key."""
     basis = ClampedBasis(n_modes)
-    _shared([basis._coef, basis._parities, basis._slots, *basis.blocks])
     pts, wT, A = _tabulate(basis, order)
     grad, div, curl, value = (_form(basis, A, op) for op in ("grad", "div", "curl_curl", "value"))
-    return _Operators(basis, order, *_shared([pts, wT]), _shared(grad), _shared(div),
+    return _Operators(basis, *_shared([pts, wT]), _shared(grad), _shared(div),
                       _shared([0.25 * X for X in curl]), _shared(value))
 
 
@@ -356,14 +356,15 @@ def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
     G(curl curl u / 2) and the load f + g; the operators; the classical stiffness
     E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality 2 mu G(sym grad u) +
     lam G(div u); and the force work f and couple work g (against curl u / 2)."""
-    ops = _operators(n_modes, _gauss_order(n_modes, quadrature_order))
+    order = _gauss_order(n_modes, quadrature_order)
+    ops = _operators(n_modes, order)
     elastic = [params.mu * g + (params.mu + params.lam) * d for g, d in zip(ops.grad, ops.div)]
     force = _work(ops.wT, "value", loads.force(ops.pts))
     couple = _work(ops.wT, "half_curl", loads.couple(ops.pts))
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
     K = [E + k * C for E, C in zip(elastic, ops.curl)]
     system = GalerkinSystem(params=params, basis=ops.basis, K=K, M=list(ops.value), b=force + couple,
-                            quadrature_order=ops.order)
+                            quadrature_order=order)
     return system, ops, elastic, force, couple
 
 

@@ -319,7 +319,7 @@ def test_quadrature_order_below_the_exactness_floor_exits_2_before_tabulating(
 
     raw = solver._tabulate
     monkeypatch.setattr(solver, "_tabulate", counting)
-    floor = solver.ClampedBasis(3).min_quadrature_order
+    floor = solver.min_quadrature_order(3)
 
     def main_with(order):
         cfg = {"seed": 0, "n_modes": 3} if via_flag else {"seed": 0, "n_modes": 3,
@@ -412,6 +412,7 @@ def test_cosserat_limit_without_curvature_energy_exits_2_before_tabulating(
         tmp_path, monkeypatch, material):
     # (alpha1 + alpha2) L_c^2 = 0: every mu_c gives the limit, so there is no
     # convergence to measure
+    solver._operators.cache_clear()  # a cold cache: a tabulation would fail
     monkeypatch.setattr(solver, "_tabulate", None)
     cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "material": material})
     out = tmp_path / "o"

@@ -110,7 +110,7 @@ def _oracle_tables(basis, pts, sqrt_w=None):
 
 def _tables(n):
     basis = ClampedBasis(n)
-    pts, W = basis.quadrature(basis.min_quadrature_order)
+    pts, W = basis.quadrature(solver.min_quadrature_order(basis.n_modes))
     return basis, pts, W, _oracle_tables(basis, pts)
 
 
@@ -224,7 +224,7 @@ def _oracle(n):
     the force and couple works of ``_couple_loads``; and an L2-orthonormal basis
     C of the rotations curl u / 2, one mode per row."""
     basis = ClampedBasis(n)
-    pts, W = basis.quadrature(basis.min_quadrature_order)
+    pts, W = basis.quadrature(solver.min_quadrature_order(basis.n_modes))
     t = _oracle_tables(basis, pts)
 
     def gram(X):
@@ -316,7 +316,7 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     G = _oracle(n)
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     basis = ClampedBasis(n)
-    *_, A = solver._tabulate(basis, basis.min_quadrature_order + 2)
+    *_, A = solver._tabulate(basis, solver.min_quadrature_order(basis.n_modes) + 2)
     forms = {name: solver._form(basis, A, op) for name, op in (
         ("mass", "value"), ("grad", "grad"), ("div", "div"), ("curl", "curl_curl"))}
     forms["curl"] = [0.25 * X for X in forms["curl"]]
@@ -363,7 +363,7 @@ def test_broadcast_kronecker_products_are_np_kron(n):
     # the oracle's entries outside the parity blocks are exact zeros, and the
     # builder's blocks are the oracle's, bit for bit
     basis = ClampedBasis(n)
-    *_, A = solver._tabulate(basis, basis.min_quadrature_order + 2)
+    *_, A = solver._tabulate(basis, solver.min_quadrature_order(basis.n_modes) + 2)
     outside = _outside_blocks(basis)
     for op in solver._OPS:
         F = _kron_form(A, op)
@@ -585,12 +585,14 @@ class TestCosserat:
             assert err == pytest.approx(np.sqrt(d @ mass @ d / (ref @ mass @ ref)), rel=1e-12)
 
     def test_sweep_rejects_degenerate_coupling_before_tabulating(self, monkeypatch):
+        solver._operators.cache_clear()  # a cold cache: a tabulation would fail
         monkeypatch.setattr(solver, "_tabulate", None)
         with pytest.raises(DegenerateCosseratError):
             cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 0.0])
 
     @pytest.mark.parametrize("mu_cs", [[], [100.0], [100.0, 100.0]])
     def test_sweep_needs_two_distinct_couplings_before_tabulating(self, monkeypatch, mu_cs):
+        solver._operators.cache_clear()  # a cold cache: a tabulation would fail
         monkeypatch.setattr(solver, "_tabulate", None)
         with pytest.raises(ValueError, match="two distinct"):
             cosserat_limit_sweep(PARAMS, _loads(), 2, mu_cs)
