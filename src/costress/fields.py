@@ -16,6 +16,7 @@ the leading axes of the points, and a single field is a batch of none.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -68,7 +69,7 @@ def fd_partial(func, x: NDArray, axes: tuple[int, ...], h) -> NDArray:
     ``x`` holds points of shape (..., d) and ``h`` the step per point,
     broadcastable to ``x.shape[:-1]``.  ``func`` maps points (..., d) to
     values (..., *out) and is called once, on all 2 x 4^k samples of every
-    point.  Returns (..., *out).
+    point.  Returns (..., *out), each point bit for bit as it would be alone.
     """
     x = np.asarray(x, dtype=float)
     lead, k = x.ndim - 1, len(axes)
@@ -81,7 +82,9 @@ def fd_partial(func, x: NDArray, axes: tuple[int, ...], h) -> NDArray:
     steps = h[..., None] * np.array([1.0, 0.5])                        # (..., 2)
     samples = x[..., None, None, :] + steps[..., None, None] * unit  # (..., 2, 4^k, d)
     vals = np.asarray(func(samples), dtype=float)                     # (..., 2, 4^k, *out)
-    diff = np.tensordot(vals, weights, axes=([lead + 1], [0]))        # (..., 2, *out)
+    # a summed last axis reduces each element in one order; tensordot's BLAS
+    # call rounds a row differently as the batch's row count changes
+    diff = np.sum(np.moveaxis(vals, lead + 1, -1) * weights, axis=-1)  # (..., 2, *out)
     diff /= (steps ** k).reshape(steps.shape + (1,) * (diff.ndim - steps.ndim))
     coarse, fine = np.take(diff, 0, axis=lead), np.take(diff, 1, axis=lead)
     return (16.0 * fine - coarse) / 15.0
@@ -164,6 +167,19 @@ class DisplacementField:
         return self.value(x)
 
 
+@functools.cache
+def _shift_tables(D: int) -> tuple[NDArray, NDArray]:
+    """(shift, factor) over a flattened (D, D, D) monomial block plus one zero
+    slot: d/dx_a takes slot shift[a] (the zero one where p_a + 1 = D) times
+    factor[a] = p_a + 1; both (3, D^3)."""
+    p = np.indices((D, D, D)).reshape(3, D ** 3)
+    stride = D ** np.arange(2, -1, -1)[:, None]                # of p_a in the flat index
+    shift = np.where(p + 1 < D, np.arange(D ** 3) + stride, D ** 3)
+    factor = (p + 1).astype(float)
+    shift.flags.writeable = factor.flags.writeable = False
+    return shift, factor
+
+
 class PolynomialField(DisplacementField):
     """Trivariate vector polynomial with closed-form derivatives.
 
@@ -187,25 +203,18 @@ class PolynomialField(DisplacementField):
         """Stacked coefficient tensor of one derivative order, its derivative axes
         after the component, C[..., i, a1, ..., a_order], each entry a (D, D, D)
         monomial block, zero padded so one contraction evaluates every component
-        at once.  Built on first use from the order below; threads that race
-        may build a block twice but all keep the one stored first."""
+        at once.  Built on first use from the order below, all three axes by one
+        gather; threads that race may build a block twice but all keep the one
+        stored first."""
         C = self._blocks.get(order)
         if C is None:
-            below = self._block(order - 1)
-            C = self._blocks.setdefault(
-                order, np.stack([self._der_block(below, a) for a in range(3)], axis=-4))
+            below, D = self._block(order - 1), self._D
+            shift, factor = _shift_tables(D)
+            flat = below.reshape(below.shape[:-3] + (D ** 3,))
+            padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+            C = self._blocks.setdefault(order, (padded[..., shift] * factor).reshape(
+                below.shape[:-3] + (3, D, D, D)))
         return C
-
-    @staticmethod
-    def _der_block(C: NDArray, axis: int) -> NDArray:
-        """Differentiate the trailing (D, D, D) monomial block along one
-        coordinate, keeping the block shape by zero padding."""
-        D = C.shape[-1]
-        out = np.zeros_like(C)
-        k = np.arange(1, D)
-        mover = np.moveaxis(out, axis - 3, -1)
-        mover[..., : D - 1] = np.moveaxis(C, axis - 3, -1)[..., 1:] * k
-        return out
 
     def _contract(self, C: NDArray, x: NDArray) -> NDArray:
         """sum_ijk C[f, ..., i, j, k] x1^i x2^j x3^k at the points x[f] (..., 3)

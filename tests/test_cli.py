@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from costress import cli, solver
 from costress.cli import main, run
 from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
 from costress.fields import (fd_derivative_oracle, grad_curl_from_grad2, kinematics,
-                             make_polynomial)
+                             make_polynomial, random_conformal)
 from costress.surfaces import SphericalCap
 from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner, tr
 
@@ -458,6 +459,41 @@ def test_conformal_demo(tmp_path):
     report = json.loads((out / "report.json").read_text())
     names = {c["name"] for c in report["checks"]}
     assert "couple_stress_closed_form" in names  # hd regime closed form
+
+
+@pytest.mark.parametrize("regime, rows", [("gkmt", 3), ("hd", 4)])
+def test_conformal_demo_reports_its_points_as_metrics(tmp_path, regime, rows):
+    material = MaterialParams.for_regime(regime, L_c=0.7)
+    cfg = _write(tmp_path, "c.json", {"seed": 5, "points": 7,
+                                      "material": json.loads(material.to_json())})
+    for side in "ab":
+        assert run("conformal-demo", cfg, str(tmp_path / side)) == 0
+    report = (tmp_path / "a" / "report.json").read_bytes()
+    assert report == (tmp_path / "b" / "report.json").read_bytes()
+    points = json.loads(report)["metrics"]["points"]
+    u = random_conformal(5)
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, (7, 3))
+    M = grad_curl_from_grad2(u.grad2(x))
+    assert np.array_equal(points["x"], x)
+    assert np.array_equal(points["value"], u.value(x))
+    assert np.array_equal(points["w_curv"], w_curv(material, M).value)
+    # the points are ungated: the CSV holds only the checks
+    csv_rows = (tmp_path / "a" / "conformal-demo.csv").read_text().splitlines()[1:]
+    assert len(csv_rows) == rows
+    assert not any(row.startswith("point_") for row in csv_rows)
+
+
+def test_no_check_of_a_non_solving_command_passes_unconditionally(tmp_path):
+    # residual_work_norm is inverted (it passes above 1e3 tol) but finite
+    for command, cfg in _NON_SOLVER.items():
+        out = tmp_path / command
+        assert run(command, _write(tmp_path, f"{command}.json", {"seed": 0, **cfg}),
+                   str(out)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"], command
+        for c in report["checks"]:
+            assert math.isfinite(float(c["tolerance"])), (command, c["name"])
+        assert (report["metrics"] == {}) == (command != "conformal-demo"), command
 
 
 def test_unknown_command():

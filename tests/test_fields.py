@@ -98,6 +98,21 @@ def test_a_field_batch_equals_its_fields_bit_for_bit(degree, points):
         assert np.array_equal(getattr(batch, name)(x), stacked), name
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("F", [1, 3, 20])
+def test_the_stencil_rounds_a_batch_like_each_item_alone(F, order):
+    # the one FD stencil is batch invariant: a batch of fields at one point
+    # each, and one field at a batch of points, equal the items one at a time
+    seeds = np.random.default_rng(F).integers(0, 2 ** 31, size=F)
+    x = np.random.default_rng(order).uniform(0.05, 0.95, (F, 3))
+    batch = fd_derivative_oracle(make_polynomial(seeds, 4), x, order)
+    alone = [fd_derivative_oracle(make_polynomial(int(s), 4), p, order) for s, p in zip(seeds, x)]
+    assert np.array_equal(batch, np.stack(alone))
+    u = make_polynomial(int(seeds[0]), 4)
+    assert np.array_equal(fd_derivative_oracle(u, x, order),
+                          np.stack([fd_derivative_oracle(u, p, order) for p in x]))
+
+
 def test_make_polynomial_of_seeds_stacks_each_seeds_field():
     seeds = np.array([3, 0, 2 ** 31 - 1, 3])
     batch = make_polynomial(seeds, 4)
@@ -338,7 +353,13 @@ def test_polynomial_derivatives_built_on_first_use():
     assert set(u._blocks) == {0}      # values need no derivative block
     kinematics(u, x)
     assert set(u._blocks) == {0, 1, 2}   # kinematics never reads third derivatives
-    eager = np.stack([u._der_block(u._blocks[2], a) for a in range(3)], axis=3)
+    # the third-order block by hand: d/dx_a takes power p + 1 to p, times p + 1
+    C2, D = u._blocks[2], u._D
+    eager = np.zeros(C2.shape[:3] + (3, D, D, D))
+    for a in range(3):
+        for p in range(D - 1):
+            lead = (slice(None),) * (3 + a)      # the component, two derivative axes, p_<a
+            eager[:, :, :, a][lead + (p,)] = C2[lead + (p + 1,)] * (p + 1)
     assert np.array_equal(u.grad3(x), u._contract(eager, x))
     C3 = u._blocks[3]
     u.grad3(x)
