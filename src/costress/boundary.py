@@ -7,8 +7,9 @@ Three formulations are implemented:
   by the surface curl of the normal-moment scalar, plus the tangential
   double-force traction.
 * ``complete``   the corrected split with the extra tangential-gradient
-  force term, the second-order normal-derivative traction and the 3 edge
-  jump conditions.
+  force term and the second-order normal-derivative traction; its edge
+  terms are integrated along every patch edge by
+  :func:`boundary_work_identity`.
 * ``hd``         the skew-couple-stress variant: plain total force
   traction plus the tangential moment traction.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "boundary_work_identity",
     "classical_tractions",
     "complete_tractions",
-    "edge_jump",
     "hd_postulate_report",
     "hd_tractions",
 ]
@@ -122,8 +122,8 @@ def complete_tractions(params: MaterialParams, field: DisplacementField,
                        patch: SurfacePatch, s, t) -> TractionSet:
     """Corrected 3+2 surface traction quantities at (s, t).
 
-    The edge jump conditions live on the edge curve; see
-    :func:`edge_jump`.
+    The edge terms live on the edge curve; see
+    :func:`boundary_work_identity`.
     """
     sp = _split(params, field, patch.frame(s, t))
     return TractionSet(t_force=sp.t_total + sp.t_psi + sp.t_tang, g_double=sp.g,
@@ -138,28 +138,6 @@ def hd_tractions(params: MaterialParams, field: DisplacementField,
     occurrence of the total force stress."""
     sp = _split(params, field, patch.frame(s, t))
     return TractionSet(t_force=sp.t_total, g_double=sp.w, formulation="hd")
-
-
-def edge_jump(params: MaterialParams, field: DisplacementField,
-              patch: SurfacePatch, side: str, s, t) -> NDArray:
-    """Jump of anti((id - n(x)n) m.n) . nu across edge points (s, t).
-
-    Evaluated as one-sided limits at geodesic offsets eps and 2 eps on
-    either side of the edge (eps = 1e-4 of the patch diameter), each
-    extrapolated linearly to the edge.  For fields smooth across the edge
-    the jump vanishes.
-    """
-    nu = patch.conormal(side, s, t)
-    eps = 1e-4 * patch.diameter
-
-    def one_sided(inward: bool) -> NDArray:
-        def q(e):
-            ss, tt = patch.edge_offset_point(side, s, t, e, inward=inward)
-            return _mv(anti(_split(params, field, patch.frame(ss, tt)).w), nu)
-
-        return 2.0 * q(eps) - q(2.0 * eps)
-
-    return one_sided(True) - one_sided(False)
 
 
 @dataclass(frozen=True)
@@ -196,12 +174,11 @@ def boundary_work_identity(params: MaterialParams, u: DisplacementField,
     t_edge_conormal = 0.0
     t_edge_psi = 0.0
     for side in patch.edge_sides:
-        Se, Te, We = patch.edge_quadrature(side, order)
-        edge = _split(params, u, patch.frame(Se, Te))
-        nu = patch.conormal(side, Se, Te)
-        du = delta_u.value(edge.frame.x)
+        We, fr_e, nu = patch.edge_quadrature(side, order)
+        edge = _split(params, u, fr_e)
+        du = delta_u.value(fr_e.x)
         t_edge_conormal += float(We @ (-0.5 * _dot(_mv(anti(edge.w), nu), du)))
-        t_edge_psi += float(We @ (-0.5 * edge.psi * _dot(np.cross(edge.frame.n, nu), du)))
+        t_edge_psi += float(We @ (-0.5 * edge.psi * _dot(np.cross(fr_e.n, nu), du)))
 
     terms = {
         "force": t_force,

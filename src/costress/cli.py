@@ -542,7 +542,7 @@ def _write_outputs(out_dir: Path, command: str, job: dict, checks: list[Check],
     if error is not None:
         report["error"] = error
     (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(report, sort_keys=True) + "\n", encoding="utf-8"
     )
     with open(out_dir / f"{command}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

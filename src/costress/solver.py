@@ -338,7 +338,6 @@ class GalerkinSystem:
     """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z.  K and M are
     held as their parity blocks, ``K[k]`` on the dofs ``basis.blocks[k]``."""
 
-    params: MaterialParams
     basis: ClampedBasis
     K: list[NDArray]
     M: list[NDArray]    # L2 mass matrix of the vector basis
@@ -363,7 +362,7 @@ def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
     couple = _work(ops.wT, "half_curl", loads.couple(ops.pts))
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
     K = [E + k * C for E, C in zip(elastic, ops.curl)]
-    system = GalerkinSystem(params=params, basis=ops.basis, K=K, M=list(ops.value), b=force + couple,
+    system = GalerkinSystem(basis=ops.basis, K=K, M=list(ops.value), b=force + couple,
                             quadrature_order=order)
     return system, ops, elastic, force, couple
 

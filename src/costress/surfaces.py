@@ -8,11 +8,13 @@ broadcasts over them; a scalar pair is a batch of one.  A :class:`Frame`
 holds everything the surface operators read at one point set: the
 position, chart tangents, normal and its chart derivatives (closed form
 for each patch) and dual tangents.  :meth:`SurfacePatch.quadrature`
-returns the frame of its rule, so a caller builds one frame per point
-set.  Surface gradients and divergences are closed forms on the frame:
-they act on chart derivatives the caller supplies (the moment traction
-terms of :mod:`costress.boundary` get theirs by the chain rule) or on an
-ambient gradient.  The package's one finite-difference stencil,
+returns the frame of its rule and :meth:`SurfacePatch.edge_quadrature`
+the frame and outward conormal of its edge rule, so a caller builds one
+frame per point set and reads every chart tangent from a frame.  Surface
+gradients and divergences are closed forms on the frame: they act on
+chart derivatives the caller supplies (the moment traction terms of
+:mod:`costress.boundary` get theirs by the chain rule) or on an ambient
+gradient.  The package's one finite-difference stencil,
 :func:`costress.fields.fd_partial`, remains behind
 :meth:`SurfacePatch.chart_gradient` (step 1e-3 of the chart range,
 shrunk to keep the stencil off a spherical pole) as the oracle of these
@@ -125,11 +127,6 @@ class SurfacePatch:
         """Chart derivatives of the unit normal (n_s, n_t), each (..., 3)."""
         raise NotImplementedError
 
-    def normal(self, s, t) -> NDArray:
-        x_s, x_t = self.chart_tangents(s, t)
-        nv = np.cross(x_s, x_t)
-        return nv / np.linalg.norm(nv, axis=-1, keepdims=True)
-
     def frame(self, s, t) -> Frame:
         x_s, x_t = self.chart_tangents(s, t)
         nv = np.cross(x_s, x_t)
@@ -147,10 +144,6 @@ class SurfacePatch:
             dual=np.linalg.inv(g) @ np.stack([x_s, x_t], axis=-2),
         )
 
-    @property
-    def diameter(self) -> float:
-        raise NotImplementedError
-
     # -- quadrature -------------------------------------------------------
 
     def quadrature(self, order: int):
@@ -166,51 +159,23 @@ class SurfacePatch:
     # -- edges -------------------------------------------------------------
 
     def edge_quadrature(self, side: str, order: int):
-        """Gauss rule along one edge: chart coordinates (S, T) and weights
-        with the arc-length element folded in, each of shape (order,)."""
-        s0, s1 = self.s_range
-        t0, t1 = self.t_range
-        if side in ("smin", "smax"):
-            T, w = _gauss(order, t0, t1)
-            S = np.full_like(T, s0 if side == "smin" else s1)
-            return S, T, w * np.linalg.norm(self.chart_tangents(S, T)[1], axis=-1)
-        if side in ("tmin", "tmax"):
-            S, w = _gauss(order, s0, s1)
-            T = np.full_like(S, t0 if side == "tmin" else t1)
-            return S, T, w * np.linalg.norm(self.chart_tangents(S, T)[0], axis=-1)
-        raise ValueError(f"unknown edge side {side!r}")
-
-    def conormal(self, side: str, s, t) -> NDArray:
-        """In-surface outward conormal at edge points."""
-        x_s, x_t = self.chart_tangents(s, t)
-        if side == "smin":
-            raw = -x_s
-        elif side == "smax":
-            raw = x_s
-        elif side == "tmin":
-            raw = -x_t
-        else:
-            raw = x_t
-        n = self.normal(s, t)
-        raw = raw - _dot(raw, n)[..., None] * n
-        # orthogonalize against the edge tangent (exact for orthogonal charts)
-        tang = x_t if side in ("smin", "smax") else x_s
-        tang = tang / np.linalg.norm(tang, axis=-1, keepdims=True)
-        raw = raw - _dot(raw, tang)[..., None] * tang
-        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-
-    def edge_offset_point(self, side: str, s, t, eps: float, inward: bool = True):
-        """(s, t) displaced by geodesic distance eps from edge points,
-        inward (into the patch) or outward (across the edge)."""
-        x_s, x_t = self.chart_tangents(s, t)
-        sign = -1.0 if inward else 1.0
-        if side == "smin":
-            sign = -sign
-        if side == "tmin":
-            sign = -sign
-        if side in ("smin", "smax"):
-            return s + sign * eps / np.linalg.norm(x_s, axis=-1), t
-        return s, t + sign * eps / np.linalg.norm(x_t, axis=-1)
+        """Gauss rule along one edge: weights with the arc-length element
+        folded in, shape (order,), the frame at the nodes and the outward
+        conormal there.  The conormal is the unit dual tangent, +-x^s/|x^s|
+        on an s-side and +-x^t/|x^t| on a t-side: tangent to the surface
+        and orthogonal to the edge by construction."""
+        if side not in ("smin", "smax", "tmin", "tmax"):
+            raise ValueError(f"unknown edge side {side!r}")
+        across = "st".index(side[0])        # the chart axis the edge holds fixed
+        upper = side.endswith("max")
+        ranges = (self.s_range, self.t_range)
+        along, w = _gauss(order, *ranges[1 - across])
+        fixed = np.full_like(along, ranges[across][1 if upper else 0])
+        fr = self.frame(*((fixed, along) if across == 0 else (along, fixed)))
+        nu = fr.dual[..., across, :]
+        nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+        tangent = fr.x_t if across == 0 else fr.x_s
+        return w * np.linalg.norm(tangent, axis=-1), fr, nu if upper else -nu
 
     # -- chart finite differences ------------------------------------------
 
@@ -237,13 +202,10 @@ class BoxFace(SurfacePatch):
 
     edge_sides = ("smin", "smax", "tmin", "tmax")
 
-    def __init__(self, origin, e1, e2, extent_s: float, extent_t: float,
-                 flip_normal: bool = False):
+    def __init__(self, origin, e1, e2, extent_s: float, extent_t: float):
         self.origin = np.asarray(origin, dtype=float)
         self.e1 = np.asarray(e1, dtype=float) / np.linalg.norm(e1)
         self.e2 = np.asarray(e2, dtype=float) / np.linalg.norm(e2)
-        if flip_normal:
-            self.e1, self.e2 = self.e2, self.e1
         self.s_range = (0.0, float(extent_s))
         self.t_range = (0.0, float(extent_t))
 
@@ -273,10 +235,6 @@ class BoxFace(SurfacePatch):
     def normal_derivatives(self, s, t):
         zero = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)) + (3,))
         return zero, zero
-
-    @property
-    def diameter(self):
-        return math.hypot(self.s_range[1], self.t_range[1])
 
 
 class SphericalCap(SurfacePatch):
@@ -330,16 +288,9 @@ class SphericalCap(SurfacePatch):
         x_t = r * np.sin(s) * (-np.sin(t) * self.e1 + np.cos(t) * self.e2)
         return x_s, x_t
 
-    def normal(self, s, t):
-        return (self.point(s, t) - self.center) / self.radius
-
     def normal_derivatives(self, s, t):
         x_s, x_t = self.chart_tangents(s, t)
         return x_s / self.radius, x_t / self.radius
-
-    @property
-    def diameter(self):
-        return 2.0 * self.radius * math.sin(min(self.s_range[1], math.pi / 2.0))
 
 
 def surface_divergence_check(v, patch: SurfacePatch, order: int = 16):
@@ -353,8 +304,8 @@ def surface_divergence_check(v, patch: SurfacePatch, order: int = 16):
     lhs = float(W @ fr.tangential_divergence(v.value(fr.x), v.grad(fr.x)))
     rhs = 0.0
     for side in patch.edge_sides:
-        S, T, W = patch.edge_quadrature(side, order)
-        rhs += float(W @ _dot(v.value(patch.point(S, T)), patch.conormal(side, S, T)))
+        W, fr, nu = patch.edge_quadrature(side, order)
+        rhs += float(W @ _dot(v.value(fr.x), nu))
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -366,7 +317,6 @@ def stokes_flux_check(field, patch: SurfacePatch, order: int = 16):
     flux = float(W @ _dot(curl_from_grad(field.grad(fr.x)), fr.n))
     circ = 0.0
     for side in patch.edge_sides:
-        S, T, W = patch.edge_quadrature(side, order)
-        tau = np.cross(patch.normal(S, T), patch.conormal(side, S, T))
-        circ += float(W @ _dot(field.value(patch.point(S, T)), tau))
+        W, fr, nu = patch.edge_quadrature(side, order)
+        circ += float(W @ _dot(field.value(fr.x), np.cross(fr.n, nu)))
     return flux, circ, abs(flux - circ)

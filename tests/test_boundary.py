@@ -6,7 +6,6 @@ from costress.boundary import (
     boundary_work_identity,
     classical_tractions,
     complete_tractions,
-    edge_jump,
     hd_postulate_report,
     hd_tractions,
 )
@@ -59,7 +58,7 @@ def test_tractions_shapes_and_tangency():
     p = MaterialParams.for_regime("gkmt", L_c=0.4)
     u = make_polynomial(11, 3)
     s, t = 0.4, 0.6
-    n = FACE.normal(s, t)
+    n = FACE.frame(s, t).n
     ts_classical = classical_tractions(p, u, FACE, s, t)
     assert abs(ts_classical.g_double @ n) <= 1e-13  # tangential by construction
     ts_complete = complete_tractions(p, u, FACE, s, t)
@@ -68,14 +67,6 @@ def test_tractions_shapes_and_tangency():
     ts_hd = hd_tractions(MaterialParams.for_regime("hd", L_c=0.4), u, FACE, s, t)
     st = stresses(MaterialParams.for_regime("hd", L_c=0.4), u, FACE.point(s, t))
     assert np.allclose(ts_hd.t_force, st.sigma_total @ n, atol=1e-13)
-
-
-def test_edge_jump_vanishes_for_smooth_fields():
-    p = MaterialParams.for_regime("gkmt", L_c=0.4)
-    u = make_polynomial(3, 4)
-    for side in FACE.edge_sides:
-        assert np.linalg.norm(edge_jump(p, u, FACE, side, 0.3, 0.6)) <= 1e-9
-    assert np.linalg.norm(edge_jump(p, u, HEMI, "smax", 0.5, 0.25)) <= 1e-8
 
 
 def test_hd_postulate_normal_moment_vanishes_in_hd_regime():
@@ -117,7 +108,7 @@ def _printed_counterexample_closed_form():
 
 @pytest.mark.parametrize("patch", [FACE, HEMI], ids=["face", "hemisphere"])
 def test_one_batched_path(patch):
-    # tractions and edge jumps on (S, T) arrays equal their per-point values
+    # tractions on (S, T) arrays equal their per-point values
     p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.4)
     u = make_polynomial(11, 3)
     S = np.array([[0.2, 0.45], [0.7, 0.9]]) * patch.s_range[1]
@@ -129,12 +120,6 @@ def test_one_batched_path(patch):
             one = tractions(p, u, patch, S[i], T[i])
             assert np.allclose(batch.t_force[i], one.t_force, rtol=1e-12, atol=1e-12)
             assert np.allclose(batch.g_double[i], one.g_double, rtol=1e-12, atol=1e-12)
-    side = patch.edge_sides[-1]
-    Se, Te, _ = patch.edge_quadrature(side, 3)
-    jumps = edge_jump(p, u, patch, side, Se, Te)
-    for i in range(3):
-        assert np.allclose(jumps[i], edge_jump(p, u, patch, side, Se[i], Te[i]),
-                           rtol=1e-12, atol=1e-12)
 
     # a pointwise-only callable behind CallableField matches the
     # closed-form field it mirrors

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from costress.boundary import boundary_work_identity
+from costress.constitutive import MaterialParams
 from costress.fields import make_polynomial
 from costress.surfaces import (
     BoxFace,
     SphericalCap,
+    SurfacePatch,
     _gauss,
     _leggauss,
     stokes_flux_check,
@@ -25,7 +28,7 @@ def face():
 
 def test_face_geometry(face):
     assert np.allclose(face.point(0.3, 0.7), [0.3, 0.7, 1.0])
-    assert np.allclose(face.normal(0.5, 0.5), [0.0, 0.0, 1.0])
+    assert np.allclose(face.frame(0.5, 0.5).n, [0.0, 0.0, 1.0])
     # quadrature integrates the area exactly
     _, w, _ = face.quadrature(4)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
@@ -35,7 +38,7 @@ def test_unit_cube_faces_outward():
     for which, n in [("x+", [1, 0, 0]), ("x-", [-1, 0, 0]), ("y+", [0, 1, 0]),
                      ("y-", [0, -1, 0]), ("z+", [0, 0, 1]), ("z-", [0, 0, -1])]:
         f = BoxFace.unit_cube_face(which)
-        assert np.allclose(f.normal(0.5, 0.5), n), which
+        assert np.allclose(f.frame(0.5, 0.5).n, n), which
 
 
 @pytest.mark.parametrize("which", ["z*", "z", "z+ ", "+z", "w+", ""])
@@ -65,7 +68,7 @@ def test_spherical_cap_accepts_the_full_sphere():
 def test_hemisphere_geometry(hemisphere):
     x = hemisphere.point(np.pi / 4, 0.0)
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
-    n = hemisphere.normal(np.pi / 4, 0.0)
+    n = hemisphere.frame(np.pi / 4, 0.0).n
     assert np.allclose(n, x, atol=1e-14)  # radially outward
     _, w, _ = hemisphere.quadrature(16)
     assert np.sum(w) == pytest.approx(2.0 * np.pi, abs=1e-10)
@@ -96,22 +99,74 @@ def test_normal_derivatives_match_the_fd_stencil(patch):
     (S, T), _, _ = patch.quadrature(6)
     closed = np.stack(patch.normal_derivatives(S, T), axis=-1)
     assert closed.shape == (36, 3, 2)
-    assert np.allclose(closed, patch.chart_gradient(patch.normal, S, T), rtol=0.0, atol=1e-9)
+    fd = patch.chart_gradient(lambda s, t: patch.frame(s, t).n, S, T)
+    assert np.allclose(closed, fd, rtol=0.0, atol=1e-9)
     # a scalar chart pair is a batch of one
     n_s, n_t = patch.normal_derivatives(float(S[7]), float(T[7]))
     assert np.array_equal(np.stack([n_s, n_t], axis=-1), closed[7])
 
 
 def test_conormal_is_tangent_and_outward(hemisphere, face):
-    nu = hemisphere.conormal("smax", np.pi / 2.0, 0.3)
-    n = hemisphere.normal(np.pi / 2.0, 0.3)
-    assert abs(nu @ n) <= 1e-13
+    cap = SphericalCap(radius=2.0, theta_max=1.0, axis=(1.0, 1.0, 0.0))
+    # an interior point of each patch: the face centre, the caps' poles
+    for patch, inside in ((face, face.point(0.5, 0.5)), (hemisphere, hemisphere.point(0.0, 0.0)),
+                          (cap, cap.point(0.0, 0.0))):
+        for side in patch.edge_sides:
+            _, fr, nu = patch.edge_quadrature(side, 5)
+            edge = fr.x_t if side in ("smin", "smax") else fr.x_s
+            assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0, rtol=0.0, atol=1e-14)
+            assert np.max(np.abs(np.sum(nu * fr.n, axis=-1))) <= 1e-14
+            assert np.max(np.abs(np.sum(nu * edge, axis=-1))
+                          / np.linalg.norm(edge, axis=-1)) <= 1e-14
+            # outward: away from the interior point
+            assert np.all(np.sum(nu * (fr.x - inside), axis=-1) > 0.0)
     # at the equator of the upper hemisphere the conormal points down
-    assert nu[2] == pytest.approx(-1.0, abs=1e-12)
-    for side in face.edge_sides:
-        nu = face.conormal(side, 0.5, 0.5)
-        assert abs(nu @ face.normal(0.5, 0.5)) <= 1e-14
-        assert np.linalg.norm(nu) == pytest.approx(1.0, abs=1e-14)
+    _, _, nu = hemisphere.edge_quadrature("smax", 5)
+    assert np.allclose(nu, [0.0, 0.0, -1.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("patch", [
+    SphericalCap(), SphericalCap(radius=2.0, theta_max=1.0, axis=(1.0, 1.0, 0.0)),
+    BoxFace.unit_cube_face("z+"),
+], ids=["hemisphere", "off_axis_cap", "face_z+"])
+def test_edge_rules_read_every_chart_tangent_from_their_frame(patch, monkeypatch):
+    # the frame of an edge rule is the patch frame at its nodes
+    (s0, s1), (t0, t1) = patch.s_range, patch.t_range
+    s_nodes, t_nodes = _gauss(5, s0, s1)[0], _gauss(5, t0, t1)[0]
+    nodes = {"smin": (np.full(5, s0), t_nodes), "smax": (np.full(5, s1), t_nodes),
+             "tmin": (s_nodes, np.full(5, t0)), "tmax": (s_nodes, np.full(5, t1))}
+    for side in patch.edge_sides:
+        _, fr, _ = patch.edge_quadrature(side, 5)
+        ref = patch.frame(*nodes[side])
+        for name in ("x", "x_s", "x_t", "n", "dn", "jac", "dual"):
+            assert np.array_equal(getattr(fr, name), getattr(ref, name)), (side, name)
+
+    # and the checks that integrate along edges build no chart tangent
+    # outside a frame
+    depth, calls = [0], {"inside": 0, "outside": 0}
+    build, tangents = SurfacePatch.frame, type(patch).chart_tangents
+
+    def frame(self, s, t):
+        depth[0] += 1
+        try:
+            return build(self, s, t)
+        finally:
+            depth[0] -= 1
+
+    def chart_tangents(self, s, t):
+        calls["inside" if depth[0] else "outside"] += 1
+        return tangents(self, s, t)
+
+    monkeypatch.setattr(SurfacePatch, "frame", frame)
+    monkeypatch.setattr(type(patch), "chart_tangents", chart_tangents)
+    p = MaterialParams.for_regime("gkmt", L_c=0.5)
+    u = make_polynomial(0, 3)
+    for run in (lambda: boundary_work_identity(p, u, make_polynomial(1, 3), patch, 8),
+                lambda: surface_divergence_check(u, patch, 8),
+                lambda: stokes_flux_check(u, patch, 8)):
+        calls.update(inside=0, outside=0)
+        run()
+        assert calls["outside"] == 0 and calls["inside"] > 0
 
 
 def test_stokes_rigid_rotation(hemisphere, face):
@@ -169,17 +224,10 @@ def test_surface_divergence_trivial_cases(face, hemisphere):
 
 
 def test_edge_quadrature_lengths(face, hemisphere):
-    total = sum(np.sum(face.edge_quadrature(side, 8)[2]) for side in face.edge_sides)
+    total = sum(np.sum(face.edge_quadrature(side, 8)[0]) for side in face.edge_sides)
     assert total == pytest.approx(4.0, abs=1e-13)   # unit square perimeter
-    rim = np.sum(hemisphere.edge_quadrature("smax", 16)[2])
+    rim = np.sum(hemisphere.edge_quadrature("smax", 16)[0])
     assert rim == pytest.approx(2.0 * np.pi, abs=1e-10)
-
-
-def test_edge_offset_points(face):
-    s, t = face.edge_offset_point("smax", 1.0, 0.5, 0.01, inward=True)
-    assert s == pytest.approx(0.99)
-    s, t = face.edge_offset_point("smax", 1.0, 0.5, 0.01, inward=False)
-    assert s == pytest.approx(1.01)
 
 
 def test_unknown_edge_side_raises(face):
