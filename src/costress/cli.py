@@ -24,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .constitutive import LoadData, MaterialParams, couple_stress, w_curv, w_lin
@@ -536,7 +535,6 @@ def _write_outputs(out_dir: Path, command: str, job: dict, checks: list[Check],
         "environment": {
             "package_version": __version__,
             "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
         },
     }
     if error is not None:

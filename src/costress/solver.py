@@ -1,11 +1,11 @@
 """Galerkin solver on the unit cube for the fourth-order couple stress
 problem and its Cosserat penalty approximation.
 
-The displacement ansatz is a tensor product of squared-bubble times Legendre
-polynomials, conforming for the clamped problem (u = 0 and grad u . n = 0 on the
-boundary).  Every Gram matrix is a short sum of Kronecker products of the 1d Grams
-A^ij = int beta^(i) beta^(j), i, j <= 2, and a load on the tensor Gauss rule is
-contracted one axis at a time (sum factorization): no 3d table of the modes is
+The displacement ansatz is a tensor product of Shen's modes (twice integrated
+Legendre polynomials), conforming for the clamped problem (u = 0 and grad u . n = 0
+on the boundary).  Every Gram matrix is a short sum of Kronecker products of the 1d
+Grams A^ij = int beta^(i) beta^(j), i, j <= 2, and a load on the tensor Gauss rule
+is contracted one axis at a time (sum factorization): no 3d table of the modes is
 formed.  On the clamped span ||grad u||^2 = 2 ||sym grad u||^2 - ||div u||^2
 (Korn's equality), and v = curl u vanishes on the boundary and is divergence free,
 so ||sym grad v||^2 = ||skw grad v||^2 = ||curl v||^2 / 2 (a null Lagrangian).
@@ -43,9 +43,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-import scipy  # not scipy.linalg: it loads on first use, so commands that never solve skip it
-from numpy.polynomial import Legendre
-from numpy.polynomial.legendre import legder, leggauss, legval
+from numpy.polynomial.legendre import legder, leggauss, legint, legval
 from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
@@ -66,7 +64,7 @@ class WellPosednessError(RuntimeError):
 
 class DegenerateCosseratError(ValueError):
     """The Cosserat rotational coupling is absent or negative, or a mu_c sweep has
-    no curvature energy to converge with, or errors below round-off."""
+    no curvature energy to converge with, or errors below its round-off floor."""
 
 
 def _shared(arrays) -> tuple:
@@ -79,9 +77,11 @@ def _shared(arrays) -> tuple:
 class ClampedBasis:
     """Tensor-product polynomial basis with clamped boundary values.
 
-    One-dimensional modes are beta_k(x) = x^2 (1-x)^2 P_k(2x - 1) for
-    k = 0..N-1, as Legendre series on [0, 1]; every mode and its first
-    derivative vanish at x = 0, 1.
+    One-dimensional modes are Shen's beta_k, k = 0..N-1 (Shen 1994, SIAM J. Sci.
+    Comput. 15): beta_k'' = sqrt(2k + 5) P_{k+2}(2x - 1), beta_k(0) = beta_k'(0) = 0,
+    so A^22 = int beta_k'' beta_l'' is the identity; beta_k(1) = beta_k'(1) = 0 by
+    orthogonality.  They span the same space as x^2 (1-x)^2 P_k(2x - 1), do not
+    depend on N, and are Legendre series on [0, 1].
     Scalar modes are the N^3 tensor products, vector modes attach a
     Cartesian direction (component-major ordering).
     """
@@ -92,12 +92,10 @@ class ClampedBasis:
         self.n_modes = int(n_modes)
         self.n_scalar = self.n_modes ** 3
         self.n_dofs = 3 * self.n_scalar
-        bubble = Legendre.fromroots([0.0, 0.0, 1.0, 1.0], domain=[0.0, 1.0])
-        #: Legendre coefficients of the 1d modes in t = 2x - 1, one column per mode
-        self._coef = np.zeros((self.n_modes + 4, self.n_modes))
-        for k in range(self.n_modes):
-            c = (bubble * Legendre.basis(k, domain=[0.0, 1.0])).coef
-            self._coef[: len(c), k] = c
+        #: Legendre coefficients of the 1d modes in t = 2x - 1, one column per mode:
+        #: P_{k+2} integrated twice from t = -1, times sqrt(2k + 5) / 4 (d/dx = 2 d/dt)
+        k = np.arange(self.n_modes)
+        self._coef = legint(np.eye(self.n_modes + 2)[:, 2:], m=2, lbnd=-1) * (0.25 * np.sqrt(2 * k + 5))
         # under x_d -> 1 - x_d the mode (c; a, b, g) = beta_a beta_b beta_g e_c keeps or flips
         # its sign: beta_k has the parity (-1)^k, and the reflection flips e_d.  The class of
         # signs (s_x, s_y, s_z) holds the modes of component c whose index along axis d has the
@@ -197,8 +195,8 @@ def _tabulate(basis: ClampedBasis, order: int):
     x, w = 0.5 * (x + 1.0), 0.5 * w
     T = np.stack([legval(2.0 * x - 1.0, legder(basis._coef, k, scl=2.0)) for k in range(3)])
     A = np.einsum("iaq,jbq->ijab", T * w, T)
-    # A[j, i] = A[i, j]' exactly: the reduced Cosserat solve amplifies round-off in
-    # the forms (N = 5: a gap of 1.5e-12 to the 3d quadrature oracle, 4.5e-13 with it)
+    # A[j, i] = A[i, j]' exactly: the rotations' B = H W reads round-off in the forms
+    # (N = 5: a gap of 1.1e-13 to H W of the 3d quadrature oracle, 6.5e-14 with it)
     A = 0.5 * (A + A.transpose(1, 0, 3, 2))
     # beta_k^(i) has the parity (-1)^(k+i) about x = 1/2, so A[i, j][k, l] = 0 for odd
     # i + j + k + l, held exact: the blocks read only even entries, the rest pair blocks
@@ -272,9 +270,14 @@ def _gram(X: NDArray) -> NDArray:
 
 def _extreme_eig(X: list[NDArray], Y: list[NDArray] | None = None, top: bool = False) -> float:
     """Smallest (``top``: largest) eigenvalue of a form held as its parity blocks, or
-    of the pencil (X, Y): one eigen-solve per block."""
-    vals = [scipy.linalg.eigh(x, y, eigvals_only=True, subset_by_index=[len(x) - 1 if top else 0] * 2)[0]
-            for x, y in zip(X, itertools.repeat(None) if Y is None else Y)]
+    of the pencil (X, Y): one eigen-solve per block, of L^-1 X L^-T with Y = L L'
+    (the reduction LAPACK's sygst runs)."""
+    vals = []
+    for x, y in zip(X, itertools.repeat(None) if Y is None else Y):
+        if y is not None:
+            inv_L = np.linalg.inv(np.linalg.cholesky(y))
+            x = inv_L @ x @ inv_L.T
+        vals.append(np.linalg.eigvalsh(x)[-1 if top else 0])
     return float(max(vals) if top else min(vals))
 
 
@@ -303,19 +306,19 @@ class _Operators:
     def rotations(self) -> tuple[tuple[NDArray, NDArray, NDArray], ...]:
         """Per parity block, (W, B, Lambda) of ``_CosseratForms``; Lambda: Gram of curl psi_r."""
         # per parity block, an orthonormal basis C of {curl u / 2 : u in span} from its Gram
-        # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality), cut off at 1e-10 of
-        # the largest eigenvalue over all blocks.  C scales eigenvectors by 1 / sqrt(eigenvalue),
-        # so the default driver: divide-and-conquer drifts by 2.2e-12 at N = 8, against 8.0e-13
-        eigs = [scipy.linalg.eigh(0.25 * (g - d)) for g, d in zip(self.grad, self.div)]
-        cutoff = 1e-10 * max(vals[-1] for vals, _ in eigs)
+        # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality).  The kernel of
+        # curl on the span is {grad phi : phi vanishing to third order on the boundary}, of
+        # dimension (N - 2)^3: its eigenvalues, the smallest of all blocks' H, are dropped
+        eigs = [np.linalg.eigh(0.25 * (g - d)) for g, d in zip(self.grad, self.div)]
+        null = max(0, self.basis.n_modes - 2) ** 3
+        cutoff = np.partition(np.concatenate([vals for vals, _ in eigs]), null)[null]
         out = []
         for (vals, vecs), X in zip(eigs, self.curl):
-            U, root = vecs[:, vals > cutoff], np.sqrt(vals[vals > cutoff])
+            U, root = vecs[:, vals >= cutoff], np.sqrt(vals[vals >= cutoff])
             C = (U / root).T
-            # rotated to the eigenbasis of the Gram of curl a (divide-and-conquer: half the
-            # default's time here); B = H W from the eigenpairs of H, without a product with H
-            # (the mu_c = inf drift at N = 8 is 8.0e-13, against 1.9e-12 for H W)
-            lam, V = scipy.linalg.eigh(C @ X @ C.T, driver="evd")
+            # rotated to the eigenbasis of the Gram of curl a; B = H W from the eigenpairs of
+            # H (the mu_c = inf solution meets ``assemble``'s to 4.7e-13 in the M-norm, N <= 8)
+            lam, V = np.linalg.eigh(C @ X @ C.T)
             out.append(_shared([C.T @ V, (U * root) @ V, lam]))
         return tuple(out)
 
@@ -388,8 +391,10 @@ class GalerkinSolution:
 
 
 def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolution:
-    """Solve K z = b by one Cholesky factorization per parity block of K, each
-    reading one triangle of the symmetric block.
+    """Solve K z = b per parity block of K: a Cholesky factorization, reading one
+    triangle of the symmetric block, proves it positive definite, and an LU solve
+    gives z.  numpy has no triangular solve, and a general solve on each factor
+    costs more: 0.47 ms against 0.30 per system at N = 5 on 2 cores.
 
     Raises
     ------
@@ -402,7 +407,8 @@ def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolutio
     z = np.zeros(len(b))
     try:
         for i, X in zip(basis.blocks, K):
-            z[i] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(X), b[i])
+            np.linalg.cholesky(X)
+            z[i] = np.linalg.solve(X, b[i])
     except np.linalg.LinAlgError as exc:
         lam_min = _extreme_eig(K)
         raise WellPosednessError(f"stiffness not positive definite (lambda_min = {lam_min:.3e})",
@@ -526,10 +532,14 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
     basis, M = forms.system.basis, forms.system.M
     ref_norm = float(np.sqrt(ref @ basis.apply(M, ref)))
     errors = [float(np.sqrt((z - ref) @ basis.apply(M, z - ref))) / ref_norm for z in sols]
+    # round-off alone reads up to 2 eps, errors of 6-12 eps sit 9-30% off the first-order
+    # line C / mu_c, and from 1e-14 (45 eps) on they lie within 1.3% of it (N = 2, 5, 8)
+    floor = 100.0 * np.finfo(float).eps
     for mu_c, err in zip(mu_c_values, errors):
-        if not 0.0 < err < np.inf:
+        if not floor <= err < np.inf:
             raise DegenerateCosseratError(
-                f"the error at mu_c = {mu_c:g} reads {err:g}, not a positive finite number: "
+                f"the error at mu_c = {mu_c:g} reads {err:g}, not a finite number above the "
+                f"round-off floor {floor:.1e}: "
                 f"the curvature modulus (alpha1 + alpha2) mu L_c^2 = {k:g} (L_c = {params.L_c:g}) "
                 "is too small against mu_c")
     x = np.log(1.0 / np.asarray(mu_c_values, dtype=float))

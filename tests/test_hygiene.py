@@ -1,6 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or keeps a private helper it never calls, and finite differences stay in
-the oracles."""
+"""Source hygiene: no module of the package imports a name it never uses,
+imports scipy or keeps a private helper it never calls, and finite differences
+stay in the oracles."""
 
 import ast
 from pathlib import Path
@@ -96,3 +96,25 @@ _FD_READERS = {"fields.py", "surfaces.py"}
                          ids=lambda p: p.name)
 def test_finite_differences_only_in_the_oracles(path):
     assert not reads_name(path.read_text(encoding="utf-8"), "fd_partial")
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages that the module's absolute imports name."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_detector_finds_imported_packages():
+    source = "import scipy.linalg as la\nfrom numpy import linalg\nfrom . import solver\n"
+    assert imported_packages(source) == {"scipy", "numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # numpy's LAPACK wrappers cover the solver; scipy is the tests' oracle only
+    assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial import Legendre
+from numpy.polynomial.legendre import legder, legval
 
 from costress import solver
 from costress.constitutive import LoadData, MaterialParams, equilibrium_residual, w_curv, w_lin
@@ -44,8 +46,32 @@ class TestBasis:
         for x in [np.array([0.0, 0.5, 0.5]), np.array([0.5, 1.0, 0.5]),
                   np.array([0.3, 0.2, 0.0])]:
             assert np.allclose(u.value(x), 0.0, atol=1e-12)
-            # the normal derivative also vanishes (squared bubble)
+            # the normal derivative also vanishes (each mode has a double root at 0 and 1)
             assert np.allclose(u.grad(x), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_shen_modes(self, n):
+        # Shen's modes: the Gram of beta'' is the identity (measured <= 1.6e-14 off it
+        # up to N = 14), each mode and its derivative vanish at x = 0, 1, and the span is
+        # that of the bubble x Legendre modes x^2 (1-x)^2 P_k(2x - 1)
+        basis = ClampedBasis(n)
+        A22 = solver._tabulate(basis, solver.min_quadrature_order(n))[2][2, 2]
+        assert np.max(np.abs(A22 - np.eye(n))) <= 3e-14
+        for k in (0, 1):
+            ends = legval(np.array([-1.0, 1.0]), legder(basis._coef, k, scl=2.0))
+            assert np.max(np.abs(ends)) <= 1e-15, k
+        bubble = Legendre.fromroots([0.0, 0.0, 1.0, 1.0], domain=[0.0, 1.0])
+        old = np.zeros_like(basis._coef)
+        for k in range(n):
+            c = (bubble * Legendre.basis(k, domain=[0.0, 1.0])).coef
+            old[: len(c), k] = c
+        X = np.linalg.lstsq(basis._coef, old, rcond=None)[0]
+        assert np.max(np.abs(basis._coef @ X - old)) <= 1e-14 * np.max(np.abs(old))
+
+    def test_shen_modes_do_not_depend_on_n(self):
+        # the basis is hierarchical: span(N - 1) is a subspace of span(N), bit for bit
+        small, large = ClampedBasis(4)._coef, ClampedBasis(8)._coef
+        assert np.array_equal(large[:, :4], np.pad(small, [(0, 4), (0, 0)]))
 
     def test_quadrature_exactness_floor(self):
         with pytest.raises(ValueError, match="below the exactness minimum"):
@@ -615,6 +641,17 @@ def test_half_curl_gram_is_the_skew_half_of_korns_equality(n, rank):
     assert W.shape == (3 * n ** 3, rank) and kept.sum() == rank
     assert np.all(np.abs(vals[~kept]) <= 1e-12 * vals[-1])
     assert vals[kept][0] >= 1e-8 * vals[-1]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rotation_rank_is_the_span_less_the_curl_kernel(n):
+    # curl u = 0 on the clamped span exactly for u = grad phi, phi vanishing to third
+    # order on the boundary: (N - 2)^3 such phi, so W has 3 N^3 - (N - 2)^3 columns
+    try:
+        ops = solver._operators(n, solver._gauss_order(n, None))
+        assert sum(W.shape[1] for W, _, _ in ops.rotations) == 3 * n ** 3 - max(0, n - 2) ** 3
+    finally:
+        solver._operators.cache_clear()  # the N = 10 operators hold about 50 MB
 
 
 @pytest.mark.parametrize("mu_c", [1e4, np.inf])
