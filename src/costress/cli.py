@@ -382,7 +382,7 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
     sym_gap = float(np.linalg.norm([np.linalg.norm(K - K.T) for K in system.K])
                     / np.linalg.norm([np.linalg.norm(K) for K in system.K]))
     lam_min = coercivity_evidence(system)
-    kc = system.korn
+    kc = system.ops.korn
     ident = abs(sol.energy + 0.5 * system.b @ sol.coeffs) / max(1.0, abs(sol.energy))
     rng = np.random.default_rng(seed)
     worst = -np.inf
@@ -390,7 +390,7 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
         v = rng.normal(size=sol.coeffs.size)
         v *= 1e-3 / np.linalg.norm(v)
         z = sol.coeffs + v
-        pert = float(0.5 * z @ system.basis.apply(system.K, z) - system.b @ z)
+        pert = float(0.5 * z @ system.ops.basis.apply(system.K, z) - system.b @ z)
         worst = max(worst, sol.energy - pert)
     return [
         Check.within("solver_residual", sol.residual, tolerances["solver_residual"]),

@@ -432,7 +432,7 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
         grad_u=G,
         sym_grad=sym(G),
         curl_u=curl_from_grad(G),
-        axl_skw_grad=axl(skw(G), tol=np.inf),
+        axl_skw_grad=axl(skw(G)),
         grad_curl=M,
         chi_torsion=sym(M),
         omega_mean_curv=skw(M),

@@ -32,15 +32,15 @@ f + B diag(s) W'g, and the microrotation s (B'u + W'g / (2 mu_c)).  No term
 grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``.
 
 The material and the load only scale and pair material-free operators (the Grams, the
-Korn constant, W, B, Lambda): ``_operators`` builds them once per (N, Gauss order) per
-process, read-only and shared by every job, at most 2 kept.
+mass's inverse Cholesky factors, the Korn constant, W, B, Lambda): ``_operators`` builds
+them once per (N, Gauss order) per process, read-only, shared by every job's system.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import legder, leggauss, legint, legval
@@ -268,15 +268,14 @@ def _gram(X: NDArray) -> NDArray:
     return np.einsum("pq,rq->pr", X, X, optimize=True)
 
 
-def _extreme_eig(X: list[NDArray], Y: list[NDArray] | None = None, top: bool = False) -> float:
+def _extreme_eig(X: list[NDArray], inv_L: list[NDArray] | None = None, top=False) -> float:
     """Smallest (``top``: largest) eigenvalue of a form held as its parity blocks, or
-    of the pencil (X, Y): one eigen-solve per block, of L^-1 X L^-T with Y = L L'
-    (the reduction LAPACK's sygst runs)."""
+    of the pencil (X, Y) given the inverse Cholesky factors L^-1 of Y = L L' per block:
+    one eigen-solve per block, of L^-1 X L^-T (the reduction LAPACK's sygst runs)."""
     vals = []
-    for x, y in zip(X, itertools.repeat(None) if Y is None else Y):
-        if y is not None:
-            inv_L = np.linalg.inv(np.linalg.cholesky(y))
-            x = inv_L @ x @ inv_L.T
+    for x, f in zip(X, itertools.repeat(None) if inv_L is None else inv_L):
+        if f is not None:
+            x = f @ x @ f.T
         vals.append(np.linalg.eigvalsh(x)[-1 if top else 0])
     return float(max(vals) if top else min(vals))
 
@@ -284,10 +283,12 @@ def _extreme_eig(X: list[NDArray], Y: list[NDArray] | None = None, top: bool = F
 @dataclass(frozen=True, eq=False)
 class _Operators:
     """The material-free parts of the clamped problem at one (N, Gauss order), read-only:
-    the load work's Gauss points and weighted 1d tables, and the parity blocks of the Grams
-    of grad u, div u, curl curl u / 2 and u; the Korn constant and rotations on first use."""
+    the load work's Gauss points and weighted 1d tables, the Grams of grad u, div u, curl curl
+    u / 2 and u (the mass) as parity blocks; on first use, the mass factors, the Korn constant
+    and the rotations."""
 
     basis: ClampedBasis
+    order: int
     pts: NDArray
     wT: NDArray
     grad: tuple[NDArray, ...]
@@ -296,15 +297,24 @@ class _Operators:
     value: tuple[NDArray, ...]
 
     @functools.cached_property
+    def mass_factors(self) -> tuple[NDArray, ...]:
+        """L^-1 per parity block of the mass M = L L', for ``coercivity_evidence``."""
+        return _shared([np.linalg.inv(np.linalg.cholesky(m)) for m in self.value])
+
+    @functools.cached_property
     def korn(self) -> float:
         """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the span,
         with G(sym grad u) = (G(grad u) + G(div u)) / 2 by Korn's equality."""
         sym_grad = [0.5 * (g + d) for g, d in zip(self.grad, self.div)]
-        return float(np.sqrt(_extreme_eig(self.grad, sym_grad, top=True)))
+        inv_L = [np.linalg.inv(np.linalg.cholesky(y)) for y in sym_grad]
+        return float(np.sqrt(_extreme_eig(self.grad, inv_L, top=True)))
 
     @functools.cached_property
     def rotations(self) -> tuple[tuple[NDArray, NDArray, NDArray], ...]:
-        """Per parity block, (W, B, Lambda) of ``_CosseratForms``; Lambda: Gram of curl psi_r."""
+        """Per parity block i, (W, B, Lambda): W (len(i), R_i), column r the L2-orthonormal
+        rotation mode psi_r = sum_p W[p, r] curl(u_p) / 2; B = H W, the pairing of curl u / 2
+        with each psi_r (H: Gram of curl u / 2); Lambda (R_i,), the diagonal Gram of curl
+        psi_r on these modes."""
         # per parity block, an orthonormal basis C of {curl u / 2 : u in span} from its Gram
         # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality).  The kernel of
         # curl on the span is {grad phi : phi vanishing to third order on the boundary}, of
@@ -324,7 +334,7 @@ class _Operators:
 
 
 # two entries: a job on a second key (another N or Gauss order) keeps the first; an entry
-# retains about 2.5 MB at N = 6 and 150 MB at N = 12
+# retains about 2.9 MB at N = 6 and 177 MB at N = 12, the mass factors 0.4 and 27 MB of it
 @functools.lru_cache(maxsize=2)
 def _operators(n_modes: int, order: int) -> _Operators:
     """The operators at N modes and a Gauss order resolved by ``_gauss_order``, built
@@ -332,30 +342,27 @@ def _operators(n_modes: int, order: int) -> _Operators:
     basis = ClampedBasis(n_modes)
     pts, wT, A = _tabulate(basis, order)
     grad, div, curl, value = (_form(basis, A, op) for op in ("grad", "div", "curl_curl", "value"))
-    return _Operators(basis, *_shared([pts, wT]), _shared(grad), _shared(div),
+    return _Operators(basis, order, *_shared([pts, wT]), _shared(grad), _shared(div),
                       _shared([0.25 * X for X in curl]), _shared(value))
 
 
 @dataclass
 class GalerkinSystem:
-    """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z.  K and M are
-    held as their parity blocks, ``K[k]`` on the dofs ``basis.blocks[k]``."""
+    """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z.  K is held as
+    its parity blocks, ``K[k]`` on the dofs ``ops.basis.blocks[k]``; the basis, the L2
+    mass (``ops.value``), the Gauss order and the Korn constant of the span are those
+    of the shared operators ``ops``."""
 
-    basis: ClampedBasis
+    ops: _Operators
     K: list[NDArray]
-    M: list[NDArray]    # L2 mass matrix of the vector basis
     b: NDArray
-    quadrature_order: int
-    #: discrete Korn constant of the basis span from the same tabulation;
-    #: set by ``assemble``, None for systems built directly
-    korn: float | None = dc_field(default=None, init=False)
 
 
 def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
              quadrature_order: int | None):
     """The clamped problem on the shared operators of (N, Gauss order), each form as its
     parity blocks: its system, with the curvature block (alpha1 + alpha2) mu L_c^2
-    G(curl curl u / 2) and the load f + g; the operators; the classical stiffness
+    G(curl curl u / 2) and the load f + g; the classical stiffness
     E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality 2 mu G(sym grad u) +
     lam G(div u); and the force work f and couple work g (against curl u / 2)."""
     order = _gauss_order(n_modes, quadrature_order)
@@ -365,9 +372,7 @@ def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
     couple = _work(ops.wT, "half_curl", loads.couple(ops.pts))
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
     K = [E + k * C for E, C in zip(elastic, ops.curl)]
-    system = GalerkinSystem(basis=ops.basis, K=K, M=list(ops.value), b=force + couple,
-                            quadrature_order=order)
-    return system, ops, elastic, force, couple
+    return GalerkinSystem(ops, K, force + couple), elastic, force, couple
 
 
 def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
@@ -378,9 +383,7 @@ def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
     times the curl curl Gram: K depends on alpha1 + alpha2 only, so ``hd`` and
     ``modified`` materials with equal sums share one stiffness.
     """
-    system, ops, *_ = _problem(params, loads, n_modes, quadrature_order)
-    system.korn = ops.korn
-    return system
+    return _problem(params, loads, n_modes, quadrature_order)[0]
 
 
 @dataclass
@@ -390,7 +393,7 @@ class GalerkinSolution:
     residual: float
 
 
-def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolution:
+def solve(system: GalerkinSystem) -> GalerkinSolution:
     """Solve K z = b per parity block of K: a Cholesky factorization, reading one
     triangle of the symmetric block, proves it positive definite, and an LU solve
     gives z.  numpy has no triangular solve, and a general solve on each factor
@@ -402,8 +405,7 @@ def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolutio
         If a block of K is not symmetric positive definite; the smallest
         eigenvalue over the blocks is attached to the exception.
     """
-    K, basis = system.K, system.basis
-    b = system.b if rhs is None else np.asarray(rhs, dtype=float)
+    K, b, basis = system.K, system.b, system.ops.basis
     z = np.zeros(len(b))
     try:
         for i, X in zip(basis.blocks, K):
@@ -421,13 +423,13 @@ def solve(system: GalerkinSystem, rhs: NDArray | None = None) -> GalerkinSolutio
 def coercivity_evidence(system: GalerkinSystem) -> float:
     """Smallest generalized eigenvalue of (K, M): the discrete coercivity
     constant with respect to the L2 norm."""
-    return _extreme_eig(system.K, system.M)
+    return _extreme_eig(system.K, system.ops.mass_factors)
 
 
 def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
-    clamped basis span (unit cube, L2 norms); ``assemble`` reports the same
-    value as ``GalerkinSystem.korn``."""
+    clamped basis span (unit cube, L2 norms); an assembled system reads the
+    same value from its operators, ``GalerkinSystem.ops.korn``."""
     return _operators(n_modes, _gauss_order(n_modes, quadrature_order)).korn
 
 
@@ -438,31 +440,9 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
 class CosseratSolution:
     u_coeffs: NDArray
     #: microrotation coefficients s (B'u + W'g / (2 mu_c)) on the modes
-    #: psi_r = sum_p W[p, r] curl(u_p) / 2 of ``_CosseratForms.W``, block after block:
-    #: L2-orthonormal, and orthogonal for the Gram of curl a
+    #: psi_r = sum_p W[p, r] curl(u_p) / 2 of ``_Operators.rotations``, block after
+    #: block: L2-orthonormal, and orthogonal for the Gram of curl a
     a_coeffs: NDArray
-
-
-@dataclass
-class _CosseratForms:
-    """The mu_c-independent parts of the Cosserat problem, on the shared operators, per block i."""
-
-    system: GalerkinSystem    # the clamped problem of ``assemble``, the mu_c = inf limit
-    elastic: list[NDArray]    # classical stiffness form E
-    force: NDArray            # force work f against u
-    W: tuple[NDArray, ...]    # (len(i), R_i): column r gives psi_r = sum_p W[p, r] curl(u_p) / 2
-    B: tuple[NDArray, ...]    # H W, the pairing of curl u / 2 with each psi_r (H: Gram of curl u / 2)
-    curvature: list[NDArray]  # (R_i,) d = (alpha1 + alpha2) mu L_c^2 Lambda, Lambda: Gram of curl psi_r
-    couple: list[NDArray]     # (R_i,) W' g, the couple work against each psi_r
-
-
-def _cosserat_forms(params: MaterialParams, loads: LoadData, n_modes: int,
-                    quadrature_order: int | None) -> _CosseratForms:
-    system, ops, elastic, force, couple = _problem(params, loads, n_modes, quadrature_order)
-    k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
-    W, B, lam = zip(*ops.rotations)
-    return _CosseratForms(system, elastic, force, W=W, B=B, curvature=[k * x for x in lam],
-                          couple=[w.T @ couple[i] for i, w in zip(ops.basis.blocks, W)])
 
 
 def _coupled(params: MaterialParams) -> MaterialParams:
@@ -475,24 +455,28 @@ def _coupled(params: MaterialParams) -> MaterialParams:
     return params
 
 
-def _reduced_solves(forms: _CosseratForms, mu_c_values) -> list[tuple[GalerkinSolution, NDArray]]:
+def _reduced_solves(params: MaterialParams, problem,
+                    mu_c_values) -> list[tuple[GalerkinSolution, NDArray]]:
     """Minimize the Cosserat functional at each couple modulus mu_c (inf: the
-    constrained problem) over the forms' span, with the microrotation
-    eliminated: per mu_c, (solution of the reduced system for u, microrotation
-    coefficients)."""
+    constrained problem) over the span of ``_problem``'s clamped problem, with the
+    microrotation eliminated on the rotations of its operators: per mu_c, (solution
+    of the reduced system for u, microrotation coefficients)."""
+    system, elastic, force, couple = problem
+    k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
+    # per parity block i: B, the curvature d = k Lambda and W' g, the couple work on each psi_r
+    rotations = [(i, B, k * lam, W.T @ couple[i])
+                 for i, (W, B, lam) in zip(system.ops.basis.blocks, system.ops.rotations)]
     out = []
     for mu_c in mu_c_values:
-        s = [1.0 / (1.0 + d / (2.0 * mu_c)) for d in forms.curvature]
-        parts = list(zip(forms.system.basis.blocks, forms.B, s, forms.couple))
+        parts = [(i, B, d, 1.0 / (1.0 + d / (2.0 * mu_c)), g) for i, B, d, g in rotations]
         # E + B diag(d s) B', one SYRK per parity block
-        K = [E + _gram(B * np.sqrt(d * si))
-             for E, B, d, si in zip(forms.elastic, forms.B, forms.curvature, s)]
-        b = forms.force.copy()
-        for i, B, si, g in parts:
-            b[i] += B @ (si * g)
-        sol = solve(replace(forms.system, K=K, b=b))
-        out.append((sol, np.concatenate([si * (B.T @ sol.coeffs[i] + g / (2.0 * mu_c))
-                                         for i, B, si, g in parts])))
+        K = [E + _gram(B * np.sqrt(d * s)) for E, (_, B, d, s, _) in zip(elastic, parts)]
+        b = force.copy()
+        for i, B, _, s, g in parts:
+            b[i] += B @ (s * g)
+        sol = solve(replace(system, K=K, b=b))
+        out.append((sol, np.concatenate([s * (B.T @ sol.coeffs[i] + g / (2.0 * mu_c))
+                                         for i, B, _, s, g in parts])))
     return out
 
 
@@ -504,8 +488,9 @@ def cosserat_solve(params: MaterialParams, loads: LoadData, n_modes: int,
     displacement basis, so that the mu_c -> infinity limit of the
     discrete problem is exactly the clamped problem of ``assemble``.
     """
-    forms = _cosserat_forms(_coupled(params), loads, n_modes, quadrature_order)
-    [(sol, a)] = _reduced_solves(forms, [params.mu_c])
+    params = _coupled(params)
+    [(sol, a)] = _reduced_solves(params, _problem(params, loads, n_modes, quadrature_order),
+                                 [params.mu_c])
     return CosseratSolution(u_coeffs=sol.coeffs, a_coeffs=a)
 
 
@@ -526,10 +511,10 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
             f"(alpha1 + alpha2) mu L_c^2 = 0 (alpha1 = {params.alpha1}, alpha2 = {params.alpha2}, "
             f"L_c = {params.L_c}): without curvature energy every mu_c gives the mu_c = inf "
             "solution, so there is no convergence to measure")
-    forms = _cosserat_forms(params, loads, n_modes, quadrature_order)
+    problem = _problem(params, loads, n_modes, quadrature_order)
     ref, *sols = (sol.coeffs for sol, _ in
-                  _reduced_solves(forms, [np.inf, *(p.mu_c for p in penalized)]))
-    basis, M = forms.system.basis, forms.system.M
+                  _reduced_solves(params, problem, [np.inf, *(p.mu_c for p in penalized)]))
+    basis, M = problem[0].ops.basis, problem[0].ops.value
     ref_norm = float(np.sqrt(ref @ basis.apply(M, ref)))
     errors = [float(np.sqrt((z - ref) @ basis.apply(M, z - ref))) / ref_norm for z in sols]
     # round-off alone reads up to 2 eps, errors of 6-12 eps sit 9-30% off the first-order

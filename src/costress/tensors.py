@@ -111,7 +111,7 @@ def cartan_decompose(X: NDArray) -> CartanParts:
     return CartanParts(devsym=dev(sym(X)), skew=skw(X), spherical=_spherical(X))
 
 
-def axl(A: NDArray, tol: float = 1e-12) -> NDArray:
+def axl(A: NDArray) -> NDArray:
     """Axial vector of a skew-symmetric tensor.
 
     Satisfies A @ v = axl(A) x v and anti(axl(A)) = A for skew A.
@@ -119,10 +119,10 @@ def axl(A: NDArray, tol: float = 1e-12) -> NDArray:
     Raises
     ------
     ValueError
-        If any item of A is not skew-symmetric within the relative tolerance.
+        If any item of A is not skew-symmetric within ``is_skew``'s default tolerance.
     """
     A = np.asarray(A)
-    skew = is_skew(A, tol)
+    skew = is_skew(A)
     if not np.all(skew):
         worst = np.max(_frobenius(A + np.swapaxes(A, -1, -2))[~skew])
         raise ValueError(

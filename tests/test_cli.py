@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -306,15 +307,44 @@ def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
                                           (float("nan"), False)])
 def test_korn_check_bounds_the_constant_by_one_and_sqrt2(monkeypatch, korn, passed):
     def assemble(*args):
+        # a private copy of the shared operators, holding the substituted constant
         system = solver.assemble(*args)
-        system.korn = korn
-        return system
+        ops = replace(system.ops)
+        vars(ops)["korn"] = korn  # where the cached property keeps its value
+        return replace(system, ops=ops)
 
     monkeypatch.setattr(cli, "assemble", assemble)
     material = MaterialParams.for_regime("gkmt", L_c=0.5)
     checks = cli.bvp_checks(0, 2, None, LoadData(), material, {"solver_residual": 1e-10})
     check = {c.name: c for c in checks}["korn_constant"]
     assert bool(check.passed) == passed
+
+
+def test_a_warm_bvp_job_factors_no_mass_block(monkeypatch):
+    # the mass's inverse factors are held with the shared operators: a warm job's only
+    # Cholesky factorizations are solve's, one per block of its stiffness
+    material = MaterialParams.for_regime("gkmt", L_c=0.5)
+    systems, factored, raw = [], [], np.linalg.cholesky
+
+    def assemble(*args):
+        systems.append(solver.assemble(*args))
+        return systems[-1]
+
+    def job():
+        systems.clear()
+        factored.clear()
+        cli.bvp_checks(0, 3, None, LoadData(), material, {"solver_residual": 1e-10})
+        [system] = systems
+        return system
+
+    monkeypatch.setattr(cli, "assemble", assemble)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: (factored.append(a), raw(a))[1])
+    solver._operators.cache_clear()
+    cold = job()  # solve's blocks, then the mass's and Korn's sym grad's on first use
+    assert len(factored) == 3 * len(cold.K)
+    warm = job()
+    assert warm.ops is cold.ops
+    assert len(factored) == len(warm.K) and all(a is K for a, K in zip(factored, warm.K))
 
 
 @pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])

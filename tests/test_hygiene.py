@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-imports scipy or keeps a private helper it never calls, and finite differences
-stay in the oracles."""
+imports scipy, keeps a private helper it never calls or exports a name it does
+not define, and finite differences stay in the oracles."""
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -118,3 +120,20 @@ def test_detector_finds_imported_packages():
 def test_no_module_imports_scipy(path):
     # numpy's LAPACK wrappers cover the solver; scipy is the tests' oracle only
     assert "scipy" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
+def stale_exports(module) -> list[str]:
+    """Names in the module's ``__all__`` that are not attributes of the module."""
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+def test_detector_flags_a_stale_export():
+    module = ModuleType("m")
+    module.__all__, module.a = ["a", "b"], 1
+    assert stale_exports(module) == ["b"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_resolves(path):
+    name = "costress" if path.stem == "__init__" else f"costress.{path.stem}"
+    assert stale_exports(importlib.import_module(name)) == []

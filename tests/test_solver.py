@@ -181,17 +181,17 @@ def test_gram_matches_plain_einsum(n):
 class TestSolve:
     def test_round_trip_manufactured(self, system):
         rng = np.random.default_rng(5)
-        z_true = rng.normal(size=system.basis.n_dofs)
-        sol = solve(system, rhs=system.basis.apply(system.K, z_true))
+        z_true = rng.normal(size=system.ops.basis.n_dofs)
+        sol = solve(replace(system, b=system.ops.basis.apply(system.K, z_true)))
         assert np.max(np.abs(sol.coeffs - z_true)) <= 1e-10
 
     def test_zero_load_gives_zero(self, system):
-        sol = solve(system, rhs=np.zeros(system.basis.n_dofs))
+        sol = solve(replace(system, b=np.zeros(system.ops.basis.n_dofs)))
         assert np.all(sol.coeffs == 0.0)
 
     def test_linearity(self, system):
         s1 = solve(system)
-        s3 = solve(system, rhs=3.0 * system.b)
+        s3 = solve(replace(system, b=3.0 * system.b))
         assert np.allclose(s3.coeffs, 3.0 * s1.coeffs, atol=1e-10)
 
     def test_residual_and_energy_identity(self, system):
@@ -210,16 +210,16 @@ class TestSolve:
         for _ in range(10):
             v = rng.normal(size=sol.coeffs.size)
             z = sol.coeffs + 1e-3 * v / np.linalg.norm(v)
-            pert = 0.5 * z @ system.basis.apply(system.K, z) - system.b @ z
+            pert = 0.5 * z @ system.ops.basis.apply(system.K, z) - system.b @ z
             assert sol.energy < pert
 
     def test_solution_field_reconstruction(self, system):
         sol = solve(system)
         x = np.array([0.3, 0.6, 0.2])
-        B = system.basis.derivatives(x[None, :], 0)
-        M = system.basis.n_scalar
+        B = system.ops.basis.derivatives(x[None, :], 0)
+        M = system.ops.basis.n_scalar
         direct = np.array([sol.coeffs[c * M:(c + 1) * M] @ B[:, 0] for c in range(3)])
-        assert np.allclose(system.basis.solution_field(sol.coeffs).value(x), direct, atol=1e-12)
+        assert np.allclose(system.ops.basis.solution_field(sol.coeffs).value(x), direct, atol=1e-12)
 
     def test_non_spd_raises_with_eigenvalue(self, system):
         bad = assemble(PARAMS, _loads(), 2)
@@ -235,6 +235,19 @@ def test_coercivity_positive_all_regimes(regime):
     p = MaterialParams.for_regime(regime, mu=1.0, lam=1.0, L_c=0.1)
     s = assemble(p, _loads(), 3)
     assert coercivity_evidence(s) > 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coercivity_from_the_held_mass_factors_is_bit_identical(n):
+    # lambda_min from the operators' held inverse factors of the mass, cold and warm,
+    # against the pencil reduced on freshly factored mass blocks, bit for bit
+    solver._operators.cache_clear()
+    system = assemble(PARAMS, _couple_loads(), n)
+    fresh = []
+    for K, M in zip(system.K, system.ops.value):
+        inv_L = np.linalg.inv(np.linalg.cholesky(M))
+        fresh.append(np.linalg.eigvalsh(inv_L @ K @ inv_L.T)[0])
+    assert coercivity_evidence(system) == coercivity_evidence(system) == min(fresh)
 
 
 def _couple_loads():
@@ -325,12 +338,12 @@ def test_stiffness_is_the_constitutive_form_and_depends_on_alpha1_plus_alpha2(re
     k = p.mu * p.L_c ** 2
     ref = 2.0 * p.mu * E + p.lam * div + 0.5 * k * (p.alpha1 * S + p.alpha2 * A)
     system = assemble(p, _loads(), n)
-    assert _rel_gap(system.K, _on_blocks(system.basis, ref)) <= 1e-12
+    assert _rel_gap(system.K, _on_blocks(system.ops.basis, ref)) <= 1e-12
     mean = 0.5 * (p.alpha1 + p.alpha2)
     K_mean = assemble(replace(p, alpha1=mean, alpha2=mean), _loads(), n).K
     assert _rel_gap(system.K, K_mean) <= 1e-12
     korn = np.sqrt(scipy.linalg.eigh(grad, E, eigvals_only=True)[-1])
-    assert system.korn == pytest.approx(korn, rel=1e-12)
+    assert system.ops.korn == pytest.approx(korn, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -347,28 +360,27 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
         ("mass", "value"), ("grad", "grad"), ("div", "div"), ("curl", "curl_curl"))}
     forms["curl"] = [0.25 * X for X in forms["curl"]]
     system = assemble(p, _couple_loads(), n)
-    cosserat = solver._cosserat_forms(p, _couple_loads(), n, None)
+    cosserat, elastic, force, couple = solver._problem(p, _couple_loads(), n, None)
+    W, B, _ = zip(*system.ops.rotations)
     E = p.mu * G["grad"] + (p.mu + p.lam) * G["div"]
     pairs = {
         **{name: (X, _on_blocks(basis, G[name])) for name, X in forms.items()},
         "K": (system.K, _on_blocks(basis, E + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * G["curl"])),
-        "M": (system.M, _on_blocks(basis, G["mass"])), "E": (cosserat.elastic, _on_blocks(basis, E)),
-        "b": (system.b, G["f"] + G["g"]), "force": (cosserat.force, G["f"]),
-        "B": (cosserat.B, [H @ W for H, W in zip(_on_blocks(basis, G["H"]), cosserat.W)]),
-        "couple": (cosserat.couple, [W.T @ G["g"][i] for i, W in zip(basis.blocks, cosserat.W)]),
+        "M": (system.ops.value, _on_blocks(basis, G["mass"])), "E": (elastic, _on_blocks(basis, E)),
+        "b": (system.b, G["f"] + G["g"]), "force": (force, G["f"]), "couple": (couple, G["g"]),
+        "B": (B, [H @ w for H, w in zip(_on_blocks(basis, G["H"]), W)]),
     }
     for name, (got, ref) in pairs.items():
         assert _rel_gap(got, ref) <= 1e-12, name
-    for X in (*forms.values(), system.K, system.M, cosserat.elastic):
+    for X in (*forms.values(), system.K, system.ops.value, elastic):
         assert all(np.array_equal(x, x.T) for x in X)
     outside = _outside_blocks(basis)
     for name in ("mass", "grad", "sym_grad", "div", "H", "curl", "sym_grad_curl", "skw_grad_curl"):
         assert np.max(np.abs(G[name][outside])) <= 1e-14 * np.max(np.abs(G[name])), name
     # both solvers start from one clamped problem
-    for name in ("K", "M"):
-        assert all(map(np.array_equal, getattr(cosserat.system, name), getattr(system, name))), name
-    assert np.array_equal(cosserat.system.b, system.b)
-    assert system.korn == korn_constant(n)
+    assert cosserat.ops is system.ops
+    assert all(map(np.array_equal, cosserat.K, system.K)) and np.array_equal(cosserat.b, system.b)
+    assert system.ops.korn == korn_constant(n)
 
 
 def _kron_form(A, op):
@@ -443,20 +455,20 @@ def test_every_form_is_held_as_its_parity_blocks(monkeypatch, n):
     # (len(i), R_i) block: no matrix on all the dofs
     p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.5)
     system = assemble(p, _couple_loads(), n)
-    forms = solver._cosserat_forms(p, _couple_loads(), n, None)
+    problem = solver._problem(p, _couple_loads(), n, None)
     systems = _capture_solves(monkeypatch)
-    solver._reduced_solves(forms, [10.0, np.inf])
-    blocks, D = system.basis.blocks, system.basis.n_dofs
-    square = {"K": system.K, "M": system.M, "E": forms.elastic, "Cosserat K": forms.system.K,
-              "Cosserat M": forms.system.M, "K(10)": systems[0].K, "K(inf)": systems[1].K}
+    solver._reduced_solves(p, problem, [10.0, np.inf])
+    blocks, D = system.ops.basis.blocks, system.ops.basis.n_dofs
+    square = {"K": system.K, "M": system.ops.value, "E": problem[1], "Cosserat K": problem[0].K,
+              "K(10)": systems[0].K, "K(inf)": systems[1].K}
     for name, X in square.items():
         assert [x.shape for x in X] == [(len(i), len(i)) for i in blocks], name
-    ranks = [w.shape[1] for w in forms.W]
-    for X in (forms.W, forms.B):
+    W, B, lam = zip(*system.ops.rotations)
+    ranks = [w.shape[1] for w in W]
+    for X in (W, B):
         assert [x.shape for x in X] == [(len(i), r) for i, r in zip(blocks, ranks)]
-    for x in (forms.curvature, forms.couple):
-        assert [v.shape for v in x] == [(r,) for r in ranks]
-    assert system.b.shape == forms.force.shape == systems[0].b.shape == (D,)
+    assert [v.shape for v in lam] == [(r,) for r in ranks]
+    assert system.b.shape == problem[2].shape == problem[3].shape == systems[0].b.shape == (D,)
 
 
 @lru_cache
@@ -465,8 +477,9 @@ def _dense_cosserat(regime, n):
     orthonormal rotation basis C (cutoff 1e-10 of the largest eigenvalue), one of
     C curl C', and (E, B = H W, d, W' g, f) on the solver's clamped problem."""
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
-    system, ops, E, force, couple = solver._problem(p, _couple_loads(), n, None)
-    E, grad, div, curl = (_dense(system.basis, X) for X in (E, ops.grad, ops.div, ops.curl))
+    system, E, force, couple = solver._problem(p, _couple_loads(), n, None)
+    ops = system.ops
+    E, grad, div, curl = (_dense(ops.basis, X) for X in (E, ops.grad, ops.div, ops.curl))
     H = 0.25 * (grad - div)
     vals, vecs = scipy.linalg.eigh(H)
     keep = vals > 1e-10 * vals[-1]
@@ -483,8 +496,8 @@ def test_block_solves_match_a_dense_oracle(monkeypatch, regime, n):
     # every factorization and eigen-solve runs per parity block: against dense
     # solves and eigen-solves of the whole forms
     p, system, grad, div, E, B, d, Wg, f = _dense_cosserat(regime, n)
-    basis = system.basis
-    K, M = _dense(basis, system.K), _dense(basis, system.M)
+    basis = system.ops.basis
+    K, M = _dense(basis, system.K), _dense(basis, system.ops.value)
     z = scipy.linalg.solve(K, system.b, assume_a="pos")
     assert _m_gap(solve(system).coeffs, z, M) <= 1e-12
     lam_min = scipy.linalg.eigh(K, M, eigvals_only=True)[0]
@@ -515,12 +528,12 @@ def test_solution_energy_equals_the_constitutive_integral(regime, n):
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     system = assemble(p, _loads(), n)
     z = solve(system).coeffs
-    u = system.basis.solution_field(z)
-    pts, W = system.basis.quadrature(system.quadrature_order)
+    u = system.ops.basis.solution_field(z)
+    pts, W = system.ops.basis.quadrature(system.ops.order)
     M = grad_curl_from_grad2(u.grad2(pts))
     assert np.max(np.abs(tr(M))) <= 1e-15
     density = w_lin(p, u.grad(pts)).value + w_curv(p, M).value
-    assert 0.5 * z @ system.basis.apply(system.K, z) == pytest.approx(W @ density, rel=1e-12)
+    assert 0.5 * z @ system.ops.basis.apply(system.K, z) == pytest.approx(W @ density, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -540,7 +553,7 @@ def test_load_of_a_manufactured_solution_is_its_stiffness_image(g_seed, regime, 
                      m_body=g)
     system, *_, force, couple = solver._problem(p, loads, n, None)
     # b = force + couple, and with a couple the two parts cancel down to K z*
-    gap = np.linalg.norm(system.b - system.basis.apply(system.K, z_star))
+    gap = np.linalg.norm(system.b - system.ops.basis.apply(system.K, z_star))
     assert gap <= 2e-14 * (np.linalg.norm(force) + np.linalg.norm(couple))
     z = solve(system).coeffs
     assert np.linalg.norm(z - z_star) <= 1e-10 * np.linalg.norm(z_star)
@@ -549,7 +562,7 @@ def test_load_of_a_manufactured_solution_is_its_stiffness_image(g_seed, regime, 
 class TestKorn:
     @pytest.mark.parametrize("n", [2, 3])
     def test_assembly_reports_the_same_constant(self, n):
-        assert assemble(PARAMS, _loads(), n).korn == pytest.approx(korn_constant(n), rel=1e-12)
+        assert assemble(PARAMS, _loads(), n).ops.korn == pytest.approx(korn_constant(n), rel=1e-12)
 
     def test_value_regression_n2(self):
         # frozen: discrete Korn constant of the N = 2 clamped basis
@@ -605,7 +618,7 @@ class TestCosserat:
         mu_cs = [10.0, 100.0, 1000.0, 10000.0]
         errors, _ = cosserat_limit_sweep(PARAMS, loads, 2, mu_cs)
         system = assemble(PARAMS, loads, 2)
-        ref, mass = solve(system).coeffs, _dense(system.basis, system.M)
+        ref, mass = solve(system).coeffs, _dense(system.ops.basis, system.ops.value)
         for mc, err in zip(mu_cs, errors):
             d = cosserat_solve(replace(PARAMS, mu_c=mc), loads, 2).u_coeffs - ref
             assert err == pytest.approx(np.sqrt(d @ mass @ d / (ref @ mass @ ref)), rel=1e-12)
@@ -629,10 +642,10 @@ def test_half_curl_gram_is_the_skew_half_of_korns_equality(n, rank):
     # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, so the
     # forms take H = G(curl u / 2) from the elastic Grams; against the direct
     # Gram, through B = H W on the blocks of W
-    forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
-    basis, H = forms.system.basis, _oracle(n)["H"]
-    W, B = _dense_columns(basis, forms.W), _dense_columns(basis, forms.B)
-    inside = _dense_columns(basis, [np.ones(w.shape) for w in forms.W]) > 0.0
+    ops = solver._operators(n, solver._gauss_order(n, None))
+    basis, H, (W, B, _) = ops.basis, _oracle(n)["H"], zip(*ops.rotations)
+    inside = _dense_columns(basis, [np.ones(w.shape) for w in W]) > 0.0
+    W, B = _dense_columns(basis, W), _dense_columns(basis, B)
     assert _rel_gap(B[inside], (H @ W)[inside]) <= 1e-13
     # the rotation basis keeps the same rank, with the null floor far below
     # the 1e-10 cutoff and the kept spectrum far above it
@@ -659,9 +672,9 @@ def test_rotation_rank_is_the_span_less_the_curl_kernel(n):
 def test_reduced_stiffness_is_exactly_symmetric(monkeypatch, n, mu_c):
     # Cholesky reads one triangle, so a stiffness symmetric only to
     # round-off would make the solution depend on which
-    forms = solver._cosserat_forms(PARAMS, _loads(), n, None)
+    problem = solver._problem(PARAMS, _loads(), n, None)
     systems = _capture_solves(monkeypatch)
-    [(sol, _)] = solver._reduced_solves(forms, [mu_c])
+    [(sol, _)] = solver._reduced_solves(PARAMS, problem, [mu_c])
     K = systems[0].K
     assert all(np.array_equal(x, x.T) for x in K)
     assert np.array_equal(solve(replace(systems[0], K=[x.T for x in K])).coeffs, sol.coeffs)
@@ -675,8 +688,8 @@ def _m_gap(z, ref, mass):
 @lru_cache
 def _block_system_parts(regime, n):
     """The mu_c-independent parts of the oracle of
-    ``test_reduced_solve_matches_the_block_system`` and the solver's Cosserat forms,
-    shared by its mu_c values."""
+    ``test_reduced_solve_matches_the_block_system`` and the solver's material and
+    clamped problem, shared by its mu_c values."""
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     G = _oracle(n)
     C = G["C"]
@@ -684,7 +697,7 @@ def _block_system_parts(regime, n):
         E=p.mu * G["grad"] + (p.mu + p.lam) * G["div"], H=G["H"], HC=G["H"] @ C.T,
         curl=(p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T,
         load=np.concatenate([G["f"], C @ G["g"]]),
-        forms=solver._cosserat_forms(p, _couple_loads(), n, None))
+        params=p, problem=solver._problem(p, _couple_loads(), n, None))
 
 
 @pytest.mark.parametrize("mu_c", [10.0, 100.0, 1e3])
@@ -701,12 +714,12 @@ def test_reduced_solve_matches_the_block_system(regime, n, mu_c):
                   [-2.0 * mu_c * parts["HC"].T,
                    2.0 * mu_c * np.eye(len(G["C"])) + parts["curl"]]])
     z = np.linalg.solve(A, parts["load"])
-    forms = parts["forms"]
-    [(sol, a)] = solver._reduced_solves(forms, [mu_c])
+    [(sol, a)] = solver._reduced_solves(parts["params"], parts["problem"], [mu_c])
     assert _m_gap(sol.coeffs, z[:D], G["mass"]) <= 1e-12
     # the microrotations as combinations of the curl u_p / 2, in the H-norm; the
     # block system's own round-off in a grows linearly with mu_c
-    W = _dense_columns(forms.system.basis, forms.W)
+    ops = parts["problem"][0].ops
+    W = _dense_columns(ops.basis, [w for w, _, _ in ops.rotations])
     assert _m_gap(W @ a, G["C"].T @ z[D:], G["H"]) <= max(1e-12, 1e-14 * mu_c)
 
 
@@ -722,7 +735,7 @@ def test_infinite_coupling_is_the_constrained_system(loads, regime, n):
         + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * G["curl"]
     g = G["g"] if loads is _couple_loads else 0.0
     ref = np.linalg.solve(K, G["f"] + g)
-    [(sol, _)] = solver._reduced_solves(solver._cosserat_forms(p, loads(), n, None), [np.inf])
+    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads(), n, None), [np.inf])
     assert _m_gap(sol.coeffs, ref, G["mass"]) <= 1e-12
     assert _m_gap(sol.coeffs, solve(assemble(p, loads(), n)).coeffs, G["mass"]) <= 1e-12
 
@@ -754,9 +767,9 @@ class TestOperatorCache:
         warm = job()
         assert len(calls) == 1
         cold = _cold(job)   # its own, fresh entry
-        for name in ("K", "M"):
-            assert all(map(np.array_equal, getattr(warm, name), getattr(cold, name))), name
-        assert np.array_equal(warm.b, cold.b) and warm.korn == cold.korn
+        assert all(map(np.array_equal, warm.K, cold.K))
+        assert all(map(np.array_equal, warm.ops.value, cold.ops.value))
+        assert np.array_equal(warm.b, cold.b) and warm.ops.korn == cold.ops.korn
 
     def test_a_warm_sweep_is_bit_identical(self):
         mu_cs = [10.0, 100.0, 1e3]
@@ -791,23 +804,23 @@ class TestOperatorCache:
         ops = solver._operators(3, 9)
         W, B, lam = zip(*ops.rotations)
         arrays = [ops.pts, ops.wT, *ops.basis.blocks, *W, *B, *lam,
-                  *ops.grad, *ops.div, *ops.curl, *ops.value]
+                  *ops.grad, *ops.div, *ops.curl, *ops.value, *ops.mass_factors]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1.0
 
     def test_a_job_gets_fresh_writable_arrays(self):
-        # mutating what a job gets back leaves the next job's system as it was
+        # mutating what a job gets back leaves the next job's system as it was; the
+        # operators it holds are shared and read-only
         def job():
-            system = assemble(PARAMS, _couple_loads(), 3)
-            return system, solver._cosserat_forms(PARAMS, _couple_loads(), 3, None)
+            return solver._problem(PARAMS, _couple_loads(), 3, None)
 
-        ref, ref_forms = job()
-        system, forms = job()
-        for X in (*system.K, system.b, *forms.elastic, forms.force, *forms.curvature, *forms.couple):
+        ref, ref_elastic, ref_force, ref_couple = job()
+        system, elastic, force, couple = job()
+        assert system.ops is ref.ops
+        for X in (*system.K, system.b, *elastic, force, couple):
             X[...] = np.nan
-        system.M.clear()
-        again, again_forms = job()
+        again, again_elastic, again_force, again_couple = job()
         assert all(map(np.array_equal, again.K, ref.K)) and np.array_equal(again.b, ref.b)
-        assert all(map(np.array_equal, again.M, ref.M))
-        assert all(map(np.array_equal, again_forms.elastic, ref_forms.elastic))
+        assert all(map(np.array_equal, again_elastic, ref_elastic))
+        assert np.array_equal(again_force, ref_force) and np.array_equal(again_couple, ref_couple)
