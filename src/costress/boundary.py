@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 
 from .constitutive import MaterialParams, stresses
 from .fields import DisplacementField, curl_from_grad
-from .surfaces import Frame, SurfacePatch
+from .surfaces import Frame, SurfacePatch, _dot
 from .tensors import anti, sym, tangential_projector
 
 __all__ = [
@@ -50,10 +50,6 @@ class TractionSet:
 
 def _mv(A: NDArray, v: NDArray) -> NDArray:
     return np.einsum("...ij,...j->...i", A, v)
-
-
-def _dot(a: NDArray, b: NDArray) -> NDArray:
-    return np.einsum("...i,...i->...", a, b)
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,7 @@ def _split(params: MaterialParams, field: DisplacementField, fr: Frame) -> _Spli
     m_n = _mv(m, n)
     psi = _dot(m_n, n)
     w = m_n - psi[..., None] * n
-    x_a = np.stack([fr.x_s, fr.x_t], axis=-2)                           # (..., 2, 3)
-    dm = np.einsum("...ijk,...ak->...aij", st.grad_m, x_a)             # (..., 2, 3, 3)
+    dm = np.einsum("...ijk,...ak->...aij", st.grad_m, fr.tangents)     # (..., 2, 3, 3)
     dn, n_ = fr.dn, n[..., None, :]
     dm_n = _mv(dm, n_)
     d_psi = _dot(dm_n, n_) + 2.0 * _dot(_mv(sym(m), n)[..., None, :], dn)
@@ -212,6 +207,10 @@ class HdPostulateReport:
 
 def hd_postulate_report(params: MaterialParams, field: DisplacementField,
                         patch: SurfacePatch, order: int = 16) -> HdPostulateReport:
+    """The postulate's two quantities for ``field`` on ``patch`` under the
+    Gauss rule of ``order``: the sup of the normal moment |<m.n, n>| and
+    the L2 norm of the tangential-gradient residual (see
+    :class:`HdPostulateReport`)."""
     _, wts, fr = patch.quadrature(order)
     sp = _split(params, field, fr)
     r = -2.0 * sp.t_tang        # div_S(anti(w) P)

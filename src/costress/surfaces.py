@@ -4,15 +4,17 @@ surface differential operators used by the traction decompositions.
 Two geometries are provided: flat box faces (exact geometry, trivial
 surface gradients) and spherical caps (curvature-exercising geometry).
 Every method and check takes chart coordinates (s, t) as arrays and
-broadcasts over them; a scalar pair is a batch of one.  A :class:`Frame`
-holds everything the surface operators read at one point set: the
-position, chart tangents, normal and its chart derivatives (closed form
-for each patch) and dual tangents.  :meth:`SurfacePatch.quadrature`
-returns the frame of its rule and :meth:`SurfacePatch.edge_quadrature`
-the frame and outward conormal of its edge rule, so a caller builds one
-frame per point set and reads every chart tangent from a frame.  Surface
-gradients and divergences are closed forms on the frame: they act on
-chart derivatives the caller supplies (the moment traction terms of
+broadcasts over them; a scalar pair is a batch of one.  Each patch has one
+geometry method, :meth:`SurfacePatch.chart`, the closed-form chart map:
+the position, the chart tangents and the chart derivatives of the unit
+normal.  Only :meth:`SurfacePatch.frame` calls it, and a :class:`Frame`
+holds everything the surface operators read at one point set: those
+three arrays, the normal, the area element and the dual tangents.
+:meth:`SurfacePatch.quadrature` returns the frame of its rule and
+:meth:`SurfacePatch.edge_quadrature` the frame and outward conormal of its
+edge rule, so a caller builds one frame per point set.  Surface gradients
+and divergences are closed forms on the frame: they act on chart
+derivatives the caller supplies (the moment traction terms of
 :mod:`costress.boundary` get theirs by the chain rule) or on an ambient
 gradient.  The package's one finite-difference stencil,
 :func:`costress.fields.fd_partial`, remains behind
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import CallableField, DisplacementField, curl_from_grad, fd_partial
+from .fields import DisplacementField, curl_from_grad, fd_partial
 
 __all__ = [
     "BoxFace",
@@ -44,17 +46,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Frame:
-    """Surface frame at chart points: position, chart tangents, normal,
-    its chart derivatives and dual tangents, each with the leading shape
-    of the chart coordinates.
+    """Surface frame at chart points: the patch's chart map (position,
+    chart tangents and normal derivatives) with the normal, area element
+    and dual tangents built from it, each with the leading shape of the
+    chart coordinates.  The tangents are held once, as one (..., 2, 3)
+    array that the metric, the edge arc length and the chain rule of
+    :mod:`costress.boundary` all read.
 
     The surface gradient of a chart field f is d_a f x^a, with the dual
     tangents x^a = g^ab x_b.
     """
 
     x: NDArray
-    x_s: NDArray
-    x_t: NDArray
+    tangents: NDArray   # chart tangents (x_s, x_t), (..., 2, 3)
     n: NDArray
     dn: NDArray         # chart derivatives (n_s, n_t) of the normal, (..., 2, 3)
     jac: NDArray        # area element |x_s x x_t|
@@ -115,34 +119,19 @@ class SurfacePatch:
     #: chart degenerates at s = s_range[0] (spherical pole)
     singular_smin: bool = False
 
-    def point(self, s, t) -> NDArray:
-        """Ambient position, shape (..., 3)."""
-        raise NotImplementedError
-
-    def chart_tangents(self, s, t) -> tuple[NDArray, NDArray]:
-        """Chart tangents (x_s, x_t), each of shape (..., 3)."""
-        raise NotImplementedError
-
-    def normal_derivatives(self, s, t) -> tuple[NDArray, NDArray]:
-        """Chart derivatives of the unit normal (n_s, n_t), each (..., 3)."""
+    def chart(self, s, t) -> tuple[NDArray, NDArray, NDArray]:
+        """The chart map at (s, t): the position x (..., 3), the chart
+        tangents (x_s, x_t) and the chart derivatives of the unit normal
+        (n_s, n_t), each (..., 2, 3)."""
         raise NotImplementedError
 
     def frame(self, s, t) -> Frame:
-        x_s, x_t = self.chart_tangents(s, t)
-        nv = np.cross(x_s, x_t)
+        x, tangents, dn = self.chart(s, t)
+        nv = np.cross(tangents[..., 0, :], tangents[..., 1, :])
         jac = np.linalg.norm(nv, axis=-1)
-        g_st = _dot(x_s, x_t)
-        g = np.stack([_dot(x_s, x_s), g_st, g_st, _dot(x_t, x_t)], axis=-1)
-        g = g.reshape(jac.shape + (2, 2))
-        return Frame(
-            x=self.point(s, t),
-            x_s=x_s,
-            x_t=x_t,
-            n=nv / jac[..., None],
-            dn=np.stack(self.normal_derivatives(s, t), axis=-2),
-            jac=jac,
-            dual=np.linalg.inv(g) @ np.stack([x_s, x_t], axis=-2),
-        )
+        g = np.einsum("...ai,...bi->...ab", tangents, tangents)
+        return Frame(x=x, tangents=tangents, n=nv / jac[..., None], dn=dn, jac=jac,
+                     dual=np.linalg.inv(g) @ tangents)
 
     # -- quadrature -------------------------------------------------------
 
@@ -174,8 +163,8 @@ class SurfacePatch:
         fr = self.frame(*((fixed, along) if across == 0 else (along, fixed)))
         nu = fr.dual[..., across, :]
         nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
-        tangent = fr.x_t if across == 0 else fr.x_s
-        return w * np.linalg.norm(tangent, axis=-1), fr, nu if upper else -nu
+        arc = np.linalg.norm(fr.tangents[..., 1 - across, :], axis=-1)
+        return w * arc, fr, nu if upper else -nu
 
     # -- chart finite differences ------------------------------------------
 
@@ -225,16 +214,10 @@ class BoxFace(SurfacePatch):
             return cls(origin, e[a], e[b], 1.0, 1.0)
         return cls(origin, e[b], e[a], 1.0, 1.0)
 
-    def point(self, s, t):
-        return self.origin + _col(s) * self.e1 + _col(t) * self.e2
-
-    def chart_tangents(self, s, t):
-        shape = np.broadcast_shapes(np.shape(s), np.shape(t)) + (3,)
-        return np.broadcast_to(self.e1, shape), np.broadcast_to(self.e2, shape)
-
-    def normal_derivatives(self, s, t):
-        zero = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)) + (3,))
-        return zero, zero
+    def chart(self, s, t):
+        x = self.origin + _col(s) * self.e1 + _col(t) * self.e2
+        tangents = np.broadcast_to(np.stack([self.e1, self.e2]), x.shape[:-1] + (2, 3))
+        return x, tangents, np.zeros(tangents.shape)
 
 
 class SphericalCap(SurfacePatch):
@@ -273,33 +256,21 @@ class SphericalCap(SurfacePatch):
         self.s_range = (0.0, float(theta_max))
         self.t_range = (0.0, 2.0 * math.pi)
 
-    def point(self, s, t):
+    def chart(self, s, t):
         s, t = _col(s), _col(t)
-        return self.center + self.radius * (
-            np.sin(s) * (np.cos(t) * self.e1 + np.sin(t) * self.e2)
-            + np.cos(s) * self.e3
-        )
-
-    def chart_tangents(self, s, t):
-        s, t = _col(s), _col(t)
-        r = self.radius
-        x_s = r * (np.cos(s) * (np.cos(t) * self.e1 + np.sin(t) * self.e2)
-                   - np.sin(s) * self.e3)
-        x_t = r * np.sin(s) * (-np.sin(t) * self.e1 + np.cos(t) * self.e2)
-        return x_s, x_t
-
-    def normal_derivatives(self, s, t):
-        x_s, x_t = self.chart_tangents(s, t)
-        return x_s / self.radius, x_t / self.radius
+        sin_s, cos_s, sin_t, cos_t = np.sin(s), np.cos(s), np.sin(t), np.cos(t)
+        r, radial = self.radius, cos_t * self.e1 + sin_t * self.e2
+        x = self.center + r * (sin_s * radial + cos_s * self.e3)
+        x_s = r * (cos_s * radial - sin_s * self.e3)
+        x_t = r * sin_s * (-sin_t * self.e1 + cos_t * self.e2)
+        tangents = np.stack([x_s, x_t], axis=-2)
+        return x, tangents, tangents / r
 
 
-def surface_divergence_check(v, patch: SurfacePatch, order: int = 16):
+def surface_divergence_check(v: DisplacementField, patch: SurfacePatch, order: int = 16):
     """Surface divergence theorem on a patch: the surface integral of
-    div_S of the tangential part of v against the edge integral of the
-    conormal component.  ``v`` is a :class:`DisplacementField` or a plain
-    pointwise callable.  Returns (lhs, rhs, gap)."""
-    if not isinstance(v, DisplacementField):
-        v = CallableField(v)
+    div_S of the tangential part of the field v against the edge integral
+    of the conormal component.  Returns (lhs, rhs, gap)."""
     _, W, fr = patch.quadrature(order)
     lhs = float(W @ fr.tangential_divergence(v.value(fr.x), v.grad(fr.x)))
     rhs = 0.0

@@ -58,14 +58,15 @@ def test_tractions_shapes_and_tangency():
     p = MaterialParams.for_regime("gkmt", L_c=0.4)
     u = make_polynomial(11, 3)
     s, t = 0.4, 0.6
-    n = FACE.frame(s, t).n
+    fr = FACE.frame(s, t)
+    n = fr.n
     ts_classical = classical_tractions(p, u, FACE, s, t)
     assert abs(ts_classical.g_double @ n) <= 1e-13  # tangential by construction
     ts_complete = complete_tractions(p, u, FACE, s, t)
     assert ts_complete.formulation == "complete"
     assert abs(ts_complete.g_double @ n) <= 1e-13
     ts_hd = hd_tractions(MaterialParams.for_regime("hd", L_c=0.4), u, FACE, s, t)
-    st = stresses(MaterialParams.for_regime("hd", L_c=0.4), u, FACE.point(s, t))
+    st = stresses(MaterialParams.for_regime("hd", L_c=0.4), u, fr.x)
     assert np.allclose(ts_hd.t_force, st.sigma_total @ n, atol=1e-13)
 
 
@@ -125,7 +126,7 @@ def test_one_batched_path(patch):
     # closed-form field it mirrors
     printed = CallableField(_printed_counterexample)
     mirror = _printed_counterexample_closed_form()
-    X = patch.point(S, T)
+    X = patch.frame(S, T).x
     assert np.allclose(printed.value(X), mirror.value(X), rtol=1e-14, atol=1e-14)
     for order in (1, 2, 3):
         assert np.allclose(fd_derivative_oracle(printed, X, order),

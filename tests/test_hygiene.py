@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 imports scipy, keeps a private helper it never calls or exports a name it does
-not define, and finite differences stay in the oracles."""
+not define, no two functions of the package share a body, and finite
+differences stay in the oracles."""
 
 import ast
 import importlib
@@ -137,3 +138,36 @@ def test_detector_flags_a_stale_export():
 def test_every_exported_name_resolves(path):
     name = "costress" if path.stem == "__init__" else f"costress.{path.stem}"
     assert stale_exports(importlib.import_module(name)) == []
+
+
+def duplicate_bodies(sources: dict[str, str]) -> list[list[str]]:
+    """Groups of functions and methods, named ``module:qualname``, whose
+    arguments and body (docstring stripped) parse to the same AST."""
+    groups: dict[str, list[str]] = {}
+
+    def visit(node, module: str, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = child.body[1:] if ast.get_docstring(child) is not None else child.body
+                key = ast.dump(child.args) + "".join(ast.dump(stmt) for stmt in body)
+                groups.setdefault(key, []).append(f"{module}:{prefix}{name}")
+            visit(child, module, f"{prefix}{name}." if name else prefix)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_detector_flags_a_shared_body():
+    a = 'def f(x):\n    """One."""\n    return x + 1\n\nclass C:\n    def g(self):\n        raise E\n'
+    b = ('def h(x):\n    return x + 1\n\ndef k(y):\n    return y + 1\n\n'
+         'class D:\n    def g(self):\n        """Stub."""\n        raise E\n')
+    assert duplicate_bodies({"a": a, "b": b}) == [["a:f", "b:h"], ["a:C.g", "b:D.g"]]
+    assert duplicate_bodies({"a": a}) == []
+
+
+def test_no_two_functions_share_a_body():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert "surfaces" in sources
+    assert duplicate_bodies(sources) == []

@@ -3,7 +3,7 @@ import pytest
 
 from costress.boundary import boundary_work_identity
 from costress.constitutive import MaterialParams
-from costress.fields import make_polynomial
+from costress.fields import CallableField, make_polynomial
 from costress.surfaces import (
     BoxFace,
     SphericalCap,
@@ -27,7 +27,7 @@ def face():
 
 
 def test_face_geometry(face):
-    assert np.allclose(face.point(0.3, 0.7), [0.3, 0.7, 1.0])
+    assert np.allclose(face.frame(0.3, 0.7).x, [0.3, 0.7, 1.0])
     assert np.allclose(face.frame(0.5, 0.5).n, [0.0, 0.0, 1.0])
     # quadrature integrates the area exactly
     _, w, _ = face.quadrature(4)
@@ -66,10 +66,9 @@ def test_spherical_cap_accepts_the_full_sphere():
 
 
 def test_hemisphere_geometry(hemisphere):
-    x = hemisphere.point(np.pi / 4, 0.0)
-    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-14)
-    n = hemisphere.frame(np.pi / 4, 0.0).n
-    assert np.allclose(n, x, atol=1e-14)  # radially outward
+    fr = hemisphere.frame(np.pi / 4, 0.0)
+    assert np.linalg.norm(fr.x) == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(fr.n, fr.x, atol=1e-14)  # radially outward
     _, w, _ = hemisphere.quadrature(16)
     assert np.sum(w) == pytest.approx(2.0 * np.pi, abs=1e-10)
 
@@ -79,15 +78,18 @@ def test_frames_batch_matches_pointwise(hemisphere, face):
     for patch in (hemisphere, face):
         (S, T), _, _ = patch.quadrature(4)
         fb = patch.frame(S, T)
-        assert fb.x.shape == fb.n.shape == (16, 3) and fb.dual.shape == (16, 2, 3)
+        assert fb.x.shape == fb.n.shape == (16, 3)
+        assert fb.tangents.shape == fb.dn.shape == fb.dual.shape == (16, 2, 3)
         for i, (s, t) in enumerate(zip(S, T)):
             fr = patch.frame(float(s), float(t))
-            assert fr.x.shape == fr.n.shape == (3,) and fr.dual.shape == (2, 3)
+            assert fr.x.shape == fr.n.shape == (3,)
+            assert fr.tangents.shape == fr.dn.shape == fr.dual.shape == (2, 3)
             assert np.allclose(fb.x[i], fr.x, atol=1e-14)
+            assert np.allclose(fb.tangents[i], fr.tangents, atol=1e-14)
             assert np.allclose(fb.n[i], fr.n, atol=1e-14)
             assert np.allclose(fb.dual[i], fr.dual, atol=1e-10)
             # dual tangents: x^a . x_b = delta_ab
-            assert np.allclose(fr.dual @ np.stack([fr.x_s, fr.x_t], axis=-1), np.eye(2),
+            assert np.allclose(fr.dual @ np.swapaxes(fr.tangents, -1, -2), np.eye(2),
                                rtol=0.0, atol=1e-14)
 
 
@@ -96,24 +98,30 @@ def test_frames_batch_matches_pointwise(hemisphere, face):
     BoxFace.unit_cube_face("z+"), BoxFace.unit_cube_face("x-"),
 ], ids=["hemisphere", "off_axis_cap", "face_z+", "face_x-"])
 def test_normal_derivatives_match_the_fd_stencil(patch):
-    (S, T), _, _ = patch.quadrature(6)
-    closed = np.stack(patch.normal_derivatives(S, T), axis=-1)
+    # the chart's closed-form tangents and normal derivatives, (36, 3, 2)
+    # like the chart gradient of x and n
+    (S, T), _, fr = patch.quadrature(6)
+    closed = np.swapaxes(fr.dn, -1, -2)
     assert closed.shape == (36, 3, 2)
     fd = patch.chart_gradient(lambda s, t: patch.frame(s, t).n, S, T)
     assert np.allclose(closed, fd, rtol=0.0, atol=1e-9)
+    fd = patch.chart_gradient(lambda s, t: patch.frame(s, t).x, S, T)
+    assert np.allclose(np.swapaxes(fr.tangents, -1, -2), fd, rtol=0.0, atol=1e-9)
     # a scalar chart pair is a batch of one
-    n_s, n_t = patch.normal_derivatives(float(S[7]), float(T[7]))
-    assert np.array_equal(np.stack([n_s, n_t], axis=-1), closed[7])
+    one = patch.frame(float(S[7]), float(T[7]))
+    assert np.array_equal(np.swapaxes(one.dn, -1, -2), closed[7])
+    assert np.array_equal(one.tangents, fr.tangents[7])
 
 
 def test_conormal_is_tangent_and_outward(hemisphere, face):
     cap = SphericalCap(radius=2.0, theta_max=1.0, axis=(1.0, 1.0, 0.0))
     # an interior point of each patch: the face centre, the caps' poles
-    for patch, inside in ((face, face.point(0.5, 0.5)), (hemisphere, hemisphere.point(0.0, 0.0)),
-                          (cap, cap.point(0.0, 0.0))):
+    pole = lambda c: c.center + c.radius * c.e3
+    for patch, inside in ((face, face.frame(0.5, 0.5).x), (hemisphere, pole(hemisphere)),
+                          (cap, pole(cap))):
         for side in patch.edge_sides:
             _, fr, nu = patch.edge_quadrature(side, 5)
-            edge = fr.x_t if side in ("smin", "smax") else fr.x_s
+            edge = fr.tangents[..., 1 if side in ("smin", "smax") else 0, :]
             assert np.allclose(np.linalg.norm(nu, axis=-1), 1.0, rtol=0.0, atol=1e-14)
             assert np.max(np.abs(np.sum(nu * fr.n, axis=-1))) <= 1e-14
             assert np.max(np.abs(np.sum(nu * edge, axis=-1))
@@ -138,35 +146,36 @@ def test_edge_rules_read_every_chart_tangent_from_their_frame(patch, monkeypatch
     for side in patch.edge_sides:
         _, fr, _ = patch.edge_quadrature(side, 5)
         ref = patch.frame(*nodes[side])
-        for name in ("x", "x_s", "x_t", "n", "dn", "jac", "dual"):
+        for name in ("x", "tangents", "n", "dn", "jac", "dual"):
             assert np.array_equal(getattr(fr, name), getattr(ref, name)), (side, name)
 
-    # and the checks that integrate along edges build no chart tangent
-    # outside a frame
-    depth, calls = [0], {"inside": 0, "outside": 0}
-    build, tangents = SurfacePatch.frame, type(patch).chart_tangents
+    # and the checks that integrate along edges evaluate the chart map
+    # only inside a frame, once per frame build
+    depth, calls = [0], {"frames": 0, "inside": 0, "outside": 0}
+    build, chart = SurfacePatch.frame, type(patch).chart
 
     def frame(self, s, t):
+        calls["frames"] += 1
         depth[0] += 1
         try:
             return build(self, s, t)
         finally:
             depth[0] -= 1
 
-    def chart_tangents(self, s, t):
+    def counted_chart(self, s, t):
         calls["inside" if depth[0] else "outside"] += 1
-        return tangents(self, s, t)
+        return chart(self, s, t)
 
     monkeypatch.setattr(SurfacePatch, "frame", frame)
-    monkeypatch.setattr(type(patch), "chart_tangents", chart_tangents)
+    monkeypatch.setattr(type(patch), "chart", counted_chart)
     p = MaterialParams.for_regime("gkmt", L_c=0.5)
     u = make_polynomial(0, 3)
     for run in (lambda: boundary_work_identity(p, u, make_polynomial(1, 3), patch, 8),
                 lambda: surface_divergence_check(u, patch, 8),
                 lambda: stokes_flux_check(u, patch, 8)):
-        calls.update(inside=0, outside=0)
+        calls.update(frames=0, inside=0, outside=0)
         run()
-        assert calls["outside"] == 0 and calls["inside"] > 0
+        assert calls["outside"] == 0 and calls["inside"] == calls["frames"] > 0
 
 
 def test_stokes_rigid_rotation(hemisphere, face):
@@ -214,11 +223,11 @@ def test_surface_divergence_theorem(hemisphere, face):
 def test_surface_divergence_trivial_cases(face, hemisphere):
     # constant tangential field on a flat face: zero divergence, and the
     # edge integral telescopes
-    v = lambda x: np.array([1.0, 0.0, 0.0])
+    v = CallableField(lambda x: np.array([1.0, 0.0, 0.0]))
     lhs, rhs, gap = surface_divergence_check(v, face, order=4)
     assert abs(lhs) <= 1e-12 and gap <= 1e-12
     # purely normal field on the cap: tangential part vanishes
-    vn = lambda x: x / np.linalg.norm(x)
+    vn = CallableField(lambda x: x / np.linalg.norm(x))
     lhs, rhs, gap = surface_divergence_check(vn, hemisphere, order=8)
     assert gap <= 1e-9
 
