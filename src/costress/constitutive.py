@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import DisplacementField, NumericDomainError, curl_from_grad, grad_curl_from_grad2
+from .fields import DisplacementField, _guard_finite, curl_from_grad, grad_curl_from_grad2
 from .tensors import ID3, anti, dev, inner, is_traceless, skw, sym, tr
 
 __all__ = [
@@ -124,10 +124,6 @@ class MaterialParams:
             raise ValueError(f"unknown material parameter keys: {sorted(unknown)}")
         return cls(**d)
 
-    @classmethod
-    def from_json(cls, s: str) -> "MaterialParams":
-        return cls.from_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class LoadData:
@@ -222,15 +218,14 @@ def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> St
     """All stress measures of the model at points x of shape (..., 3), and
     the gradient of the couple stress; see :class:`StressState`.
 
-    grad m, hence Div m and tau, is computed from closed-form third
-    derivatives when the field provides them, otherwise from the FD oracle.
+    grad m, hence Div m and tau, comes from the field's own ``grad3``.
     """
     x = np.asarray(x, dtype=float)
     G = field.grad(x)
     H = field.grad2(x)
     T3 = field.grad3(x)
-    if not all(np.all(np.isfinite(a)) for a in (G, H, T3)):
-        raise NumericDomainError(f"non-finite derivatives at {x}")
+    for name, a in (("grad", G), ("grad2", H), ("grad3", T3)):
+        _guard_finite(name, a, x)
     sigma = 2.0 * params.mu * sym(G) + params.lam * tr(G)[..., None, None] * ID3
     m_tilde = couple_stress(params, grad_curl_from_grad2(H))
     # the constitutive map is linear: d_k m is the couple stress of d_k grad curl u,
@@ -268,6 +263,5 @@ def equilibrium_residual(
     res = div_sigma - div_tau + loads.force(x)
     if loads.m_body is not None:
         res = res + 0.5 * curl_from_grad(loads.m_body.grad(x))
-    if not np.all(np.isfinite(res)):
-        raise NumericDomainError(f"non-finite equilibrium residual at {x}")
+    _guard_finite("the equilibrium residual", res, x)
     return res

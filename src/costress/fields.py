@@ -2,10 +2,9 @@
 
 Two families carry closed-form derivatives: seeded polynomials and
 infinitesimal conformal maps, whose presets also give the zero, constant
-and rigid-motion fields.  Arbitrary callables fall back to a
-finite-difference oracle.  The same oracle doubles as the independent
-cross-check for every closed form; no other evaluation path differentiates
-a field numerically.
+and rigid-motion fields.  A finite-difference oracle on a field's values
+is the independent cross-check for every closed form; no other evaluation
+path differentiates a field numerically.
 
 Evaluations take points of shape (..., 3) and broadcast over the leading
 axes; a single point is a batch of one.  Polynomials also come in batches
@@ -22,7 +21,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,7 +28,6 @@ from numpy.typing import NDArray
 from .tensors import EPS3, ID3, anti, axl, skw, sym
 
 __all__ = [
-    "CallableField",
     "ConformalField",
     "ConformalParams",
     "DisplacementField",
@@ -50,6 +47,18 @@ __all__ = [
 
 class NumericDomainError(ArithmeticError):
     """A field evaluation produced a non-finite value."""
+
+
+def _guard_finite(name: str, a: NDArray, x: NDArray) -> None:
+    """Raise NumericDomainError unless ``a``, evaluated at the points x
+    (..., 3), is finite; the message names ``a``, the first point where it
+    is not, the number of points and that point's coordinates."""
+    if np.all(np.isfinite(a)):
+        return
+    pts = np.reshape(x, (-1, 3))
+    i = int(np.argmin(np.isfinite(np.reshape(a, (len(pts), -1))).all(axis=1)))
+    raise NumericDomainError(f"{name} is not finite at point {i} of {len(pts)}, "
+                             f"x = {pts[i].tolist()}")
 
 
 # Base step per derivative order; tuned so that after one Richardson
@@ -90,7 +99,7 @@ def fd_partial(func, x: NDArray, axes: tuple[int, ...], h) -> NDArray:
     return (16.0 * fine - coarse) / 15.0
 
 
-def fd_derivative_oracle(field, x: NDArray, order: int) -> NDArray:
+def fd_derivative_oracle(field: DisplacementField, x: NDArray, order: int) -> NDArray:
     """Central finite differences of formal order 4 plus one Richardson level.
 
     Returns the derivative tensor D[..., i, a1, ..., a_order] = d^order u_i /
@@ -100,16 +109,13 @@ def fd_derivative_oracle(field, x: NDArray, order: int) -> NDArray:
     Parameters
     ----------
     field
-        A :class:`DisplacementField` or a plain callable ``x -> (3,)``,
-        which is evaluated point by point through :class:`CallableField`.
+        A :class:`DisplacementField`; only its ``value`` is read.
     order
         Derivative order, 1 to 4; the step is a per-order tuned value
         scaled by ``1 + |x|``.
     """
     if order not in _FD_BASE_STEP:
         raise ValueError(f"derivative order must be 1, 2, 3 or 4, got {order}")
-    if not isinstance(field, DisplacementField):
-        field = CallableField(field)
     x = np.asarray(x, dtype=float)
     h = _FD_BASE_STEP[order] * (1.0 + np.linalg.norm(x, axis=-1))
 
@@ -118,8 +124,7 @@ def fd_derivative_oracle(field, x: NDArray, order: int) -> NDArray:
         val = fd_partial(field.value, x, combo, h)
         for perm in set(itertools.permutations(combo)):
             out[(..., slice(None)) + perm] = val
-    if not np.all(np.isfinite(out)):
-        raise NumericDomainError(f"finite differences produced non-finite values at {x}")
+    _guard_finite(f"the FD grad{order if order > 1 else ''}", out, x)
     return out
 
 
@@ -139,29 +144,15 @@ def _finite(name: str, v, shape: tuple[int, ...]) -> NDArray:
 class DisplacementField:
     """A vector-valued field of position with derivatives up to fourth order.
 
-    Subclasses either provide closed-form derivatives or inherit the
-    finite-difference fallbacks.  Fields are immutable after construction
-    and safe to evaluate concurrently.
+    Subclasses provide ``value`` and the gradients ``grad`` (G[i, j] =
+    d u_i / dx_j) to ``grad4`` (Q[i, j, k, l, m] = d^4 u_i / dx_j dx_k dx_l
+    dx_m), each at points (..., 3): in closed form, or tabulated in
+    :mod:`costress.solver`.  Fields are immutable after construction and
+    safe to evaluate concurrently.
     """
 
     def value(self, x: NDArray) -> NDArray:
         raise NotImplementedError
-
-    def grad(self, x: NDArray) -> NDArray:
-        """Gradient G[i, j] = d u_i / d x_j."""
-        return fd_derivative_oracle(self, x, 1)
-
-    def grad2(self, x: NDArray) -> NDArray:
-        """Second gradient H[i, j, k] = d^2 u_i / dx_j dx_k."""
-        return fd_derivative_oracle(self, x, 2)
-
-    def grad3(self, x: NDArray) -> NDArray:
-        """Third gradient T[i, j, k, l] = d^3 u_i / dx_j dx_k dx_l."""
-        return fd_derivative_oracle(self, x, 3)
-
-    def grad4(self, x: NDArray) -> NDArray:
-        """Fourth gradient Q[i, j, k, l, m] = d^4 u_i / dx_j dx_k dx_l dx_m."""
-        return fd_derivative_oracle(self, x, 4)
 
     def __call__(self, x: NDArray) -> NDArray:
         return self.value(x)
@@ -364,23 +355,6 @@ def random_conformal(seed: int) -> ConformalField:
     )
 
 
-class CallableField(DisplacementField):
-    """Wrap an arbitrary pointwise callable ``x (3,) -> (3,)``; it is
-    evaluated row by row over a batch of points, and derivatives come
-    from the FD oracle."""
-
-    def __init__(self, func: Callable[[NDArray], NDArray]):
-        self._func = func
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        rows = [np.asarray(self._func(row), dtype=float) for row in x.reshape(-1, 3)]
-        out = np.reshape(rows, x.shape[:-1] + (3,))
-        if not np.all(np.isfinite(out)):
-            raise NumericDomainError(f"field evaluation non-finite at {x}")
-        return out
-
-
 @dataclass(frozen=True)
 class KinematicState:
     """All first- and second-gradient kinematic quantities at points (..., 3)."""
@@ -412,21 +386,19 @@ def grad_curl_from_grad2(H: NDArray) -> NDArray:
 
 
 def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
-    """Evaluate the full kinematic state of a field at points x (..., 3).
-
-    Closed-form derivatives are used when the family provides them,
-    finite differences otherwise.
+    """Evaluate the full kinematic state of a field at points x (..., 3)
+    from the field's own ``grad`` and ``grad2``.
 
     Raises
     ------
     NumericDomainError
-        If any derivative evaluates to a non-finite value.
+        If either derivative evaluates to a non-finite value.
     """
     x = np.asarray(x, dtype=float)
     G = field.grad(x)
     H = field.grad2(x)
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(H))):
-        raise NumericDomainError(f"non-finite kinematics at {x}")
+    _guard_finite("grad", G, x)
+    _guard_finite("grad2", H, x)
     M = grad_curl_from_grad2(H)
     return KinematicState(
         grad_u=G,

@@ -49,9 +49,9 @@ from numpy.typing import NDArray
 from .constitutive import LoadData, MaterialParams
 from .fields import DisplacementField
 
-__all__ = ["ClampedBasis", "CosseratSolution", "DegenerateCosseratError", "GalerkinSolution",
-           "GalerkinSystem", "WellPosednessError", "assemble", "coercivity_evidence",
-           "cosserat_limit_sweep", "cosserat_solve", "korn_constant", "min_quadrature_order", "solve"]
+__all__ = ["ClampedBasis", "DegenerateCosseratError", "GalerkinSolution", "GalerkinSystem",
+           "WellPosednessError", "assemble", "coercivity_evidence", "cosserat_limit_sweep",
+           "korn_constant", "min_quadrature_order", "solve"]
 
 
 class WellPosednessError(RuntimeError):
@@ -436,15 +436,6 @@ def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
 # -- Cosserat penalty problem -------------------------------------------------
 
 
-@dataclass
-class CosseratSolution:
-    u_coeffs: NDArray
-    #: microrotation coefficients s (B'u + W'g / (2 mu_c)) on the modes
-    #: psi_r = sum_p W[p, r] curl(u_p) / 2 of ``_Operators.rotations``, block after
-    #: block: L2-orthonormal, and orthogonal for the Gram of curl a
-    a_coeffs: NDArray
-
-
 def _coupled(params: MaterialParams) -> MaterialParams:
     """``params``, once its Cosserat couple modulus is checked positive."""
     if params.mu_c <= 0.0:
@@ -460,7 +451,10 @@ def _reduced_solves(params: MaterialParams, problem,
     """Minimize the Cosserat functional at each couple modulus mu_c (inf: the
     constrained problem) over the span of ``_problem``'s clamped problem, with the
     microrotation eliminated on the rotations of its operators: per mu_c, (solution
-    of the reduced system for u, microrotation coefficients)."""
+    of the reduced system for u, microrotation coefficients).  The coefficients are
+    s (B'u + W'g / (2 mu_c)) on the modes psi_r = sum_p W[p, r] curl(u_p) / 2 of
+    ``_Operators.rotations``, block after block: L2-orthonormal, and orthogonal for
+    the Gram of curl a."""
     system, elastic, force, couple = problem
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
     # per parity block i: B, the curvature d = k Lambda and W' g, the couple work on each psi_r
@@ -478,20 +472,6 @@ def _reduced_solves(params: MaterialParams, problem,
         out.append((sol, np.concatenate([s * (B.T @ sol.coeffs[i] + g / (2.0 * mu_c))
                                          for i, B, _, s, g in parts])))
     return out
-
-
-def cosserat_solve(params: MaterialParams, loads: LoadData, n_modes: int,
-                   quadrature_order: int | None = None) -> CosseratSolution:
-    """Minimize the Cosserat functional with penalty modulus mu_c.
-
-    The microrotation is discretized on the curl span of the
-    displacement basis, so that the mu_c -> infinity limit of the
-    discrete problem is exactly the clamped problem of ``assemble``.
-    """
-    params = _coupled(params)
-    [(sol, a)] = _reduced_solves(params, _problem(params, loads, n_modes, quadrature_order),
-                                 [params.mu_c])
-    return CosseratSolution(u_coeffs=sol.coeffs, a_coeffs=a)
 
 
 def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,

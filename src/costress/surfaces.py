@@ -16,11 +16,8 @@ edge rule, so a caller builds one frame per point set.  Surface gradients
 and divergences are closed forms on the frame: they act on chart
 derivatives the caller supplies (the moment traction terms of
 :mod:`costress.boundary` get theirs by the chain rule) or on an ambient
-gradient.  The package's one finite-difference stencil,
-:func:`costress.fields.fd_partial`, remains behind
-:meth:`SurfacePatch.chart_gradient` (step 1e-3 of the chart range,
-shrunk to keep the stencil off a spherical pole) as the oracle of these
-closed forms.
+gradient.  No finite difference is taken here; the tests hold the chart
+stencil that cross-checks these closed forms.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import DisplacementField, curl_from_grad, fd_partial
+from .fields import DisplacementField, curl_from_grad
 
 __all__ = [
     "BoxFace",
@@ -116,8 +113,6 @@ class SurfacePatch:
     t_range: tuple[float, float]
     #: parameter sides that carry an edge curve (the rest are seams/poles)
     edge_sides: tuple[str, ...]
-    #: chart degenerates at s = s_range[0] (spherical pole)
-    singular_smin: bool = False
 
     def chart(self, s, t) -> tuple[NDArray, NDArray, NDArray]:
         """The chart map at (s, t): the position x (..., 3), the chart
@@ -166,25 +161,6 @@ class SurfacePatch:
         arc = np.linalg.norm(fr.tangents[..., 1 - across, :], axis=-1)
         return w * arc, fr, nu if upper else -nu
 
-    # -- chart finite differences ------------------------------------------
-
-    def chart_step(self, axis: int, s, t):
-        rng = self.s_range if axis == 0 else self.t_range
-        h = 1e-3 * (rng[1] - rng[0])
-        if axis == 0 and self.singular_smin:
-            # keep the whole stencil away from the pole
-            h = np.minimum(h, np.maximum((np.asarray(s) - self.s_range[0]) / 3.0, 1e-10))
-        return h
-
-    def chart_gradient(self, fun, s, t) -> NDArray:
-        """(d fun/ds, d fun/dt) stacked on a new last axis.  fun maps chart
-        coordinate arrays (S, T) to arrays (..., *out); returns
-        (..., *out, 2)."""
-        st = np.stack(np.broadcast_arrays(s, t), axis=-1).astype(float)
-        return np.stack([fd_partial(lambda y: fun(y[..., 0], y[..., 1]), st, (axis,),
-                                    self.chart_step(axis, s, t))
-                         for axis in (0, 1)], axis=-1)
-
 
 class BoxFace(SurfacePatch):
     """Flat rectangular face, x(s, t) = origin + s e1 + t e2."""
@@ -229,7 +205,6 @@ class SphericalCap(SurfacePatch):
     """
 
     edge_sides = ("smax",)
-    singular_smin = True
 
     def __init__(self, center=(0.0, 0.0, 0.0), radius: float = 1.0,
                  axis=(0.0, 0.0, 1.0), theta_max: float = math.pi / 2.0):

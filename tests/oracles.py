@@ -1,0 +1,52 @@
+"""Test-side oracles: a field evaluated one point at a time, with derivatives
+by finite differences, and the finite-difference chart gradient of a patch."""
+
+import numpy as np
+
+from costress.fields import DisplacementField, fd_derivative_oracle, fd_partial
+from costress.surfaces import SphericalCap
+
+
+class PointwiseField(DisplacementField):
+    """A pointwise callable ``x (3,) -> (3,)`` as a field: ``value`` calls it
+    row by row over a batch of points, and every derivative is the FD oracle's."""
+
+    def __init__(self, func):
+        self._func = func
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        rows = [np.asarray(self._func(row), dtype=float) for row in x.reshape(-1, 3)]
+        return np.reshape(rows, x.shape[:-1] + (3,))
+
+    def grad(self, x):
+        return fd_derivative_oracle(self, x, 1)
+
+    def grad2(self, x):
+        return fd_derivative_oracle(self, x, 2)
+
+    def grad3(self, x):
+        return fd_derivative_oracle(self, x, 3)
+
+    def grad4(self, x):
+        return fd_derivative_oracle(self, x, 4)
+
+
+def chart_step(patch, axis: int, s):
+    """The chart stencil's step along one chart axis: 1e-3 of the chart range,
+    shrunk on a spherical cap to keep the whole stencil off its pole s = 0."""
+    lo, hi = patch.s_range if axis == 0 else patch.t_range
+    h = 1e-3 * (hi - lo)
+    if axis == 0 and isinstance(patch, SphericalCap):
+        h = np.minimum(h, np.maximum((np.asarray(s) - lo) / 3.0, 1e-10))
+    return h
+
+
+def chart_gradient(patch, fun, s, t):
+    """(d fun/ds, d fun/dt) stacked on a new last axis by the package's one
+    stencil.  fun maps chart coordinate arrays (S, T) to arrays (..., *out);
+    returns (..., *out, 2)."""
+    st = np.stack(np.broadcast_arrays(s, t), axis=-1).astype(float)
+    return np.stack([fd_partial(lambda y: fun(y[..., 0], y[..., 1]), st, (axis,),
+                                chart_step(patch, axis, s))
+                     for axis in (0, 1)], axis=-1)

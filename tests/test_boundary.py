@@ -11,7 +11,6 @@ from costress.boundary import (
 )
 from costress.constitutive import MaterialParams, stresses
 from costress.fields import (
-    CallableField,
     DisplacementField,
     PolynomialField,
     fd_derivative_oracle,
@@ -20,6 +19,7 @@ from costress.fields import (
 )
 from costress.surfaces import BoxFace, SphericalCap, SurfacePatch, surface_divergence_check
 from costress.tensors import anti, tangential_projector
+from oracles import PointwiseField, chart_gradient
 
 HEMI = SphericalCap(center=np.zeros(3), radius=1.0, axis=(0.0, 0.0, 1.0),
                     theta_max=np.pi / 2.0)
@@ -122,9 +122,9 @@ def test_one_batched_path(patch):
             assert np.allclose(batch.t_force[i], one.t_force, rtol=1e-12, atol=1e-12)
             assert np.allclose(batch.g_double[i], one.g_double, rtol=1e-12, atol=1e-12)
 
-    # a pointwise-only callable behind CallableField matches the
-    # closed-form field it mirrors
-    printed = CallableField(_printed_counterexample)
+    # a pointwise-only callable behind the pointwise field fixture matches
+    # the closed-form field it mirrors
+    printed = PointwiseField(_printed_counterexample)
     mirror = _printed_counterexample_closed_form()
     X = patch.frame(S, T).x
     assert np.allclose(printed.value(X), mirror.value(X), rtol=1e-14, atol=1e-14)
@@ -145,8 +145,8 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
     (S, T), _, fr = patch.quadrature(8)
 
     def fd(moment):
-        return patch.chart_gradient(lambda ss, tt: moment(_split(p, field, patch.frame(ss, tt))),
-                                    S, T)
+        return chart_gradient(patch, lambda ss, tt: moment(_split(p, field, patch.frame(ss, tt))),
+                              S, T)
 
     d_psi = fd(lambda q: q.psi)
     d_wP = fd(lambda q: anti(q.w) @ tangential_projector(q.frame.n))
@@ -156,7 +156,7 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
         q = patch.frame(ss, tt)
         return q.jac[..., None] * np.einsum("...aj,...j->...a", q.dual, field.value(q.x))
 
-    d_w = patch.chart_gradient(sqrt_g_w, S, T)
+    d_w = chart_gradient(patch, sqrt_g_w, S, T)
     sp = _split(p, field, fr)
     pairs = [
         (sp.t_psi, -0.5 * np.cross(fr.n, fr.surface_scalar_gradient(d_psi))),

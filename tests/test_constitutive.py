@@ -54,7 +54,7 @@ class TestMaterialParams:
 
     def test_json_round_trip(self):
         p = MaterialParams(mu=2.0, lam=0.5, L_c=0.1, alpha1=1.0, alpha2=0.5, mu_c=3.0)
-        q = MaterialParams.from_json(p.to_json())
+        q = MaterialParams.from_dict(json.loads(p.to_json()))
         assert p == q
 
     def test_alpha3_alias(self):

@@ -6,11 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from costress.constitutive import LoadData, MaterialParams, equilibrium_residual, stresses
 from costress.fields import (
-    CallableField,
     ConformalField,
     ConformalParams,
     DisplacementField,
+    NumericDomainError,
     PolynomialField,
     curl_from_grad,
     fd_derivative_oracle,
@@ -23,16 +24,12 @@ from costress.fields import (
 )
 from costress.solver import ClampedBasis
 from costress.tensors import EPS3, anti, skw
+from oracles import PointwiseField
 
 
 def test_fd_oracle_on_known_polynomial():
     # u = (x^2 y, y z, x^3) has simple hand-computed derivatives
-    def u(x):
-        x = np.asarray(x)
-        return np.array([x[..., 0] ** 2 * x[..., 1], x[..., 1] * x[..., 2],
-                         x[..., 0] ** 3]).T if x.ndim > 1 else np.array(
-            [x[0] ** 2 * x[1], x[1] * x[2], x[0] ** 3])
-
+    u = PointwiseField(lambda x: np.array([x[0] ** 2 * x[1], x[1] * x[2], x[0] ** 3]))
     x = np.array([0.5, 0.4, 0.3])
     G = fd_derivative_oracle(u, x, 1)
     expected = np.array([
@@ -49,14 +46,15 @@ def test_fd_oracle_on_known_polynomial():
     assert T[2, 0, 0, 0] == pytest.approx(6.0, abs=1e-6)
     assert T[0, 0, 0, 1] == pytest.approx(2.0, abs=1e-6)
     # d^4 (x^2 y^2 z) / dx^2 dy^2 = 4 z
-    Q = fd_derivative_oracle(lambda x: np.array([x[0] ** 2 * x[1] ** 2 * x[2], 0.0, 0.0]), x, 4)
+    Q = fd_derivative_oracle(PointwiseField(lambda x: np.array([x[0] ** 2 * x[1] ** 2 * x[2],
+                                                                 0.0, 0.0])), x, 4)
     assert Q[0, 0, 1, 0, 1] == pytest.approx(4 * 0.3, abs=1e-6)
 
 
 @pytest.mark.parametrize("order", [0, 5])
 def test_fd_oracle_rejects_bad_order(order):
     with pytest.raises(ValueError):
-        fd_derivative_oracle(lambda x: x, np.zeros(3), order)
+        fd_derivative_oracle(make_polynomial(0, 1), np.zeros(3), order)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 5])
@@ -213,11 +211,46 @@ def test_every_field_family_keeps_the_point_shape(family, shape):
         "conformal": lambda: random_conformal(3),
         "rigid": lambda: field_from_spec({"family": "rigid", "w_axial": [0.1, 0.2, 0.3]}),
         "basis": lambda: ClampedBasis(2).solution_field(np.arange(24.0)),
-        "callable": lambda: CallableField(lambda p: p * p[::-1]),
+        "callable": lambda: PointwiseField(lambda p: p * p[::-1]),
     }[family]()
     x = np.random.default_rng(0).uniform(0.05, 0.95, shape)
     for order, name in enumerate(("value", "grad", "grad2", "grad3", "grad4")):
         assert getattr(u, name)(x).shape == shape + (3,) * order, name
+
+
+class _NanBeyond(DisplacementField):
+    """Zero where x_1 <= 0.5; beyond, NaN in its derivatives of order ``order``
+    and up.  No arithmetic makes the NaN, so no warning is raised."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def _at(self, x, k):
+        out = np.zeros(np.shape(x)[:-1] + (3,) * (k + 1))
+        if k >= self.order:
+            out[np.asarray(x)[..., 0] > 0.5] = np.nan
+        return out
+
+    value, grad, grad2, grad3, grad4 = (lambda self, x, k=k: self._at(x, k) for k in range(5))
+
+
+@pytest.mark.parametrize("order, evaluate, name", [
+    (1, kinematics, "grad"),
+    (2, kinematics, "grad2"),
+    (3, lambda u, x: stresses(MaterialParams.for_regime("gkmt"), u, x), "grad3"),
+    (0, lambda u, x: fd_derivative_oracle(u, x, 2), "the FD grad2"),
+    (4, lambda u, x: equilibrium_residual(MaterialParams.for_regime("hd"), u, LoadData(), x),
+     "the equilibrium residual"),
+], ids=["kinematics_grad", "kinematics_grad2", "stresses_grad3", "fd_oracle", "residual"])
+def test_a_non_finite_evaluation_names_the_array_and_the_point(order, evaluate, name):
+    # one bad point of a (2, 2) batch, the third in C order
+    x = np.array([[[0.1, 0.2, 0.3], [0.2, 0.1, 0.0]], [[0.9, -0.5, 0.25], [0.0, 0.0, 0.0]]])
+    with pytest.raises(NumericDomainError) as err:
+        evaluate(_NanBeyond(order), x)
+    assert str(err.value) == f"{name} is not finite at point 2 of 4, x = [0.9, -0.5, 0.25]"
+    with pytest.raises(NumericDomainError, match=r"at point 0 of 1, x = \[0.75, 0.0, 0.0\]$"):
+        evaluate(_NanBeyond(order), np.array([0.75, 0.0, 0.0]))
+    evaluate(_NanBeyond(order), x[:, 1])        # finite where x_1 <= 0.5
 
 
 class TestConformal:
@@ -269,10 +302,10 @@ def test_printed_counterexample_field_is_torsion_free():
         return np.array([x[0] ** 2 - x[1] ** 2 - x[2] ** 2,
                          2.0 * x[0] * x[1], 2.0 * x[0] * x[2]])
 
-    field = CallableField(u)
+    field = PointwiseField(u)
     rng = np.random.default_rng(55)
     for x in rng.uniform(-1.0, 1.0, (10, 3)):
-        H = fd_derivative_oracle(u, x, 2)
+        H = fd_derivative_oracle(field, x, 2)
         M = np.einsum("ilm,mlj->ij", np.array(
             [[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
              [[0, 0, -1], [0, 0, 0], [1, 0, 0]],

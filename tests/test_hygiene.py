@@ -1,10 +1,14 @@
 """Source hygiene: no module of the package imports a name it never uses,
 imports scipy, keeps a private helper it never calls or exports a name it does
-not define, no two functions of the package share a body, and finite
-differences stay in the oracles."""
+not define, no two functions of the package share a body, finite differences
+stay in the oracles, and every function runs in some command."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -91,8 +95,8 @@ def test_detector_finds_a_read_name():
     assert not reads_name("def f():\n    return 'fd_partial'\n", "fd_partial")
 
 
-#: the FD oracle and its fallbacks live in fields; surfaces keeps its chart stencil
-_FD_READERS = {"fields.py", "surfaces.py"}
+#: the FD oracle lives in fields; the chart stencil is the tests'
+_FD_READERS = {"fields.py"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name not in _FD_READERS),
@@ -171,3 +175,140 @@ def test_no_two_functions_share_a_body():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert "surfaces" in sources
     assert duplicate_bodies(sources) == []
+
+
+def unreached(sources: dict[str, str], called: set[tuple[str, int]]) -> list[str]:
+    """Functions and methods, named ``module:qualname``, that no call reached.
+
+    ``called`` holds (module, first line) of every code object that ran; the
+    first line of a decorated def is that of its first decorator.  A def whose
+    body (docstring stripped) is a single ``raise`` is an abstract stub, and
+    one with a nested def that ran is a factory: both count as reached."""
+    out = []
+
+    def visit(node, module: str, prefix: str) -> bool:
+        """Collect the unreached defs under ``node``; whether any of them ran."""
+        ran_below = False
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                ran_below |= visit(child, module, f"{prefix}{name}." if name else prefix)
+                continue
+            nested = visit(child, module, f"{prefix}{name}.")
+            first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+            body = child.body[1:] if ast.get_docstring(child) is not None else child.body
+            ran = (module, first) in called
+            stub = len(body) == 1 and isinstance(body[0], ast.Raise)
+            if not (ran or nested or stub):
+                out.append(f"{module}:{prefix}{name}")
+            ran_below |= ran or nested
+        return ran_below
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return sorted(out)
+
+
+def test_detector_flags_an_unreached_def():
+    source = "\n".join([
+        "def ran():",                           # 1
+        "    return 1",
+        "def idle():",                          # 3
+        "    return 2",
+        "class A:",
+        "    def stub(self):",
+        '        """Abstract."""',
+        "        raise NotImplementedError",
+        "    @property",                        # 9
+        "    def p(self):",                     # 10
+        "        return 3",
+        "def factory():",
+        "    def parse(v):",                    # 13
+        "        return v",
+        "    return parse",
+    ])
+    assert unreached({"m": source}, {("m", 1), ("m", 9), ("m", 13)}) == ["m:idle"]
+    assert unreached({"m": source}, {("m", 10)}) == [
+        "m:A.p", "m:factory", "m:factory.parse", "m:idle", "m:ran"]
+
+
+#: the defs that no command runs, each with what accounts for it; one that a
+#: command comes to run must leave the list
+_UNREACHED = {
+    "boundary:classical_tractions": "no command reports the work of a formulation's split yet",
+    "boundary:complete_tractions": "no command reports the work of a formulation's split yet",
+    "boundary:hd_tractions": "no command reports the work of a formulation's split yet",
+    "constitutive:equilibrium_residual": "the strong form, for a manufactured solution and "
+                                         "a volume work oracle that no command runs yet",
+    "fields:PolynomialField.grad4": "read by equilibrium_residual only",
+    "fields:ConformalField.grad4": "read by equilibrium_residual only",
+    "solver:ClampedBasis.derivatives": "the field of a solution, for a manufactured solution",
+    "solver:ClampedBasis.solution_field": "the field of a solution, for a manufactured solution",
+    "solver:_BasisField.__init__": "the field of a solution, for a manufactured solution",
+    "solver:korn_constant": "bench/scaling.py calls it",
+    "solver:WellPosednessError.__init__": "no validated material reaches this error",
+}
+
+_CAP = {"type": "spherical_cap", "radius": 2.0, "theta_max": 1.0, "axis": [1.0, 1.0, 0.0]}
+_MODIFIED = {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 1.0, "alpha2": 0.0}
+_HD = {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 0.0, "alpha3": 1.0}
+
+#: tiny jobs of the 8 commands: both patch types, every field family, the three
+#: regimes, the default load and loads with a body couple
+_REACH_JOBS = [
+    ("verify-operators", {"seed": 0, "cases": 2}),
+    ("verify-kinematics", {"seed": 0, "fields": 2, "points": 2, "degree": 2, "fd_fields": 1}),
+    ("energy-report", {"seed": 0, "cases": 2}),
+    ("bc-audit", {"seed": 0, "quadrature_order": 4, "field": {"family": "zero"},
+                  "delta_field": {"family": "constant", "c": [1.0, -2.0, 0.5]},
+                  "patch": {"type": "box_face", "which": "x-"}}),
+    ("bc-audit", {"seed": 1, "field": {"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
+                  "delta_field": {"family": "conformal", "seed": 2}, "material": _MODIFIED}),
+    ("bc-audit", {"seed": 2, "field": {"family": "polynomial", "seed": 3, "degree": 2},
+                  "delta_field": {"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "p_hat": 0.4},
+                  "patch": _CAP, "material": _HD}),
+    ("hd-postulate", {"seed": 0, "quadrature_order": 8}),
+    ("bvp-solve", {"seed": 0, "n_modes": 2}),
+    ("bvp-solve", {"seed": 1, "n_modes": 2, "load": {"g_seed": 4}}),
+    ("cosserat-limit", {"seed": 0, "n_modes": 2, "mu_c_values": [10.0, 100.0],
+                        "load": {"f_seed": 5, "f_degree": 1, "g_seed": 6}}),
+    ("conformal-demo", {"seed": 0, "points": 2, "material": _HD}),
+]
+
+#: runs the jobs through ``cli.main`` under a profiler; prints the exit codes and
+#: the (module, first line) of every code object of the package that ran
+_PROBE = """
+import json, sys
+from pathlib import Path
+from costress import cli
+
+package, called = Path(cli.__file__).parent, set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+jobs = json.loads(sys.argv[1])
+sys.setprofile(profile)
+codes = [cli.main([c, "--config", cfg, "--out", out]) for c, cfg, out in jobs]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted(
+    (Path(f).stem, line) for f, line in called if Path(f).parent == package)}))
+"""
+
+
+def test_every_function_runs_in_some_command(tmp_path):
+    # a fresh interpreter: no functools cache of the package is warm
+    jobs = []
+    for i, (command, config) in enumerate(_REACH_JOBS):
+        path = tmp_path / f"job{i}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        jobs.append((command, str(path), str(tmp_path / f"out{i}")))
+    assert {c for c, _ in _REACH_JOBS} == set(importlib.import_module("costress.cli")._COMMANDS)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(jobs)], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(jobs)
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreached(sources, {tuple(c) for c in result["called"]}) == sorted(_UNREACHED)
