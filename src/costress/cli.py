@@ -379,7 +379,7 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
         sol = solve(system)
     except (WellPosednessError, ValueError) as exc:
         raise ConfigError(str(exc))
-    sym_gap = float(np.linalg.norm([np.linalg.norm(K - K.T) for K in system.K])
+    sym_gap = float(np.linalg.norm([np.linalg.norm(K - np.swapaxes(K, -1, -2)) for K in system.K])
                     / np.linalg.norm([np.linalg.norm(K) for K in system.K]))
     lam_min = coercivity_evidence(system)
     kc = system.ops.korn

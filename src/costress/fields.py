@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import EPS3, ID3, anti, axl, skw, sym
+from .tensors import EPS3, ID3, _axial, anti, skw, sym
 
 __all__ = [
     "ConformalField",
@@ -258,12 +258,20 @@ def make_polynomial(seed: int | NDArray, degree: int) -> PolynomialField:
     seeds = seed if np.ndim(seed) else [seed]
     coeffs = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, size=(3, n, n, n))
                        for s in seeds])
-    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    total = i + j + k
-    coeffs[..., total > degree] = 0.0
-    # damp high-order terms so values stay O(1) on the unit box
-    coeffs /= 1.0 + total
+    above, damping = _degree_tables(degree)
+    coeffs[..., above] = 0.0
+    coeffs /= damping
     return PolynomialField(coeffs if np.ndim(seed) else coeffs[0])
+
+
+@functools.cache
+def _degree_tables(degree: int) -> tuple[NDArray, NDArray]:
+    """(mask of the monomials of total degree above ``degree``, damping 1 + total
+    degree, which keeps values O(1) on the unit box) over the (n, n, n) powers."""
+    total = np.indices((degree + 1,) * 3).sum(axis=0)
+    above, damping = total > degree, 1.0 + total
+    above.flags.writeable = damping.flags.writeable = False
+    return above, damping
 
 
 def _polynomial(seed, degree) -> PolynomialField:
@@ -307,13 +315,14 @@ class ConformalField(DisplacementField):
         self.A = params.a_hat
         self.b = params.b_hat
         self.p = params.p_hat
-        # constant second gradient: H[i,j,k] = w_j d_ik + w_k d_ij - w_i d_jk
+        # constant second gradient: H[i,j,k] = w_j d_ik + w_k d_ij - w_i d_jk; a finite w
+        # near the largest float overflows it, and such a field is refused
         w = self.w
-        H = (
-            np.einsum("j,ik->ijk", w, ID3)
-            + np.einsum("k,ij->ijk", w, ID3)
-            - np.einsum("i,jk->ijk", w, ID3)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = (np.einsum("j,ik->ijk", w, ID3) + np.einsum("k,ij->ijk", w, ID3)
+                 - np.einsum("i,jk->ijk", w, ID3))
+        if not np.all(np.isfinite(H)):
+            raise ValueError(f"w_axial = {w.tolist()} overflows the second gradient")
         self._H = H
 
     def value(self, x):
@@ -404,7 +413,7 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
         grad_u=G,
         sym_grad=sym(G),
         curl_u=curl_from_grad(G),
-        axl_skw_grad=axl(skw(G)),
+        axl_skw_grad=_axial(skw(G)),  # skw(G) is exactly skew: a - b = -(b - a)
         grad_curl=M,
         chi_torsion=sym(M),
         omega_mean_curv=skw(M),

@@ -16,7 +16,9 @@ reflection x_d -> 1 - x_d (that of axis c flips e_c too): 8 parity classes.  Eve
 form of the clamped problem pairs only modes of one class, so each is built from
 strided slices of the 1d Grams, held, factored and eigen-solved as its diagonal
 blocks (``ClampedBasis.blocks``, about 1/8 of the dofs each): no matrix on all the
-dofs is formed.
+dofs is formed.  Blocks alike in size and curl kernel are held as one stack per group
+(``ClampedBasis.groups``), and each factorization, eigen-solve and product runs as one
+numpy call per stack: LAPACK and BLAS run on each matrix of a stack as on it alone.
 
 The Cosserat functional
 
@@ -100,18 +102,27 @@ class ClampedBasis:
         # its sign: beta_k has the parity (-1)^k, and the reflection flips e_d.  The class of
         # signs (s_x, s_y, s_z) holds the modes of component c whose index along axis d has the
         # parity s_d + [c = d], ``_parities[k, c, d]``; ``_slots[k]``: its dofs, -1 past N
-        parities = (np.indices((2, 2, 2)).reshape(3, 8).T[:, None] + np.eye(3, dtype=int)) % 2
+        signs = np.indices((2, 2, 2)).reshape(3, 8).T
+        parities = (signs[:, None] + np.eye(3, dtype=int)) % 2
         n, m = self.n_modes, (self.n_modes + 1) // 2
         dof = np.full((3,) + (2 * m,) * 3, -1)
         dof[:, :n, :n, :n] = np.arange(self.n_dofs).reshape(3, n, n, n)
         slots = np.array([[dof[c, x::2, y::2, z::2] for c, (x, y, z) in enumerate(p)]
                           for p in parities]).reshape(8, -1)
-        kept = slots.max(axis=1) >= 0
+        # a class's size, and its share of the curl kernel {grad phi : phi vanishing to third
+        # order}: those of the (N - 2)^3 such scalar modes phi with the class's signs
+        size = (slots >= 0).sum(axis=1)
+        kernel = np.maximum(0, [(n - 1) // 2, (n - 2) // 2])[signs].prod(axis=1)
+        kept = [k for k in np.lexsort((kernel, -size)) if size[k]]
         self._parities, self._slots = parities[kept], slots[kept]
-        #: the dofs of each non-empty reflection-parity block, ascending: every form of
-        #: the isotropic clamped problem is block-diagonal over them
-        self.blocks = tuple(i[i >= 0] for i in self._slots)
-        _shared([self._coef, self._parities, self._slots, *self.blocks])  # ``_operators`` shares a basis
+        cuts = np.flatnonzero(np.diff(size[kept]) | np.diff(kernel[kept])) + 1
+        #: the dofs of the non-empty reflection-parity blocks, each ascending, stacked (g, d) per
+        #: group of blocks alike in size and kernel: every form of the isotropic clamped problem
+        #: is block-diagonal over them, one (g, d, d) stack per group
+        self.groups = tuple(np.stack([i[i >= 0] for i in run]) for run in np.split(self._slots, cuts))
+        _shared([self._coef, self._parities, self._slots, *self.groups])  # ``_operators`` shares a basis
+        #: the dofs of each block, group after group
+        self.blocks = tuple(itertools.chain.from_iterable(self.groups))
 
     # -- quadrature ---------------------------------------------------------
 
@@ -155,12 +166,18 @@ class ClampedBasis:
         return _BasisField(self, np.asarray(z, dtype=float))
 
     def apply(self, form: list[NDArray], z: NDArray) -> NDArray:
-        """The product X z of a form held as its parity blocks (``form[k]`` on the
-        dofs ``blocks[k]``) with a coefficient vector (3 M)."""
+        """The product X z of a form held as its group stacks (``form[k]`` on the
+        dofs ``groups[k]``) with a coefficient vector (3 M)."""
         out = np.empty(self.n_dofs)
-        for i, X in zip(self.blocks, form):
-            out[i] = X @ z[i]
+        for i, X in zip(self.groups, form):
+            out[i] = _matvec(X, z[i])
         return out
+
+
+def _matvec(X: NDArray, v: NDArray) -> NDArray:
+    """Each matrix of a stack X (g, d, r) times its vector v (g, r): one BLAS
+    matrix-vector product per matrix, as for that matrix alone."""
+    return (X @ v[..., None])[..., 0]
 
 
 class _BasisField(DisplacementField):
@@ -221,8 +238,8 @@ _OPS = {
 
 def _form(basis: ClampedBasis, A: NDArray, op: str) -> list[NDArray]:
     """Gram matrix int <op(u_p), op(u_r)> of the vector modes on each parity block of
-    the basis, exactly symmetric.  Between the components c and d of a block, each pair
-    of partials a, b of the scalar modes contributes X (x) Y (x) Z, X the 1d Gram
+    the basis, stacked per group, exactly symmetric.  Between the components c and d of a
+    block, each pair of partials a, b of the scalar modes contributes X (x) Y (x) Z, X the 1d Gram
     A[a_x, b_x] of axis x on the index parities of c's and d's modes along x (a strided
     slice), and Y, Z likewise: one broadcast product per term for all blocks and pairs."""
     n, m, par = basis.n_modes, (basis.n_modes + 1) // 2, basis._parities
@@ -244,15 +261,19 @@ def _form(basis: ClampedBasis, A: NDArray, op: str) -> list[NDArray]:
     F = F.transpose(0, 1, 3, 4, 5, 2, 6, 7, 8).reshape(len(par), 3 * m ** 3, -1)
     F = 0.5 * (F + F.transpose(0, 2, 1))
     # columns first, for C-ordered blocks: BLAS rounds a Fortran-ordered operand otherwise
-    return [X[:, i >= 0][i >= 0] for X, i in zip(F, basis._slots)]
+    blocks = iter([X[:, i >= 0][i >= 0] for X, i in zip(F, basis._slots)])
+    return [np.stack([next(blocks) for _ in i]) for i in basis.groups]
 
 
 def _work(wT: NDArray, op: str, F: NDArray) -> NDArray:
     """Load work int <op(u_p), F> of the vector modes against a vector field F at
     the tensor Gauss points, (q^3, 3), contracted one axis at a time."""
     _, n, q = wT.shape
-    moments = functools.cache(lambda a: np.einsum("aq,br,gs,qrsi->iabg", *(
-        wT[a.count(d)] for d in range(3)), np.reshape(F, (q, q, q, 3)), optimize=True))
+    F = np.reshape(F, (q, q, q, 3))
+    # the BLAS contractions of einsum's optimal path for "aq,br,gs,qrsi->iabg", in its
+    # order and with its bits, without planning the path on each call
+    moments = functools.cache(lambda a: np.tensordot(wT[a.count(2)], np.tensordot(
+        wT[a.count(1)], np.tensordot(wT[a.count(0)], F, (1, 0)), (1, 1)), (1, 2)).transpose(3, 2, 1, 0))
     out = np.zeros((3, n, n, n))
     for c in range(3):
         for i, s, a in _OPS[op](c):
@@ -261,31 +282,28 @@ def _work(wT: NDArray, op: str, F: NDArray) -> NDArray:
 
 
 def _gram(X: NDArray) -> NDArray:
-    """Gram matrix X X' of the rows of a matrix.  On one flat operand (no unit
-    axis, which einsum would copy), einsum with ``optimize`` runs a BLAS symmetric
-    rank-k update: half the flops of a general product, and an exactly symmetric
-    result."""
-    return np.einsum("pq,rq->pr", X, X, optimize=True)
+    """Gram matrix X X' of the rows of each matrix of a stack.  numpy's matmul runs a
+    BLAS symmetric rank-k update for X times its own transpose: half the flops of a
+    general product, and an exactly symmetric result."""
+    return X @ X.transpose(0, 2, 1)
 
 
 def _extreme_eig(X: list[NDArray], inv_L: list[NDArray] | None = None, top=False) -> float:
-    """Smallest (``top``: largest) eigenvalue of a form held as its parity blocks, or
+    """Smallest (``top``: largest) eigenvalue of a form held as its group stacks, or
     of the pencil (X, Y) given the inverse Cholesky factors L^-1 of Y = L L' per block:
-    one eigen-solve per block, of L^-1 X L^-T (the reduction LAPACK's sygst runs)."""
-    vals = []
-    for x, f in zip(X, itertools.repeat(None) if inv_L is None else inv_L):
-        if f is not None:
-            x = f @ x @ f.T
-        vals.append(np.linalg.eigvalsh(x)[-1 if top else 0])
-    return float(max(vals) if top else min(vals))
+    one eigen-solve per group, of L^-1 X L^-T per block (the reduction LAPACK's sygst runs)."""
+    ends = np.concatenate([
+        np.linalg.eigvalsh(x if f is None else f @ x @ f.transpose(0, 2, 1))[:, -1 if top else 0]
+        for x, f in zip(X, itertools.repeat(None) if inv_L is None else inv_L)])
+    return float(ends.max() if top else ends.min())
 
 
 @dataclass(frozen=True, eq=False)
 class _Operators:
     """The material-free parts of the clamped problem at one (N, Gauss order), read-only:
     the load work's Gauss points and weighted 1d tables, the Grams of grad u, div u, curl curl
-    u / 2 and u (the mass) as parity blocks; on first use, the mass factors, the Korn constant
-    and the rotations."""
+    u / 2 and u (the mass) as group stacks of parity blocks; on first use, the mass factors,
+    the Korn constant and the rotations."""
 
     basis: ClampedBasis
     order: int
@@ -298,7 +316,8 @@ class _Operators:
 
     @functools.cached_property
     def mass_factors(self) -> tuple[NDArray, ...]:
-        """L^-1 per parity block of the mass M = L L', for ``coercivity_evidence``."""
+        """L^-1 per parity block of the mass M = L L', stacked per group, for
+        ``coercivity_evidence``."""
         return _shared([np.linalg.inv(np.linalg.cholesky(m)) for m in self.value])
 
     @functools.cached_property
@@ -311,25 +330,29 @@ class _Operators:
 
     @functools.cached_property
     def rotations(self) -> tuple[tuple[NDArray, NDArray, NDArray], ...]:
-        """Per parity block i, (W, B, Lambda): W (len(i), R_i), column r the L2-orthonormal
-        rotation mode psi_r = sum_p W[p, r] curl(u_p) / 2; B = H W, the pairing of curl u / 2
-        with each psi_r (H: Gram of curl u / 2); Lambda (R_i,), the diagonal Gram of curl
-        psi_r on these modes."""
+        """Per group of parity blocks i (g, d), (W, B, Lambda) stacked over its blocks:
+        W (g, d, R), column r the L2-orthonormal rotation mode psi_r = sum_p W[p, r]
+        curl(u_p) / 2 of each block; B = H W, the pairing of curl u / 2 with each psi_r
+        (H: Gram of curl u / 2); Lambda (g, R), the diagonal Gram of curl psi_r on these
+        modes."""
         # per parity block, an orthonormal basis C of {curl u / 2 : u in span} from its Gram
         # H = (G(grad u) - G(div u)) / 4 (the skew half of Korn's equality).  The kernel of
         # curl on the span is {grad phi : phi vanishing to third order on the boundary}, of
-        # dimension (N - 2)^3: its eigenvalues, the smallest of all blocks' H, are dropped
+        # dimension (N - 2)^3: its eigenvalues, the smallest of all blocks' H, are dropped,
+        # as many from each block of a group (a group is alike in its part of the kernel)
         eigs = [np.linalg.eigh(0.25 * (g - d)) for g, d in zip(self.grad, self.div)]
         null = max(0, self.basis.n_modes - 2) ** 3
-        cutoff = np.partition(np.concatenate([vals for vals, _ in eigs]), null)[null]
+        cutoff = np.partition(np.concatenate([vals.ravel() for vals, _ in eigs]), null)[null]
         out = []
         for (vals, vecs), X in zip(eigs, self.curl):
-            U, root = vecs[:, vals >= cutoff], np.sqrt(vals[vals >= cutoff])
-            C = (U / root).T
+            k = np.count_nonzero(vals[0] < cutoff)  # eigh sorts ascending
+            # the kept eigenvectors as rows, C-ordered: BLAS rounds by the operands' layout
+            U, root = vecs[..., k:].transpose(0, 2, 1).copy(), np.sqrt(vals[:, k:, None])
+            C = U / root
             # rotated to the eigenbasis of the Gram of curl a; B = H W from the eigenpairs of
             # H (the mu_c = inf solution meets ``assemble``'s to 4.7e-13 in the M-norm, N <= 8)
-            lam, V = np.linalg.eigh(C @ X @ C.T)
-            out.append(_shared([C.T @ V, (U * root) @ V, lam]))
+            lam, V = np.linalg.eigh(C @ X @ C.transpose(0, 2, 1))
+            out.append(_shared([C.transpose(0, 2, 1) @ V, (U * root).transpose(0, 2, 1) @ V, lam]))
         return tuple(out)
 
 
@@ -349,9 +372,9 @@ def _operators(n_modes: int, order: int) -> _Operators:
 @dataclass
 class GalerkinSystem:
     """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z.  K is held as
-    its parity blocks, ``K[k]`` on the dofs ``ops.basis.blocks[k]``; the basis, the L2
-    mass (``ops.value``), the Gauss order and the Korn constant of the span are those
-    of the shared operators ``ops``."""
+    its parity blocks stacked per group, ``K[k]`` on the dofs ``ops.basis.groups[k]``;
+    the basis, the L2 mass (``ops.value``), the Gauss order and the Korn constant of the
+    span are those of the shared operators ``ops``."""
 
     ops: _Operators
     K: list[NDArray]
@@ -360,16 +383,17 @@ class GalerkinSystem:
 
 def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
              quadrature_order: int | None):
-    """The clamped problem on the shared operators of (N, Gauss order), each form as its
-    parity blocks: its system, with the curvature block (alpha1 + alpha2) mu L_c^2
-    G(curl curl u / 2) and the load f + g; the classical stiffness
+    """The clamped problem on the shared operators of (N, Gauss order), each form as
+    group stacks of its parity blocks: its system, with the curvature block (alpha1 +
+    alpha2) mu L_c^2 G(curl curl u / 2) and the load f + g; the classical stiffness
     E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality 2 mu G(sym grad u) +
     lam G(div u); and the force work f and couple work g (against curl u / 2)."""
     order = _gauss_order(n_modes, quadrature_order)
     ops = _operators(n_modes, order)
     elastic = [params.mu * g + (params.mu + params.lam) * d for g, d in zip(ops.grad, ops.div)]
     force = _work(ops.wT, "value", loads.force(ops.pts))
-    couple = _work(ops.wT, "half_curl", loads.couple(ops.pts))
+    couple = (np.zeros(ops.basis.n_dofs) if loads.m_body is None
+              else _work(ops.wT, "half_curl", loads.couple(ops.pts)))
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
     K = [E + k * C for E, C in zip(elastic, ops.curl)]
     return GalerkinSystem(ops, K, force + couple), elastic, force, couple
@@ -394,10 +418,11 @@ class GalerkinSolution:
 
 
 def solve(system: GalerkinSystem) -> GalerkinSolution:
-    """Solve K z = b per parity block of K: a Cholesky factorization, reading one
-    triangle of the symmetric block, proves it positive definite, and an LU solve
-    gives z.  numpy has no triangular solve, and a general solve on each factor
-    costs more: 0.47 ms against 0.30 per system at N = 5 on 2 cores.
+    """Solve K z = b per parity block of K, one stacked call per group: a Cholesky
+    factorization, reading one triangle of each symmetric block, proves it positive
+    definite, and an LU solve gives z.  numpy has no triangular solve, and a general
+    solve on each factor costs more: about 0.5 ms against 0.3 per system at N = 5 on
+    2 cores.
 
     Raises
     ------
@@ -406,11 +431,11 @@ def solve(system: GalerkinSystem) -> GalerkinSolution:
         eigenvalue over the blocks is attached to the exception.
     """
     K, b, basis = system.K, system.b, system.ops.basis
-    z = np.zeros(len(b))
+    z = np.empty(len(b))
     try:
-        for i, X in zip(basis.blocks, K):
+        for i, X in zip(basis.groups, K):
             np.linalg.cholesky(X)
-            z[i] = np.linalg.solve(X, b[i])
+            z[i] = np.linalg.solve(X, b[i][..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         lam_min = _extreme_eig(K)
         raise WellPosednessError(f"stiffness not positive definite (lambda_min = {lam_min:.3e})",
@@ -457,20 +482,20 @@ def _reduced_solves(params: MaterialParams, problem,
     the Gram of curl a."""
     system, elastic, force, couple = problem
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
-    # per parity block i: B, the curvature d = k Lambda and W' g, the couple work on each psi_r
-    rotations = [(i, B, k * lam, W.T @ couple[i])
-                 for i, (W, B, lam) in zip(system.ops.basis.blocks, system.ops.rotations)]
+    # per group i: B, the curvature d = k Lambda and W' g, the couple work on each psi_r
+    rotations = [(i, B, k * lam, _matvec(W.transpose(0, 2, 1), couple[i]))
+                 for i, (W, B, lam) in zip(system.ops.basis.groups, system.ops.rotations)]
     out = []
     for mu_c in mu_c_values:
         parts = [(i, B, d, 1.0 / (1.0 + d / (2.0 * mu_c)), g) for i, B, d, g in rotations]
-        # E + B diag(d s) B', one SYRK per parity block
-        K = [E + _gram(B * np.sqrt(d * s)) for E, (_, B, d, s, _) in zip(elastic, parts)]
+        # E + B diag(d s) B', one SYRK per parity block, one call per group
+        K = [E + _gram(B * np.sqrt(d * s)[:, None]) for E, (_, B, d, s, _) in zip(elastic, parts)]
         b = force.copy()
         for i, B, _, s, g in parts:
-            b[i] += B @ (s * g)
+            b[i] += _matvec(B, s * g)
         sol = solve(replace(system, K=K, b=b))
-        out.append((sol, np.concatenate([s * (B.T @ sol.coeffs[i] + g / (2.0 * mu_c))
-                                         for i, B, _, s, g in parts])))
+        out.append((sol, np.concatenate([s * (_matvec(B.transpose(0, 2, 1), sol.coeffs[i])
+                                              + g / (2.0 * mu_c)) for i, B, _, s, g in parts], axis=None)))
     return out
 
 

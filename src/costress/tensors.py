@@ -129,6 +129,11 @@ def axl(A: NDArray) -> NDArray:
             "axl requires a skew-symmetric tensor; "
             f"|A + A^T| = {worst:.3e} exceeds tolerance"
         )
+    return _axial(A)
+
+
+def _axial(A: NDArray) -> NDArray:
+    """The entries of A that hold axl(A), unchecked: for a tensor skew by construction."""
     return A[..., _AXL[0], _AXL[1]]
 
 

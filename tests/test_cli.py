@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +184,18 @@ def test_bad_solver_config_exits_2_no_output(tmp_path, command, cfg):
     assert not out.exists()
 
 
+def test_overflowing_conformal_parameters_exit_2_no_output(tmp_path):
+    # a finite w_axial near the largest float overflows the constant second gradient:
+    # the field is refused while the config is read, before any compute or warning
+    path = _write(tmp_path, "c.json", {"seed": 0, "field": {"family": "conformal",
+                                                            "w_axial": [1e308, 0, 0]}})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("hd-postulate", path, str(out)) == 2
+    assert not out.exists()
+
+
 def test_alpha3_alias_in_material(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "seed": 0, "cases": 10,
@@ -322,7 +335,8 @@ def test_korn_check_bounds_the_constant_by_one_and_sqrt2(monkeypatch, korn, pass
 
 def test_a_warm_bvp_job_factors_no_mass_block(monkeypatch):
     # the mass's inverse factors are held with the shared operators: a warm job's only
-    # Cholesky factorizations are solve's, one per block of its stiffness
+    # Cholesky factorizations are solve's, of the blocks of its stiffness; each call
+    # factors a group's stack of blocks, so the matrices factored are counted
     material = MaterialParams.for_regime("gkmt", L_c=0.5)
     systems, factored, raw = [], [], np.linalg.cholesky
 
@@ -341,10 +355,25 @@ def test_a_warm_bvp_job_factors_no_mass_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: (factored.append(a), raw(a))[1])
     solver._operators.cache_clear()
     cold = job()  # solve's blocks, then the mass's and Korn's sym grad's on first use
-    assert len(factored) == 3 * len(cold.K)
+    blocks = len(cold.ops.basis.blocks)
+    assert sum(len(a) for a in factored) == 3 * blocks
     warm = job()
     assert warm.ops is cold.ops
+    assert sum(len(a) for a in factored) == blocks
     assert len(factored) == len(warm.K) and all(a is K for a, K in zip(factored, warm.K))
+
+
+@pytest.mark.parametrize("command, n", [("bvp-solve", 4), ("bvp-solve", 5), ("cosserat-limit", 4)])
+def test_a_warm_solver_job_plans_no_contraction(tmp_path, monkeypatch, command, n):
+    # the load work and the Grams run fixed BLAS contractions: a warm job never asks
+    # einsum for a contraction path
+    import numpy._core.einsumfunc as einsumfunc
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": n, "load": {"f_seed": 1, "g_seed": 2}})
+    assert run(command, cfg, str(tmp_path / "cold")) == 0
+    planned, raw = [], einsumfunc.einsum_path
+    monkeypatch.setattr(einsumfunc, "einsum_path", lambda *a, **k: (planned.append(a), raw(*a, **k))[1])
+    assert run(command, cfg, str(tmp_path / "warm")) == 0
+    assert planned == []
 
 
 @pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from costress import fields, tensors
 from costress.constitutive import LoadData, MaterialParams, equilibrium_residual, stresses
 from costress.fields import (
     ConformalField,
@@ -23,7 +24,7 @@ from costress.fields import (
     random_conformal,
 )
 from costress.solver import ClampedBasis
-from costress.tensors import EPS3, anti, skw
+from costress.tensors import EPS3, anti, axl, skw
 from oracles import PointwiseField
 
 
@@ -150,6 +151,36 @@ def test_make_polynomial_is_deterministic_and_degree_capped():
     assert np.array_equal(a.coeffs, b.coeffs)
     with pytest.raises(ValueError):
         make_polynomial(0, 7)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_make_polynomial_reads_cached_degree_tables(degree):
+    # the mask and the damping of a degree are built once, read-only, from the total
+    # degree of the powers; the coefficients are the damped draws, bit for bit
+    above, damping = fields._degree_tables(degree)
+    assert fields._degree_tables(degree)[1] is damping
+    assert not above.flags.writeable and not damping.flags.writeable
+    n = degree + 1
+    i, j, k = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    assert np.array_equal(above, i + j + k > degree) and np.array_equal(damping, 1.0 + i + j + k)
+    seeds = [3, 11]
+    ref = np.stack([np.random.default_rng(s).uniform(-1.0, 1.0, (3, n, n, n)) for s in seeds])
+    ref[..., i + j + k > degree] = 0.0
+    ref /= 1.0 + i + j + k
+    assert np.array_equal(make_polynomial(seeds, degree).coeffs, ref)
+    assert np.array_equal(make_polynomial(seeds[1], degree).coeffs, ref[1])
+
+
+def test_kinematics_reads_the_axial_vector_without_the_skew_check(monkeypatch):
+    # skw(G) is skew by construction, so kinematics skips axl's check; the value is
+    # the checked axl's, bit for bit
+    u, x = make_polynomial(5, 3), np.random.default_rng(5).uniform(-1.0, 1.0, (6, 3))
+    monkeypatch.setattr(tensors, "is_skew", None)
+    state = kinematics(u, x)
+    monkeypatch.undo()
+    assert np.array_equal(state.axl_skw_grad, axl(skw(u.grad(x))))
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        axl(np.eye(3))
 
 
 def test_rigid_motion_kinematics():

@@ -172,9 +172,53 @@ def test_gram_matches_plain_einsum(n):
     for name, X in _kinds(t).items():
         X3 = X.reshape(X.shape[0], X.shape[1], -1)
         ref = np.einsum("pqi,rqi->pr", X3, X3 * W[None, :, None])
-        got = solver._gram(weighted[name].reshape(len(X), -1))
+        got = solver._gram(weighted[name].reshape(1, len(X), -1))[0]
         assert np.array_equal(got, got.T), name
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) <= 1e-13, name
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_load_work_is_the_optimized_einsum_bit_for_bit(n):
+    # the fixed tensordot chain of ``_work`` against einsum's own optimized path over
+    # every partial of both load operators
+    ops = solver._operators(n, solver._gauss_order(n, None))
+    q = ops.wT.shape[2]
+    F = np.random.default_rng(n).normal(size=(q ** 3, 3))
+    for op in ("value", "half_curl"):
+        ref = np.zeros((3, n, n, n))
+        for c in range(3):
+            for i, s, a in solver._OPS[op](c):
+                ref[c] += s * np.einsum("aq,br,gs,qrsi->iabg", *(ops.wT[a.count(d)] for d in range(3)),
+                                        F.reshape(q, q, q, 3), optimize=True)[i]
+        assert np.array_equal(solver._work(ops.wT, op, F), ref.ravel()), op
+
+
+def test_gram_of_a_stack_is_each_matrix_optimized_einsum_bit_for_bit():
+    X = np.random.default_rng(0).normal(size=(3, 24, 23))
+    assert all(np.array_equal(g, np.einsum("pq,rq->pr", x, x, optimize=True))
+               for g, x in zip(solver._gram(X), X))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_stacked_solves_equal_the_per_block_loop_bit_for_bit(monkeypatch, n):
+    # numpy runs one LAPACK or BLAS routine on each matrix of a stack: solve's one
+    # Cholesky factorization per group, its solve, apply and the extreme eigenvalues
+    # equal a loop over the blocks, bit for bit
+    system = assemble(PARAMS, _couple_loads(), n)
+    basis, K, b = system.ops.basis, system.K, system.b
+    factored, raw = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: (factored.append(a), raw(a))[1])
+    z = solve(system).coeffs
+    monkeypatch.undo()
+    assert len(factored) == len(basis.groups)
+    blocks = list(zip(basis.blocks, _blocks(K), _blocks(system.ops.mass_factors)))
+    ref, Kz = np.empty_like(z), np.empty_like(z)
+    for i, x, _ in blocks:
+        ref[i] = np.linalg.solve(x, b[i])
+        Kz[i] = x @ z[i]
+    assert np.array_equal(z, ref) and np.array_equal(basis.apply(K, z), Kz)
+    assert coercivity_evidence(system) == min(np.linalg.eigvalsh(f @ x @ f.T)[0] for _, x, f in blocks)
+    assert solver._extreme_eig(K, top=True) == max(np.linalg.eigvalsh(x)[-1] for _, x, _ in blocks)
 
 
 class TestSolve:
@@ -199,7 +243,7 @@ class TestSolve:
         assert sol.energy == pytest.approx(-0.5 * system.b @ sol.coeffs, rel=1e-12)
 
     def test_stiffness_symmetry(self, system):
-        gap = np.linalg.norm([np.linalg.norm(K - K.T) for K in system.K]) \
+        gap = np.linalg.norm([np.linalg.norm(K - _T(K)) for K in system.K]) \
             / np.linalg.norm([np.linalg.norm(K) for K in system.K])
         assert gap <= 1e-12
 
@@ -222,8 +266,8 @@ class TestSolve:
 
     def test_non_spd_raises_with_eigenvalue(self, system):
         bad = assemble(PARAMS, _loads(), 2)
-        shift = 2.0 * max(np.linalg.eigvalsh(K)[-1] for K in bad.K)
-        bad.K = [K - shift * np.eye(len(K)) for K in bad.K]
+        shift = 2.0 * max(np.linalg.eigvalsh(K).max() for K in bad.K)
+        bad.K = [K - shift * np.eye(K.shape[-1]) for K in bad.K]
         with pytest.raises(WellPosednessError) as exc:
             solve(bad)
         assert exc.value.eigenvalue < 0.0
@@ -243,7 +287,7 @@ def test_coercivity_from_the_held_mass_factors_is_bit_identical(n):
     solver._operators.cache_clear()
     system = assemble(PARAMS, _couple_loads(), n)
     fresh = []
-    for K, M in zip(system.K, system.ops.value):
+    for K, M in zip(_blocks(system.K), _blocks(system.ops.value)):
         inv_L = np.linalg.inv(np.linalg.cholesky(M))
         fresh.append(np.linalg.eigvalsh(inv_L @ K @ inv_L.T)[0])
     assert coercivity_evidence(system) == coercivity_evidence(system) == min(fresh)
@@ -284,6 +328,16 @@ def _oracle(n):
         C=(vecs[:, keep] / np.sqrt(vals[keep])).T)
 
 
+def _T(X):
+    """Each matrix of a stack, transposed."""
+    return np.swapaxes(X, -1, -2)
+
+
+def _blocks(form):
+    """The parity blocks of a form held as group stacks, in the order of ``basis.blocks``."""
+    return [x for X in form for x in X]
+
+
 def _flat(x):
     return np.concatenate([y.ravel() for y in x]) if isinstance(x, (list, tuple)) else x
 
@@ -295,21 +349,22 @@ def _rel_gap(a, b):
 
 
 def _on_blocks(basis, X):
-    """The diagonal parity blocks of an oracle's D x D form."""
-    return [X[np.ix_(i, i)] for i in basis.blocks]
+    """The diagonal parity blocks of an oracle's D x D form, stacked per group."""
+    return [X[i[:, :, None], i[:, None, :]] for i in basis.groups]
 
 
-def _dense(basis, blocks):
-    """The D x D oracle matrix of a form held as its parity blocks."""
+def _dense(basis, form):
+    """The D x D oracle matrix of a form held as group stacks of its parity blocks."""
     X = np.zeros((basis.n_dofs,) * 2)
-    for i, x in zip(basis.blocks, blocks):
-        X[np.ix_(i, i)] = x
+    for i, x in zip(basis.groups, form):
+        X[i[:, :, None], i[:, None, :]] = x
     return X
 
 
-def _dense_columns(basis, blocks):
-    """The (D, R) oracle matrix of W or B held as parity blocks, the blocks'
-    columns one block after another."""
+def _dense_columns(basis, stacks):
+    """The (D, R) oracle matrix of W or B held as group stacks of parity blocks, the
+    blocks' columns one block after another."""
+    blocks = _blocks(stacks)
     X = np.zeros((basis.n_dofs, sum(x.shape[1] for x in blocks)))
     X[np.concatenate(basis.blocks)] = scipy.linalg.block_diag(*blocks)
     return X
@@ -372,7 +427,7 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     for name, (got, ref) in pairs.items():
         assert _rel_gap(got, ref) <= 1e-12, name
     for X in (*forms.values(), system.K, system.ops.value, elastic):
-        assert all(np.array_equal(x, x.T) for x in X)
+        assert all(np.array_equal(x, _T(x)) for x in X)
     outside = _outside_blocks(basis)
     for name in ("mass", "grad", "sym_grad", "div", "H", "curl", "sym_grad_curl", "skw_grad_curl"):
         assert np.max(np.abs(G[name][outside])) <= 1e-14 * np.max(np.abs(G[name])), name
@@ -405,9 +460,9 @@ def test_broadcast_kronecker_products_are_np_kron(n):
     for op in solver._OPS:
         F = _kron_form(A, op)
         assert not F[outside].any(), op
-        blocks = solver._form(basis, A, op)
-        assert len(blocks) == len(basis.blocks), op
-        assert all(map(np.array_equal, blocks, _on_blocks(basis, F))), op
+        stacks = solver._form(basis, A, op)
+        assert len(stacks) == len(basis.groups), op
+        assert all(map(np.array_equal, stacks, _on_blocks(basis, F))), op
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -436,6 +491,14 @@ def test_parity_blocks_are_the_reflection_symmetries_of_the_modes(n):
             assert np.allclose(reflected[i], signs[0] * values[i], atol=1e-14)
 
 
+def test_blocks_group_by_size_and_curl_kernel():
+    # one group of 8 at even N; at odd N the classes of 0, 1, 2 and 3 odd signs, which
+    # differ in size but at N = 3, where their share of the curl kernel tells them apart
+    assert [g.shape for g in ClampedBasis(4).groups] == [(8, 24)]
+    assert [g.shape for g in ClampedBasis(5).groups] == [(1, 54), (3, 51), (3, 44), (1, 36)]
+    assert [g.shape for g in ClampedBasis(3).groups] == [(3, 12), (1, 12), (3, 9), (1, 6)]
+
+
 def _capture_solves(monkeypatch):
     """The list that every system passed to ``solver.solve`` is appended to."""
     systems, raw = [], solver.solve
@@ -450,23 +513,23 @@ def _capture_solves(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_every_form_is_held_as_its_parity_blocks(monkeypatch, n):
-    # each square form one (len(i), len(i)) block per parity block i, W and B one
-    # (len(i), R_i) block: no matrix on all the dofs
+    # each square form one (g, d, d) stack per group i (g, d) of parity blocks, W and B
+    # one (g, d, R) stack, Lambda (g, R): no matrix on all the dofs
     p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.5)
     system = assemble(p, _couple_loads(), n)
     problem = solver._problem(p, _couple_loads(), n, None)
     systems = _capture_solves(monkeypatch)
     solver._reduced_solves(p, problem, [10.0, np.inf])
-    blocks, D = system.ops.basis.blocks, system.ops.basis.n_dofs
+    groups, D = system.ops.basis.groups, system.ops.basis.n_dofs
     square = {"K": system.K, "M": system.ops.value, "E": problem[1], "Cosserat K": problem[0].K,
               "K(10)": systems[0].K, "K(inf)": systems[1].K}
     for name, X in square.items():
-        assert [x.shape for x in X] == [(len(i), len(i)) for i in blocks], name
+        assert [x.shape for x in X] == [(*i.shape, i.shape[1]) for i in groups], name
     W, B, lam = zip(*system.ops.rotations)
-    ranks = [w.shape[1] for w in W]
+    ranks = [w.shape[2] for w in W]
     for X in (W, B):
-        assert [x.shape for x in X] == [(len(i), r) for i, r in zip(blocks, ranks)]
-    assert [v.shape for v in lam] == [(r,) for r in ranks]
+        assert [x.shape for x in X] == [(*i.shape, r) for i, r in zip(groups, ranks)]
+    assert [v.shape for v in lam] == [(len(i), r) for i, r in zip(groups, ranks)]
     assert system.b.shape == problem[2].shape == problem[3].shape == systems[0].b.shape == (D,)
 
 
@@ -654,7 +717,11 @@ def test_rotation_rank_is_the_span_less_the_curl_kernel(n):
     # order on the boundary: (N - 2)^3 such phi, so W has 3 N^3 - (N - 2)^3 columns
     try:
         ops = solver._operators(n, solver._gauss_order(n, None))
-        assert sum(W.shape[1] for W, _, _ in ops.rotations) == 3 * n ** 3 - max(0, n - 2) ** 3
+        assert sum(w.shape[1] for W, _, _ in ops.rotations for w in W) == 3 * n ** 3 - max(0, n - 2) ** 3
+        # every block of a group holds as many kernel modes, the eigenvalues of H it drops
+        for g, d in zip(ops.grad, ops.div):
+            vals = np.linalg.eigvalsh(0.25 * (g - d))
+            assert len(set(np.sum(vals < 1e-10 * vals.max(), axis=1))) == 1
     finally:
         solver._operators.cache_clear()  # the N = 10 operators hold about 50 MB
 
@@ -668,8 +735,8 @@ def test_reduced_stiffness_is_exactly_symmetric(monkeypatch, n, mu_c):
     systems = _capture_solves(monkeypatch)
     [(sol, _)] = solver._reduced_solves(PARAMS, problem, [mu_c])
     K = systems[0].K
-    assert all(np.array_equal(x, x.T) for x in K)
-    assert np.array_equal(solve(replace(systems[0], K=[x.T for x in K])).coeffs, sol.coeffs)
+    assert all(np.array_equal(x, _T(x)) for x in K)
+    assert np.array_equal(solve(replace(systems[0], K=[_T(x) for x in K])).coeffs, sol.coeffs)
 
 
 def _m_gap(z, ref, mass):
@@ -795,7 +862,7 @@ class TestOperatorCache:
     def test_every_shared_array_is_read_only(self):
         ops = solver._operators(3, 9)
         W, B, lam = zip(*ops.rotations)
-        arrays = [ops.pts, ops.wT, *ops.basis.blocks, *W, *B, *lam,
+        arrays = [ops.pts, ops.wT, *ops.basis.groups, *ops.basis.blocks, *W, *B, *lam,
                   *ops.grad, *ops.div, *ops.curl, *ops.value, *ops.mass_factors]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
