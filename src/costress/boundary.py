@@ -1,7 +1,7 @@
 """Traction boundary conditions, the boundary virtual-work decomposition
 and the quantitative refutation of the skew-couple-stress postulate.
 
-Three formulations are implemented:
+Three formulations are implemented, as the rows of :data:`FORMULATIONS`:
 
 * ``classical``  the historical 3+2 split: total force traction corrected
   by the surface curl of the normal-moment scalar, plus the tangential
@@ -27,25 +27,13 @@ from .surfaces import Frame, SurfacePatch, _dot
 from .tensors import anti, sym, tangential_projector
 
 __all__ = [
-    "TractionSet",
+    "FORMULATIONS",
     "WorkIdentityReport",
     "HdPostulateReport",
     "boundary_work_identity",
-    "classical_tractions",
-    "complete_tractions",
     "hd_postulate_report",
-    "hd_tractions",
+    "tractions",
 ]
-
-
-@dataclass(frozen=True)
-class TractionSet:
-    """The independently prescribable traction quantities at chart points;
-    each array is (..., 3) over the chart coordinates."""
-
-    t_force: NDArray            # 3 conditions
-    g_double: NDArray           # 2 conditions, tangential by construction
-    formulation: str
 
 
 def _mv(A: NDArray, v: NDArray) -> NDArray:
@@ -62,7 +50,6 @@ class _Split:
     -1/2 div_S(anti(w) P); the double-force traction is anti(w).n.
     """
 
-    frame: Frame
     t_total: NDArray    # (sigma - tau).n
     m_n: NDArray        # m.n
     psi: NDArray
@@ -93,7 +80,6 @@ def _split(params: MaterialParams, field: DisplacementField, fr: Frame) -> _Spli
     dP = dP + np.swapaxes(dP, -1, -2)                                   # d_a (n (x) n)
     d_wP = anti(d_w) @ P[..., None, :, :] - anti(w)[..., None, :, :] @ dP
     return _Split(
-        frame=fr,
         t_total=_mv(st.sigma_total, n),
         m_n=m_n,
         psi=psi,
@@ -104,35 +90,26 @@ def _split(params: MaterialParams, field: DisplacementField, fr: Frame) -> _Spli
     )
 
 
-def classical_tractions(params: MaterialParams, field: DisplacementField,
-                        patch: SurfacePatch, s, t) -> TractionSet:
-    """Historical Mindlin-Tiersten 3+2 traction quantities at (s, t): the
-    complete split without its tangential-gradient force term, and w as
-    the double-force traction."""
-    sp = _split(params, field, patch.frame(s, t))
-    return TractionSet(t_force=sp.t_total + sp.t_psi, g_double=sp.w, formulation="classical")
+#: formulation -> (force traction, double-force traction) of its split; the
+#: force traction takes 3 conditions and the double-force traction 2, being
+#: tangential by construction.  hd's is the total force traction
+#: (sigma - tau).n: one printed display of the formulation reads
+#: (sigma + tau).n, which disagrees with every other occurrence of the
+#: total force stress.
+FORMULATIONS = {
+    "complete": lambda sp: (sp.t_total + sp.t_psi + sp.t_tang, sp.g),
+    "classical": lambda sp: (sp.t_total + sp.t_psi, sp.w),
+    "hd": lambda sp: (sp.t_total, sp.w),
+}
 
 
-def complete_tractions(params: MaterialParams, field: DisplacementField,
-                       patch: SurfacePatch, s, t) -> TractionSet:
-    """Corrected 3+2 surface traction quantities at (s, t).
-
-    The edge terms live on the edge curve; see
-    :func:`boundary_work_identity`.
-    """
-    sp = _split(params, field, patch.frame(s, t))
-    return TractionSet(t_force=sp.t_total + sp.t_psi + sp.t_tang, g_double=sp.g,
-                       formulation="complete")
-
-
-def hd_tractions(params: MaterialParams, field: DisplacementField,
-                 patch: SurfacePatch, s, t) -> TractionSet:
-    """Skew-couple-stress format tractions at (s, t): the total force
-    traction (sigma - tau).n and w.  One printed display of the
-    formulation reads (sigma + tau).n, which disagrees with every other
-    occurrence of the total force stress."""
-    sp = _split(params, field, patch.frame(s, t))
-    return TractionSet(t_force=sp.t_total, g_double=sp.w, formulation="hd")
+def tractions(params: MaterialParams, field: DisplacementField, frame: Frame,
+              formulation: str) -> tuple[NDArray, NDArray]:
+    """The (force traction, double-force traction) of ``formulation`` at the
+    points of ``frame``, each (..., 3); see :data:`FORMULATIONS`.  The edge
+    terms of ``complete`` live on the edge curve; see
+    :func:`boundary_work_identity`."""
+    return FORMULATIONS[formulation](_split(params, field, frame))
 
 
 @dataclass(frozen=True)

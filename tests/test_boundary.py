@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from costress.boundary import (
+    FORMULATIONS,
     _split,
     boundary_work_identity,
-    classical_tractions,
-    complete_tractions,
     hd_postulate_report,
-    hd_tractions,
+    tractions,
 )
 from costress.constitutive import MaterialParams, stresses
 from costress.fields import (
@@ -60,14 +59,15 @@ def test_tractions_shapes_and_tangency():
     s, t = 0.4, 0.6
     fr = FACE.frame(s, t)
     n = fr.n
-    ts_classical = classical_tractions(p, u, FACE, s, t)
-    assert abs(ts_classical.g_double @ n) <= 1e-13  # tangential by construction
-    ts_complete = complete_tractions(p, u, FACE, s, t)
-    assert ts_complete.formulation == "complete"
-    assert abs(ts_complete.g_double @ n) <= 1e-13
-    ts_hd = hd_tractions(MaterialParams.for_regime("hd", L_c=0.4), u, FACE, s, t)
-    st = stresses(MaterialParams.for_regime("hd", L_c=0.4), u, fr.x)
-    assert np.allclose(ts_hd.t_force, st.sigma_total @ n, atol=1e-13)
+    assert sorted(FORMULATIONS) == ["classical", "complete", "hd"]
+    for formulation in FORMULATIONS:
+        t_force, g_double = tractions(p, u, fr, formulation)
+        assert t_force.shape == g_double.shape == (3,)
+        assert abs(g_double @ n) <= 1e-13  # tangential by construction
+    p_hd = MaterialParams.for_regime("hd", L_c=0.4)
+    t_hd, _ = tractions(p_hd, u, fr, "hd")
+    st = stresses(p_hd, u, fr.x)
+    assert np.allclose(t_hd, st.sigma_total @ n, atol=1e-13)
 
 
 def test_hd_postulate_normal_moment_vanishes_in_hd_regime():
@@ -114,13 +114,13 @@ def test_one_batched_path(patch):
     u = make_polynomial(11, 3)
     S = np.array([[0.2, 0.45], [0.7, 0.9]]) * patch.s_range[1]
     T = np.array([[0.3, 0.8], [0.55, 0.1]]) * patch.t_range[1]
-    for tractions in (classical_tractions, complete_tractions, hd_tractions):
-        batch = tractions(p, u, patch, S, T)
-        assert batch.t_force.shape == batch.g_double.shape == (2, 2, 3)
+    for formulation in FORMULATIONS:
+        batch = tractions(p, u, patch.frame(S, T), formulation)
+        assert batch[0].shape == batch[1].shape == (2, 2, 3)
         for i in np.ndindex(S.shape):
-            one = tractions(p, u, patch, S[i], T[i])
-            assert np.allclose(batch.t_force[i], one.t_force, rtol=1e-12, atol=1e-12)
-            assert np.allclose(batch.g_double[i], one.g_double, rtol=1e-12, atol=1e-12)
+            one = tractions(p, u, patch.frame(S[i], T[i]), formulation)
+            for b, o in zip(batch, one):
+                assert np.allclose(b[i], o, rtol=1e-12, atol=1e-12)
 
     # a pointwise-only callable behind the pointwise field fixture matches
     # the closed-form field it mirrors
@@ -145,11 +145,13 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
     (S, T), _, fr = patch.quadrature(8)
 
     def fd(moment):
-        return chart_gradient(patch, lambda ss, tt: moment(_split(p, field, patch.frame(ss, tt))),
-                              S, T)
+        def at(ss, tt):
+            q = patch.frame(ss, tt)
+            return moment(_split(p, field, q), q)
+        return chart_gradient(patch, at, S, T)
 
-    d_psi = fd(lambda q: q.psi)
-    d_wP = fd(lambda q: anti(q.w) @ tangential_projector(q.frame.n))
+    d_psi = fd(lambda sp, q: sp.psi)
+    d_wP = fd(lambda sp, q: anti(sp.w) @ tangential_projector(q.n))
 
     def sqrt_g_w(ss, tt):
         # sqrt(g) times the contravariant components w^a = x^a . v of P v
@@ -181,27 +183,34 @@ def test_work_identity_off_axis_cap_at_order_24():
     assert max(gaps) <= 1e-11   # measured 1.4e-14
 
 
-@pytest.mark.parametrize("patch, missing", [(HEMI, 0.208659), (CAP, 0.790194), (FACE, -0.00445838)],
+@pytest.mark.parametrize("patch, missing, hd_missing",
+                         [(HEMI, 0.208659, 0.360606), (CAP, 0.790194, 1.303982),
+                          (FACE, -0.00445838, 0.0501718)],
                          ids=["hemisphere", "off_axis_cap", "face"])
-def test_complete_tractions_close_the_work_identity(patch, missing):
+def test_complete_tractions_close_the_work_identity(patch, missing, hd_missing):
     # through the public tractions: -int t.du - 1/2 int g.(grad du n) plus the
-    # edge terms is the direct work, and the classical split misses exactly
-    # the tangential-gradient term
+    # edge terms is the direct work; the classical split misses exactly the
+    # tangential-gradient term, and the hd split the normal-moment correction too
     p = MaterialParams.for_regime("gkmt", L_c=0.5)
     u, du = make_polynomial(0, 3), make_polynomial(1, 3)
     rep = boundary_work_identity(p, u, du, patch, order=24)
-    (S, T), W, fr = patch.quadrature(24)
+    _, W, fr = patch.quadrature(24)
     v, dv_n = du.value(fr.x), du.grad(fr.x) @ fr.n[..., None]
-    complete = complete_tractions(p, u, patch, S, T)
-    classical = classical_tractions(p, u, patch, S, T)
-    work = (-W @ np.sum(complete.t_force * v, axis=-1)
-            - 0.5 * W @ np.sum(complete.g_double * dv_n[..., 0], axis=-1))
+    (t_complete, g), (t_classical, w), (t_hd, w_hd) = (
+        tractions(p, u, fr, f) for f in ("complete", "classical", "hd"))
+    work = -W @ np.sum(t_complete * v, axis=-1) - 0.5 * W @ np.sum(g * dv_n[..., 0], axis=-1)
     edges = rep.terms["edge_conormal"] + rep.terms["edge_normal_moment"]
     scale = max(abs(term) for term in rep.terms.values())
     assert abs(work + edges - rep.direct) <= 1e-12 * scale
-    missed = W @ np.sum((classical.t_force - complete.t_force) * v, axis=-1)
+    missed = W @ np.sum((t_classical - t_complete) * v, axis=-1)
     assert abs(missed - rep.terms["tangential_gradient"]) <= 1e-12 * scale
     assert missed == pytest.approx(missing, rel=1e-5)
+    # measured: the hd gap is <= 3.2e-17 of the largest term
+    hd_missed = W @ np.sum((t_hd - t_complete) * v, axis=-1)
+    assert abs(hd_missed - rep.terms["normal_moment_correction"]
+               - rep.terms["tangential_gradient"]) <= 1e-12 * scale
+    assert hd_missed == pytest.approx(hd_missing, rel=1e-5)
+    assert np.array_equal(w_hd, w)
 
 
 class _CountingField(DisplacementField):
@@ -252,7 +261,6 @@ def test_one_frame_and_one_derivative_evaluation_per_point_set(patch, monkeypatc
     n, calls = counts(lambda u: boundary_work_identity(p, u, make_polynomial(1, 3), patch, 8))
     assert n == point_sets and calls == dict.fromkeys(calls, point_sets)
     for run in (lambda u: hd_postulate_report(p, u, patch, 8),
-                lambda u: classical_tractions(p, u, patch, S, T),
-                lambda u: complete_tractions(p, u, patch, S, T)):
+                *(lambda u, f=f: tractions(p, u, patch.frame(S, T), f) for f in FORMULATIONS)):
         n, calls = counts(run)
         assert n == 1 and calls == dict.fromkeys(calls, 1)

@@ -527,10 +527,10 @@ def test_conformal_demo(tmp_path):
     assert run("conformal-demo", cfg, str(out)) == 0
     report = json.loads((out / "report.json").read_text())
     names = {c["name"] for c in report["checks"]}
-    assert "couple_stress_closed_form" in names  # hd regime closed form
+    assert "couple_stress_closed_form" in names  # m = 2 mu L_c^2 alpha2 anti(w), any regime
 
 
-@pytest.mark.parametrize("regime, rows", [("gkmt", 3), ("hd", 4)])
+@pytest.mark.parametrize("regime, rows", [("gkmt", 4), ("hd", 4)])
 def test_conformal_demo_reports_its_points_as_metrics(tmp_path, regime, rows):
     material = MaterialParams.for_regime(regime, L_c=0.7)
     cfg = _write(tmp_path, "c.json", {"seed": 5, "points": 7,
@@ -563,6 +563,23 @@ def test_no_check_of_a_non_solving_command_passes_unconditionally(tmp_path):
         for c in report["checks"]:
             assert math.isfinite(float(c["tolerance"])), (command, c["name"])
         assert (report["metrics"] == {}) == (command != "conformal-demo"), command
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_row_holds_python_floats_and_a_bool(tmp_path, monkeypatch, command):
+    # _fmt writes a Python float with .17g; a numpy scalar would take str()
+    rows, write = [], cli._write_outputs
+
+    def capture(out_dir, name, job, checks, *rest):
+        rows.extend(checks)
+        return write(out_dir, name, job, checks, *rest)
+
+    monkeypatch.setattr(cli, "_write_outputs", capture)
+    assert run(command, _write(tmp_path, "c.json", {"seed": 0}), str(tmp_path / "o")) == 0
+    assert rows
+    for c in rows:
+        assert [type(c.value), type(c.gap), type(c.tolerance), type(c.passed)] == [
+            float, float, float, bool], c
 
 
 def test_unknown_command():

@@ -1,10 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses,
 imports scipy, keeps a private helper it never calls or exports a name it does
 not define, no two functions of the package share a body, finite differences
-stay in the oracles, and every function runs in some command."""
+stay in the oracles, every function runs in some command and every acceptance
+criterion runs a check function of the CLI."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -235,9 +237,7 @@ def test_detector_flags_an_unreached_def():
 #: the defs that no command runs, each with what accounts for it; one that a
 #: command comes to run must leave the list
 _UNREACHED = {
-    "boundary:classical_tractions": "no command reports the work of a formulation's split yet",
-    "boundary:complete_tractions": "no command reports the work of a formulation's split yet",
-    "boundary:hd_tractions": "no command reports the work of a formulation's split yet",
+    "boundary:tractions": "no command reports the work of a formulation's split yet",
     "constitutive:equilibrium_residual": "the strong form, for a manufactured solution and "
                                          "a volume work oracle that no command runs yet",
     "fields:PolynomialField.grad4": "read by equilibrium_residual only",
@@ -312,3 +312,46 @@ def test_every_function_runs_in_some_command(tmp_path):
     assert result["codes"] == [0] * len(jobs)
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unreached(sources, {tuple(c) for c in result["called"]}) == sorted(_UNREACHED)
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def criteria_without_a_cli_check(source: str, checks: set[str]) -> list[str]:
+    """The ``test_criterion_*`` functions of a test module that call none of
+    ``checks`` as imported, possibly renamed, from ``costress.cli``."""
+    tree = ast.parse(source)
+    local = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "costress.cli"
+             for a in node.names if a.name in checks}
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_criterion_")
+            and not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                        and n.func.id in local for n in ast.walk(node))]
+
+
+def test_detector_flags_a_criterion_without_a_cli_check():
+    source = ("from costress.cli import run as r, bvp_checks\nfrom x import kinematics_checks\n"
+              "def test_criterion_01():\n    r('a')\n"
+              "def test_criterion_02():\n    kinematics_checks()\n"
+              "def test_criterion_03():\n    f = bvp_checks\n"
+              "def test_other():\n    pass\n")
+    assert criteria_without_a_cli_check(source, {"run", "bvp_checks", "kinematics_checks"}) == [
+        "test_criterion_02", "test_criterion_03"]
+
+
+#: the acceptance criteria that no command ships, each with what it checks instead
+_BESPOKE_CRITERIA = {
+    "test_criterion_05_printed_counterexample": "the paper's printed field, which no command "
+                                                "takes, against the FD oracle",
+    "test_criterion_10_solver_round_trip": "a manufactured right-hand side, which bvp-solve "
+                                           "does not build",
+}
+
+
+def test_every_acceptance_criterion_runs_a_cli_check():
+    # one definition of each guarantee: the gate runs the CLI's checks, not a copy
+    cli = importlib.import_module("costress.cli")
+    checks = {name for name in cli.__all__ if inspect.isfunction(getattr(cli, name))}
+    source = (TESTS / "test_acceptance.py").read_text(encoding="utf-8")
+    assert criteria_without_a_cli_check(source, checks) == sorted(_BESPOKE_CRITERIA)
