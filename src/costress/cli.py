@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -247,7 +249,7 @@ def operator_checks(seed: int, cases: int, tolerances: dict) -> list[Check]:
                 loop += E[:, :, j, k] * X[:, k, j, None]
         gaps = np.maximum(gaps, [
             np.max(np.abs(axl(A) - v)),
-            np.max(np.abs(inner(A, A) - 2.0 * np.sum(v * v, axis=-1))),
+            np.max(np.abs(inner(A, A) - 2.0 * np.einsum("...i,...i->...", v, v))),
             np.max(np.abs(parts.recombine() - X)),
             np.max(np.abs([inner(parts.devsym, parts.skew), inner(parts.devsym, parts.spherical),
                            inner(parts.skew, parts.spherical)])),
@@ -503,6 +505,24 @@ _COMMANDS = {
 # -- report emission -------------------------------------------------------
 
 
+@functools.cache
+def _blas_threads() -> str:
+    """The loaded OpenBLAS's thread count, or "unknown"; read once, as a read costs ~1 ms."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln and ".so" in ln})
+        for lib in libs:
+            for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                         "openblas_get_num_threads"):
+                getter = getattr(ctypes.CDLL(lib), name, None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return str(getter())
+    except OSError:
+        pass
+    return "unknown"
+
+
 def _fmt(x) -> str:
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
@@ -534,6 +554,7 @@ def _write_outputs(out_dir: Path, command: str, job: dict, checks: list[Check],
         "environment": {
             "package_version": __version__,
             "numpy_version": np.__version__,
+            "blas_threads": _blas_threads(),
         },
     }
     if error is not None:

@@ -186,7 +186,6 @@ class PolynomialField(DisplacementField):
         if coeffs.ndim < 4 or coeffs.shape[-4] != 3 or len(set(coeffs.shape[-3:])) != 1:
             raise ValueError(f"coefficients must have shape (..., 3, n, n, n), got {coeffs.shape}")
         self.coeffs = coeffs
-        self._D = coeffs.shape[-1]
         #: derivative order -> its stacked coefficient tensor, see _block
         self._blocks = {0: coeffs}
 
@@ -195,24 +194,26 @@ class PolynomialField(DisplacementField):
         after the component, C[..., i, a1, ..., a_order], each entry a (D, D, D)
         monomial block, zero padded so one contraction evaluates every component
         at once.  Built on first use from the order below, all three axes by one
-        gather; threads that race may build a block twice but all keep the one
-        stored first."""
+        gather, then cut to the smallest D holding its nonzero powers (d - r + 1
+        at order r of degree d); racing threads keep the block stored first."""
         C = self._blocks.get(order)
         if C is None:
-            below, D = self._block(order - 1), self._D
+            below = self._block(order - 1)
+            D = below.shape[-1]
             shift, factor = _shift_tables(D)
             flat = below.reshape(below.shape[:-3] + (D ** 3,))
             padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
-            C = self._blocks.setdefault(order, (padded[..., shift] * factor).reshape(
-                below.shape[:-3] + (3, D, D, D)))
+            C = (padded[..., shift] * factor).reshape(below.shape[:-3] + (3, D, D, D))
+            D = 1 + int(np.argwhere(np.any(C.reshape(-1, D, D, D) != 0.0, axis=0)).max(initial=0))
+            C = self._blocks.setdefault(order, np.ascontiguousarray(C[..., :D, :D, :D]))
         return C
 
     def _contract(self, C: NDArray, x: NDArray) -> NDArray:
         """sum_ijk C[f, ..., i, j, k] x1^i x2^j x3^k at the points x[f] (..., 3)
         of each field f; the axes of C between its field and monomial axes
-        become the trailing axes of the result.  The monomial axes are
-        contracted one at a time by matrix products, stacked over fields."""
-        D, fields = self._D, self.coeffs.shape[:-4]
+        become the trailing axes of the result.  The block's own monomial axes
+        are contracted one at a time by matrix products, stacked over fields."""
+        D, fields = C.shape[-1], self.coeffs.shape[:-4]
         x = np.asarray(x, dtype=float)
         if x.ndim <= len(fields) or x.shape[:len(fields)] != fields:
             raise ValueError(f"points of shape {x.shape} do not lead with the field axes {fields}")

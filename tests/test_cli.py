@@ -622,7 +622,41 @@ def test_no_command_imports_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * len(jobs), "scipy": []}
     report = json.loads((tmp_path / "bvp-solve" / "report.json").read_text())
-    assert sorted(report["environment"]) == ["numpy_version", "package_version"]
+    assert sorted(report["environment"]) == ["blas_threads", "numpy_version", "package_version"]
+
+
+def test_report_records_the_blas_thread_count(tmp_path):
+    # the README's determinism contract holds at one BLAS thread count; from N = 7
+    # on the count moves last digits, never a verdict, and report.json names it
+    if cli._blas_threads() == "unknown" or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs OpenBLAS and two usable cores: it caps its count at the cores")
+    config = _write(tmp_path, "n8.json", {"seed": 3, "n_modes": 8})
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "costress", "bvp-solve", "--config", config,
+                               "--out", str(out)], capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC),
+                                   "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        reports[threads] = json.loads((out / "report.json").read_text())
+    assert [r["environment"]["blas_threads"] for r in reports.values()] == ["1", "2"]
+    assert ([(c["name"], c["passed"]) for c in reports["1"]["checks"]]
+            == [(c["name"], c["passed"]) for c in reports["2"]["checks"]])
+
+
+def test_the_blas_thread_count_is_read_once_per_process(tmp_path, base_config, monkeypatch):
+    # a read costs about a millisecond, a share of a small job's compute
+    loads, load = [], cli.ctypes.CDLL
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda lib: loads.append(lib) or load(lib))
+    cli._blas_threads.cache_clear()
+    envs, counts = [], []
+    for i in range(2):
+        run("verify-operators", base_config, str(tmp_path / str(i)))
+        envs.append(json.loads((tmp_path / str(i) / "report.json").read_text())["environment"])
+        counts.append(len(loads))
+    assert envs[0] == envs[1]
+    assert counts[1] == counts[0]      # the second job loaded no library
 
 
 def test_quadrature_order_override(tmp_path, base_config):

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -418,16 +420,55 @@ def test_polynomial_derivatives_built_on_first_use():
     kinematics(u, x)
     assert set(u._blocks) == {0, 1, 2}   # kinematics never reads third derivatives
     # the third-order block by hand: d/dx_a takes power p + 1 to p, times p + 1
-    C2, D = u._blocks[2], u._D
+    C2 = u._blocks[2]
+    D = C2.shape[-1]                  # each block has its own size
     eager = np.zeros(C2.shape[:3] + (3, D, D, D))
     for a in range(3):
         for p in range(D - 1):
             lead = (slice(None),) * (3 + a)      # the component, two derivative axes, p_<a
             eager[:, :, :, a][lead + (p,)] = C2[lead + (p + 1,)] * (p + 1)
-    assert np.array_equal(u.grad3(x), u._contract(eager, x))
+    g3 = u.grad3(x)
     C3 = u._blocks[3]
+    d = C3.shape[-1]
+    assert np.array_equal(C3, eager[..., :d, :d, :d])
+    assert np.count_nonzero(C3) == np.count_nonzero(eager)   # only zero powers were cut
+    assert np.array_equal(g3, u._contract(C3, x))
     u.grad3(x)
     assert u._blocks[3] is C3         # built once
+
+
+@pytest.mark.parametrize("seed", [12, np.arange(4)], ids=["field", "batch"])
+def test_a_derivative_block_keeps_only_the_powers_it_has(seed):
+    # an order-r derivative of degree 4 has per-axis powers up to 4 - r, in
+    # every field of a batch as in one field alone
+    u = make_polynomial(seed, 4)
+    u.grad4(np.zeros(np.shape(seed) + (3,)))
+    assert [u._blocks[r].shape[-3:] for r in range(5)] == [(5, 5, 5), (4, 4, 4), (3, 3, 3),
+                                                            (2, 2, 2), (1, 1, 1)]
+
+
+def test_a_tensor_product_term_keeps_its_high_powers():
+    # x1^2 x2^2 x3^2 has total degree 6 in a D = 3 block: each of its derivatives
+    # up to fourth order still holds power 2 on some axis, so no block is cut
+    coeffs = np.zeros((3, 3, 3, 3))
+    coeffs[1, 2, 2, 2] = 1.0
+    u = PolynomialField(coeffs)
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 3))
+
+    def naive(axes):
+        # d^k (x1^2 x2^2 x3^2) / dx_axes, one axis at a time
+        out = np.ones(len(x))
+        for a in range(3):
+            n = axes.count(a)
+            out *= 0.0 if n > 2 else math.perm(2, n) * x[:, a] ** (2 - n)
+        return out
+
+    for order, grad in enumerate((u.value, u.grad, u.grad2, u.grad3, u.grad4)):
+        got = grad(x)
+        assert u._blocks[order].shape[-1] == 3
+        for axes in itertools.product(range(3), repeat=order):
+            assert np.allclose(got[(slice(None), 1) + axes], naive(axes), rtol=1e-14, atol=0.0)
+            assert not np.any(got[(slice(None), [0, 2]) + axes])
 
 
 def test_threads_that_race_for_a_block_keep_one():

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 imports scipy, keeps a private helper it never calls or exports a name it does
 not define, no two functions of the package share a body, finite differences
-stay in the oracles, every function runs in some command and every acceptance
-criterion runs a check function of the CLI."""
+stay in the oracles, every function runs in some command, every acceptance
+criterion runs a check function of the CLI and no reduction runs over the last
+two axes."""
 
 import ast
 import importlib
@@ -355,3 +356,44 @@ def test_every_acceptance_criterion_runs_a_cli_check():
     checks = {name for name in cli.__all__ if inspect.isfunction(getattr(cli, name))}
     source = (TESTS / "test_acceptance.py").read_text(encoding="utf-8")
     assert criteria_without_a_cli_check(source, checks) == sorted(_BESPOKE_CRITERIA)
+
+
+def last_two_axes_reductions(source: str) -> list[str]:
+    """The innermost function (or ``<module>``) of each call of the module that
+    takes ``axis=(-2, -1)`` or ``axis=(-1, -2)``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            found.extend(where for kw in node.keywords if kw.arg == "axis"
+                         and isinstance(kw.value, ast.Tuple)
+                         and sorted(ast.unparse(e) for e in kw.value.elts) == ["-1", "-2"])
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_flags_a_last_two_axes_reduction():
+    source = ("import numpy as np\nn = np.sum(x, axis=(-1, -2))\n"
+              "def f(X):\n    def g(Y):\n        return np.linalg.norm(Y, axis=(-2, -1))\n"
+              "    return np.sum(X, axis=-1) + g(X) + np.sum(X, axis=(0, -1))\n")
+    assert last_two_axes_reductions(source) == ["<module>", "g"]
+
+
+#: the functions that may reduce over the last two axes, each with its reason
+_LAST_TWO_AXES_SUMS = {
+    "tensors:contract_E_X": "an einsum, as in inner, rounds a batch of its broadcast "
+                            "operands unlike each item alone",
+}
+
+
+def test_no_reduction_over_the_last_two_axes():
+    # numpy reduces two tiny trailing axes at several times the cost of one
+    # elementwise pass over the batch; tensors' kernels make one contiguous pass
+    found = {f"{path.stem}:{fn}" for path in sorted(SRC.glob("*.py"))
+             for fn in last_two_axes_reductions(path.read_text(encoding="utf-8"))}
+    assert found == set(_LAST_TWO_AXES_SUMS)

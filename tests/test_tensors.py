@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from costress import tensors
 from costress.tensors import (
     EPS3,
     anti,
@@ -153,6 +154,55 @@ def test_batch_equals_stacked_per_case_calls(name):
     batch = f(*args)
     assert np.shape(batch) == (4, 5) + np.shape(per_case[0][0])
     assert np.array_equal(batch, np.array(per_case))
+
+
+def _wide(rng, shape):
+    """Finite entries whose decimal exponents span -320 (subnormal) to 308."""
+    return rng.uniform(-1.7, 1.7, shape) * 10.0 ** rng.integers(-320, 309, shape)
+
+
+def _by_entry(entry):
+    """A (..., 3, 3) tensor built entry by entry from entry(i, j)."""
+    return np.stack([np.stack([entry(i, j) for j in range(3)], axis=-1) for i in range(3)], axis=-2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernels_round_like_their_textbook_formulas(seed):
+    # products with 0/+-1/2 matrices and diagonal-only writes round each entry
+    # exactly as the formulas below, at the overflow and subnormal edges too
+    rng = np.random.default_rng(seed)
+    X, v = _wide(rng, (2000, 3, 3)), _wide(rng, (2000, 3))
+    third = tr(X) / 3.0
+    zero = np.zeros(len(X))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf in overflowed traces
+        S = _by_entry(lambda i, j: 0.5 * (X[:, i, j] + X[:, j, i]))
+        W = _by_entry(lambda i, j: 0.5 * (X[:, i, j] - X[:, j, i]))
+        # the batch reaches both edges: sums that overflow and subnormal halves
+        assert np.isinf(S).any() and np.any((S != 0) & (np.abs(S) < np.finfo(float).tiny))
+        parts = cartan_decompose(X)
+        textbook = {
+            "sym": (sym(X), S),
+            "skw": (skw(X), W),
+            "dev": (dev(X), _by_entry(lambda i, j: X[:, i, j] - third if i == j else X[:, i, j])),
+            "anti": (anti(v), _by_entry(lambda i, j: -EPS3[i, j, 3 - i - j] * v[:, 3 - i - j]
+                                        if i != j else zero)),
+            "devsym": (parts.devsym, _by_entry(
+                lambda i, j: S[:, i, j] - tr(S) / 3.0 if i == j else S[:, i, j])),
+            "skew": (parts.skew, W),
+            "spherical": (parts.spherical, _by_entry(lambda i, j: third if i == j else zero)),
+        }
+    for name, (got, want) in textbook.items():
+        assert np.array_equal(got, want, equal_nan=True), name
+
+
+def test_inner_and_norm_stay_within_a_few_ulp_of_plain_sums():
+    rng = np.random.default_rng(8)
+    X, Y = rng.normal(size=(2, 5000, 3, 3)) * 10.0 ** rng.integers(-5, 6, (2, 5000, 1, 1))
+    eps = np.finfo(float).eps
+    scale = np.sum(np.abs(X * Y), axis=(-2, -1))
+    assert np.all(np.abs(inner(X, Y) - np.sum(X * Y, axis=(-2, -1))) <= 4 * eps * scale)
+    norm = np.linalg.norm(X, axis=(-2, -1))
+    assert np.all(np.abs(tensors._frobenius(X) - norm) <= 4 * eps * norm)
 
 
 def test_axl_rejects_a_batch_with_one_non_skew_item():
