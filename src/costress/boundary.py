@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from .constitutive import MaterialParams, stresses
 from .fields import DisplacementField, curl_from_grad
 from .surfaces import Frame, SurfacePatch, _dot
-from .tensors import anti, sym, tangential_projector
+from .tensors import anti, sym
 
 __all__ = [
     "FORMULATIONS",
@@ -47,7 +47,8 @@ class _Split:
     With psi = <m.n, n>, w = (id - n(x)n) m.n and P = id - n(x)n, the force
     traction (sigma - tau).n is corrected by the normal-moment term
     -1/2 n x grad_S psi and the tangential-gradient term
-    -1/2 div_S(anti(w) P); the double-force traction is anti(w).n.
+    -1/2 div_S(anti(w) P); the double-force traction is anti(w).n.  Both are
+    cross products, as anti(v) a = v x a and x^a.n = 0, as noted beside each.
     """
 
     t_total: NDArray    # (sigma - tau).n
@@ -55,15 +56,15 @@ class _Split:
     psi: NDArray
     w: NDArray
     t_psi: NDArray      # -1/2 n x grad_S psi
-    t_tang: NDArray     # -1/2 div_S(anti(w) P)
-    g: NDArray          # anti(w).n
+    t_tang: NDArray     # -1/2 div_S(anti(w) P) = -1/2 (d_a w x x^a - (w x n)(x^a.d_a n))
+    g: NDArray          # anti(w).n = w x n
 
 
 def _split(params: MaterialParams, field: DisplacementField, fr: Frame) -> _Split:
     """The complete split of ``field`` at the points of frame ``fr``.  The
-    chart derivatives of psi and anti(w) P come by the chain rule from
-    grad m (one :func:`stresses` call) and the frame's own d_a n; below, a
-    chart axis of length 2 sits before the ambient axes."""
+    chart derivatives of psi and w come by the chain rule from grad m (one
+    :func:`stresses` call) and the frame's own d_a n; below, a chart axis of
+    length 2 sits before the ambient axes."""
     st = stresses(params, field, fr.x)
     m, n = st.m_tilde, fr.n
     m_n = _mv(m, n)
@@ -75,18 +76,17 @@ def _split(params: MaterialParams, field: DisplacementField, fr: Frame) -> _Spli
     d_psi = _dot(dm_n, n_) + 2.0 * _dot(_mv(sym(m), n)[..., None, :], dn)
     d_w = (dm_n + _mv(m[..., None, :, :], dn)
            - d_psi[..., None] * n_ - psi[..., None, None] * dn)
-    P = tangential_projector(n)
-    dP = np.einsum("...ai,...j->...aij", dn, n)
-    dP = dP + np.swapaxes(dP, -1, -2)                                   # d_a (n (x) n)
-    d_wP = anti(d_w) @ P[..., None, :, :] - anti(w)[..., None, :, :] @ dP
+    g = np.cross(w, n)
+    d_w_x = np.cross(d_w, fr.dual)
+    div_n = np.einsum("...aj,...aj->...", fr.dual, dn)                  # x^a . d_a n
     return _Split(
         t_total=_mv(st.sigma_total, n),
         m_n=m_n,
         psi=psi,
         w=w,
         t_psi=-0.5 * np.cross(n, fr.surface_scalar_gradient(d_psi)),
-        t_tang=-0.5 * fr.surface_rowwise_divergence(np.moveaxis(d_wP, -3, -1)),
-        g=_mv(anti(w), n),
+        t_tang=-0.5 * (d_w_x[..., 0, :] + d_w_x[..., 1, :] - g * div_n[..., None]),
+        g=g,
     )
 
 
@@ -173,9 +173,9 @@ class HdPostulateReport:
     ``sup_normal_moment`` is the sup of |<m.n, n>| over the quadrature
     points (machine zero for skew couple stress), while
     ``residual_work_norm`` is the L2 norm over the patch of
-    div_S(anti(w)(id - n(x)n)), twice the tangential-gradient force term
-    that keeps performing work against the virtual displacement
-    regardless.
+    div_S(anti(w)(id - n(x)n)) = d_a w x x^a - (w x n)(x^a.d_a n), twice
+    the tangential-gradient force term that keeps performing work against
+    the virtual displacement regardless.
     """
 
     sup_normal_moment: float

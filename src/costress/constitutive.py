@@ -6,6 +6,13 @@ indeterminate couple stress model, for all three parameter regimes:
 * ``hd``       alpha1 = 0, alpha2 > 0 (skew couple stress)
 
 Energies and stresses broadcast over leading axes, as in :mod:`tensors`.
+
+Rounding: :func:`stresses` applies the couple law k [alpha1 sym + alpha2 skw]
+grad curl (k = mu L_c^2) as one (27, 9) matrix per material, the
+:func:`couple_stress` of the grad curl of each unit second gradient, with
+entries 0, +-k alpha1 and +-k (alpha1 +- alpha2)/2.  An entry of m or grad m
+sums at most four products, so it is couple_stress(grad curl) within a few
+ulp of the largest, not bit for bit.
 """
 
 from __future__ import annotations
@@ -214,11 +221,17 @@ def couple_stress(params: MaterialParams, grad_curl_u: NDArray) -> NDArray:
     return params.mu * params.L_c ** 2 * (params.alpha1 * sym(M) + params.alpha2 * skw(M))
 
 
+#: grad curl of each unit second gradient, (27, 3, 3); see the rounding note
+_GRAD_CURL_OF_UNIT_GRAD2 = grad_curl_from_grad2(np.eye(27).reshape(27, 3, 3, 3))
+_GRAD_CURL_OF_UNIT_GRAD2.flags.writeable = False
+
+
 def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> StressState:
     """All stress measures of the model at points x of shape (..., 3), and
     the gradient of the couple stress; see :class:`StressState`.
 
-    grad m, hence Div m and tau, comes from the field's own ``grad3``.
+    grad m, hence Div m and tau, comes from the field's own ``grad3``: the
+    couple law is linear, so m and d_l m are grad2 u and d_l grad2 u times its matrix.
     """
     x = np.asarray(x, dtype=float)
     G = field.grad(x)
@@ -227,11 +240,10 @@ def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> St
     for name, a in (("grad", G), ("grad2", H), ("grad3", T3)):
         _guard_finite(name, a, x)
     sigma = 2.0 * params.mu * sym(G) + params.lam * tr(G)[..., None, None] * ID3
-    m_tilde = couple_stress(params, grad_curl_from_grad2(H))
-    # the constitutive map is linear: d_k m is the couple stress of d_k grad curl u,
-    # the grad curl of the second gradient d_k grad2 u
-    dm = couple_stress(params, grad_curl_from_grad2(np.moveaxis(T3, -1, -4)))   # (..., k, i, j)
-    grad_m = np.moveaxis(dm, -3, -1)
+    law = couple_stress(params, _GRAD_CURL_OF_UNIT_GRAD2).reshape(27, 9)
+    m_tilde = (H.reshape(H.shape[:-3] + (27,)) @ law).reshape(H.shape[:-1])
+    dm = np.moveaxis(T3, -1, -4).reshape(T3.shape[:-4] + (3, 27)) @ law     # (..., l, ij)
+    grad_m = np.moveaxis(dm.reshape(T3.shape[:-1]), -3, -1)
     tau = 0.5 * anti(np.einsum("...ijj->...i", grad_m))
     return StressState(sigma=sigma, m_tilde=m_tilde, grad_m=grad_m, tau_tilde=tau,
                        sigma_total=sigma - tau)

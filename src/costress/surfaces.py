@@ -12,12 +12,13 @@ holds everything the surface operators read at one point set: those
 three arrays, the normal, the area element and the dual tangents.
 :meth:`SurfacePatch.quadrature` returns the frame of its rule and
 :meth:`SurfacePatch.edge_quadrature` the frame and outward conormal of its
-edge rule, so a caller builds one frame per point set.  Surface gradients
-and divergences are closed forms on the frame: they act on chart
+edge rule, so a caller builds one frame per point set.  The dual tangents
+come from the 2x2 inverse metric in closed form, and the surface gradient
+and divergence are closed forms on the frame: the gradient acts on chart
 derivatives the caller supplies (the moment traction terms of
-:mod:`costress.boundary` get theirs by the chain rule) or on an ambient
-gradient.  No finite difference is taken here; the tests hold the chart
-stencil that cross-checks these closed forms.
+:mod:`costress.boundary` get theirs by the chain rule), the divergence on
+an ambient gradient.  No finite difference is taken here; the tests hold
+the chart stencil that cross-checks these closed forms.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class Frame:
         """Surface gradient of a scalar chart field with chart derivatives
         d_f (..., 2), as an ambient vector."""
         return np.einsum("...a,...aj->...j", d_f, self.dual)
-
-    def surface_rowwise_divergence(self, d_T) -> NDArray:
-        """Row-wise surface divergence of a 3x3 chart field T with chart
-        derivatives d_T (..., 3, 3, 2): r_i = (grad_S T)_ijk P_kj = d^S_j T_ij."""
-        return np.einsum("...ija,...aj->...i", d_T, self.dual)
 
     def tangential_divergence(self, v, grad_v) -> NDArray:
         """div_S(P v) of an ambient vector field, P = id - n n, from its
@@ -124,9 +120,13 @@ class SurfacePatch:
         x, tangents, dn = self.chart(s, t)
         nv = np.cross(tangents[..., 0, :], tangents[..., 1, :])
         jac = np.linalg.norm(nv, axis=-1)
-        g = np.einsum("...ai,...bi->...ab", tangents, tangents)
-        return Frame(x=x, tangents=tangents, n=nv / jac[..., None], dn=dn, jac=jac,
-                     dual=np.linalg.inv(g) @ tangents)
+        # x^a = g^ab x_b with the 2x2 inverse metric adj(g) / det g in closed form
+        x_s, x_t = tangents[..., 0, :], tangents[..., 1, :]
+        g_ss, g_st, g_tt = _dot(x_s, x_s), _dot(x_s, x_t), _dot(x_t, x_t)
+        det = (g_ss * g_tt - g_st * g_st)[..., None]
+        dual = np.stack([(g_tt[..., None] * x_s - g_st[..., None] * x_t) / det,
+                         (g_ss[..., None] * x_t - g_st[..., None] * x_s) / det], axis=-2)
+        return Frame(x=x, tangents=tangents, n=nv / jac[..., None], dn=dn, jac=jac, dual=dual)
 
     # -- quadrature -------------------------------------------------------
 

@@ -37,7 +37,6 @@ __all__ = [
     "is_traceless",
     "skw",
     "sym",
-    "tangential_projector",
     "tr",
 ]
 
@@ -168,18 +167,3 @@ def contract_E_X(E: NDArray, X: NDArray) -> NDArray:
     # not inner's einsum: it rounds a batch of these operands unlike each item alone
     return np.sum(E * np.swapaxes(X, -1, -2)[..., None, :, :], axis=(-2, -1))
 
-
-def tangential_projector(n: NDArray, tol: float = 1e-12) -> NDArray:
-    """Projector id - n (x) n onto the plane orthogonal to a unit normal.
-
-    Raises
-    ------
-    ValueError
-        If any n is not a unit vector within the tolerance.
-    """
-    n = np.asarray(n, dtype=float)
-    nrm = np.linalg.norm(n, axis=-1)
-    bad = np.abs(nrm - 1.0) > tol
-    if np.any(bad):
-        raise ValueError(f"normal must be a unit vector, got |n| = {np.extract(bad, nrm)[0]!r}")
-    return ID3 - n[..., :, None] * n[..., None, :]

@@ -1,5 +1,6 @@
 """Test-side oracles: a field evaluated one point at a time, with derivatives
-by finite differences, and the finite-difference chart gradient of a patch."""
+by finite differences, the finite-difference chart gradient of a patch and the
+row-wise surface divergence of a tensor chart field."""
 
 import numpy as np
 
@@ -50,3 +51,10 @@ def chart_gradient(patch, fun, s, t):
     return np.stack([fd_partial(lambda y: fun(y[..., 0], y[..., 1]), st, (axis,),
                                 chart_step(patch, axis, s))
                      for axis in (0, 1)], axis=-1)
+
+
+def surface_rowwise_divergence(fr, d_T):
+    """Row-wise surface divergence of a 3x3 chart field T with chart
+    derivatives d_T (..., 3, 3, 2) at the points of frame ``fr``:
+    r_i = (grad_S T)_ijk P_kj = d_a T_ij x^a_j."""
+    return np.einsum("...ija,...aj->...i", d_T, fr.dual)

@@ -8,17 +8,18 @@ from costress.boundary import (
     hd_postulate_report,
     tractions,
 )
-from costress.constitutive import MaterialParams, stresses
+from costress.constitutive import MaterialParams, couple_stress, stresses
 from costress.fields import (
     DisplacementField,
     PolynomialField,
     fd_derivative_oracle,
+    grad_curl_from_grad2,
     make_polynomial,
     random_conformal,
 )
 from costress.surfaces import BoxFace, SphericalCap, SurfacePatch, surface_divergence_check
-from costress.tensors import anti, tangential_projector
-from oracles import PointwiseField, chart_gradient
+from costress.tensors import anti, sym
+from oracles import PointwiseField, chart_gradient, surface_rowwise_divergence
 
 HEMI = SphericalCap(center=np.zeros(3), radius=1.0, axis=(0.0, 0.0, 1.0),
                     theta_max=np.pi / 2.0)
@@ -151,7 +152,7 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
         return chart_gradient(patch, at, S, T)
 
     d_psi = fd(lambda sp, q: sp.psi)
-    d_wP = fd(lambda sp, q: anti(sp.w) @ tangential_projector(q.n))
+    d_wP = fd(lambda sp, q: anti(sp.w) @ (np.eye(3) - q.n[..., :, None] * q.n[..., None, :]))
 
     def sqrt_g_w(ss, tt):
         # sqrt(g) times the contravariant components w^a = x^a . v of P v
@@ -162,7 +163,7 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
     sp = _split(p, field, fr)
     pairs = [
         (sp.t_psi, -0.5 * np.cross(fr.n, fr.surface_scalar_gradient(d_psi))),
-        (sp.t_tang, -0.5 * fr.surface_rowwise_divergence(d_wP)),
+        (sp.t_tang, -0.5 * surface_rowwise_divergence(fr, d_wP)),
         # div_S(P v) = (1/sqrt g) d_a(sqrt g w^a)
         (fr.tangential_divergence(field.value(fr.x), field.grad(fr.x)),
          (d_w[..., 0, 0] + d_w[..., 1, 1]) / fr.jac),
@@ -172,6 +173,64 @@ def test_closed_form_chart_derivatives_match_the_fd_stencil(patch, field):
         assert closed.shape == ref.shape and len(ref) == 64
         # measured: 1.4e-12 on the moment terms, 8.6e-12 on div_S(P v)
         assert np.max(np.abs(closed - ref)) <= 1e-9 * scale
+
+
+def _projector_forms(p, field, fr):
+    """-1/2 div_S(anti(w) P) with P = id - n(x)n and d_a P built as stacked 3x3
+    tensors, and anti(w).n: the forms that the split's cross products replace,
+    on the same chain-rule chart derivatives of psi and w."""
+    st = stresses(p, field, fr.x)
+    m, n, dn = st.m_tilde, fr.n, fr.dn
+    m_n = np.einsum("...ij,...j->...i", m, n)
+    psi = np.einsum("...i,...i->...", m_n, n)
+    w = m_n - psi[..., None] * n
+    dm_n = np.einsum("...ijk,...ak,...j->...ai", st.grad_m, fr.tangents, n)
+    d_psi = (np.einsum("...ai,...i->...a", dm_n, n)
+             + 2.0 * np.einsum("...ij,...j,...ai->...a", sym(m), n, dn))
+    d_w = (dm_n + np.einsum("...ij,...aj->...ai", m, dn)
+           - d_psi[..., None] * n[..., None, :] - psi[..., None, None] * dn)
+    P = np.eye(3) - n[..., :, None] * n[..., None, :]
+    dP = -(dn[..., :, :, None] * n[..., None, None, :] + n[..., None, :, None] * dn[..., :, None, :])
+    d_wP = anti(d_w) @ P[..., None, :, :] + anti(w)[..., None, :, :] @ dP      # (..., 2, 3, 3)
+    t_tang = -0.5 * surface_rowwise_divergence(fr, np.moveaxis(d_wP, -3, -1))
+    return t_tang, (anti(w) @ n[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("regime", ["gkmt", "modified", "hd"])
+@pytest.mark.parametrize("patch", [HEMI, CAP, FACE], ids=["hemisphere", "off_axis_cap", "face"])
+def test_closed_forms_match_the_formulas_they_replace(patch, regime):
+    # each closed form of the boundary path against the generic formula it
+    # replaced, to a few rounding units of the largest entry (measured at
+    # orders 8-32: at most 0.7 ulp on the dual tangents, 1.5 on m and grad m,
+    # 5 on the tangential-gradient term and 0.7 on the double-force traction)
+    eps = np.finfo(float).eps
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.4)
+    u = make_polynomial(5, 3)
+    _, _, fr = patch.quadrature(8)
+
+    def close(closed, ref, ulps):
+        assert closed.shape == ref.shape
+        assert np.max(np.abs(closed - ref)) <= ulps * eps * np.max(np.abs(ref))
+
+    # the dual tangents by the 2x2 adjugate: LAPACK's inverse metric, and
+    # x^a . x_b = delta_ab to a few rounding units of |x^a| |x_b|
+    g = np.einsum("...ai,...bi->...ab", fr.tangents, fr.tangents)
+    close(fr.dual, np.linalg.inv(g) @ fr.tangents, 4)
+    norms = [np.linalg.norm(t, axis=-1) for t in (fr.dual, fr.tangents)]
+    duality = fr.dual @ np.swapaxes(fr.tangents, -1, -2) - np.eye(2)
+    assert np.max(np.abs(duality) / (norms[0][..., :, None] * norms[1][..., None, :])) <= 4 * eps
+
+    # the couple law folded into one (27, 9) matrix: couple_stress of grad curl
+    st = stresses(p, u, fr.x)
+    close(st.m_tilde, couple_stress(p, grad_curl_from_grad2(u.grad2(fr.x))), 4)
+    dm = couple_stress(p, grad_curl_from_grad2(np.moveaxis(u.grad3(fr.x), -1, -4)))
+    close(st.grad_m, np.moveaxis(dm, -3, -1), 4)
+
+    # the cross products of the split: the projector forms
+    sp = _split(p, u, fr)
+    t_tang, g_ref = _projector_forms(p, u, fr)
+    close(sp.t_tang, t_tang, 8)
+    close(sp.g, g_ref, 4)
 
 
 def test_work_identity_off_axis_cap_at_order_24():

@@ -2,8 +2,8 @@
 imports scipy, keeps a private helper it never calls or exports a name it does
 not define, no two functions of the package share a body, finite differences
 stay in the oracles, every function runs in some command, every acceptance
-criterion runs a check function of the CLI and no reduction runs over the last
-two axes."""
+criterion runs a check function of the CLI, no reduction runs over the last
+two axes and no general matrix inverse stands in for a closed form."""
 
 import ast
 import importlib
@@ -397,3 +397,45 @@ def test_no_reduction_over_the_last_two_axes():
     found = {f"{path.stem}:{fn}" for path in sorted(SRC.glob("*.py"))
              for fn in last_two_axes_reductions(path.read_text(encoding="utf-8"))}
     assert found == set(_LAST_TWO_AXES_SUMS)
+
+
+def matrix_inverse_calls(source: str) -> list[str]:
+    """The innermost function (or ``<module>``) of each call of the module to
+    ``inv`` through an attribute chain ending in ``linalg``, as
+    ``np.linalg.inv`` or ``linalg.inv``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "inv" and ast.unparse(node.func.value).endswith("linalg")):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detector_flags_a_matrix_inverse():
+    source = ("import numpy as np\nfrom numpy import linalg\nA = np.linalg.inv(B)\n"
+              "def f(X):\n    def g(Y):\n        return linalg.inv(Y)\n"
+              "    return np.linalg.solve(X, X) + g(X) + X.inv()\n")
+    assert matrix_inverse_calls(source) == ["<module>", "g"]
+
+
+#: the functions that may call np.linalg.inv, each with its reason
+_MATRIX_INVERSES = {
+    "solver:mass_factors": "the inverse Cholesky factor of a mass block, reused by every "
+                           "eigen-solve of its operators",
+    "solver:korn": "the inverse Cholesky factor of a sym-grad block, for one eigen-solve",
+}
+
+
+def test_no_general_matrix_inverse():
+    # a 2x2 inverse (the surface metric) is its adjugate over its determinant:
+    # LAPACK's batched inverse costs several times that closed form
+    found = {f"{path.stem}:{fn}" for path in sorted(SRC.glob("*.py"))
+             for fn in matrix_inverse_calls(path.read_text(encoding="utf-8"))}
+    assert found == set(_MATRIX_INVERSES)

@@ -17,7 +17,6 @@ from costress.tensors import (
     is_traceless,
     skw,
     sym,
-    tangential_projector,
     tr,
 )
 
@@ -106,19 +105,6 @@ def test_anti_via_permutation_tensor():
     assert np.allclose(anti(v), -np.einsum("ijk,k->ij", EPS3, v), atol=1e-15)
 
 
-def test_tangential_projector():
-    n = np.array([0.0, 0.0, 1.0])
-    P = tangential_projector(n)
-    assert np.allclose(P, np.diag([1.0, 1.0, 0.0]))
-    assert np.allclose(P @ P, P)
-    with pytest.raises(ValueError):
-        tangential_projector(np.array([1.0, 1.0, 0.0]))
-
-
-def _unit(v):
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def _skew(X):
     return X - np.swapaxes(X, -1, -2)
 
@@ -141,7 +127,6 @@ BROADCAST = {
     "axl": (lambda X: axl(_skew(X)), [(3, 3)]),
     "anti": (anti, [(3,)]),
     "contract_E_X": (contract_E_X, [(3, 3, 3), (3, 3)]),
-    "tangential_projector": (lambda v: tangential_projector(_unit(v)), [(3,)]),
 }
 
 
