@@ -33,7 +33,7 @@ from .boundary import boundary_work_identity, hd_postulate_report
 from .fields import (PolynomialField, fd_derivative_oracle, field_from_spec,
                      grad_curl_from_grad2, kinematics, make_polynomial, random_conformal)
 from .solver import (DegenerateCosseratError, WellPosednessError, assemble,
-                     coercivity_evidence, cosserat_limit_sweep, min_quadrature_order, solve)
+                     coercivity_evidence, cosserat_limit_sweep, solve)
 from .surfaces import BoxFace, SphericalCap, stokes_flux_check, surface_divergence_check
 from .tensors import anti, axl, cartan_decompose, contract_E_X, dev, inner, tr
 
@@ -373,11 +373,11 @@ def hd_postulate_checks(field, patch, quadrature_order: int, material: MaterialP
     ]
 
 
-def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: LoadData,
-               material: MaterialParams, tolerances: dict) -> list[Check]:
+def bvp_checks(seed: int, n_modes: int, load: LoadData, material: MaterialParams,
+               tolerances: dict) -> list[Check]:
     """Solve the clamped problem and check the system and the solution."""
     try:
-        system = assemble(material, load, n_modes, quadrature_order)
+        system = assemble(material, load, n_modes)
         sol = solve(system)
     except (WellPosednessError, ValueError) as exc:
         raise ConfigError(str(exc))
@@ -406,12 +406,11 @@ def bvp_checks(seed: int, n_modes: int, quadrature_order: int | None, load: Load
     ]
 
 
-def cosserat_checks(n_modes: int, quadrature_order: int | None, load: LoadData,
-                    mu_c_values: list, material: MaterialParams) -> list[Check]:
+def cosserat_checks(n_modes: int, load: LoadData, mu_c_values: list,
+                    material: MaterialParams) -> list[Check]:
     """Penalized Cosserat solutions converge to the constrained one, first order in 1/mu_c."""
     try:
-        errors, slope = cosserat_limit_sweep(material, load, n_modes, mu_c_values,
-                                             quadrature_order)
+        errors, slope = cosserat_limit_sweep(material, load, n_modes, mu_c_values)
     except (DegenerateCosseratError, WellPosednessError, ValueError) as exc:
         raise ConfigError(str(exc))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
@@ -450,15 +449,6 @@ def conformal_checks(seed: int, points: int, material: MaterialParams,
 _GKMT = (_material("gkmt"), None)
 _ORDER = (_int(1), 16)
 
-
-def _solver_order(v, job):
-    """Parser of the solver's Gauss order: null (the default), or at least
-    ``min_quadrature_order``, the lowest that integrates the stiffness exactly."""
-    return _int(min_quadrature_order(job["n_modes"]), optional=True)(v, job)
-
-
-_SOLVER_ORDER = (_solver_order, None)
-
 #: command -> (checks function, schema); the function takes the schema's keys
 _COMMANDS = {
     "verify-operators": (operator_checks, {
@@ -487,12 +477,11 @@ _COMMANDS = {
         "tolerances": {"normal_moment": _tol(1e-14)},
     }),
     "bvp-solve": (bvp_checks, {
-        "seed": _SEED, "n_modes": (_int(1), 3), "quadrature_order": _SOLVER_ORDER,
-        "load": (_load, None), "material": _GKMT,
+        "seed": _SEED, "n_modes": (_int(1), 3), "load": (_load, None), "material": _GKMT,
         "tolerances": {"solver_residual": _tol(1e-10)},
     }),
     "cosserat-limit": (cosserat_checks, {
-        "n_modes": (_int(1), 3), "quadrature_order": _SOLVER_ORDER, "load": (_load, None),
+        "n_modes": (_int(1), 3), "load": (_load, None),
         "mu_c_values": (_increasing, [10.0, 100.0, 1000.0, 10000.0]), "material": _GKMT,
     }),
     "conformal-demo": (conformal_checks, {
@@ -615,7 +604,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON job config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--quadrature-order", type=int, default=None)
+    parser.add_argument("--quadrature-order", type=int, default=None,
+                        help="override the Gauss order of bc-audit and hd-postulate")
     args = parser.parse_args(argv)
     return run(args.command, args.config, args.out, args.seed, args.quadrature_order)
 

@@ -35,7 +35,10 @@ grows with mu_c; mu_c = inf (s = 1) is the clamped problem of ``assemble``.
 
 The material and the load only scale and pair material-free operators (the Grams, the
 mass's inverse Cholesky factors, the Korn constant, W, B, Lambda): ``_operators`` builds
-them once per (N, Gauss order) per process, read-only, shared by every job's system.
+them once per N per process, read-only, shared by every job's system, on the Gauss rule
+of N + 6 nodes: the modes have degree <= N + 3, so it is exact for every stiffness
+integrand and for the work of each polynomial load of degree <= 6 (every load the CLI
+builds), which at N = 1 needs more than the stiffness's ``min_quadrature_order``.
 """
 
 from __future__ import annotations
@@ -194,16 +197,6 @@ def min_quadrature_order(n_modes: int) -> int:
     return n_modes + 4
 
 
-def _gauss_order(n_modes: int, quadrature_order: int | None) -> int:
-    """The solver's Gauss order: by default two above ``min_quadrature_order``; one
-    below it is rejected."""
-    floor = min_quadrature_order(n_modes)
-    order = floor + 2 if quadrature_order is None else quadrature_order
-    if order < floor:
-        raise ValueError(f"quadrature order {order} below the exactness minimum {floor} for N = {n_modes}")
-    return order
-
-
 def _tabulate(basis: ClampedBasis, order: int):
     """(tensor Gauss points (q^3, 3), derivatives k = 0..2 of each 1d mode times each
     node's weight (3, N, q), 1d Grams A[i, j] = int beta^(i) beta^(j) (3, 3, N, N)) on
@@ -300,13 +293,12 @@ def _extreme_eig(X: list[NDArray], inv_L: list[NDArray] | None = None, top=False
 
 @dataclass(frozen=True, eq=False)
 class _Operators:
-    """The material-free parts of the clamped problem at one (N, Gauss order), read-only:
+    """The material-free parts of the clamped problem at one N, read-only:
     the load work's Gauss points and weighted 1d tables, the Grams of grad u, div u, curl curl
     u / 2 and u (the mass) as group stacks of parity blocks; on first use, the mass factors,
     the Korn constant and the rotations."""
 
     basis: ClampedBasis
-    order: int
     pts: NDArray
     wT: NDArray
     grad: tuple[NDArray, ...]
@@ -356,16 +348,16 @@ class _Operators:
         return tuple(out)
 
 
-# two entries: a job on a second key (another N or Gauss order) keeps the first; an entry
-# retains about 2.9 MB at N = 6 and 177 MB at N = 12, the mass factors 0.4 and 27 MB of it
+# two entries: a job at a second N keeps the first; an entry retains about 2.9 MB at
+# N = 6 and 177 MB at N = 12, the mass factors 0.4 and 27 MB of it
 @functools.lru_cache(maxsize=2)
-def _operators(n_modes: int, order: int) -> _Operators:
-    """The operators at N modes and a Gauss order resolved by ``_gauss_order``, built
-    once and shared by every job at that key."""
+def _operators(n_modes: int) -> _Operators:
+    """The operators at N modes on the Gauss rule of ``min_quadrature_order(N) + 2``
+    nodes, built once and shared by every job at that N."""
     basis = ClampedBasis(n_modes)
-    pts, wT, A = _tabulate(basis, order)
+    pts, wT, A = _tabulate(basis, min_quadrature_order(n_modes) + 2)
     grad, div, curl, value = (_form(basis, A, op) for op in ("grad", "div", "curl_curl", "value"))
-    return _Operators(basis, order, *_shared([pts, wT]), _shared(grad), _shared(div),
+    return _Operators(basis, *_shared([pts, wT]), _shared(grad), _shared(div),
                       _shared([0.25 * X for X in curl]), _shared(value))
 
 
@@ -373,23 +365,21 @@ def _operators(n_modes: int, order: int) -> _Operators:
 class GalerkinSystem:
     """Assembled discrete problem: K z = b minimizes I = z'Kz/2 - b'z.  K is held as
     its parity blocks stacked per group, ``K[k]`` on the dofs ``ops.basis.groups[k]``;
-    the basis, the L2 mass (``ops.value``), the Gauss order and the Korn constant of the
-    span are those of the shared operators ``ops``."""
+    the basis, the L2 mass (``ops.value``) and the Korn constant of the span are those of
+    the shared operators ``ops``."""
 
     ops: _Operators
     K: list[NDArray]
     b: NDArray
 
 
-def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
-             quadrature_order: int | None):
-    """The clamped problem on the shared operators of (N, Gauss order), each form as
+def _problem(params: MaterialParams, loads: LoadData, n_modes: int):
+    """The clamped problem on the shared operators of N, each form as
     group stacks of its parity blocks: its system, with the curvature block (alpha1 +
     alpha2) mu L_c^2 G(curl curl u / 2) and the load f + g; the classical stiffness
     E = mu G(grad u) + (mu + lam) G(div u), by Korn's equality 2 mu G(sym grad u) +
     lam G(div u); and the force work f and couple work g (against curl u / 2)."""
-    order = _gauss_order(n_modes, quadrature_order)
-    ops = _operators(n_modes, order)
+    ops = _operators(n_modes)
     elastic = [params.mu * g + (params.mu + params.lam) * d for g, d in zip(ops.grad, ops.div)]
     force = _work(ops.wT, "value", loads.force(ops.pts))
     couple = (np.zeros(ops.basis.n_dofs) if loads.m_body is None
@@ -399,15 +389,14 @@ def _problem(params: MaterialParams, loads: LoadData, n_modes: int,
     return GalerkinSystem(ops, K, force + couple), elastic, force, couple
 
 
-def assemble(params: MaterialParams, loads: LoadData, n_modes: int,
-             quadrature_order: int | None = None) -> GalerkinSystem:
+def assemble(params: MaterialParams, loads: LoadData, n_modes: int) -> GalerkinSystem:
     """Assemble stiffness, mass and load for the clamped problem.
 
     By the null Lagrangian the curvature block is (alpha1 + alpha2) mu L_c^2 / 4
     times the curl curl Gram: K depends on alpha1 + alpha2 only, so ``hd`` and
     ``modified`` materials with equal sums share one stiffness.
     """
-    return _problem(params, loads, n_modes, quadrature_order)[0]
+    return _problem(params, loads, n_modes)[0]
 
 
 @dataclass
@@ -451,11 +440,11 @@ def coercivity_evidence(system: GalerkinSystem) -> float:
     return _extreme_eig(system.K, system.ops.mass_factors)
 
 
-def korn_constant(n_modes: int, quadrature_order: int | None = None) -> float:
+def korn_constant(n_modes: int) -> float:
     """Discrete Korn constant sup ||grad u|| / ||sym grad u|| over the
     clamped basis span (unit cube, L2 norms); an assembled system reads the
     same value from its operators, ``GalerkinSystem.ops.korn``."""
-    return _operators(n_modes, _gauss_order(n_modes, quadrature_order)).korn
+    return _operators(n_modes).korn
 
 
 # -- Cosserat penalty problem -------------------------------------------------
@@ -499,8 +488,7 @@ def _reduced_solves(params: MaterialParams, problem,
     return out
 
 
-def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
-                         mu_c_values, quadrature_order: int | None = None):
+def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int, mu_c_values):
     """Relative L2 errors against the mu_c = inf solution, that of the clamped
     problem of ``assemble``, over a mu_c sweep, plus the least-squares
     convergence order in 1/mu_c.
@@ -516,7 +504,7 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int,
             f"(alpha1 + alpha2) mu L_c^2 = 0 (alpha1 = {params.alpha1}, alpha2 = {params.alpha2}, "
             f"L_c = {params.L_c}): without curvature energy every mu_c gives the mu_c = inf "
             "solution, so there is no convergence to measure")
-    problem = _problem(params, loads, n_modes, quadrature_order)
+    problem = _problem(params, loads, n_modes)
     ref, *sols = (sol.coeffs for sol, _ in
                   _reduced_solves(params, problem, [np.inf, *(p.mu_c for p in penalized)]))
     basis, M = problem[0].ops.basis, problem[0].ops.value

@@ -155,9 +155,8 @@ def test_criterion_08_hd_postulate_refutation():
 def test_criterion_09_well_posedness_evidence():
     def rows(regime, n_modes):
         p = MaterialParams.for_regime(regime, mu=1.0, lam=1.0, L_c=0.1)
-        return {c.name: c for c in bvp_checks(seed=9, n_modes=n_modes, quadrature_order=None,
-                                              load=LoadData(), material=p,
-                                              tolerances={"solver_residual": 1e-10})}
+        return {c.name: c for c in bvp_checks(seed=9, n_modes=n_modes, load=LoadData(),
+                                              material=p, tolerances={"solver_residual": 1e-10})}
 
     lam_mins = [rows(regime, 3)["coercivity_lambda_min"] for regime in ("gkmt", "modified", "hd")]
     korns = [rows("gkmt", n)["korn_constant"] for n in (2, 3, 4)]
@@ -197,7 +196,7 @@ def test_criterion_11_cosserat_limit(regime):
     )
     mu_cs = [10.0, 100.0, 1000.0, 10000.0]
     checks = {c.name: c for c in cosserat_checks(
-        n_modes=3, quadrature_order=None, load=loads, mu_c_values=mu_cs, material=p)}
+        n_modes=3, load=loads, mu_c_values=mu_cs, material=p)}
     errors = checks["errors_strictly_decreasing"].details["errors"]
     order = checks["convergence_order"].value
     print(f"cosserat sweep errors ({regime}): {errors}; observed order {order:.3f}")
@@ -209,7 +208,7 @@ def test_criterion_11_cosserat_limit(regime):
     ref = solve(system).coeffs
     for mc, err in zip(mu_cs, errors):
         pc = replace(p, mu_c=mc)
-        [(sol, _)] = solver._reduced_solves(pc, solver._problem(pc, loads, 3, None), [mc])
+        [(sol, _)] = solver._reduced_solves(pc, solver._problem(pc, loads, 3), [mc])
         d = sol.coeffs - ref
         mass = lambda v: v @ system.ops.basis.apply(system.ops.value, v)
         assert err == pytest.approx(np.sqrt(mass(d) / mass(ref)), rel=1e-9)

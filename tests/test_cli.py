@@ -306,13 +306,25 @@ def test_bvp_solve_tabulates_once(tmp_path, monkeypatch):
 
     raw = solver._tabulate
     monkeypatch.setattr(solver, "_tabulate", counting)
-    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "quadrature_order": 7})
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2})
     out = tmp_path / "o"
     assert run("bvp-solve", cfg, str(out)) == 0
     assert len(calls) == 1
     report = json.loads((out / "report.json").read_text())
     korn = {c["name"]: c for c in report["checks"]}["korn_constant"]["value"]
-    assert korn == pytest.approx(solver.korn_constant(2, 7), rel=1e-12)
+    assert korn == pytest.approx(solver.korn_constant(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("mu, lam", [(1e-12, 1e12), (1e-300, 1e300)])
+def test_a_stiffness_not_positive_definite_exits_2_with_no_files(tmp_path, capsys, mu, lam):
+    # a valid material (mu > 0, 3 lambda + 2 mu > 0) whose stiffness at N = 4 is, in
+    # floating point, not positive definite: bvp-solve reports the solver's lambda_min
+    material = {"mu": mu, "lambda": lam, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0}
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 4, "material": material})
+    assert main(["bvp-solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "not positive definite (lambda_min = -" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("korn, passed", [(1.0, True), (1.2, True), (np.sqrt(2.0), True),
@@ -328,7 +340,7 @@ def test_korn_check_bounds_the_constant_by_one_and_sqrt2(monkeypatch, korn, pass
 
     monkeypatch.setattr(cli, "assemble", assemble)
     material = MaterialParams.for_regime("gkmt", L_c=0.5)
-    checks = cli.bvp_checks(0, 2, None, LoadData(), material, {"solver_residual": 1e-10})
+    checks = cli.bvp_checks(0, 2, LoadData(), material, {"solver_residual": 1e-10})
     check = {c.name: c for c in checks}["korn_constant"]
     assert bool(check.passed) == passed
 
@@ -347,7 +359,7 @@ def test_a_warm_bvp_job_factors_no_mass_block(monkeypatch):
     def job():
         systems.clear()
         factored.clear()
-        cli.bvp_checks(0, 3, None, LoadData(), material, {"solver_residual": 1e-10})
+        cli.bvp_checks(0, 3, LoadData(), material, {"solver_residual": 1e-10})
         [system] = systems
         return system
 
@@ -378,8 +390,10 @@ def test_a_warm_solver_job_plans_no_contraction(tmp_path, monkeypatch, command, 
 
 @pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])
 @pytest.mark.parametrize("via_flag", [False, True])
-def test_quadrature_order_below_the_exactness_floor_exits_2_before_tabulating(
-        tmp_path, monkeypatch, command, via_flag):
+def test_a_solver_quadrature_order_exits_2_before_tabulating(
+        tmp_path, monkeypatch, capsys, command, via_flag):
+    # the solver's Gauss order follows from N: the key, in the config or by the flag,
+    # is one the command does not read
     solver._operators.cache_clear()  # a cold cache: the accepted job's one tabulation is its own
     calls = []
 
@@ -389,21 +403,18 @@ def test_quadrature_order_below_the_exactness_floor_exits_2_before_tabulating(
 
     raw = solver._tabulate
     monkeypatch.setattr(solver, "_tabulate", counting)
-    floor = solver.min_quadrature_order(3)
-
-    def main_with(order):
-        cfg = {"seed": 0, "n_modes": 3} if via_flag else {"seed": 0, "n_modes": 3,
-                                                          "quadrature_order": order}
-        out = tmp_path / f"o{order}"
-        flag = ["--quadrature-order", str(order)] if via_flag else []
-        code = main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out),
-                     *flag])
-        return code, out
-
-    code, out = main_with(floor - 1)
-    assert code == 2 and calls == [] and not out.exists()
-    code, out = main_with(floor)
-    assert code == 0 and len(calls) == 1 and out.exists()
+    order = solver.min_quadrature_order(3) + 2
+    cfg = {"seed": 0, "n_modes": 3} if via_flag else {"seed": 0, "n_modes": 3,
+                                                      "quadrature_order": order}
+    flag = ["--quadrature-order", str(order)] if via_flag else []
+    out = tmp_path / "rejected"
+    assert main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out), *flag]) == 2
+    assert "quadrature_order" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    out = tmp_path / "accepted"
+    assert main([command, "--config", _write(tmp_path, "c.json", {"seed": 0, "n_modes": 3}),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1 and out.exists()
 
 
 def test_solver_csvs_do_not_depend_on_the_operator_cache(tmp_path):

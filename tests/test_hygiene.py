@@ -247,33 +247,35 @@ _UNREACHED = {
     "solver:ClampedBasis.solution_field": "the field of a solution, for a manufactured solution",
     "solver:_BasisField.__init__": "the field of a solution, for a manufactured solution",
     "solver:korn_constant": "bench/scaling.py calls it",
-    "solver:WellPosednessError.__init__": "no validated material reaches this error",
 }
 
 _CAP = {"type": "spherical_cap", "radius": 2.0, "theta_max": 1.0, "axis": [1.0, 1.0, 0.0]}
 _MODIFIED = {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 1.0, "alpha2": 0.0}
 _HD = {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 0.0, "alpha3": 1.0}
+_NOT_POSITIVE_DEFINITE = {"mu": 1e-12, "lambda": 1e12, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0}
 
-#: tiny jobs of the 8 commands: both patch types, every field family, the three
-#: regimes, the default load and loads with a body couple
+#: tiny jobs of the 8 commands, each with its exit code: both patch types, every field
+#: family, the three regimes, the default load, loads with a body couple, and a valid
+#: material (lambda / mu = 1e24) whose stiffness is not positive definite in floating point
 _REACH_JOBS = [
-    ("verify-operators", {"seed": 0, "cases": 2}),
-    ("verify-kinematics", {"seed": 0, "fields": 2, "points": 2, "degree": 2, "fd_fields": 1}),
-    ("energy-report", {"seed": 0, "cases": 2}),
+    ("verify-operators", {"seed": 0, "cases": 2}, 0),
+    ("verify-kinematics", {"seed": 0, "fields": 2, "points": 2, "degree": 2, "fd_fields": 1}, 0),
+    ("energy-report", {"seed": 0, "cases": 2}, 0),
     ("bc-audit", {"seed": 0, "quadrature_order": 4, "field": {"family": "zero"},
                   "delta_field": {"family": "constant", "c": [1.0, -2.0, 0.5]},
-                  "patch": {"type": "box_face", "which": "x-"}}),
+                  "patch": {"type": "box_face", "which": "x-"}}, 0),
     ("bc-audit", {"seed": 1, "field": {"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
-                  "delta_field": {"family": "conformal", "seed": 2}, "material": _MODIFIED}),
+                  "delta_field": {"family": "conformal", "seed": 2}, "material": _MODIFIED}, 0),
     ("bc-audit", {"seed": 2, "field": {"family": "polynomial", "seed": 3, "degree": 2},
                   "delta_field": {"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "p_hat": 0.4},
-                  "patch": _CAP, "material": _HD}),
-    ("hd-postulate", {"seed": 0, "quadrature_order": 8}),
-    ("bvp-solve", {"seed": 0, "n_modes": 2}),
-    ("bvp-solve", {"seed": 1, "n_modes": 2, "load": {"g_seed": 4}}),
+                  "patch": _CAP, "material": _HD}, 0),
+    ("hd-postulate", {"seed": 0, "quadrature_order": 8}, 0),
+    ("bvp-solve", {"seed": 0, "n_modes": 2}, 0),
+    ("bvp-solve", {"seed": 1, "n_modes": 2, "load": {"g_seed": 4}}, 0),
+    ("bvp-solve", {"seed": 0, "n_modes": 4, "material": _NOT_POSITIVE_DEFINITE}, 2),
     ("cosserat-limit", {"seed": 0, "n_modes": 2, "mu_c_values": [10.0, 100.0],
-                        "load": {"f_seed": 5, "f_degree": 1, "g_seed": 6}}),
-    ("conformal-demo", {"seed": 0, "points": 2, "material": _HD}),
+                        "load": {"f_seed": 5, "f_degree": 1, "g_seed": 6}}, 0),
+    ("conformal-demo", {"seed": 0, "points": 2, "material": _HD}, 0),
 ]
 
 #: runs the jobs through ``cli.main`` under a profiler; prints the exit codes and
@@ -301,16 +303,16 @@ print(json.dumps({"codes": codes, "called": sorted(
 def test_every_function_runs_in_some_command(tmp_path):
     # a fresh interpreter: no functools cache of the package is warm
     jobs = []
-    for i, (command, config) in enumerate(_REACH_JOBS):
+    for i, (command, config, _) in enumerate(_REACH_JOBS):
         path = tmp_path / f"job{i}.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         jobs.append((command, str(path), str(tmp_path / f"out{i}")))
-    assert {c for c, _ in _REACH_JOBS} == set(importlib.import_module("costress.cli")._COMMANDS)
+    assert {c for c, *_ in _REACH_JOBS} == set(importlib.import_module("costress.cli")._COMMANDS)
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(jobs)], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * len(jobs)
+    assert result["codes"] == [code for *_, code in _REACH_JOBS]
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unreached(sources, {tuple(c) for c in result["called"]}) == sorted(_UNREACHED)
 

@@ -72,10 +72,6 @@ class TestBasis:
         small, large = ClampedBasis(4)._coef, ClampedBasis(8)._coef
         assert np.array_equal(large[:, :4], np.pad(small, [(0, 4), (0, 0)]))
 
-    def test_quadrature_exactness_floor(self):
-        with pytest.raises(ValueError, match="below the exactness minimum"):
-            assemble(PARAMS, _loads(), 3, quadrature_order=5)
-
     def test_dof_count(self):
         assert ClampedBasis(2).n_dofs == 24
         assert ClampedBasis(3).n_dofs == 81
@@ -181,7 +177,7 @@ def test_gram_matches_plain_einsum(n):
 def test_load_work_is_the_optimized_einsum_bit_for_bit(n):
     # the fixed tensordot chain of ``_work`` against einsum's own optimized path over
     # every partial of both load operators
-    ops = solver._operators(n, solver._gauss_order(n, None))
+    ops = solver._operators(n)
     q = ops.wT.shape[2]
     F = np.random.default_rng(n).normal(size=(q ** 3, 3))
     for op in ("value", "half_curl"):
@@ -414,7 +410,7 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
         ("mass", "value"), ("grad", "grad"), ("div", "div"), ("curl", "curl_curl"))}
     forms["curl"] = [0.25 * X for X in forms["curl"]]
     system = assemble(p, _couple_loads(), n)
-    cosserat, elastic, force, couple = solver._problem(p, _couple_loads(), n, None)
+    cosserat, elastic, force, couple = solver._problem(p, _couple_loads(), n)
     W, B, _ = zip(*system.ops.rotations)
     E = p.mu * G["grad"] + (p.mu + p.lam) * G["div"]
     pairs = {
@@ -435,6 +431,38 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     assert cosserat.ops is system.ops
     assert all(map(np.array_equal, cosserat.K, system.K)) and np.array_equal(cosserat.b, system.b)
     assert system.ops.korn == korn_constant(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_solver_gauss_order_is_exact_for_the_forms_and_the_cli_loads(n):
+    # the solver's order is N + 6 for every job: the modes have degree <= N + 3 and every
+    # CLI load degree <= 6, so no higher order changes a Gram or a load work beyond
+    # round-off.  At N = 1 a degree-6 load needs more than the stiffness's minimum N + 4
+    basis, floor = ClampedBasis(n), solver.min_quadrature_order(n)
+    ops = ("value", "grad", "div", "curl_curl")
+
+    def grams(order):
+        A = solver._tabulate(basis, order)[2]
+        return [solver._form(basis, A, op) for op in ops]
+
+    ref = grams(n + 6)
+    for order in range(floor + 1, floor + 13):
+        for op, got, want in zip(ops, grams(order), ref):
+            assert _rel_gap(got, want) <= 3e-14, (order, op)
+
+    def work(order, F):
+        pts, wT, _ = solver._tabulate(basis, order)
+        return [solver._work(wT, op, F(pts)) for op in ("value", "half_curl")]
+
+    for degree in range(7):
+        # the couple work of a constant load vanishes: both works on the force work's scale
+        F = make_polynomial(degree, degree).value
+        got, want = np.stack(work(n + 6, F)), np.stack(work(n + 20, F))
+        assert np.max(np.abs(got - want)) <= 3e-14 * np.max(np.abs(want)), degree
+    if n == 1:
+        F = make_polynomial(6, 6).value
+        got, want = work(floor, F)[0], work(n + 20, F)[0]
+        assert np.max(np.abs(got - want)) > 1e-8 * np.max(np.abs(want))
 
 
 def _kron_form(A, op):
@@ -517,7 +545,7 @@ def test_every_form_is_held_as_its_parity_blocks(monkeypatch, n):
     # one (g, d, R) stack, Lambda (g, R): no matrix on all the dofs
     p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.5)
     system = assemble(p, _couple_loads(), n)
-    problem = solver._problem(p, _couple_loads(), n, None)
+    problem = solver._problem(p, _couple_loads(), n)
     systems = _capture_solves(monkeypatch)
     solver._reduced_solves(p, problem, [10.0, np.inf])
     groups, D = system.ops.basis.groups, system.ops.basis.n_dofs
@@ -539,7 +567,7 @@ def _dense_cosserat(regime, n):
     orthonormal rotation basis C (cutoff 1e-10 of the largest eigenvalue), one of
     C curl C', and (E, B = H W, d, W' g, f) on the solver's clamped problem."""
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
-    system, E, force, couple = solver._problem(p, _couple_loads(), n, None)
+    system, E, force, couple = solver._problem(p, _couple_loads(), n)
     ops = system.ops
     E, grad, div, curl = (_dense(ops.basis, X) for X in (E, ops.grad, ops.div, ops.curl))
     H = 0.25 * (grad - div)
@@ -591,7 +619,7 @@ def test_solution_energy_equals_the_constitutive_integral(regime, n):
     system = assemble(p, _loads(), n)
     z = solve(system).coeffs
     u = system.ops.basis.solution_field(z)
-    pts, W = system.ops.basis.quadrature(system.ops.order)
+    pts, W = system.ops.basis.quadrature(system.ops.wT.shape[-1])  # the solver's Gauss rule
     M = grad_curl_from_grad2(u.grad2(pts))
     assert np.max(np.abs(tr(M))) <= 1e-15
     density = w_lin(p, u.grad(pts)).value + w_curv(p, M).value
@@ -613,7 +641,7 @@ def test_load_of_a_manufactured_solution_is_its_stiffness_image(g_seed, regime, 
     g = None if g_seed is None else make_polynomial(g_seed, 2)
     loads = LoadData(f=lambda x: -equilibrium_residual(p, u_star, LoadData(m_body=g), x),
                      m_body=g)
-    system, *_, force, couple = solver._problem(p, loads, n, None)
+    system, *_, force, couple = solver._problem(p, loads, n)
     # b = force + couple, and with a couple the two parts cancel down to K z*
     gap = np.linalg.norm(system.b - system.ops.basis.apply(system.K, z_star))
     assert gap <= 2e-14 * (np.linalg.norm(force) + np.linalg.norm(couple))
@@ -640,7 +668,7 @@ class TestKorn:
 
 def _cosserat_solve(p, loads, n):
     """The Cosserat solution for u at p.mu_c, by one reduced solve of its own."""
-    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads, n, None), [p.mu_c])
+    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads, n), [p.mu_c])
     return sol.coeffs
 
 
@@ -697,7 +725,7 @@ def test_half_curl_gram_is_the_skew_half_of_korns_equality(n, rank):
     # ||curl u||^2 = ||grad u||^2 - ||div u||^2 on the clamped span, so the
     # forms take H = G(curl u / 2) from the elastic Grams; against the direct
     # Gram, through B = H W on the blocks of W
-    ops = solver._operators(n, solver._gauss_order(n, None))
+    ops = solver._operators(n)
     basis, H, (W, B, _) = ops.basis, _oracle(n)["H"], zip(*ops.rotations)
     inside = _dense_columns(basis, [np.ones(w.shape) for w in W]) > 0.0
     W, B = _dense_columns(basis, W), _dense_columns(basis, B)
@@ -716,7 +744,7 @@ def test_rotation_rank_is_the_span_less_the_curl_kernel(n):
     # curl u = 0 on the clamped span exactly for u = grad phi, phi vanishing to third
     # order on the boundary: (N - 2)^3 such phi, so W has 3 N^3 - (N - 2)^3 columns
     try:
-        ops = solver._operators(n, solver._gauss_order(n, None))
+        ops = solver._operators(n)
         assert sum(w.shape[1] for W, _, _ in ops.rotations for w in W) == 3 * n ** 3 - max(0, n - 2) ** 3
         # every block of a group holds as many kernel modes, the eigenvalues of H it drops
         for g, d in zip(ops.grad, ops.div):
@@ -731,7 +759,7 @@ def test_rotation_rank_is_the_span_less_the_curl_kernel(n):
 def test_reduced_stiffness_is_exactly_symmetric(monkeypatch, n, mu_c):
     # Cholesky reads one triangle, so a stiffness symmetric only to
     # round-off would make the solution depend on which
-    problem = solver._problem(PARAMS, _loads(), n, None)
+    problem = solver._problem(PARAMS, _loads(), n)
     systems = _capture_solves(monkeypatch)
     [(sol, _)] = solver._reduced_solves(PARAMS, problem, [mu_c])
     K = systems[0].K
@@ -756,7 +784,7 @@ def _block_system_parts(regime, n):
         E=p.mu * G["grad"] + (p.mu + p.lam) * G["div"], H=G["H"], HC=G["H"] @ C.T,
         curl=(p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * C @ G["curl"] @ C.T,
         load=np.concatenate([G["f"], C @ G["g"]]),
-        params=p, problem=solver._problem(p, _couple_loads(), n, None))
+        params=p, problem=solver._problem(p, _couple_loads(), n))
 
 
 @pytest.mark.parametrize("mu_c", [10.0, 100.0, 1e3])
@@ -794,7 +822,7 @@ def test_infinite_coupling_is_the_constrained_system(loads, regime, n):
         + (p.alpha1 + p.alpha2) * p.mu * p.L_c ** 2 * G["curl"]
     g = G["g"] if loads is _couple_loads else 0.0
     ref = np.linalg.solve(K, G["f"] + g)
-    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads(), n, None), [np.inf])
+    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads(), n), [np.inf])
     assert _m_gap(sol.coeffs, ref, G["mass"]) <= 1e-12
     assert _m_gap(sol.coeffs, solve(assemble(p, loads(), n)).coeffs, G["mass"]) <= 1e-12
 
@@ -837,30 +865,27 @@ class TestOperatorCache:
         assert job() == cold
         assert _cold(lambda: (assemble(PARAMS, _loads(), 3), job())[1]) == cold
 
-    def test_materials_and_the_default_order_share_one_entry(self, monkeypatch):
+    def test_materials_share_one_entry(self, monkeypatch):
         # the operators are material-free, and K depends on alpha1 + alpha2 only
         calls = _counting_tabulate(monkeypatch)
         hd, modified = (MaterialParams.for_regime(r, mu=1.3, lam=0.7, L_c=0.5) for r in ("hd", "modified"))
         a = _cold(lambda: assemble(hd, _loads(), 3))
-        b = assemble(modified, _loads(), 3, quadrature_order=3 + 6)
+        b = assemble(modified, _loads(), 3)
         assert len(calls) == 1 and solver._operators.cache_info().currsize == 1
         assert all(map(np.array_equal, a.K, b.K))
 
     def test_at_most_two_entries_are_kept(self):
+        # and the last two N stay warm, as for the two N of a galerkin run
         solver._operators.cache_clear()
         for n in (2, 3, 4):
             korn_constant(n)
-        assert solver._operators.cache_info().currsize <= 2
-
-    def test_a_rejected_order_is_neither_tabulated_nor_cached(self, monkeypatch):
-        calls = _counting_tabulate(monkeypatch)
-        solver._operators.cache_clear()
-        with pytest.raises(ValueError, match="exactness minimum"):
-            assemble(PARAMS, _loads(), 3, quadrature_order=6)
-        assert calls == [] and solver._operators.cache_info().currsize == 0
+        assert solver._operators.cache_info().currsize == 2
+        misses = solver._operators.cache_info().misses
+        korn_constant(3), korn_constant(4)
+        assert solver._operators.cache_info().misses == misses
 
     def test_every_shared_array_is_read_only(self):
-        ops = solver._operators(3, 9)
+        ops = solver._operators(3)
         W, B, lam = zip(*ops.rotations)
         arrays = [ops.pts, ops.wT, *ops.basis.groups, *ops.basis.blocks, *W, *B, *lam,
                   *ops.grad, *ops.div, *ops.curl, *ops.value, *ops.mass_factors]
@@ -872,7 +897,7 @@ class TestOperatorCache:
         # mutating what a job gets back leaves the next job's system as it was; the
         # operators it holds are shared and read-only
         def job():
-            return solver._problem(PARAMS, _couple_loads(), 3, None)
+            return solver._problem(PARAMS, _couple_loads(), 3)
 
         ref, ref_elastic, ref_force, ref_couple = job()
         system, elastic, force, couple = job()
