@@ -50,11 +50,11 @@ _REGIME_ALPHAS = {
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Full constitutive parameter set.
+    """Full constitutive parameter set of the isotropic material.
 
-    ``mu_c`` is the Cosserat couple modulus, used only by the penalized
-    Cosserat solver.  ``alpha2`` also answers to the name ``alpha3`` in
-    JSON input (the two names denote the same parameter).
+    ``alpha2`` also answers to the name ``alpha3`` in JSON input (the two
+    names denote the same parameter), and a ``regime`` there must be the
+    one the alphas give.
     """
 
     mu: float
@@ -62,7 +62,6 @@ class MaterialParams:
     L_c: float
     alpha1: float
     alpha2: float
-    mu_c: float = 0.0
 
     def __post_init__(self):
         bad = {k: v for k, v in vars(self).items()
@@ -90,13 +89,13 @@ class MaterialParams:
 
     @classmethod
     def for_regime(cls, regime: str, mu: float = 1.0, lam: float = 1.0,
-                   L_c: float = 1.0, mu_c: float = 0.0) -> "MaterialParams":
+                   L_c: float = 1.0) -> "MaterialParams":
         """Material parameters with the canonical alphas of a named regime."""
         try:
             a1, a2 = _REGIME_ALPHAS[regime]
         except KeyError:
             raise ValueError(f"unknown regime {regime!r}; expected one of {sorted(_REGIME_ALPHAS)}")
-        return cls(mu=mu, lam=lam, L_c=L_c, alpha1=a1, alpha2=a2, mu_c=mu_c)
+        return cls(mu=mu, lam=lam, L_c=L_c, alpha1=a1, alpha2=a2)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -106,7 +105,6 @@ class MaterialParams:
                 "L_c": self.L_c,
                 "alpha1": self.alpha1,
                 "alpha2": self.alpha2,
-                "mu_c": self.mu_c,
                 "regime": self.regime,
             }
         )
@@ -114,7 +112,10 @@ class MaterialParams:
     @classmethod
     def from_dict(cls, d: dict) -> "MaterialParams":
         d = dict(d)
-        d.pop("regime", None)
+        regime = d.pop("regime", None)
+        unknown = set(d) - {"mu", "lambda", "L_c", "alpha1", "alpha2", "alpha3"}
+        if unknown:
+            raise ValueError(f"unknown material parameter keys: {sorted(unknown)}")
         if "alpha3" in d:
             a3 = d.pop("alpha3")
             if "alpha2" in d and d["alpha2"] != a3:
@@ -123,13 +124,15 @@ class MaterialParams:
                     "parameter but were given different values"
                 )
             d["alpha2"] = a3
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        known = {"mu", "lam", "L_c", "alpha1", "alpha2", "mu_c"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown material parameter keys: {sorted(unknown)}")
-        return cls(**d)
+        if "lambda" not in d:
+            raise ValueError("material parameter lambda is missing")
+        d["lam"] = d.pop("lambda")
+        params = cls(**d)
+        if regime is not None and regime != params.regime:
+            raise ValueError(f"regime {regime!r} does not match the alphas "
+                             f"(alpha1 = {params.alpha1}, alpha2 = {params.alpha2}), "
+                             f"which give {params.regime!r}")
+        return params
 
 
 @dataclass(frozen=True)

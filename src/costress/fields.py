@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,7 +28,6 @@ from .tensors import EPS3, ID3, _axial, anti, skw, sym
 
 __all__ = [
     "ConformalField",
-    "ConformalParams",
     "DisplacementField",
     "KinematicState",
     "NumericDomainError",
@@ -282,40 +280,24 @@ def _polynomial(seed, degree) -> PolynomialField:
     return make_polynomial(seed, degree)
 
 
-@dataclass(frozen=True)
-class ConformalParams:
-    """Parameters of an infinitesimal conformal map.
-
-    ``w_axial`` is the axial vector of the quadratic-part generator,
-    ``a_hat`` a skew tensor, ``b_hat`` a translation and ``p_hat`` the
-    uniform dilation coefficient.
-    """
-
-    w_axial: NDArray = dc_field(default_factory=lambda: np.zeros(3))
-    a_hat: NDArray = dc_field(default_factory=lambda: np.zeros((3, 3)))
-    b_hat: NDArray = dc_field(default_factory=lambda: np.zeros(3))
-    p_hat: float = 0.0
-
-    def __post_init__(self):
-        for name, shape in (("w_axial", (3,)), ("a_hat", (3, 3)), ("b_hat", (3,))):
-            object.__setattr__(self, name, _finite(name, getattr(self, name), shape))
-        object.__setattr__(self, "p_hat", float(_finite("p_hat", self.p_hat, ())))
-        if not np.allclose(self.a_hat, -self.a_hat.T, atol=0.0):
-            raise ValueError("a_hat must be exactly skew-symmetric")
-
-
 class ConformalField(DisplacementField):
     """phi_c(x) = <w, x> x - w |x|^2 / 2 + [p id + A] x + b.
 
+    ``w_axial`` is the axial vector w of the quadratic-part generator,
+    ``a_hat`` the exactly skew tensor A, ``b_hat`` the translation b and
+    ``p_hat`` the uniform dilation coefficient p; each defaults to zero.
     The Jacobian lies pointwise in R.id + so(3); the torsion tensor
     sym grad curl vanishes identically.
     """
 
-    def __init__(self, params: ConformalParams):
-        self.w = params.w_axial
-        self.A = params.a_hat
-        self.b = params.b_hat
-        self.p = params.p_hat
+    def __init__(self, w_axial=(0.0, 0.0, 0.0), a_hat=((0.0, 0.0, 0.0),) * 3,
+                 b_hat=(0.0, 0.0, 0.0), p_hat=0.0):
+        self.w = _finite("w_axial", w_axial, (3,))
+        self.A = _finite("a_hat", a_hat, (3, 3))
+        self.b = _finite("b_hat", b_hat, (3,))
+        self.p = float(_finite("p_hat", p_hat, ()))
+        if not np.array_equal(self.A, -self.A.T):
+            raise ValueError("a_hat must be exactly skew-symmetric")
         # constant second gradient: H[i,j,k] = w_j d_ik + w_k d_ij - w_i d_jk; a finite w
         # near the largest float overflows it, and such a field is refused
         w = self.w
@@ -355,14 +337,8 @@ def random_conformal(seed: int) -> ConformalField:
     """Deterministic random conformal field with O(1) parameters."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, 3)
-    return ConformalField(
-        ConformalParams(
-            w_axial=rng.uniform(-1.0, 1.0, 3),
-            a_hat=anti(a),
-            b_hat=rng.uniform(-1.0, 1.0, 3),
-            p_hat=float(rng.uniform(-1.0, 1.0)),
-        )
-    )
+    return ConformalField(w_axial=rng.uniform(-1.0, 1.0, 3), a_hat=anti(a),
+                          b_hat=rng.uniform(-1.0, 1.0, 3), p_hat=float(rng.uniform(-1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -424,8 +400,7 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
 def _rigid(w_axial, b=(0.0, 0.0, 0.0)) -> ConformalField:
     """u(x) = W x + b with W = anti(w_axial): the conformal preset
     a_hat = W, b_hat = b."""
-    return ConformalField(ConformalParams(a_hat=anti(_finite("w_axial", w_axial, (3,))),
-                                          b_hat=_finite("b", b, (3,))))
+    return ConformalField(a_hat=anti(_finite("w_axial", w_axial, (3,))), b_hat=_finite("b", b, (3,)))
 
 
 #: family -> (builder, the spec keys it reads, each a keyword of the builder)
@@ -434,15 +409,12 @@ _FIELD_BUILDERS = {
     "constant": (lambda c: _rigid(np.zeros(3), _finite("c", c, (3,))), ("c",)),
     "rigid": (_rigid, ("w_axial", "b")),
     "polynomial": (_polynomial, ("seed", "degree")),
-    "conformal": (lambda **p: ConformalField(ConformalParams(**p)),
-                  ("w_axial", "a_hat", "b_hat", "p_hat")),
+    "conformal": (ConformalField, ("w_axial", "a_hat", "b_hat", "p_hat")),
 }
 
 
-def field_from_spec(spec: dict | str) -> DisplacementField:
-    """Rebuild a field from its JSON specification."""
-    if isinstance(spec, str):
-        spec = json.loads(spec)
+def field_from_spec(spec: dict) -> DisplacementField:
+    """Rebuild a field from its specification, a family and the keys it reads."""
     spec = dict(spec)
     family = spec.pop("family", None)
     if family not in _FIELD_BUILDERS:

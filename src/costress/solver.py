@@ -68,8 +68,8 @@ class WellPosednessError(RuntimeError):
 
 
 class DegenerateCosseratError(ValueError):
-    """The Cosserat rotational coupling is absent or negative, or a mu_c sweep has
-    no curvature energy to converge with, or errors below its round-off floor."""
+    """A mu_c sweep holds a coupling outside 0 < mu_c < inf, or has no curvature
+    energy to converge with, or errors below its round-off floor."""
 
 
 def _shared(arrays) -> tuple:
@@ -450,16 +450,6 @@ def korn_constant(n_modes: int) -> float:
 # -- Cosserat penalty problem -------------------------------------------------
 
 
-def _coupled(params: MaterialParams) -> MaterialParams:
-    """``params``, once its Cosserat couple modulus is checked positive."""
-    if params.mu_c <= 0.0:
-        raise DegenerateCosseratError(
-            f"mu_c = {params.mu_c} gives no rotational coupling; "
-            "the microrotation field is indeterminate"
-        )
-    return params
-
-
 def _reduced_solves(params: MaterialParams, problem,
                     mu_c_values) -> list[tuple[GalerkinSolution, NDArray]]:
     """Minimize the Cosserat functional at each couple modulus mu_c (inf: the
@@ -495,8 +485,12 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int, 
 
     All solves share one tabulation.  Returns (errors, order_estimate).
     """
-    penalized = [_coupled(replace(params, mu_c=float(mc))) for mc in mu_c_values]
-    if len({p.mu_c for p in penalized}) < 2:
+    mu_cs = [float(mc) for mc in mu_c_values]
+    for mu_c in mu_cs:
+        if not 0.0 < mu_c < np.inf:
+            raise DegenerateCosseratError(
+                f"mu_c = {mu_c} is no Cosserat coupling: every mu_c must satisfy 0 < mu_c < inf")
+    if len(set(mu_cs)) < 2:
         raise ValueError(f"a convergence order needs two distinct mu_c values, got {mu_c_values!r}")
     k = (params.alpha1 + params.alpha2) * params.mu * params.L_c ** 2
     if k == 0.0:
@@ -506,7 +500,7 @@ def cosserat_limit_sweep(params: MaterialParams, loads: LoadData, n_modes: int, 
             "solution, so there is no convergence to measure")
     problem = _problem(params, loads, n_modes)
     ref, *sols = (sol.coeffs for sol, _ in
-                  _reduced_solves(params, problem, [np.inf, *(p.mu_c for p in penalized)]))
+                  _reduced_solves(params, problem, [np.inf, *mu_cs]))
     basis, M = problem[0].ops.basis, problem[0].ops.value
     ref_norm = float(np.sqrt(ref @ basis.apply(M, ref)))
     errors = [float(np.sqrt((z - ref) @ basis.apply(M, z - ref))) / ref_norm for z in sols]

@@ -19,14 +19,11 @@ tensor in ``sym``, ``skw`` and ``anti``.  ``inner`` and the Frobenius norm are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
     "EPS3",
-    "CartanParts",
     "anti",
     "axl",
     "cartan_decompose",
@@ -109,25 +106,13 @@ def is_traceless(X: NDArray, tol: float = 1e-12) -> NDArray:
     return np.abs(tr(X)) <= tol * np.maximum(1.0, _frobenius(X))
 
 
-@dataclass(frozen=True)
-class CartanParts:
-    """Orthogonal decomposition of gl(3) into dev-sym + skew + spherical."""
-
-    devsym: NDArray
-    skew: NDArray
-    spherical: NDArray
-
-    def recombine(self) -> NDArray:
-        return self.devsym + self.skew + self.spherical
-
-
-def cartan_decompose(X: NDArray) -> CartanParts:
-    """Split X into deviatoric-symmetric, skew and spherical parts.
+def cartan_decompose(X: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """Split X into its (deviatoric-symmetric, skew, spherical) parts.
 
     The three parts are pairwise orthogonal in the Frobenius inner
     product and sum to X.
     """
-    return CartanParts(devsym=dev(sym(X)), skew=skw(X), spherical=_spherical(X))
+    return dev(sym(X)), skw(X), _spherical(X)
 
 
 def axl(A: NDArray) -> NDArray:

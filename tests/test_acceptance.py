@@ -23,7 +23,6 @@ from costress.cli import (
 from costress.constitutive import LoadData, MaterialParams
 from costress.fields import (
     ConformalField,
-    ConformalParams,
     fd_derivative_oracle,
     grad_curl_from_grad2,
     make_polynomial,
@@ -140,10 +139,9 @@ def test_criterion_07_boundary_work_identity():
 
 def test_criterion_08_hd_postulate_refutation():
     p = MaterialParams.for_regime("hd", mu=1.0, lam=1.0, L_c=0.5)
-    cp = ConformalParams(w_axial=(1.0, -0.5, 0.25), a_hat=anti((0.2, 0.1, -0.3)),
-                         b_hat=(0.0, 0.0, 0.0), p_hat=0.4)
+    u = ConformalField(w_axial=(1.0, -0.5, 0.25), a_hat=anti((0.2, 0.1, -0.3)), p_hat=0.4)
     checks = {c.name: c for c in hd_postulate_checks(
-        field=ConformalField(cp), patch=HEMI, quadrature_order=16, material=p,
+        field=u, patch=HEMI, quadrature_order=16, material=p,
         tolerances={"normal_moment": 1e-14})}
     sup, residual = checks["normal_moment_sup"], checks["residual_work_norm"]
     _record("hd postulate sup|<m.n,n>|", sup.value, 1e-14)
@@ -207,8 +205,7 @@ def test_criterion_11_cosserat_limit(regime):
     system = assemble(p, loads, 3)
     ref = solve(system).coeffs
     for mc, err in zip(mu_cs, errors):
-        pc = replace(p, mu_c=mc)
-        [(sol, _)] = solver._reduced_solves(pc, solver._problem(pc, loads, 3), [mc])
+        [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads, 3), [mc])
         d = sol.coeffs - ref
         mass = lambda v: v @ system.ops.basis.apply(system.ops.value, v)
         assert err == pytest.approx(np.sqrt(mass(d) / mass(ref)), rel=1e-9)

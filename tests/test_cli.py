@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -84,7 +86,7 @@ def test_invalid_material_exits_2(tmp_path):
     assert run("energy-report", cfg, str(tmp_path / "o")) == 2
 
 
-@pytest.mark.parametrize("key", ["L_c", "alpha1", "alpha2", "mu_c"])
+@pytest.mark.parametrize("key", ["L_c", "alpha1", "alpha2"])
 def test_nan_material_exits_2_no_output(tmp_path, key):
     material = {"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": 1.0}
     material[key] = float("nan")
@@ -92,6 +94,29 @@ def test_nan_material_exits_2_no_output(tmp_path, key):
     out = tmp_path / "o"
     assert run("energy-report", cfg, str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])
+def test_material_mu_c_exits_2_naming_it(tmp_path, capsys, command):
+    # the material is five constants; the couple moduli of a sweep are mu_c_values
+    material = {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0, "mu_c": 100.0}
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 1, "material": material})
+    out = tmp_path / "o"
+    assert run(command, cfg, str(out)) == 2
+    assert "mu_c" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("regime, code", [("gkmt", 0), ("hd", 2), ("classical", 2), ("banana", 2)])
+def test_material_regime_must_match_its_alphas(tmp_path, capsys, regime, code):
+    material = {"mu": 1.0, "lambda": 1.0, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0,
+                "regime": regime}
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "cases": 2, "material": material})
+    out = tmp_path / "o"
+    assert run("energy-report", cfg, str(out)) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert f"regime {regime!r} does not match the alphas" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["abc", "1e-6", None, True, [1.0], float("nan"), -1.0,
@@ -325,6 +350,17 @@ def test_a_stiffness_not_positive_definite_exits_2_with_no_files(tmp_path, capsy
     assert main(["bvp-solve", "--config", cfg, "--out", str(out)]) == 2
     assert "not positive definite (lambda_min = -" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stiffness_symmetry_of_an_extreme_material_does_not_overflow(tmp_path):
+    # the Frobenius norms of this K overflow; those of K over its largest entry do not,
+    # and K is exactly symmetric.  Warnings are errors here, so an overflow fails the job
+    material = {"mu": 1e-300, "lambda": 1e300, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0}
+    out = tmp_path / "o"
+    assert run("bvp-solve", _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2,
+                                                         "material": material}), str(out)) == 0
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert checks["stiffness_symmetry"]["gap"] == 0.0
 
 
 @pytest.mark.parametrize("korn, passed", [(1.0, True), (1.2, True), (np.sqrt(2.0), True),
@@ -711,6 +747,27 @@ def test_readme_tables_list_each_schema():
     }
 
 
+def test_readme_material_line_names_the_keys_the_parser_reads():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys_part = text.split("\n- *material*: ", 1)[1].split(";", 1)[0]
+    named = set(re.findall(r"`(\w+)`", keys_part))
+    echo = json.loads(MaterialParams.for_regime("gkmt").to_json())
+    # a candidate replaces the key it would alias: lam for lambda, alpha3 for alpha2
+    stands_for = {"lam": "lambda", "alpha3": "alpha2"}
+
+    def accepted(key):
+        d = dict(echo)
+        d[key] = d.pop(stands_for.get(key, key), 1.0)
+        try:
+            MaterialParams.from_dict(d)
+        except ValueError:
+            return False
+        return True
+
+    fields = {f.name for f in dataclasses.fields(MaterialParams)}
+    assert {k for k in named | set(echo) | fields | {"mu_c"} if accepted(k)} == named
+
+
 # small valid values per key, and values that are wrong in type or range
 _VALID = {
     "seed": [0, 5], "cases": [1, 3], "fields": [1, 2], "points": [1, 2], "degree": [0, 3],
@@ -761,11 +818,10 @@ def _operator_gaps_per_case(seed, cases):
         E = rng.uniform(-1.0, 1.0, (3, 3, 3))
         g_round = max(g_round, float(np.max(np.abs(axl(anti(v)) - v))))
         g_norm = max(g_norm, abs(inner(anti(v), anti(v)) - 2.0 * v @ v))
-        parts = cartan_decompose(X)
-        g_rec = max(g_rec, float(np.max(np.abs(parts.recombine() - X))))
-        g_orth = max(g_orth, abs(inner(parts.devsym, parts.skew)),
-                     abs(inner(parts.devsym, parts.spherical)),
-                     abs(inner(parts.skew, parts.spherical)))
+        devsym, skew, spherical = cartan_decompose(X)
+        g_rec = max(g_rec, float(np.max(np.abs(devsym + skew + spherical - X))))
+        g_orth = max(g_orth, abs(inner(devsym, skew)), abs(inner(devsym, spherical)),
+                     abs(inner(skew, spherical)))
         loop = np.array([sum(E[i, j, k] * X[k, j] for j in range(3) for k in range(3))
                          for i in range(3)])
         g_contract = max(g_contract, float(np.max(np.abs(contract_E_X(E, X) - loop))))

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import sys
 import threading
@@ -12,7 +11,6 @@ from costress import fields, tensors
 from costress.constitutive import LoadData, MaterialParams, equilibrium_residual, stresses
 from costress.fields import (
     ConformalField,
-    ConformalParams,
     DisplacementField,
     NumericDomainError,
     PolynomialField,
@@ -289,13 +287,11 @@ def test_a_non_finite_evaluation_names_the_array_and_the_point(order, evaluate, 
 class TestConformal:
     def test_gradient_structure(self):
         # grad phi_c = (<w,x> + p) id + anti(w x x) + A pointwise
-        cp = ConformalParams(w_axial=(0.5, -1.0, 0.25), a_hat=anti((0.1, 0.2, 0.3)),
-                             b_hat=(1.0, 2.0, 3.0), p_hat=0.7)
-        u = ConformalField(cp)
+        w, A, p = np.array([0.5, -1.0, 0.25]), anti((0.1, 0.2, 0.3)), 0.7
+        u = ConformalField(w_axial=w, a_hat=A, b_hat=(1.0, 2.0, 3.0), p_hat=p)
         x = np.array([0.3, -0.8, 0.6])
         G = u.grad(x)
-        w = np.asarray(cp.w_axial)
-        expected = (w @ x + cp.p_hat) * np.eye(3) + anti(np.cross(w, x)) + cp.a_hat
+        expected = (w @ x + p) * np.eye(3) + anti(np.cross(w, x)) + A
         assert np.allclose(G, expected, atol=1e-14)
         assert np.allclose(G, fd_derivative_oracle(u, x, 1), atol=1e-9)
 
@@ -307,10 +303,9 @@ class TestConformal:
                            atol=1e-7)
 
     def test_grad_curl_is_twice_the_generator(self):
-        cp = ConformalParams(w_axial=(2.0, 0.0, 0.0))
-        u = ConformalField(cp)
+        u = ConformalField(w_axial=(2.0, 0.0, 0.0))
         state = kinematics(u, np.array([0.4, 0.1, -0.2]))
-        W = anti(np.array(cp.w_axial))
+        W = anti(np.array([2.0, 0.0, 0.0]))
         assert np.allclose(state.grad_curl, 2.0 * W, atol=1e-12)
         # torsion-free: sym grad curl = 0
         assert np.allclose(state.chi_torsion, 0.0, atol=1e-13)
@@ -325,7 +320,13 @@ class TestConformal:
 
     def test_a_hat_must_be_skew(self):
         with pytest.raises(ValueError):
-            ConformalParams(a_hat=np.eye(3))
+            ConformalField(a_hat=np.eye(3))
+
+    def test_a_hat_skew_within_rounding_only_is_rejected(self):
+        # -a_hat^T is within numpy's default rtol of a_hat, yet the field's
+        # |dev sym grad u| would be 2.5e-6: not a conformal map
+        with pytest.raises(ValueError, match="exactly skew"):
+            ConformalField(a_hat=[[0.0, 1.0, 0.0], [-0.999995, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_printed_counterexample_field_is_torsion_free():
@@ -377,10 +378,9 @@ def test_field_from_spec_builds_each_family():
     a_hat = anti(np.array([0.1, -0.4, 0.2]))
     cases = [
         ({"family": "polynomial", "seed": 8, "degree": 3}, make_polynomial(8, 3)),
-        (json.dumps({"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "a_hat": a_hat.tolist(),
-                     "b_hat": [1, 2, 3], "p_hat": 0.4}),
-         ConformalField(ConformalParams(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat,
-                                        b_hat=(1, 2, 3), p_hat=0.4))),
+        ({"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "a_hat": a_hat.tolist(),
+          "b_hat": [1, 2, 3], "p_hat": 0.4},
+         ConformalField(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat, b_hat=(1, 2, 3), p_hat=0.4)),
     ]
     x = np.array([0.25, -0.5, 0.75])
     for spec, f in cases:

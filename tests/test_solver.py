@@ -666,9 +666,9 @@ class TestKorn:
         assert vals[1] == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
 
-def _cosserat_solve(p, loads, n):
-    """The Cosserat solution for u at p.mu_c, by one reduced solve of its own."""
-    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads, n), [p.mu_c])
+def _cosserat_solve(p, loads, n, mu_c):
+    """The Cosserat solution for u at mu_c, by one reduced solve of its own."""
+    [(sol, _)] = solver._reduced_solves(p, solver._problem(p, loads, n), [mu_c])
     return sol.coeffs
 
 
@@ -685,8 +685,8 @@ class TestCosserat:
     def test_large_penalty_matches_constrained(self):
         loads = _loads()
         ref = solve(assemble(PARAMS, loads, 2))
-        p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=0.1, mu_c=1e8)
-        rel = (np.linalg.norm(_cosserat_solve(p, loads, 2) - ref.coeffs)
+        p = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=0.1)
+        rel = (np.linalg.norm(_cosserat_solve(p, loads, 2, 1e8) - ref.coeffs)
                / np.linalg.norm(ref.coeffs))
         assert rel <= 1e-6
 
@@ -703,14 +703,15 @@ class TestCosserat:
         system = assemble(PARAMS, loads, 2)
         ref, mass = solve(system).coeffs, _dense(system.ops.basis, system.ops.value)
         for mc, err in zip(mu_cs, errors):
-            d = _cosserat_solve(replace(PARAMS, mu_c=mc), loads, 2) - ref
+            d = _cosserat_solve(PARAMS, loads, 2, mc) - ref
             assert err == pytest.approx(np.sqrt(d @ mass @ d / (ref @ mass @ ref)), rel=1e-12)
 
-    def test_sweep_rejects_degenerate_coupling_before_tabulating(self, monkeypatch):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_sweep_rejects_degenerate_coupling_before_tabulating(self, monkeypatch, bad):
         solver._operators.cache_clear()  # a cold cache: a tabulation would fail
         monkeypatch.setattr(solver, "_tabulate", None)
-        with pytest.raises(DegenerateCosseratError):
-            cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, 0.0])
+        with pytest.raises(DegenerateCosseratError, match="0 < mu_c < inf"):
+            cosserat_limit_sweep(PARAMS, _loads(), 2, [10.0, bad])
 
     @pytest.mark.parametrize("mu_cs", [[], [100.0], [100.0, 100.0]])
     def test_sweep_needs_two_distinct_couplings_before_tabulating(self, monkeypatch, mu_cs):

@@ -65,15 +65,15 @@ def test_axl_rejects_non_skew():
 @given(mat33)
 @settings(max_examples=200)
 def test_cartan_decomposition(X):
-    parts = cartan_decompose(X)
-    assert np.allclose(parts.recombine(), X, atol=1e-9)
+    devsym, skew, spherical = cartan_decompose(X)
+    assert np.allclose(devsym + skew + spherical, X, atol=1e-9)
     # pairwise Frobenius orthogonality
     scale = max(1.0, np.linalg.norm(X) ** 2)
-    assert abs(inner(parts.devsym, parts.skew)) <= 1e-10 * scale
-    assert abs(inner(parts.devsym, parts.spherical)) <= 1e-10 * scale
-    assert abs(inner(parts.skew, parts.spherical)) <= 1e-10 * scale
-    assert is_traceless(parts.devsym, tol=1e-10)
-    assert is_skew(parts.skew, tol=1e-10)
+    assert abs(inner(devsym, skew)) <= 1e-10 * scale
+    assert abs(inner(devsym, spherical)) <= 1e-10 * scale
+    assert abs(inner(skew, spherical)) <= 1e-10 * scale
+    assert is_traceless(devsym, tol=1e-10)
+    assert is_skew(skew, tol=1e-10)
 
 
 def test_sym_skw_dev_tr():
@@ -110,8 +110,7 @@ def _skew(X):
 
 
 def _parts(X):
-    p = cartan_decompose(X)
-    return np.stack([p.devsym, p.skew, p.spherical], axis=-3)
+    return np.stack(cartan_decompose(X), axis=-3)
 
 
 # (function, shapes of its arguments per case)
@@ -164,17 +163,17 @@ def test_kernels_round_like_their_textbook_formulas(seed):
         W = _by_entry(lambda i, j: 0.5 * (X[:, i, j] - X[:, j, i]))
         # the batch reaches both edges: sums that overflow and subnormal halves
         assert np.isinf(S).any() and np.any((S != 0) & (np.abs(S) < np.finfo(float).tiny))
-        parts = cartan_decompose(X)
+        devsym, skew, spherical = cartan_decompose(X)
         textbook = {
             "sym": (sym(X), S),
             "skw": (skw(X), W),
             "dev": (dev(X), _by_entry(lambda i, j: X[:, i, j] - third if i == j else X[:, i, j])),
             "anti": (anti(v), _by_entry(lambda i, j: -EPS3[i, j, 3 - i - j] * v[:, 3 - i - j]
                                         if i != j else zero)),
-            "devsym": (parts.devsym, _by_entry(
+            "devsym": (devsym, _by_entry(
                 lambda i, j: S[:, i, j] - tr(S) / 3.0 if i == j else S[:, i, j])),
-            "skew": (parts.skew, W),
-            "spherical": (parts.spherical, _by_entry(lambda i, j: third if i == j else zero)),
+            "skew": (skew, W),
+            "spherical": (spherical, _by_entry(lambda i, j: third if i == j else zero)),
         }
     for name, (got, want) in textbook.items():
         assert np.array_equal(got, want, equal_nan=True), name
