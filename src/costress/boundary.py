@@ -78,14 +78,13 @@ def _split(params: MaterialParams, field: DisplacementField, fr: Frame) -> _Spli
            - d_psi[..., None] * n_ - psi[..., None, None] * dn)
     g = np.cross(w, n)
     d_w_x = np.cross(d_w, fr.dual)
-    div_n = np.einsum("...aj,...aj->...", fr.dual, dn)                  # x^a . d_a n
     return _Split(
         t_total=_mv(st.sigma_total, n),
         m_n=m_n,
         psi=psi,
         w=w,
         t_psi=-0.5 * np.cross(n, fr.surface_scalar_gradient(d_psi)),
-        t_tang=-0.5 * (d_w_x[..., 0, :] + d_w_x[..., 1, :] - g * div_n[..., None]),
+        t_tang=-0.5 * (d_w_x[..., 0, :] + d_w_x[..., 1, :] - g * fr.div_n[..., None]),
         g=g,
     )
 
@@ -122,7 +121,7 @@ class WorkIdentityReport:
 
 def boundary_work_identity(params: MaterialParams, u: DisplacementField,
                            delta_u: DisplacementField, patch: SurfacePatch,
-                           order: int = 16) -> WorkIdentityReport:
+                           order: int) -> WorkIdentityReport:
     """Check the boundary virtual-work decomposition on a patch.
 
     ``direct`` is the raw surface work of the total force traction and
@@ -183,7 +182,7 @@ class HdPostulateReport:
 
 
 def hd_postulate_report(params: MaterialParams, field: DisplacementField,
-                        patch: SurfacePatch, order: int = 16) -> HdPostulateReport:
+                        patch: SurfacePatch, order: int) -> HdPostulateReport:
     """The postulate's two quantities for ``field`` on ``patch`` under the
     Gauss rule of ``order``: the sup of the normal moment |<m.n, n>| and
     the L2 norm of the tangential-gradient residual (see

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .constitutive import LoadData, MaterialParams, couple_stress, w_curv, w_lin
 from .boundary import boundary_work_identity, hd_postulate_report
-from .fields import (PolynomialField, fd_derivative_oracle, field_from_spec,
+from .fields import (PolynomialField, _finite, fd_derivative_oracle, field_from_spec,
                      grad_curl_from_grad2, kinematics, make_polynomial, random_conformal)
 from .solver import (DegenerateCosseratError, WellPosednessError, assemble,
                      coercivity_evidence, cosserat_limit_sweep, solve)
@@ -70,13 +70,9 @@ class Check:
 # A schema maps every key a command reads to (parser, default), or, for
 # ``tolerances``, to a nested schema.  A parser takes the raw JSON value
 # (the default when the key is absent) and the values parsed so far
-# (``seed`` first) and returns the typed value; ValueError, TypeError and
-# KeyError become a ConfigError naming the key.
-
-
-def _is_number(v, kind=(int, float)) -> bool:
-    """A JSON number of the given kind (to Python a bool is an int; not here)."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+# (``seed`` first) and returns the typed value; ValueError, TypeError,
+# KeyError and OverflowError (a JSON integer past the largest float) become
+# a ConfigError naming the key.
 
 
 def _int(lo: int, hi: int | None = None, optional: bool = False):
@@ -84,7 +80,7 @@ def _int(lo: int, hi: int | None = None, optional: bool = False):
     def parse(v, job):
         if v is None and optional:
             return None
-        if not _is_number(v, int) or v < lo or (hi is not None and v > hi):
+        if not isinstance(v, int) or isinstance(v, bool) or v < lo or (hi is not None and v > hi):
             raise ValueError(f"must be an integer in [{lo}, {hi or 'inf'}], got {v!r}")
         return v
     return parse
@@ -93,7 +89,7 @@ def _int(lo: int, hi: int | None = None, optional: bool = False):
 def _tol(default: float):
     """Schema entry of a tolerance: a finite number >= 0."""
     def parse(v, job):
-        if not _is_number(v) or not math.isfinite(v) or v < 0:
+        if _finite("a tolerance", v, ()) < 0:
             raise ValueError(f"must be a finite number >= 0, got {v!r}")
         return float(v)
     return parse, default
@@ -107,9 +103,8 @@ def _object(v) -> dict:
 
 def _increasing(v, job):
     """Parser of two or more strictly increasing positive numbers."""
-    if not (isinstance(v, list) and len(v) >= 2
-            and all(_is_number(m) and math.isfinite(m) for m in v)
-            and v[0] > 0 and all(a < b for a, b in zip(v, v[1:]))):
+    a = _finite("the values", v, (len(v),)) if isinstance(v, list) else ()
+    if not (len(a) >= 2 and a[0] > 0 and np.all(a[:-1] < a[1:])):
         raise ValueError(f"must be two or more strictly increasing positive numbers, got {v!r}")
     return v
 
@@ -187,7 +182,7 @@ def _parse(schema: dict, raw, where: str) -> dict:
             job[key] = parse(raw.get(key, default), job)
         except ConfigError:
             raise
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from None
     return job
 
@@ -201,7 +196,7 @@ def _load_config(path: str, command: str, overrides: dict) -> tuple[dict, dict]:
     """(job, echo): the config and overrides parsed under the command's schema."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         cfg = json.loads(raw)
@@ -225,6 +220,11 @@ def _load_config(path: str, command: str, overrides: dict) -> tuple[dict, dict]:
 _BLOCK = 1024
 #: that 1 MB, for blocks sized by the bytes their cases take
 _BLOCK_BYTES = 2 ** 20
+
+
+def _fold(gap: float, new) -> float:
+    """The larger of two gaps, NaN if either is: Python's max(0.0, nan) is 0.0."""
+    return float(np.maximum(gap, new))
 
 
 def _blocks(rng: np.random.Generator, cases: int, width: int):
@@ -277,15 +277,15 @@ def kinematics_checks(seed: int, fields: int, points: int, degree: int, fd_field
         u = make_polynomial(seeds[start:start + per_block], degree)
         pts = rng.uniform(0.05, 0.95, (len(u.coeffs), points, 3))
         state = kinematics(u, pts)
-        g_curl = max(g_curl, float(np.max(np.abs(state.curl_u - 2.0 * state.axl_skw_grad))))
-        g_tr = max(g_tr, float(np.max(np.abs(tr(state.grad_curl)))))
+        g_curl = _fold(g_curl, np.max(np.abs(state.curl_u - 2.0 * state.axl_skw_grad)))
+        g_tr = _fold(g_tr, np.max(np.abs(tr(state.grad_curl))))
         # one oracle on the block's first k fields, at each one's first point:
         # the stencil rounds every field of a batch as it would that field alone
         k = min(len(u.coeffs), fd_fields - start)
         if k > 0:
             M_fd = grad_curl_from_grad2(fd_derivative_oracle(PolynomialField(u.coeffs[:k]),
                                                              pts[:k, 0], 2))
-            g_fd = max(g_fd, float(np.max(np.abs(M_fd - state.grad_curl[:k, 0]))))
+            g_fd = _fold(g_fd, np.max(np.abs(M_fd - state.grad_curl[:k, 0])))
     return [
         Check.within("curl_vs_axl_skw_grad", g_curl, tol_c),
         Check.within("grad_curl_trace_free", g_tr, tol_c),
@@ -310,8 +310,8 @@ def energy_checks(seed: int, cases: int, material: MaterialParams,
     for block in _blocks(rng, cases, 9 + 9):
         n = len(block)
         M, G = dev(block[:, :9].reshape(n, 3, 3)), block[:, 9:].reshape(n, 3, 3)
-        g_curv = max(g_curv, _spread(w_curv(material, M).forms))
-        g_lin = max(g_lin, _spread(w_lin(material, G).forms))
+        g_curv = _fold(g_curv, _spread(w_curv(material, M).forms))
+        g_lin = _fold(g_lin, _spread(w_lin(material, G).forms))
     checks = [
         Check.within("curvature_three_forms", g_curv, tol),
         Check.within("local_energy_two_forms", g_lin, tol),
@@ -395,7 +395,7 @@ def bvp_checks(seed: int, n_modes: int, load: LoadData, material: MaterialParams
         v *= 1e-3 / np.linalg.norm(v)
         z = sol.coeffs + v
         pert = float(0.5 * z @ system.ops.basis.apply(system.K, z) - system.b @ z)
-        worst = max(worst, sol.energy - pert)
+        worst = _fold(worst, sol.energy - pert)
     return [
         Check.within("solver_residual", sol.residual, tolerances["solver_residual"]),
         Check.within("stiffness_symmetry", sym_gap, 1e-12),
@@ -404,7 +404,7 @@ def bvp_checks(seed: int, n_modes: int, load: LoadData, material: MaterialParams
         Check("korn_constant", kc, max(0.0, 1.0 - kc, kc / math.sqrt(2.0) - 1.0), 1e-9,
               bool(np.isfinite(kc) and 1.0 <= kc <= math.sqrt(2.0) * (1.0 + 1e-9))),
         Check.within("energy_identity", ident, 1e-10, value=sol.energy),
-        Check("discrete_minimality", worst, max(0.0, worst), 0.0, worst < 0.0),
+        Check("discrete_minimality", worst, _fold(worst, 0.0), 0.0, worst < 0.0),
     ]
 
 

@@ -18,15 +18,13 @@ ulp of the largest, not bit for bit.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import DisplacementField, _guard_finite, curl_from_grad, grad_curl_from_grad2
+from .fields import DisplacementField, _finite, _guard_finite, curl_from_grad, grad_curl_from_grad2
 from .tensors import ID3, anti, dev, inner, is_traceless, skw, sym, tr
 
 __all__ = [
@@ -64,10 +62,7 @@ class MaterialParams:
     alpha2: float
 
     def __post_init__(self):
-        bad = {k: v for k, v in vars(self).items()
-               if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)}
-        if bad:
-            raise ValueError(f"material parameters must be finite numbers, got {bad}")
+        _finite(", ".join(vars(self)), list(vars(self).values()), (5,))
         if not self.mu > 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not 3.0 * self.lam + 2.0 * self.mu > 0.0:

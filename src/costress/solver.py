@@ -38,7 +38,7 @@ mass's inverse Cholesky factors, the Korn constant, W, B, Lambda): ``_operators`
 them once per N per process, read-only, shared by every job's system, on the Gauss rule
 of N + 6 nodes: the modes have degree <= N + 3, so it is exact for every stiffness
 integrand and for the work of each polynomial load of degree <= 6 (every load the CLI
-builds), which at N = 1 needs more than the stiffness's ``min_quadrature_order``.
+builds), which at N = 1 needs more than the N + 4 nodes the stiffness alone needs.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import legder, leggauss, legint, legval
+from numpy.polynomial.legendre import legder, legint, legval
 from numpy.typing import NDArray
 
 from .constitutive import LoadData, MaterialParams
 from .fields import DisplacementField
+from .surfaces import _gauss
 
 __all__ = ["ClampedBasis", "DegenerateCosseratError", "GalerkinSolution", "GalerkinSystem",
            "WellPosednessError", "assemble", "coercivity_evidence", "cosserat_limit_sweep",
-           "korn_constant", "min_quadrature_order", "solve"]
+           "korn_constant", "solve"]
 
 
 class WellPosednessError(RuntimeError):
@@ -127,16 +128,16 @@ class ClampedBasis:
         #: the dofs of each block, group after group
         self.blocks = tuple(itertools.chain.from_iterable(self.groups))
 
-    # -- quadrature ---------------------------------------------------------
-
-    def quadrature(self, order: int):
-        """Tensorized Gauss rule on the unit cube: (points, weights)."""
-        x, w = leggauss(order)
-        x, w = 0.5 * (x + 1.0), 0.5 * w
-        pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-        return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()
-
     # -- tabulation ----------------------------------------------------------
+
+    def table(self, x: NDArray, order: int) -> NDArray:
+        """Derivatives k = 0..order of each 1d mode at the coordinates x (Q,) in [0, 1],
+        (order + 1, N, Q): one Legendre series per k in t = 2x - 1, run on the distinct
+        coordinates only (a Gauss grid has Q^(1/3) per axis)."""
+        nodes, at = np.unique(x, return_inverse=True)
+        t = 2.0 * nodes - 1.0
+        return np.stack([legval(t, legder(self._coef, k, scl=2.0))
+                         for k in range(order + 1)]).take(at, axis=2)
 
     def derivatives(self, pts: NDArray, order: int, z: NDArray | None = None) -> NDArray:
         """Partial derivatives of one order (0: values) at points (..., 3): of every
@@ -145,13 +146,8 @@ class ClampedBasis:
         partial is one tensor product of 1d tables; its symmetric entries are copies."""
         pts = np.asarray(pts, dtype=float)
         lead, x, n = pts.shape[:-1], pts.reshape(-1, 3), self.n_modes
-        # tabs[d][k]: k-th derivative of each 1d mode at coordinate d, (N, Q); a Gauss grid
-        # has only Q^(1/3) distinct values per coordinate, so the series run on those
-        tabs = []
-        for d in range(3):
-            nodes, at = np.unique(x[:, d], return_inverse=True)
-            tabs.append([legval(2.0 * nodes - 1.0, legder(self._coef, k, scl=2.0)).take(at, axis=1)
-                         for k in range(order + 1)])
+        # tabs[d][k]: k-th derivative of each 1d mode at coordinate d, (N, Q)
+        tabs = [self.table(x[:, d], order) for d in range(3)]
         if z is None:  # every scalar mode
             spec, head, flat, shape = "aq,bq,gq->abgq", (), (n ** 3, len(x)), (n ** 3,) + lead
         else:          # one vector field
@@ -192,18 +188,12 @@ class _BasisField(DisplacementField):
             functools.partial(basis.derivatives, order=k, z=z) for k in range(5))
 
 
-def min_quadrature_order(n_modes: int) -> int:
-    """Smallest Gauss order exact for the stiffness integrands at N modes per direction."""
-    return n_modes + 4
-
-
 def _tabulate(basis: ClampedBasis, order: int):
     """(tensor Gauss points (q^3, 3), derivatives k = 0..2 of each 1d mode times each
     node's weight (3, N, q), 1d Grams A[i, j] = int beta^(i) beta^(j) (3, 3, N, N)) on
-    the Gauss rule of ``order`` nodes."""
-    x, w = leggauss(order)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    T = np.stack([legval(2.0 * x - 1.0, legder(basis._coef, k, scl=2.0)) for k in range(3)])
+    the Gauss rule of ``order`` nodes on [0, 1], that of the surface patches."""
+    x, w = _gauss(order, 0.0, 1.0)
+    T = basis.table(x, 2)
     A = np.einsum("iaq,jbq->ijab", T * w, T)
     # A[j, i] = A[i, j]' exactly: the rotations' B = H W reads round-off in the forms
     # (N = 5: a gap of 1.1e-13 to H W of the 3d quadrature oracle, 6.5e-14 with it)
@@ -211,7 +201,7 @@ def _tabulate(basis: ClampedBasis, order: int):
     # beta_k^(i) has the parity (-1)^(k+i) about x = 1/2, so A[i, j][k, l] = 0 for odd
     # i + j + k + l, held exact: the blocks read only even entries, the rest pair blocks
     A[np.indices(A.shape).sum(axis=0) % 2 == 1] = 0.0
-    return basis.quadrature(order)[0], T * w, A
+    return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3), T * w, A
 
 
 # Differential operators, c -> the image of the vector mode phi e_c as terms
@@ -352,10 +342,10 @@ class _Operators:
 # N = 6 and 177 MB at N = 12, the mass factors 0.4 and 27 MB of it
 @functools.lru_cache(maxsize=2)
 def _operators(n_modes: int) -> _Operators:
-    """The operators at N modes on the Gauss rule of ``min_quadrature_order(N) + 2``
-    nodes, built once and shared by every job at that N."""
+    """The operators at N modes on the Gauss rule of N + 6 nodes, built once and shared by
+    every job at that N: the stiffness needs N + 4, a degree-6 load's work at N = 1 six."""
     basis = ClampedBasis(n_modes)
-    pts, wT, A = _tabulate(basis, min_quadrature_order(n_modes) + 2)
+    pts, wT, A = _tabulate(basis, n_modes + 6)
     grad, div, curl, value = (_form(basis, A, op) for op in ("grad", "div", "curl_curl", "value"))
     return _Operators(basis, *_shared([pts, wT]), _shared(grad), _shared(div),
                       _shared([0.25 * X for X in curl]), _shared(value))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .fields import DisplacementField, curl_from_grad
+from .fields import DisplacementField, _finite, curl_from_grad
 
 __all__ = [
     "BoxFace",
@@ -62,6 +62,11 @@ class Frame:
     jac: NDArray        # area element |x_s x x_t|
     dual: NDArray       # dual tangents (x^s, x^t), (..., 2, 3)
 
+    @property
+    def div_n(self) -> NDArray:
+        """div_S n = x^a . d_a n, the surface divergence of the normal."""
+        return np.einsum("...aj,...aj->...", self.dual, self.dn)
+
     def surface_scalar_gradient(self, d_f) -> NDArray:
         """Surface gradient of a scalar chart field with chart derivatives
         d_f (..., 2), as an ambient vector."""
@@ -70,11 +75,10 @@ class Frame:
     def tangential_divergence(self, v, grad_v) -> NDArray:
         """div_S(P v) of an ambient vector field, P = id - n n, from its
         values v (..., 3) and gradient grad_v (..., 3, 3) at the frame
-        points: tr(P grad v) - (v.n) div_S n, with div_S n = x^a . d_a n."""
+        points: tr(P grad v) - (v.n) div_S n."""
         n = self.n
         n_grad_n = np.einsum("...i,...ij,...j->...", n, grad_v, n)
-        div_n = np.einsum("...aj,...aj->...", self.dual, self.dn)
-        return np.trace(grad_v, axis1=-2, axis2=-1) - n_grad_n - _dot(v, n) * div_n
+        return np.trace(grad_v, axis1=-2, axis2=-1) - n_grad_n - _dot(v, n) * self.div_n
 
 
 @functools.cache
@@ -208,18 +212,13 @@ class SphericalCap(SurfacePatch):
 
     def __init__(self, center=(0.0, 0.0, 0.0), radius: float = 1.0,
                  axis=(0.0, 0.0, 1.0), theta_max: float = math.pi / 2.0):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        e3 = np.asarray(axis, dtype=float)
+        self.center, e3 = _finite("center", center, (3,)), _finite("axis", axis, (3,))
+        self.radius = float(_finite("radius", radius, ()))
+        theta_max = float(_finite("theta_max", theta_max, ()))
         norm = np.linalg.norm(e3)
-        if (isinstance(radius, bool) or isinstance(theta_max, bool)
-                or not (0.0 < self.radius < math.inf and 0.0 < theta_max <= math.pi)):
-            raise ValueError(f"need numbers 0 < radius < inf and 0 < theta_max <= pi, "
-                             f"got radius {radius}, theta_max {theta_max}")
-        if (self.center.shape != (3,) or e3.shape != (3,) or not np.isfinite(self.center).all()
-                or not 0.0 < norm < math.inf):
-            raise ValueError(f"center and axis must be finite 3-vectors, the axis non-zero, "
-                             f"got center {center}, axis {axis}")
+        if not (0.0 < self.radius and 0.0 < theta_max <= math.pi and 0.0 < norm < math.inf):
+            raise ValueError(f"need radius > 0, 0 < theta_max <= pi and a non-zero axis, "
+                             f"got radius {radius}, theta_max {theta_max}, axis {axis}")
         e3 = e3 / norm
         helper = np.array([1.0, 0.0, 0.0])
         if abs(helper @ e3) > 0.9:
@@ -228,7 +227,7 @@ class SphericalCap(SurfacePatch):
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(e3, e1)
         self.e1, self.e2, self.e3 = e1, e2, e3
-        self.s_range = (0.0, float(theta_max))
+        self.s_range = (0.0, theta_max)
         self.t_range = (0.0, 2.0 * math.pi)
 
     def chart(self, s, t):
@@ -242,7 +241,7 @@ class SphericalCap(SurfacePatch):
         return x, tangents, tangents / r
 
 
-def surface_divergence_check(v: DisplacementField, patch: SurfacePatch, order: int = 16):
+def surface_divergence_check(v: DisplacementField, patch: SurfacePatch, order: int):
     """Surface divergence theorem on a patch: the surface integral of
     div_S of the tangential part of the field v against the edge integral
     of the conormal component.  Returns (lhs, rhs, gap)."""
@@ -255,7 +254,7 @@ def surface_divergence_check(v: DisplacementField, patch: SurfacePatch, order: i
     return lhs, rhs, abs(lhs - rhs)
 
 
-def stokes_flux_check(field, patch: SurfacePatch, order: int = 16):
+def stokes_flux_check(field, patch: SurfacePatch, order: int):
     """Stokes theorem on a patch: flux of curl u against the circulation
     of u along the edge with tangent tau = n x nu."""
 

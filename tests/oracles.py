@@ -1,6 +1,7 @@
 """Test-side oracles: a field evaluated one point at a time, with derivatives
-by finite differences, the finite-difference chart gradient of a patch and the
-row-wise surface divergence of a tensor chart field."""
+by finite differences, the finite-difference chart gradient of a patch, the
+row-wise surface divergence of a tensor chart field and the tensor Gauss rule
+on the unit cube."""
 
 import numpy as np
 
@@ -58,3 +59,12 @@ def surface_rowwise_divergence(fr, d_T):
     derivatives d_T (..., 3, 3, 2) at the points of frame ``fr``:
     r_i = (grad_S T)_ijk P_kj = d_a T_ij x^a_j."""
     return np.einsum("...ija,...aj->...i", d_T, fr.dual)
+
+
+def cube_gauss(order: int):
+    """The tensor Gauss-Legendre rule of ``order`` nodes per axis on the unit
+    cube, from numpy's rule on [-1, 1]: points (order^3, 3) and weights."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()

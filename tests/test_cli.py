@@ -63,6 +63,15 @@ def test_malformed_json_exits_2_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_config_not_utf8_exits_2_no_output(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"seed": 0}')  # a UTF-16 byte-order mark
+    out = tmp_path / "out"
+    assert run("verify-operators", str(bad), str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = _write(tmp_path, "c.json", {"seed": 1, "bogus": True})
     out = tmp_path / "out"
@@ -96,6 +105,19 @@ def test_nan_material_exits_2_no_output(tmp_path, key):
     assert not out.exists()
 
 
+def test_an_overflowing_energy_form_fails_its_row(tmp_path, capsys):
+    # at mu = lambda = 1e308 both forms of the local energy overflow: their spread is
+    # NaN, and NaN must reach the gate, not fold away as Python's max(0.0, nan) = 0.0
+    material = {"mu": 1e308, "lambda": 1e308, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0}
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "cases": 50, "material": material})
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):
+        assert run("energy-report", cfg, str(out)) == 1
+    assert "[FAIL] local_energy_two_forms: gap=nan" in capsys.readouterr().out
+    rows = (out / "energy-report.csv").read_text(encoding="utf-8").splitlines()
+    assert [r.split(",")[0] for r in rows if r.endswith(",false")] == ["local_energy_two_forms"]
+
+
 @pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])
 def test_material_mu_c_exits_2_naming_it(tmp_path, capsys, command):
     # the material is five constants; the couple moduli of a sweep are mu_c_values
@@ -120,7 +142,7 @@ def test_material_regime_must_match_its_alphas(tmp_path, capsys, regime, code):
 
 
 @pytest.mark.parametrize("tol", ["abc", "1e-6", None, True, [1.0], float("nan"), -1.0,
-                                 float("inf")])
+                                 float("inf"), 10 ** 400])
 def test_bad_tolerance_exits_2_no_output(tmp_path, tol):
     cfg = _write(tmp_path, "c.json", {"seed": 0, "tolerances": {"operators": tol}})
     out = tmp_path / "o"
@@ -138,7 +160,9 @@ def test_bad_box_face_exits_2_no_output(tmp_path, which):
 
 
 @pytest.mark.parametrize("cap", [{"radius": -1}, {"theta_max": 0}, {"axis": [0, 0, 0]},
-                                 {"theta_max": True}, {"radius": True}],
+                                 {"theta_max": True}, {"radius": True}, {"axis": [True, 0, 0]},
+                                 {"center": [True, 0, 0]}, {"radius": "1"},
+                                 {"center": ["1", 0, 0]}],
                          ids=lambda v: json.dumps(v, separators=(",", ":")))
 def test_bad_spherical_cap_exits_2_no_output(tmp_path, cap):
     cfg = _write(tmp_path, "c.json", {"seed": 0, "patch": {"type": "spherical_cap", **cap}})
@@ -439,7 +463,7 @@ def test_a_solver_quadrature_order_exits_2_before_tabulating(
 
     raw = solver._tabulate
     monkeypatch.setattr(solver, "_tabulate", counting)
-    order = solver.min_quadrature_order(3) + 2
+    order = 3 + 6  # the order the solver uses at N = 3
     cfg = {"seed": 0, "n_modes": 3} if via_flag else {"seed": 0, "n_modes": 3,
                                                       "quadrature_order": order}
     flag = ["--quadrature-order", str(order)] if via_flag else []

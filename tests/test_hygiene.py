@@ -108,6 +108,18 @@ def test_finite_differences_only_in_the_oracles(path):
     assert not reads_name(path.read_text(encoding="utf-8"), "fd_partial")
 
 
+#: the one Gauss-Legendre rule, shared by the patches and the solver, and the one
+#: table of Shen's modes
+_SINGLE_READERS = {"leggauss": "surfaces.py", "legval": "solver.py", "legder": "solver.py"}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_READERS))
+def test_one_module_reads_each_single_definition(name):
+    readers = [p.name for p in sorted(SRC.glob("*.py"))
+               if reads_name(p.read_text(encoding="utf-8"), name)]
+    assert readers == [_SINGLE_READERS[name]]
+
+
 def imported_packages(source: str) -> set[str]:
     """The top-level packages that the module's absolute imports name."""
     packages = set()

@@ -23,6 +23,7 @@ from costress.solver import (
     korn_constant,
     solve,
 )
+from oracles import cube_gauss
 
 PARAMS = MaterialParams.for_regime("gkmt", mu=1.0, lam=1.0, L_c=0.1)
 
@@ -38,6 +39,17 @@ def system():
 
 
 class TestBasis:
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_table_second_derivatives_are_scaled_legendre(self, n):
+        # Shen's beta_k'' = sqrt(2k + 5) P_{k+2}(2x - 1); a repeated coordinate reads the
+        # entries of its first occurrence
+        x = np.linspace(0.0, 1.0, 7)
+        T = ClampedBasis(n).table(np.concatenate([x, x[::-1]]), 2)
+        assert T.shape == (3, n, 14)
+        want = [np.sqrt(2 * k + 5) * Legendre.basis(k + 2)(2.0 * x - 1.0) for k in range(n)]
+        assert np.max(np.abs(T[2, :, :7] - want)) <= 1e-12
+        assert np.array_equal(T[..., 7:], T[..., 6::-1])
+
     def test_clamped_boundary_values(self):
         basis = ClampedBasis(3)
         z = np.random.default_rng(0).normal(size=basis.n_dofs)
@@ -54,7 +66,7 @@ class TestBasis:
         # up to N = 14), each mode and its derivative vanish at x = 0, 1, and the span is
         # that of the bubble x Legendre modes x^2 (1-x)^2 P_k(2x - 1)
         basis = ClampedBasis(n)
-        A22 = solver._tabulate(basis, solver.min_quadrature_order(n))[2][2, 2]
+        A22 = solver._tabulate(basis, n + 4)[2][2, 2]
         assert np.max(np.abs(A22 - np.eye(n))) <= 3e-14
         for k in (0, 1):
             ends = legval(np.array([-1.0, 1.0]), legder(basis._coef, k, scl=2.0))
@@ -131,7 +143,7 @@ def _oracle_tables(basis, pts, sqrt_w=None):
 
 def _tables(n):
     basis = ClampedBasis(n)
-    pts, W = basis.quadrature(solver.min_quadrature_order(basis.n_modes))
+    pts, W = cube_gauss(basis.n_modes + 4)
     return basis, pts, W, _oracle_tables(basis, pts)
 
 
@@ -302,7 +314,7 @@ def _oracle(n):
     the force and couple works of ``_couple_loads``; and an L2-orthonormal basis
     C of the rotations curl u / 2, one mode per row."""
     basis = ClampedBasis(n)
-    pts, W = basis.quadrature(solver.min_quadrature_order(basis.n_modes))
+    pts, W = cube_gauss(basis.n_modes + 4)
     t = _oracle_tables(basis, pts)
 
     def gram(X):
@@ -405,7 +417,7 @@ def test_sum_factorized_forms_match_the_3d_quadrature_oracle(regime, n):
     G = _oracle(n)
     p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.5)
     basis = ClampedBasis(n)
-    *_, A = solver._tabulate(basis, solver.min_quadrature_order(basis.n_modes) + 2)
+    *_, A = solver._tabulate(basis, basis.n_modes + 6)
     forms = {name: solver._form(basis, A, op) for name, op in (
         ("mass", "value"), ("grad", "grad"), ("div", "div"), ("curl", "curl_curl"))}
     forms["curl"] = [0.25 * X for X in forms["curl"]]
@@ -438,7 +450,7 @@ def test_the_solver_gauss_order_is_exact_for_the_forms_and_the_cli_loads(n):
     # the solver's order is N + 6 for every job: the modes have degree <= N + 3 and every
     # CLI load degree <= 6, so no higher order changes a Gram or a load work beyond
     # round-off.  At N = 1 a degree-6 load needs more than the stiffness's minimum N + 4
-    basis, floor = ClampedBasis(n), solver.min_quadrature_order(n)
+    basis, floor = ClampedBasis(n), n + 4
     ops = ("value", "grad", "div", "curl_curl")
 
     def grams(order):
@@ -483,7 +495,7 @@ def test_broadcast_kronecker_products_are_np_kron(n):
     # the oracle's entries outside the parity blocks are exact zeros, and the
     # builder's blocks are the oracle's, bit for bit
     basis = ClampedBasis(n)
-    *_, A = solver._tabulate(basis, solver.min_quadrature_order(basis.n_modes) + 2)
+    *_, A = solver._tabulate(basis, basis.n_modes + 6)
     outside = _outside_blocks(basis)
     for op in solver._OPS:
         F = _kron_form(A, op)
@@ -619,7 +631,8 @@ def test_solution_energy_equals_the_constitutive_integral(regime, n):
     system = assemble(p, _loads(), n)
     z = solve(system).coeffs
     u = system.ops.basis.solution_field(z)
-    pts, W = system.ops.basis.quadrature(system.ops.wT.shape[-1])  # the solver's Gauss rule
+    pts, W = cube_gauss(system.ops.wT.shape[-1])
+    assert np.array_equal(pts, system.ops.pts)  # the solver's Gauss rule, bit for bit
     M = grad_curl_from_grad2(u.grad2(pts))
     assert np.max(np.abs(tr(M))) <= 1e-15
     density = w_lin(p, u.grad(pts)).value + w_curv(p, M).value
