@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .constitutive import LoadData, MaterialParams, couple_stress, w_curv, w_lin
 from .boundary import boundary_work_identity, hd_postulate_report
-from .fields import (PolynomialField, _finite, fd_derivative_oracle, field_from_spec,
+from .fields import (ConformalField, PolynomialField, _finite, fd_derivative_oracle,
                      grad_curl_from_grad2, kinematics, make_polynomial, random_conformal)
 from .solver import (DegenerateCosseratError, WellPosednessError, assemble,
                      coercivity_evidence, cosserat_limit_sweep, solve)
@@ -72,7 +72,11 @@ class Check:
 # (the default when the key is absent) and the values parsed so far
 # (``seed`` first) and returns the typed value; ValueError, TypeError,
 # KeyError and OverflowError (a JSON integer past the largest float) become
-# a ConfigError naming the key.
+# a ConfigError naming the key by its path, as ``load: f_seed``.  The keys
+# of a field, patch or material spec have a schema too.
+
+#: the default of a key whose builder has its own: an absent one is not passed on
+_ABSENT = object()
 
 
 def _int(lo: int, hi: int | None = None, optional: bool = False):
@@ -95,9 +99,23 @@ def _tol(default: float):
     return parse, default
 
 
+def _real(v, job):
+    """Parser of a finite number, kept as given: the report echoes it."""
+    _finite("the value", v, ())
+    return v
+
+
+def _given(v, job):
+    """Parser of a value that the object built from it checks."""
+    return v
+
+
+_ARG = (_given, _ABSENT)
+
+
 def _object(v) -> dict:
     if not isinstance(v, dict):
-        raise TypeError(f"must be a JSON object, got {v!r}")
+        raise ConfigError(f"must be a JSON object, got {v!r}")
     return v
 
 
@@ -109,43 +127,80 @@ def _increasing(v, job):
     return v
 
 
+def _alpha3(v, job):
+    """Parser of alpha3, another name of alpha2: it sets alpha2, which must agree if given."""
+    v = _real(v, job)
+    if job.setdefault("alpha2", v) != v:
+        raise ValueError(f"alpha2 ({job['alpha2']}) and alpha3 ({v}) are the same "
+                         "parameter but were given different values")
+    return v
+
+
+_MATERIAL = {"mu": (_real, None), "lambda": (_real, None), "L_c": (_real, None),
+             "alpha1": (_real, None), "alpha2": (_real, _ABSENT), "alpha3": (_alpha3, _ABSENT),
+             "regime": (_given, None)}
+
+
 def _material(regime: str):
     """Parser of a material object; absent, the regime's with L_c = 0.5."""
     def parse(v, job):
         if v is None:
             return MaterialParams.for_regime(regime, L_c=0.5)
-        return MaterialParams.from_dict(_object(v))
+        m = _parse(_MATERIAL, v)
+        params = MaterialParams(m["mu"], m["lambda"], m["L_c"], m["alpha1"], m["alpha2"])
+        if m["regime"] not in (None, params.regime):
+            raise ValueError(f"regime {m['regime']!r} does not match the alphas "
+                             f"(alpha1 = {params.alpha1}, alpha2 = {params.alpha2}), "
+                             f"which give {params.regime!r}")
+        return params
     return parse
 
 
-def _field(default):
-    """Parser of a field spec (a conformal one with a seed is
-    ``random_conformal(seed)``); absent, ``default(seed)``."""
+def _conformal(seed=None, **constants) -> ConformalField:
+    """``random_conformal(seed)``, or the field of the given constants."""
+    if seed is None:
+        return ConformalField(**constants)
+    if constants:
+        raise ValueError(f"a conformal field with a seed takes no other keys, got {sorted(constants)}")
+    return random_conformal(seed)
+
+
+#: field family -> (builder, schema of its other keys); zero, constant and
+#: rigid are the conformal presets a_hat = anti(w_axial), b_hat = b (or c)
+_FAMILIES = {
+    "zero": (ConformalField, {}),
+    "constant": (lambda c: ConformalField(b_hat=_finite("c", c, (3,))), {"c": (_given, None)}),
+    "rigid": (lambda w_axial, b=(0.0, 0.0, 0.0): ConformalField(
+        a_hat=anti(_finite("w_axial", w_axial, (3,))), b_hat=_finite("b", b, (3,))),
+        {"w_axial": (_given, None), "b": _ARG}),
+    "polynomial": (make_polynomial, {"seed": (_int(0), None), "degree": (_int(0, 6), None)}),
+    "conformal": (_conformal, {"seed": (_int(0), _ABSENT), "w_axial": _ARG, "a_hat": _ARG,
+                               "b_hat": _ARG, "p_hat": _ARG}),
+}
+#: patch type -> (builder, schema of its other keys)
+_PATCHES = {
+    "box_face": (BoxFace.unit_cube_face, {"which": (_given, "z+")}),
+    "spherical_cap": (SphericalCap, dict.fromkeys(("center", "radius", "axis", "theta_max"), _ARG)),
+}
+
+
+def _spec(kinds: dict, tag: str, default):
+    """Parser of a spec: its ``tag`` picks (builder, schema) in ``kinds``, and its
+    other keys, parsed under that schema, are the builder's keywords; absent,
+    ``default(seed)``."""
     def parse(v, job):
         if v is None:
             return default(job["seed"])
-        spec = _object(v)
-        if spec.get("family") == "conformal" and "seed" in spec:
-            if set(spec) != {"family", "seed"}:
-                raise ValueError(f"a conformal field with a seed takes no other keys, got {spec}")
-            return random_conformal(_int(0)(spec["seed"], job))
-        return field_from_spec(spec)
+        spec = dict(_object(v))
+        kind = spec.pop(tag, None)
+        if kind not in kinds:
+            raise ValueError(f"unknown {tag} {kind!r}; expected one of {sorted(kinds)}")
+        build, schema = kinds[kind]
+        return build(**_parse(schema, spec))
     return parse
 
 
-_PATCHES = {"box_face": lambda which="z+": BoxFace.unit_cube_face(which),
-            "spherical_cap": SphericalCap}
-
-
-def _patch(v, job):
-    """Parser of a patch spec, ``type`` plus its keywords; absent, the unit hemisphere."""
-    if v is None:
-        return SphericalCap()
-    spec = dict(_object(v))
-    kind = spec.pop("type", None)
-    if kind not in _PATCHES:
-        raise ValueError(f"unknown patch type {kind!r}")
-    return _PATCHES[kind](**spec)
+_PATCH = (_spec(_PATCHES, "type", lambda seed: SphericalCap()), None)
 
 
 _LOAD = {"f_seed": (_int(0, optional=True), None), "f_degree": (_int(0, 6), 2),
@@ -157,7 +212,7 @@ def _load(v, job) -> LoadData:
     seed) and optional body couple; absent, the unit force along z."""
     if v is None:
         return LoadData(f=lambda x: np.broadcast_to([0.0, 0.0, 1.0], x.shape).copy())
-    spec = _parse(_LOAD, v, "load")
+    spec = _parse(_LOAD, v)
     f_seed = job["seed"] if spec["f_seed"] is None else spec["f_seed"]
     f = make_polynomial(f_seed, spec["f_degree"])
     g = spec["g_seed"]
@@ -165,25 +220,23 @@ def _load(v, job) -> LoadData:
     return LoadData(f=f.value, m_body=g)
 
 
-def _parse(schema: dict, raw, where: str) -> dict:
+def _parse(schema: dict, raw) -> dict:
     """The typed values of the JSON object ``raw`` under ``schema``."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(raw) - set(schema)
+    unknown = set(_object(raw)) - set(schema)
     if unknown:
-        raise ConfigError(f"keys {where} does not read: {sorted(unknown)}")
+        raise ConfigError(f"keys not read: {sorted(unknown)}")
     job = {}
     for key, entry in schema.items():
-        if isinstance(entry, dict):
-            job[key] = _parse(entry, raw.get(key, {}), key)
-            continue
-        parse, default = entry
         try:
-            job[key] = parse(raw.get(key, default), job)
-        except ConfigError:
-            raise
+            if isinstance(entry, dict):
+                job[key] = _parse(entry, raw.get(key, {}))
+                continue
+            parse, default = entry
+            v = raw.get(key, default)
+            if v is not _ABSENT:
+                job[key] = parse(v, job)
         except (ValueError, TypeError, KeyError, OverflowError) as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
+            raise ConfigError(f"{key}: {exc}") from None
     return job
 
 
@@ -195,18 +248,12 @@ _SPECS = {"field", "delta_field", "patch", "load"}
 def _load_config(path: str, command: str, overrides: dict) -> tuple[dict, dict]:
     """(job, echo): the config and overrides parsed under the command's schema."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    _object(cfg).update({k: v for k, v in overrides.items() if v is not None})
     # every command takes a seed; its checks see it only where its schema lists it
-    job = _parse({"seed": _SEED, **_COMMANDS[command][1]}, cfg, command)
+    job = _parse({"seed": _SEED, **_COMMANDS[command][1]}, cfg)
     return job, {k: cfg.get(k) if k in _SPECS else v for k, v in job.items()}
 
 
@@ -408,6 +455,12 @@ def bvp_checks(seed: int, n_modes: int, load: LoadData, material: MaterialParams
     ]
 
 
+def _label(x) -> str:
+    """x as its :g form where that reads back as x, else as its shortest exact one."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def cosserat_checks(n_modes: int, load: LoadData, mu_c_values: list,
                     material: MaterialParams) -> list[Check]:
     """Penalized Cosserat solutions converge to the constrained one, first order in 1/mu_c."""
@@ -417,7 +470,7 @@ def cosserat_checks(n_modes: int, load: LoadData, mu_c_values: list,
         raise ConfigError(str(exc))
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     return [
-        *(Check(f"relative_error_mu_c_{mc:g}", err, err, np.inf, True, details={"mu_c": mc})
+        *(Check(f"relative_error_mu_c_{_label(mc)}", err, err, np.inf, True, details={"mu_c": mc})
           for mc, err in zip(mu_c_values, errors)),
         Check("errors_strictly_decreasing", errors[-1], errors[-1], np.inf, decreasing,
               details={"errors": errors}),
@@ -467,14 +520,14 @@ _COMMANDS = {
         "tolerances": {"energy_forms": _tol(1e-12)},
     }),
     "bc-audit": (bc_audit_checks, {
-        "field": (_field(lambda s: make_polynomial(s, 3)), None),
-        "delta_field": (_field(lambda s: make_polynomial(s + 1, 3)), None),
-        "patch": (_patch, None), "quadrature_order": _ORDER, "material": _GKMT,
+        "field": (_spec(_FAMILIES, "family", lambda s: make_polynomial(s, 3)), None),
+        "delta_field": (_spec(_FAMILIES, "family", lambda s: make_polynomial(s + 1, 3)), None),
+        "patch": _PATCH, "quadrature_order": _ORDER, "material": _GKMT,
         "tolerances": {"surface_divergence": _tol(1e-6), "stokes": _tol(1e-6),
                        "work_identity": _tol(1e-6)},
     }),
     "hd-postulate": (hd_postulate_checks, {
-        "field": (_field(random_conformal), None), "patch": (_patch, None),
+        "field": (_spec(_FAMILIES, "family", random_conformal), None), "patch": _PATCH,
         "quadrature_order": _ORDER, "material": (_material("hd"), None),
         "tolerances": {"normal_moment": _tol(1e-14)},
     }),
@@ -524,7 +577,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, MaterialParams):
-        return json.loads(obj.to_json())
+        return {"mu": obj.mu, "lambda": obj.lam, "L_c": obj.L_c, "alpha1": obj.alpha1,
+                "alpha2": obj.alpha2, "regime": obj.regime}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):

@@ -17,7 +17,6 @@ ulp of the largest, not bit for bit.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -48,12 +47,7 @@ _REGIME_ALPHAS = {
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Full constitutive parameter set of the isotropic material.
-
-    ``alpha2`` also answers to the name ``alpha3`` in JSON input (the two
-    names denote the same parameter), and a ``regime`` there must be the
-    one the alphas give.
-    """
+    """Full constitutive parameter set of the isotropic material."""
 
     mu: float
     lam: float
@@ -91,43 +85,6 @@ class MaterialParams:
         except KeyError:
             raise ValueError(f"unknown regime {regime!r}; expected one of {sorted(_REGIME_ALPHAS)}")
         return cls(mu=mu, lam=lam, L_c=L_c, alpha1=a1, alpha2=a2)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mu": self.mu,
-                "lambda": self.lam,
-                "L_c": self.L_c,
-                "alpha1": self.alpha1,
-                "alpha2": self.alpha2,
-                "regime": self.regime,
-            }
-        )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MaterialParams":
-        d = dict(d)
-        regime = d.pop("regime", None)
-        unknown = set(d) - {"mu", "lambda", "L_c", "alpha1", "alpha2", "alpha3"}
-        if unknown:
-            raise ValueError(f"unknown material parameter keys: {sorted(unknown)}")
-        if "alpha3" in d:
-            a3 = d.pop("alpha3")
-            if "alpha2" in d and d["alpha2"] != a3:
-                raise ValueError(
-                    f"alpha2 ({d['alpha2']}) and alpha3 ({a3}) are the same "
-                    "parameter but were given different values"
-                )
-            d["alpha2"] = a3
-        if "lambda" not in d:
-            raise ValueError("material parameter lambda is missing")
-        d["lam"] = d.pop("lambda")
-        params = cls(**d)
-        if regime is not None and regime != params.regime:
-            raise ValueError(f"regime {regime!r} does not match the alphas "
-                             f"(alpha1 = {params.alpha1}, alpha2 = {params.alpha2}), "
-                             f"which give {params.regime!r}")
-        return params
 
 
 @dataclass(frozen=True)

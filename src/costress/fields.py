@@ -35,7 +35,6 @@ __all__ = [
     "curl_from_grad",
     "fd_derivative_oracle",
     "fd_partial",
-    "field_from_spec",
     "grad_curl_from_grad2",
     "kinematics",
     "make_polynomial",
@@ -273,13 +272,6 @@ def _degree_tables(degree: int) -> tuple[NDArray, NDArray]:
     return above, damping
 
 
-def _polynomial(seed, degree) -> PolynomialField:
-    """The polynomial of a field spec: one field, so one seed."""
-    if np.ndim(seed):
-        raise ValueError(f"a polynomial field takes one seed, got {seed!r}")
-    return make_polynomial(seed, degree)
-
-
 class ConformalField(DisplacementField):
     """phi_c(x) = <w, x> x - w |x|^2 / 2 + [p id + A] x + b.
 
@@ -395,32 +387,3 @@ def kinematics(field: DisplacementField, x: NDArray) -> KinematicState:
         chi_torsion=sym(M),
         omega_mean_curv=skw(M),
     )
-
-
-def _rigid(w_axial, b=(0.0, 0.0, 0.0)) -> ConformalField:
-    """u(x) = W x + b with W = anti(w_axial): the conformal preset
-    a_hat = W, b_hat = b."""
-    return ConformalField(a_hat=anti(_finite("w_axial", w_axial, (3,))), b_hat=_finite("b", b, (3,)))
-
-
-#: family -> (builder, the spec keys it reads, each a keyword of the builder)
-_FIELD_BUILDERS = {
-    "zero": (lambda: _rigid(np.zeros(3)), ()),
-    "constant": (lambda c: _rigid(np.zeros(3), _finite("c", c, (3,))), ("c",)),
-    "rigid": (_rigid, ("w_axial", "b")),
-    "polynomial": (_polynomial, ("seed", "degree")),
-    "conformal": (ConformalField, ("w_axial", "a_hat", "b_hat", "p_hat")),
-}
-
-
-def field_from_spec(spec: dict) -> DisplacementField:
-    """Rebuild a field from its specification, a family and the keys it reads."""
-    spec = dict(spec)
-    family = spec.pop("family", None)
-    if family not in _FIELD_BUILDERS:
-        raise ValueError(f"unknown field family {family!r}")
-    build, keys = _FIELD_BUILDERS[family]
-    unread = set(spec) - set(keys)
-    if unread:
-        raise ValueError(f"keys a {family} field does not read: {sorted(unread)}")
-    return build(**spec)

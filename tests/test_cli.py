@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from costress import cli, solver
 from costress.cli import main, run
 from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
-from costress.fields import (fd_derivative_oracle, grad_curl_from_grad2, kinematics,
-                             make_polynomial, random_conformal)
+from costress.fields import (ConformalField, fd_derivative_oracle, grad_curl_from_grad2,
+                             kinematics, make_polynomial, random_conformal)
 from costress.surfaces import SphericalCap
 from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner, tr
 
@@ -252,6 +252,146 @@ def test_alpha3_alias_in_material(tmp_path):
                      "alpha1": 1.0, "alpha3": 1.0},
     })
     assert run("energy-report", cfg, str(tmp_path / "o")) == 0
+
+
+def _field_of(spec):
+    """The field the CLI builds from a field spec."""
+    return cli._spec(cli._FAMILIES, "family", None)(spec, {})
+
+
+@pytest.mark.parametrize("spec, value, grad", [
+    ({"family": "zero"}, lambda x: np.zeros_like(x), np.zeros((3, 3))),
+    ({"family": "constant", "c": [1.0, -2.0, 0.5]},
+     lambda x: np.broadcast_to([1.0, -2.0, 0.5], x.shape), np.zeros((3, 3))),
+    ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3]},
+     lambda x: np.cross([0.1, 0.2, 0.3], x), anti([0.1, 0.2, 0.3])),
+    ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
+     lambda x: np.cross([0.1, 0.2, 0.3], x) + [1.0, 0.0, 0.0], anti([0.1, 0.2, 0.3])),
+], ids=["zero", "constant", "rigid", "rigid_b"])
+def test_low_degree_families_are_conformal_presets(spec, value, grad):
+    # u = W x + b written out: no quadratic part, no dilation
+    u = _field_of(spec)
+    assert type(u) is ConformalField and not u.w.any() and u.p == 0.0
+    X = np.random.default_rng(0).uniform(-1, 1, (4, 3))
+    assert np.allclose(u.value(X), value(X), rtol=0.0, atol=1e-15)
+    assert np.array_equal(u.grad(X), np.broadcast_to(grad, (4, 3, 3)))
+    assert not u.grad2(X).any() and not u.grad3(X).any() and not u.grad4(X).any()
+    assert u.grad2(X).shape == (4, 3, 3, 3) and u.grad3(X).shape == (4, 3, 3, 3, 3)
+    assert u.grad4(X).shape == (4, 3, 3, 3, 3, 3)
+
+
+def test_rigid_motion_kinematics():
+    w = np.array([0.3, -0.2, 0.5])
+    u = _field_of({"family": "rigid", "w_axial": w.tolist(), "b": [1.0, 0.0, 0.0]})
+    x = np.array([0.2, 0.7, -0.3])
+    # u = W x + b with W x = w x x
+    assert np.allclose(u.value(x), np.cross(w, x) + [1.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    state = kinematics(u, x)
+    assert np.allclose(state.sym_grad, 0.0, atol=1e-15)
+    assert np.allclose(state.curl_u, 2.0 * w, atol=1e-14)
+    assert np.allclose(state.axl_skw_grad, w, atol=1e-14)
+    assert np.allclose(state.grad_curl, 0.0)
+
+
+def test_field_specs_build_each_family():
+    a_hat = anti(np.array([0.1, -0.4, 0.2]))
+    cases = [
+        ({"family": "polynomial", "seed": 8, "degree": 3}, make_polynomial(8, 3)),
+        ({"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "a_hat": a_hat.tolist(),
+          "b_hat": [1, 2, 3], "p_hat": 0.4},
+         ConformalField(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat, b_hat=(1, 2, 3), p_hat=0.4)),
+        ({"family": "conformal", "seed": 4}, random_conformal(4)),
+    ]
+    x = np.array([0.25, -0.5, 0.75])
+    for spec, f in cases:
+        g = _field_of(spec)
+        assert type(g) is type(f)
+        assert np.array_equal(f.value(x), g.value(x))
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "nope"},
+    {"c": [1, 2, 3]},
+    {"family": "polynomial", "seed": 1, "degree": 3, "typo_key": 5},
+    {"family": "polynomial", "seed": [1, 2], "degree": 3},
+    {"family": "polynomial", "seed": True, "degree": 2},
+    {"family": "polynomial", "seed": 1, "degree": True},
+    {"family": "polynomial", "degree": 2},
+    {"family": "zero", "c": [1, 2, 3]},
+    {"family": "constant", "c": [1, 2, float("inf")]},
+    {"family": "constant"},
+    {"family": "rigid", "w_axial": [0, 0, 1], "b": [1, 2]},
+    {"family": "rigid", "w_axial": ["0", 0, 1]},
+    {"family": "rigid", "w_axial": [True, 0, 1]},
+    {"family": "rigid", "w_axial": [0, [0], 1]},
+    {"family": "rigid", "w_axial": [0, 0, 1], "b": None},
+    {"family": "conformal", "b_hat": [1, 2]},
+    {"family": "conformal", "w_axial": [[1, 0, 0]]},
+    {"family": "conformal", "a_hat": [[0, 1], [-1, 0]]},
+    {"family": "conformal", "p_hat": True},
+    {"family": "conformal", "p_hat": "0.5"},
+    {"family": "conformal", "p_hat": float("nan")},
+    {"family": "conformal", "p_hat": None},
+    {"family": "conformal", "seed": True},
+    {"family": "conformal", "seed": None},
+], ids=lambda v: json.dumps(v, separators=(",", ":")))
+def test_bad_field_spec_exits_2_no_output(tmp_path, capsys, spec):
+    # a boolean is not an integer in a spec either, as in the command keys
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "quadrature_order": 4, "field": spec})
+    out = tmp_path / "o"
+    assert run("bc-audit", cfg, str(out)) == 2
+    assert "config error: field: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_misspelt_spec_key_is_named(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "patch": {"type": "spherical_cap", "raduis": 2.0}})
+    out = tmp_path / "o"
+    assert run("hd-postulate", cfg, str(out)) == 2
+    assert "config error: patch: keys not read: ['raduis']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_echoed_material_runs_as_its_config(tmp_path):
+    material = {"mu": 2.0, "lambda": 0.5, "L_c": 0.1, "alpha1": 1.0, "alpha3": 0.5}
+    assert run("energy-report", _write(tmp_path, "a.json", {"seed": 0, "cases": 2,
+                                                            "material": material}),
+               str(tmp_path / "a")) == 0
+    report = (tmp_path / "a" / "report.json").read_bytes()
+    echo = json.loads(report)["job"]["material"]
+    assert echo == {"mu": 2.0, "lambda": 0.5, "L_c": 0.1, "alpha1": 1.0, "alpha2": 0.5,
+                    "regime": "gkmt"}
+    assert run("energy-report", _write(tmp_path, "b.json", {"seed": 0, "cases": 2,
+                                                            "material": echo}),
+               str(tmp_path / "b")) == 0
+    assert (tmp_path / "b" / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("material, named", [
+    # a missing lambda is named by its JSON key, not by the field name lam
+    ({"mu": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": 1.0}, "material: lambda: "),
+    ({"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0}, "material: 'alpha2'"),
+    ({"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": 1.0, "nu": 0.3},
+     "material: keys not read: ['nu']"),
+    ({"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": 0.3, "alpha3": 0.5},
+     "are the same parameter"),
+    ({"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": None, "alpha3": 1.0},
+     "material: alpha2: "),
+], ids=["no_lambda", "no_alpha2", "nu", "alpha2_vs_alpha3", "null_alpha2"])
+def test_bad_material_key_exits_2_naming_it(tmp_path, capsys, material, named):
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "cases": 2, "material": material})
+    out = tmp_path / "o"
+    assert run("energy-report", cfg, str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_alpha3_names_alpha2():
+    parse = cli._material("gkmt")
+    base = {"mu": 1.0, "lambda": 1.0, "L_c": 1.0, "alpha1": 1.0}
+    assert parse({**base, "alpha3": 0.5}, {}).alpha2 == 0.5
+    # a consistent duplicate is accepted
+    assert parse({**base, "alpha2": 0.5, "alpha3": 0.5}, {}).alpha2 == 0.5
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -509,6 +649,20 @@ def test_cosserat_limit_small(tmp_path):
     assert len(rows) == 1 + 3 + 2  # per-mu_c rows + the two verdicts
 
 
+def test_cosserat_limit_row_names_are_unique(tmp_path):
+    # 1000.0001 reads 1000 in :g form; a name whose :g form reads back stays
+    assert [cli._label(mc) for mc in (10.0, 100.0, 1000.0, 10000.0, 1e6, 1000.0001, 7)] == [
+        "10", "100", "1000", "10000", "1e+06", "1000.0001", "7"]
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2,
+                                      "mu_c_values": [1000.0, 1000.0001, 10000.0]})
+    out = tmp_path / "o"
+    assert run("cosserat-limit", cfg, str(out)) in (0, 1)
+    names = [row.split(",")[0] for row in (out / "cosserat-limit.csv").read_text().splitlines()]
+    assert names[1:4] == ["relative_error_mu_c_1000", "relative_error_mu_c_1000.0001",
+                          "relative_error_mu_c_10000"]
+    assert len(set(names)) == len(names)
+
+
 def test_cosserat_limit_converges_at_large_mu_c(tmp_path):
     # the reduced form has no term that grows with mu_c, so the first-order
     # penalty error stays above round-off far into the asymptotic range
@@ -605,7 +759,7 @@ def test_conformal_demo(tmp_path):
 def test_conformal_demo_reports_its_points_as_metrics(tmp_path, regime, rows):
     material = MaterialParams.for_regime(regime, L_c=0.7)
     cfg = _write(tmp_path, "c.json", {"seed": 5, "points": 7,
-                                      "material": json.loads(material.to_json())})
+                                      "material": cli._jsonable(material)})
     for side in "ab":
         assert run("conformal-demo", cfg, str(tmp_path / side)) == 0
     report = (tmp_path / "a" / "report.json").read_bytes()
@@ -775,7 +929,7 @@ def test_readme_material_line_names_the_keys_the_parser_reads():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     keys_part = text.split("\n- *material*: ", 1)[1].split(";", 1)[0]
     named = set(re.findall(r"`(\w+)`", keys_part))
-    echo = json.loads(MaterialParams.for_regime("gkmt").to_json())
+    echo = cli._jsonable(MaterialParams.for_regime("gkmt"))
     # a candidate replaces the key it would alias: lam for lambda, alpha3 for alpha2
     stands_for = {"lam": "lambda", "alpha3": "alpha2"}
 
@@ -783,13 +937,21 @@ def test_readme_material_line_names_the_keys_the_parser_reads():
         d = dict(echo)
         d[key] = d.pop(stands_for.get(key, key), 1.0)
         try:
-            MaterialParams.from_dict(d)
+            cli._material("gkmt")(d, {})
         except ValueError:
             return False
         return True
 
     fields = {f.name for f in dataclasses.fields(MaterialParams)}
     assert {k for k in named | set(echo) | fields | {"mu_c"} if accepted(k)} == named
+
+
+def test_readme_python_blocks_run(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 # small valid values per key, and values that are wrong in type or range

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -50,33 +49,6 @@ class TestMaterialParams:
         assert MaterialParams.for_regime("hd").regime == "hd"
         with pytest.raises(ValueError):
             MaterialParams.for_regime("unknown")
-
-    def test_json_round_trip(self):
-        p = MaterialParams(mu=2.0, lam=0.5, L_c=0.1, alpha1=1.0, alpha2=0.5)
-        q = MaterialParams.from_dict(json.loads(p.to_json()))
-        assert p == q
-
-    def test_a_missing_lambda_is_named_by_its_json_key(self):
-        # not by the field name lam, which the JSON input does not accept
-        with pytest.raises(ValueError, match="lambda is missing"):
-            MaterialParams.from_dict({"mu": 1.0, "L_c": 1.0, "alpha1": 1.0, "alpha2": 1.0})
-
-    def test_alpha3_alias(self):
-        p = MaterialParams.from_dict({"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
-                                      "alpha1": 1.0, "alpha3": 0.5})
-        assert p.alpha2 == 0.5
-        # consistent duplicate is accepted
-        q = MaterialParams.from_dict({"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
-                                      "alpha1": 1.0, "alpha2": 0.5, "alpha3": 0.5})
-        assert q.alpha2 == 0.5
-        with pytest.raises(ValueError, match="same parameter"):
-            MaterialParams.from_dict({"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
-                                      "alpha1": 1.0, "alpha2": 0.3, "alpha3": 0.5})
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            MaterialParams.from_dict({"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
-                                      "alpha1": 1.0, "alpha2": 1.0, "nu": 0.3})
 
 
 def test_local_energy_two_forms_agree():
@@ -306,4 +278,3 @@ def test_load_data_defaults():
     X = np.zeros((4, 3))
     assert loads.force(X).shape == (4, 3)
     assert np.allclose(loads.couple(np.zeros(3)), 0.0)
-    assert json.dumps(MaterialParams.for_regime("gkmt").to_json()) is not None

@@ -17,7 +17,6 @@ from costress.fields import (
     curl_from_grad,
     fd_derivative_oracle,
     fd_partial,
-    field_from_spec,
     grad_curl_from_grad2,
     kinematics,
     make_polynomial,
@@ -183,19 +182,6 @@ def test_kinematics_reads_the_axial_vector_without_the_skew_check(monkeypatch):
         axl(np.eye(3))
 
 
-def test_rigid_motion_kinematics():
-    w = np.array([0.3, -0.2, 0.5])
-    u = field_from_spec({"family": "rigid", "w_axial": w.tolist(), "b": [1.0, 0.0, 0.0]})
-    x = np.array([0.2, 0.7, -0.3])
-    # u = W x + b with W x = w x x
-    assert np.allclose(u.value(x), np.cross(w, x) + [1.0, 0.0, 0.0], rtol=0.0, atol=1e-15)
-    state = kinematics(u, x)
-    assert np.allclose(state.sym_grad, 0.0, atol=1e-15)
-    assert np.allclose(state.curl_u, 2.0 * w, atol=1e-14)
-    assert np.allclose(state.axl_skw_grad, w, atol=1e-14)
-    assert np.allclose(state.grad_curl, 0.0)
-
-
 def test_curl_identity_on_polynomials():
     for seed in range(5):
         u = make_polynomial(seed, 4)
@@ -240,7 +226,7 @@ def test_every_field_family_keeps_the_point_shape(family, shape):
     u = {
         "polynomial": lambda: make_polynomial(3, 4),
         "conformal": lambda: random_conformal(3),
-        "rigid": lambda: field_from_spec({"family": "rigid", "w_axial": [0.1, 0.2, 0.3]}),
+        "rigid": lambda: ConformalField(a_hat=anti([0.1, 0.2, 0.3])),
         "basis": lambda: ClampedBasis(2).solution_field(np.arange(24.0)),
         "callable": lambda: PointwiseField(lambda p: p * p[::-1]),
     }[family]()
@@ -351,65 +337,6 @@ def test_printed_counterexample_field_is_torsion_free():
     g0 = field.grad(np.zeros(3))
     g1 = field.grad(np.ones(3) * 0.5)
     assert np.max(np.abs(g0 - g1)) > 0.5
-
-
-@pytest.mark.parametrize("spec, value, grad", [
-    ({"family": "zero"}, lambda x: np.zeros_like(x), np.zeros((3, 3))),
-    ({"family": "constant", "c": [1.0, -2.0, 0.5]},
-     lambda x: np.broadcast_to([1.0, -2.0, 0.5], x.shape), np.zeros((3, 3))),
-    ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3]},
-     lambda x: np.cross([0.1, 0.2, 0.3], x), anti([0.1, 0.2, 0.3])),
-    ({"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
-     lambda x: np.cross([0.1, 0.2, 0.3], x) + [1.0, 0.0, 0.0], anti([0.1, 0.2, 0.3])),
-], ids=["zero", "constant", "rigid", "rigid_b"])
-def test_low_degree_families_are_conformal_presets(spec, value, grad):
-    # u = W x + b written out: no quadratic part, no dilation
-    u = field_from_spec(spec)
-    assert type(u) is ConformalField and not u.w.any() and u.p == 0.0
-    X = np.random.default_rng(0).uniform(-1, 1, (4, 3))
-    assert np.allclose(u.value(X), value(X), rtol=0.0, atol=1e-15)
-    assert np.array_equal(u.grad(X), np.broadcast_to(grad, (4, 3, 3)))
-    assert not u.grad2(X).any() and not u.grad3(X).any() and not u.grad4(X).any()
-    assert u.grad2(X).shape == (4, 3, 3, 3) and u.grad3(X).shape == (4, 3, 3, 3, 3)
-    assert u.grad4(X).shape == (4, 3, 3, 3, 3, 3)
-
-
-def test_field_from_spec_builds_each_family():
-    a_hat = anti(np.array([0.1, -0.4, 0.2]))
-    cases = [
-        ({"family": "polynomial", "seed": 8, "degree": 3}, make_polynomial(8, 3)),
-        ({"family": "conformal", "w_axial": [0.3, -0.2, 0.5], "a_hat": a_hat.tolist(),
-          "b_hat": [1, 2, 3], "p_hat": 0.4},
-         ConformalField(w_axial=(0.3, -0.2, 0.5), a_hat=a_hat, b_hat=(1, 2, 3), p_hat=0.4)),
-    ]
-    x = np.array([0.25, -0.5, 0.75])
-    for spec, f in cases:
-        g = field_from_spec(spec)
-        assert type(g) is type(f)
-        assert np.allclose(f.value(x), g.value(x), atol=1e-14)
-    with pytest.raises(ValueError):
-        field_from_spec({"family": "nope"})
-
-
-@pytest.mark.parametrize("spec", [
-    {"family": "polynomial", "seed": 1, "degree": 3, "typo_key": 5},
-    {"family": "polynomial", "seed": [1, 2], "degree": 3},
-    {"family": "zero", "c": [1, 2, 3]},
-    {"family": "constant", "c": [1, 2, float("inf")]},
-    {"family": "rigid", "w_axial": [0, 0, 1], "b": [1, 2]},
-    {"family": "rigid", "w_axial": ["0", 0, 1]},
-    {"family": "rigid", "w_axial": [True, 0, 1]},
-    {"family": "rigid", "w_axial": [0, [0], 1]},
-    {"family": "conformal", "b_hat": [1, 2]},
-    {"family": "conformal", "w_axial": [[1, 0, 0]]},
-    {"family": "conformal", "a_hat": [[0, 1], [-1, 0]]},
-    {"family": "conformal", "p_hat": True},
-    {"family": "conformal", "p_hat": "0.5"},
-    {"family": "conformal", "p_hat": float("nan")},
-], ids=repr)
-def test_field_spec_checked(spec):
-    with pytest.raises(ValueError):
-        field_from_spec(spec)
 
 
 def test_polynomial_derivatives_built_on_first_use():

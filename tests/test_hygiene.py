@@ -108,9 +108,10 @@ def test_finite_differences_only_in_the_oracles(path):
     assert not reads_name(path.read_text(encoding="utf-8"), "fd_partial")
 
 
-#: the one Gauss-Legendre rule, shared by the patches and the solver, and the one
-#: table of Shen's modes
-_SINGLE_READERS = {"leggauss": "surfaces.py", "legval": "solver.py", "legder": "solver.py"}
+#: the one Gauss-Legendre rule, shared by the patches and the solver, the one
+#: table of Shen's modes and the one reader of the JSON config format
+_SINGLE_READERS = {"leggauss": "surfaces.py", "legval": "solver.py", "legder": "solver.py",
+                   "json": "cli.py"}
 
 
 @pytest.mark.parametrize("name", sorted(_SINGLE_READERS))
