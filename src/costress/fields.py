@@ -186,6 +186,12 @@ class PolynomialField(DisplacementField):
         #: derivative order -> its stacked coefficient tensor, see _block
         self._blocks = {0: coeffs}
 
+    @functools.cached_property
+    def degree(self) -> int:
+        """The largest i + j + k of a nonzero coefficient over the batch, 0 if none."""
+        nonzero = np.any(self.coeffs.reshape((-1,) + self.coeffs.shape[-3:]) != 0.0, axis=0)
+        return int(np.argwhere(nonzero).sum(axis=1).max(initial=0))
+
     def _block(self, order: int) -> NDArray:
         """Stacked coefficient tensor of one derivative order, its derivative axes
         after the component, C[..., i, a1, ..., a_order], each entry a (D, D, D)
@@ -282,6 +288,8 @@ class ConformalField(DisplacementField):
     sym grad curl vanishes identically.
     """
 
+    degree = 2  #: counted as a quadratic, whatever its parameters
+
     def __init__(self, w_axial=(0.0, 0.0, 0.0), a_hat=((0.0, 0.0, 0.0),) * 3,
                  b_hat=(0.0, 0.0, 0.0), p_hat=0.0):
         self.w = _finite("w_axial", w_axial, (3,))
@@ -311,9 +319,7 @@ class ConformalField(DisplacementField):
         x = np.asarray(x, dtype=float)
         wx = x @ self.w
         cross = np.cross(np.broadcast_to(self.w, x.shape), x)
-        out = (wx + self.p)[..., None, None] * ID3
-        out = out + anti(cross) + self.A
-        return out
+        return (wx + self.p)[..., None, None] * ID3 + anti(cross) + self.A
 
     def grad2(self, x):
         return np.broadcast_to(self._H, np.shape(x)[:-1] + (3, 3, 3)).copy()

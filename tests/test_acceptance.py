@@ -107,19 +107,19 @@ def test_criterion_05_printed_counterexample():
 
 
 def test_criterion_06_surface_divergence_theorem():
-    # the divergence rows only: with quartic fields the work identity needs
-    # an order above 16 on the hemisphere
+    # every bc-audit row of quartic fields, at the order the fields give (24)
     u, du = make_polynomial(6, 4), make_polynomial(7, 4)
     p = MaterialParams.for_regime("gkmt", L_c=0.5)
     tols = {"surface_divergence": 1e-6, "stokes": 1e-6, "work_identity": 1e-6}
     worst = 0.0
     for patch in (FACE, HEMI):
-        checks = {c.name: c for c in bc_audit_checks(u, du, patch, 16, p, tols)}
-        div, ladder = checks["surface_divergence"], checks["surface_divergence_monotone"]
-        worst = max(worst, div.gap)
-        # monotone decrease over the order ladder, ending at order 16 or finer
-        assert div.passed and ladder.passed, (div, ladder)
-    _record("surface divergence theorem at order 16", worst, 1e-6)
+        checks = bc_audit_checks(u, du, patch, p, tols)
+        assert [c.name for c in checks] == ["surface_divergence", "quadrature_resolved",
+                                            "stokes_flux", "boundary_work_identity"]
+        assert checks[1].details["orders"] == [24, 32]
+        assert all(c.passed for c in checks), checks
+        worst = max(worst, *(c.gap for c in checks))
+    _record("bc-audit rows of quartic fields at order 24", worst, 1e-6)
     assert worst <= 1e-6
 
 

@@ -20,7 +20,6 @@ from costress.cli import main, run
 from costress.constitutive import LoadData, MaterialParams, w_curv, w_lin
 from costress.fields import (ConformalField, fd_derivative_oracle, grad_curl_from_grad2,
                              kinematics, make_polynomial, random_conformal)
-from costress.surfaces import SphericalCap
 from costress.tensors import anti, axl, cartan_decompose, contract_E_X, inner, tr
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -201,11 +200,14 @@ def test_bad_spherical_cap_exits_2_no_output(tmp_path, cap):
     ("verify-kinematics", {"points": 2.5}),
     ("hd-postulate", {"quadrature_order": 2.5}),
     ("bvp-solve", {"n_modes": 2, "load": {"f_seed": 1.5}}),
+    ("bvp-solve", {"n_modes": 2, "load": {"f_seed": None}}),
+    ("cosserat-limit", {"n_modes": 2, "load": {"g_seed": None}}),
     ("hd-postulate", {"field": {"family": "conformal", "seed": 1.5}}),
     ("verify-kinematics", {"degree": 7}),
     ("bvp-solve", {"n_modes": 2, "load": {"f_degree": 9}}),
     ("bc-audit", {"quadrature_order": -3}),
     ("bc-audit", {"quadrature_order": 0}),
+    ("bc-audit", {"quadrature_order": 16}),
     ("verify-operators", {"quadrature_order": 8}),
     ("verify-kinematics", {"quadrature_order": 8}),
     ("verify-operators", {"material": {"mu": 1.0, "lambda": 1.0, "L_c": 1.0,
@@ -337,7 +339,7 @@ def test_field_specs_build_each_family():
 ], ids=lambda v: json.dumps(v, separators=(",", ":")))
 def test_bad_field_spec_exits_2_no_output(tmp_path, capsys, spec):
     # a boolean is not an integer in a spec either, as in the command keys
-    cfg = _write(tmp_path, "c.json", {"seed": 0, "quadrature_order": 4, "field": spec})
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "field": spec})
     out = tmp_path / "o"
     assert run("bc-audit", cfg, str(out)) == 2
     assert "config error: field: " in capsys.readouterr().err
@@ -406,38 +408,68 @@ def test_determinism_byte_identical(tmp_path):
     assert ra == rb
 
 
-def test_bc_audit_divergence_ladder_starts_past_preasymptotic_orders(tmp_path):
-    # seed 22's cubic field is still pre-asymptotic at order 4 on the
-    # hemisphere (order 4/8/16 gaps 5.4e-4, 1.5e-2, 2.2e-11)
+def test_bc_audit_resolves_a_field_that_order_4_does_not(tmp_path):
+    # seed 22's cubic field is still pre-asymptotic at order 4 on the hemisphere
+    # (order 4/8/16 divergence gaps 5.4e-4, 1.5e-2, 2.2e-11); its order is 4(3 + 2)
     cfg = _write(tmp_path, "c.json", {"seed": 22})
     out = tmp_path / "o"
     assert run("bc-audit", cfg, str(out)) == 0
     report = json.loads((out / "report.json").read_text())
-    mono = {c["name"]: c for c in report["checks"]}["surface_divergence_monotone"]
-    assert mono["passed"] and mono["details"]["orders"] == [8, 16, 32]
+    resolved = {c["name"]: c for c in report["checks"]}["quadrature_resolved"]
+    assert resolved["passed"] and resolved["details"]["orders"] == [20, 28]
 
 
-@pytest.mark.parametrize("order, orders", [(16, [8, 16, 32]), (24, [8, 16, 24, 32])])
-def test_bc_audit_runs_each_divergence_order_once(tmp_path, monkeypatch, order, orders):
-    calls = []
-
-    def counting(field, patch, quadrature_order):
-        calls.append(quadrature_order)
-        return raw(field, patch, quadrature_order)
-
-    raw = cli.surface_divergence_check
-    monkeypatch.setattr(cli, "surface_divergence_check", counting)
-    cfg = _write(tmp_path, "c.json", {"seed": 0, "quadrature_order": order})
+@pytest.mark.parametrize("field, delta_field, order", [
+    (None, None, 20),
+    ({"family": "polynomial", "seed": 3, "degree": 4}, None, 24),
+    ({"family": "conformal", "seed": 3}, {"family": "polynomial", "seed": 4, "degree": 1}, 16),
+    ({"family": "zero"}, {"family": "polynomial", "seed": 4, "degree": 6}, 32),
+], ids=["cubic", "quartic", "conformal", "sextic_delta"])
+def test_bc_audit_runs_each_check_once_at_the_order_of_its_fields(
+        tmp_path, monkeypatch, field, delta_field, order):
+    # the order is 4(d + 2) for the larger degree d of the two fields, a conformal
+    # field counting as 2; the work identity runs again at 8 orders more
+    calls, raws = [], {name: getattr(cli, name) for name in (
+        "surface_divergence_check", "stokes_flux_check", "boundary_work_identity")}
+    for name, raw in raws.items():
+        monkeypatch.setattr(cli, name, lambda *a, name=name, raw=raw: (
+            calls.append((name, a[-1])), raw(*a))[1])
+    cfg = {"seed": 0, **{k: v for k, v in (("field", field), ("delta_field", delta_field)) if v}}
     out = tmp_path / "o"
-    assert run("bc-audit", cfg, str(out)) == 0
-    assert sorted(calls) == orders
-    report = json.loads((out / "report.json").read_text())
-    checks = {c["name"]: c for c in report["checks"]}
-    # the default field and patch of seed 0, checked directly
-    u, patch = make_polynomial(0, 3), SphericalCap()
-    assert checks["surface_divergence"]["gap"] == raw(u, patch, order)[2]
-    assert checks["surface_divergence_monotone"]["details"]["gaps"] == [
-        raw(u, patch, o)[2] for o in (8, 16, 32)]
+    assert run("bc-audit", _write(tmp_path, "c.json", cfg), str(out)) == 0
+    assert sorted(calls) == [("boundary_work_identity", order),
+                             ("boundary_work_identity", order + 8),
+                             ("stokes_flux_check", order), ("surface_divergence_check", order)]
+    checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())["checks"]}
+    assert all(c["passed"] for c in checks.values())
+    assert checks["quadrature_resolved"]["details"]["orders"] == [order, order + 8]
+    # the rows hold the gaps of the library calls at those orders
+    job = cli._parse({"seed": cli._SEED, **cli._COMMANDS["bc-audit"][1]}, cfg)
+    u, du, patch, material = job["field"], job["delta_field"], job["patch"], job["material"]
+    work = [raws["boundary_work_identity"](material, u, du, patch, q) for q in (order, order + 8)]
+    assert checks["surface_divergence"]["gap"] == raws["surface_divergence_check"](u, patch, order)[2]
+    assert checks["stokes_flux"]["gap"] == raws["stokes_flux_check"](u, patch, order)[2]
+    assert checks["boundary_work_identity"]["gap"] == work[0].gap
+    assert checks["quadrature_resolved"]["gap"] == abs(work[0].direct - work[1].direct)
+    assert checks["quadrature_resolved"]["value"] == work[1].direct
+
+
+_OFF_AXIS_CAP = {"type": "spherical_cap", "radius": 2.0, "theta_max": 1.0, "axis": [1.0, 1.0, 0.0]}
+
+
+@pytest.mark.parametrize("cfg", [
+    *({"seed": s, "patch": _OFF_AXIS_CAP} for s in (1, 4, 8, 9, 10, 11)),
+    *({"seed": 5, "field": {"family": "polynomial", "seed": 5, "degree": d},
+       "delta_field": {"family": "polynomial", "seed": 6, "degree": d}} for d in (4, 6)),
+], ids=lambda v: json.dumps(v, separators=(",", ":")))
+def test_bc_audit_closes_the_work_identity_that_order_16_left_open(tmp_path, cfg):
+    # at a fixed order 16 the work identity of these jobs missed 1e-6: by 1.2e-6 to
+    # 3.2e-6 on the off-axis cap, 9.7e-5 for the quartic fields and 4.6e-3 for the
+    # sextic ones, whose divergence and Stokes rows failed too
+    out = tmp_path / "o"
+    assert run("bc-audit", _write(tmp_path, "c.json", cfg), str(out)) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert max(c["gap"] for c in checks) <= 1e-8
 
 
 def test_hd_postulate_report_content(tmp_path):
@@ -589,11 +621,8 @@ def test_a_warm_solver_job_plans_no_contraction(tmp_path, monkeypatch, command, 
 
 
 @pytest.mark.parametrize("command", ["bvp-solve", "cosserat-limit"])
-@pytest.mark.parametrize("via_flag", [False, True])
-def test_a_solver_quadrature_order_exits_2_before_tabulating(
-        tmp_path, monkeypatch, capsys, command, via_flag):
-    # the solver's Gauss order follows from N: the key, in the config or by the flag,
-    # is one the command does not read
+def test_a_solver_quadrature_order_exits_2_before_tabulating(tmp_path, monkeypatch, capsys, command):
+    # the solver's Gauss order follows from N: the key is one the command does not read
     solver._operators.cache_clear()  # a cold cache: the accepted job's one tabulation is its own
     calls = []
 
@@ -604,11 +633,9 @@ def test_a_solver_quadrature_order_exits_2_before_tabulating(
     raw = solver._tabulate
     monkeypatch.setattr(solver, "_tabulate", counting)
     order = 3 + 6  # the order the solver uses at N = 3
-    cfg = {"seed": 0, "n_modes": 3} if via_flag else {"seed": 0, "n_modes": 3,
-                                                      "quadrature_order": order}
-    flag = ["--quadrature-order", str(order)] if via_flag else []
+    cfg = {"seed": 0, "n_modes": 3, "quadrature_order": order}
     out = tmp_path / "rejected"
-    assert main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out), *flag]) == 2
+    assert main([command, "--config", _write(tmp_path, "c.json", cfg), "--out", str(out)]) == 2
     assert "quadrature_order" in capsys.readouterr().err
     assert calls == [] and not out.exists()
     out = tmp_path / "accepted"
@@ -884,13 +911,36 @@ def test_the_blas_thread_count_is_read_once_per_process(tmp_path, base_config, m
     assert counts[1] == counts[0]      # the second job loaded no library
 
 
-def test_quadrature_order_override(tmp_path, base_config):
+@pytest.mark.parametrize("command", ["bc-audit", "hd-postulate"])
+def test_the_quadrature_order_flag_is_refused(tmp_path, base_config, capsys, command):
+    # no command takes a Gauss order by flag: bc-audit's follows from its fields, and
+    # hd-postulate reads its order from the config alone
     out = tmp_path / "o"
-    rc = main(["bc-audit", "--config", base_config, "--out", str(out),
-               "--quadrature-order", "8"])
-    assert rc in (0, 1)  # order 8 may legitimately miss the tight gaps
-    report = json.loads((out / "report.json").read_text())
-    assert report["job"]["quadrature_order"] == 8
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", base_config, "--out", str(out), "--quadrature-order", "8"])
+    assert exc.value.code == 2
+    assert "--quadrature-order" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hd_postulate_defaults_to_order_16_for_a_conformal_field(tmp_path, seed):
+    # the rule 4(d + 2) with a conformal field's d = 2: the default job writes the bytes
+    # of the same job at an explicit order 16, its echo included
+    outs = []
+    for i, cfg in enumerate(({"seed": seed}, {"seed": seed, "quadrature_order": 16})):
+        outs.append(tmp_path / str(i))
+        assert run("hd-postulate", _write(tmp_path, f"{i}.json", cfg), str(outs[-1])) == 0
+    for name in ("hd-postulate.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert json.loads((outs[0] / "report.json").read_text())["job"]["quadrature_order"] == 16
+
+
+def test_hd_postulate_orders_a_polynomial_field_by_its_degree(tmp_path):
+    cfg = {"seed": 0, "field": {"family": "polynomial", "seed": 1, "degree": 5}}
+    out = tmp_path / "o"
+    assert run("hd-postulate", _write(tmp_path, "c.json", cfg), str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["job"]["quadrature_order"] == 28
 
 
 def _schema_keys(schema, prefix=""):

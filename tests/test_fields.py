@@ -121,6 +121,27 @@ def test_make_polynomial_of_seeds_stacks_each_seeds_field():
         make_polynomial(seeds.reshape(2, 2), 4)
 
 
+def test_a_field_states_its_total_degree():
+    for d in range(7):
+        assert make_polynomial(d, d).degree == d
+    assert make_polynomial(np.arange(4), 5).degree == 5
+    xyz = np.zeros((3, 3, 3, 3))
+    assert PolynomialField(xyz).degree == 0
+    xyz[1, 1, 1, 1] = 2.0  # x1 x2 x3 in the second component: each power is 1, the degree 3
+    assert PolynomialField(xyz).degree == 3
+    batch = np.zeros((2, 3, 4, 4, 4))  # the batch's largest, in a block wider than it
+    batch[1, 0, 0, 2, 0] = 1.0
+    assert PolynomialField(batch).degree == 2
+    # a conformal field counts as a quadratic, its quadratic part zero or not
+    assert ConformalField().degree == random_conformal(1).degree == 2
+
+
+def test_evaluating_a_polynomial_does_not_find_its_degree():
+    u = make_polynomial(np.arange(3), 4)
+    kinematics(u, np.zeros((3, 2, 3)))
+    assert "degree" not in vars(u)
+
+
 def test_fields_may_carry_several_field_axes():
     batch = make_polynomial(np.arange(6), 3)
     grid = PolynomialField(batch.coeffs.reshape(2, 3, 3, 4, 4, 4))

@@ -274,7 +274,7 @@ _REACH_JOBS = [
     ("verify-operators", {"seed": 0, "cases": 2}, 0),
     ("verify-kinematics", {"seed": 0, "fields": 2, "points": 2, "degree": 2, "fd_fields": 1}, 0),
     ("energy-report", {"seed": 0, "cases": 2}, 0),
-    ("bc-audit", {"seed": 0, "quadrature_order": 4, "field": {"family": "zero"},
+    ("bc-audit", {"seed": 0, "field": {"family": "zero"},
                   "delta_field": {"family": "constant", "c": [1.0, -2.0, 0.5]},
                   "patch": {"type": "box_face", "which": "x-"}}, 0),
     ("bc-audit", {"seed": 1, "field": {"family": "rigid", "w_axial": [0.1, 0.2, 0.3], "b": [1, 0, 0]},
