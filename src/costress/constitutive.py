@@ -13,6 +13,10 @@ grad curl (k = mu L_c^2) as one (27, 9) matrix per material, the
 entries 0, +-k alpha1 and +-k (alpha1 +- alpha2)/2.  An entry of m or grad m
 sums at most four products, so it is couple_stress(grad curl) within a few
 ulp of the largest, not bit for bit.
+
+A field of degree at most 2 has grad m = 0 and tau = 0: :func:`stresses`
+returns them as exact zeros without evaluating the field's ``grad3``, and
+:func:`equilibrium_residual` drops Div tau without its ``grad4``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "ScalarForms",
     "StressState",
     "couple_stress",
+    "couple_stress_and_gradient",
     "equilibrium_residual",
     "stresses",
     "w_curv",
@@ -181,27 +186,56 @@ _GRAD_CURL_OF_UNIT_GRAD2 = grad_curl_from_grad2(np.eye(27).reshape(27, 3, 3, 3))
 _GRAD_CURL_OF_UNIT_GRAD2.flags.writeable = False
 
 
+def _at_most_quadratic(field: DisplacementField) -> bool:
+    """Whether the field states a degree of at most 2: its third and fourth
+    gradients vanish identically, so grad m, tau and Div tau do."""
+    return field.degree is not None and field.degree <= 2
+
+
+def couple_stress_and_gradient(params: MaterialParams, field: DisplacementField,
+                               x: NDArray) -> tuple[NDArray, NDArray]:
+    """The couple stress m (..., 3, 3) and its gradient grad m (..., 3, 3, 3),
+    grad_m[..., i, j, k] = d_k m_ij, at points x of shape (..., 3).
+
+    The couple law is linear, so m and d_l m are grad2 u and d_l grad2 u times
+    its matrix.  grad m comes from the field's own ``grad3``, except for a
+    field of degree at most 2: its grad m is exact zeros and ``grad3`` is not
+    called.
+    """
+    x = np.asarray(x, dtype=float)
+    H = field.grad2(x)
+    _guard_finite("grad2", H, x)
+    law = couple_stress(params, _GRAD_CURL_OF_UNIT_GRAD2).reshape(27, 9)
+    m = (H.reshape(H.shape[:-3] + (27,)) @ law).reshape(H.shape[:-1])
+    if _at_most_quadratic(field):
+        return m, np.zeros(m.shape + (3,))
+    T3 = field.grad3(x)
+    _guard_finite("grad3", T3, x)
+    dm = np.moveaxis(T3, -1, -4).reshape(T3.shape[:-4] + (3, 27)) @ law     # (..., l, ij)
+    return m, np.moveaxis(dm.reshape(T3.shape[:-1]), -3, -1)
+
+
 def stresses(params: MaterialParams, field: DisplacementField, x: NDArray) -> StressState:
     """All stress measures of the model at points x of shape (..., 3), and
     the gradient of the couple stress; see :class:`StressState`.
 
-    grad m, hence Div m and tau, comes from the field's own ``grad3``: the
-    couple law is linear, so m and d_l m are grad2 u and d_l grad2 u times its matrix.
+    sigma comes from the field's ``grad``, m and grad m from
+    :func:`couple_stress_and_gradient`, and tau = anti(Div m)/2 from grad m.
+    For a field of degree at most 2, grad m and tau are exact zeros, no
+    ``grad3`` is evaluated and ``sigma_total`` is ``sigma`` itself.
     """
     x = np.asarray(x, dtype=float)
     G = field.grad(x)
-    H = field.grad2(x)
-    T3 = field.grad3(x)
-    for name, a in (("grad", G), ("grad2", H), ("grad3", T3)):
-        _guard_finite(name, a, x)
+    _guard_finite("grad", G, x)
+    m_tilde, grad_m = couple_stress_and_gradient(params, field, x)
     sigma = 2.0 * params.mu * sym(G) + params.lam * tr(G)[..., None, None] * ID3
-    law = couple_stress(params, _GRAD_CURL_OF_UNIT_GRAD2).reshape(27, 9)
-    m_tilde = (H.reshape(H.shape[:-3] + (27,)) @ law).reshape(H.shape[:-1])
-    dm = np.moveaxis(T3, -1, -4).reshape(T3.shape[:-4] + (3, 27)) @ law     # (..., l, ij)
-    grad_m = np.moveaxis(dm.reshape(T3.shape[:-1]), -3, -1)
-    tau = 0.5 * anti(np.einsum("...ijj->...i", grad_m))
+    if _at_most_quadratic(field):
+        tau, sigma_total = np.zeros(sigma.shape), sigma
+    else:
+        tau = 0.5 * anti(np.einsum("...ijj->...i", grad_m))
+        sigma_total = sigma - tau
     return StressState(sigma=sigma, m_tilde=m_tilde, grad_m=grad_m, tau_tilde=tau,
-                       sigma_total=sigma - tau)
+                       sigma_total=sigma_total)
 
 
 def equilibrium_residual(
@@ -219,15 +253,17 @@ def equilibrium_residual(
     k (Lap Lap u - grad div Lap u) with k = mu L_c^2 (alpha1 + alpha2) / 4.
     The body couple works against curl u / 2, int g . curl v / 2 =
     int curl g / 2 . v for v clamped, so it loads the field equations as curl g / 2.
+    A field of degree at most 2 has Div tau = 0, and its ``grad4`` is not called.
     """
     x = np.asarray(x, dtype=float)
     H = field.grad2(x)
-    Q = field.grad4(x)
-    div_sigma = (params.mu * np.einsum("...ijj->...i", H)
-                 + (params.mu + params.lam) * np.einsum("...jij->...i", H))
-    k = 0.25 * params.mu * params.L_c ** 2 * (params.alpha1 + params.alpha2)
-    div_tau = k * (np.einsum("...iaabb->...i", Q) - np.einsum("...jjiaa->...i", Q))
-    res = div_sigma - div_tau + loads.force(x)
+    res = (params.mu * np.einsum("...ijj->...i", H)
+           + (params.mu + params.lam) * np.einsum("...jij->...i", H))     # Div sigma
+    if not _at_most_quadratic(field):
+        Q = field.grad4(x)
+        k = 0.25 * params.mu * params.L_c ** 2 * (params.alpha1 + params.alpha2)
+        res = res - k * (np.einsum("...iaabb->...i", Q) - np.einsum("...jjiaa->...i", Q))
+    res = res + loads.force(x)
     if loads.m_body is not None:
         res = res + 0.5 * curl_from_grad(loads.m_body.grad(x))
     _guard_finite("the equilibrium residual", res, x)

@@ -11,6 +11,11 @@ axes; a single point is a batch of one.  Polynomials also come in batches
 of fields: their coefficients carry leading field axes, which pair with
 the leading axes of the points, and a single field is a batch of none.
 :func:`fd_partial` is the one finite-difference stencil of the package.
+
+A field states its total ``degree``, None where unknown.  Its third and
+fourth gradients vanish at degree 2 or below, so stresses, the boundary
+split and the equilibrium residual do not evaluate them there; a conformal
+field, of degree 2, does not define them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .tensors import EPS3, ID3, _axial, anti, skw, sym
+from .tensors import EPS3, ID3, _axial, anti, cross, skw, sym
 
 __all__ = [
     "ConformalField",
@@ -144,9 +149,12 @@ class DisplacementField:
     Subclasses provide ``value`` and the gradients ``grad`` (G[i, j] =
     d u_i / dx_j) to ``grad4`` (Q[i, j, k, l, m] = d^4 u_i / dx_j dx_k dx_l
     dx_m), each at points (..., 3): in closed form, or tabulated in
-    :mod:`costress.solver`.  Fields are immutable after construction and
-    safe to evaluate concurrently.
+    :mod:`costress.solver`; one of ``degree`` at most 2 may omit ``grad3``
+    and ``grad4``, which vanish.  Fields are immutable after construction
+    and safe to evaluate concurrently.
     """
+
+    degree = None   #: total degree as a polynomial; None, unknown: every derivative is evaluated
 
     def value(self, x: NDArray) -> NDArray:
         raise NotImplementedError
@@ -318,17 +326,10 @@ class ConformalField(DisplacementField):
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         wx = x @ self.w
-        cross = np.cross(np.broadcast_to(self.w, x.shape), x)
-        return (wx + self.p)[..., None, None] * ID3 + anti(cross) + self.A
+        return (wx + self.p)[..., None, None] * ID3 + anti(cross(self.w, x)) + self.A
 
     def grad2(self, x):
         return np.broadcast_to(self._H, np.shape(x)[:-1] + (3, 3, 3)).copy()
-
-    def grad3(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3))
-
-    def grad4(self, x):
-        return np.zeros(np.shape(x)[:-1] + (3, 3, 3, 3, 3))
 
 
 def random_conformal(seed: int) -> ConformalField:

@@ -31,6 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fields import DisplacementField, _finite, curl_from_grad
+from .tensors import cross
 
 __all__ = [
     "BoxFace",
@@ -122,7 +123,7 @@ class SurfacePatch:
 
     def frame(self, s, t) -> Frame:
         x, tangents, dn = self.chart(s, t)
-        nv = np.cross(tangents[..., 0, :], tangents[..., 1, :])
+        nv = cross(tangents[..., 0, :], tangents[..., 1, :])
         jac = np.linalg.norm(nv, axis=-1)
         # x^a = g^ab x_b with the 2x2 inverse metric adj(g) / det g in closed form
         x_s, x_t = tangents[..., 0, :], tangents[..., 1, :]
@@ -225,7 +226,7 @@ class SphericalCap(SurfacePatch):
             helper = np.array([0.0, 1.0, 0.0])
         e1 = helper - (helper @ e3) * e3
         e1 /= np.linalg.norm(e1)
-        e2 = np.cross(e3, e1)
+        e2 = cross(e3, e1)
         self.e1, self.e2, self.e3 = e1, e2, e3
         self.s_range = (0.0, theta_max)
         self.t_range = (0.0, 2.0 * math.pi)
@@ -263,5 +264,5 @@ def stokes_flux_check(field, patch: SurfacePatch, order: int):
     circ = 0.0
     for side in patch.edge_sides:
         W, fr, nu = patch.edge_quadrature(side, order)
-        circ += float(W @ _dot(field.value(fr.x), np.cross(fr.n, nu)))
+        circ += float(W @ _dot(field.value(fr.x), cross(fr.n, nu)))
     return flux, circ, abs(flux - circ)

@@ -14,7 +14,8 @@ constant matrix of 0, +-1 and 2, and the spherical part (so ``dev``) writes the
 diagonal alone: each rounds every entry as its textbook formula does, overflow
 and subnormals included, though a non-finite entry, times 0, spreads NaN over its
 tensor in ``sym``, ``skw`` and ``anti``.  ``inner`` and the Frobenius norm are
-``einsum`` sums, within a few ulp of a plain sum.
+``einsum`` sums, within a few ulp of a plain sum.  ``cross`` forms np.cross's
+products and differences, so it equals np.cross bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "axl",
     "cartan_decompose",
     "contract_E_X",
+    "cross",
     "dev",
     "inner",
     "is_skew",
@@ -145,6 +147,15 @@ def anti(v: NDArray) -> NDArray:
     """Skew tensor of an axial vector, anti(v)_ij = -eps_ijk v_k."""
     v = np.asarray(v, dtype=float)
     return (v @ _ANTI).reshape(v.shape + (3,))
+
+
+def cross(a: NDArray, b: NDArray) -> NDArray:
+    """Cross product a x b over the last axis, the leading axes broadcast:
+    np.cross's products and differences without its axis handling."""
+    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def contract_E_X(E: NDArray, X: NDArray) -> NDArray:

@@ -10,6 +10,7 @@ from costress.boundary import (
 )
 from costress.constitutive import MaterialParams, couple_stress, stresses
 from costress.fields import (
+    ConformalField,
     DisplacementField,
     PolynomialField,
     fd_derivative_oracle,
@@ -17,7 +18,7 @@ from costress.fields import (
     make_polynomial,
     random_conformal,
 )
-from costress.surfaces import BoxFace, SphericalCap, SurfacePatch, surface_divergence_check
+from costress.surfaces import BoxFace, SphericalCap, SurfacePatch, _dot, surface_divergence_check
 from costress.tensors import anti, sym
 from oracles import PointwiseField, chart_gradient, surface_rowwise_divergence
 
@@ -273,10 +274,12 @@ def test_complete_tractions_close_the_work_identity(patch, missing, hd_missing):
 
 
 class _CountingField(DisplacementField):
-    """Delegates to a field and counts its derivative evaluations."""
+    """Delegates to a field, its degree included, and counts its derivative
+    evaluations."""
 
     def __init__(self, field):
         self.field = field
+        self.degree = field.degree
         self.calls = {"grad": 0, "grad2": 0, "grad3": 0}
 
     def value(self, x):
@@ -315,11 +318,58 @@ def test_one_frame_and_one_derivative_evaluation_per_point_set(patch, monkeypatc
         run(u)
         return len(frames), u.calls
 
-    # the surface rule, then one rule per edge
+    # the surface rule, then one rule per edge; the force traction, hence
+    # grad, only on the surface rule, and hd_postulate_report reads no force
+    # traction at all
     point_sets = 1 + len(patch.edge_sides)
     n, calls = counts(lambda u: boundary_work_identity(p, u, make_polynomial(1, 3), patch, 8))
-    assert n == point_sets and calls == dict.fromkeys(calls, point_sets)
-    for run in (lambda u: hd_postulate_report(p, u, patch, 8),
-                *(lambda u, f=f: tractions(p, u, patch.frame(S, T), f) for f in FORMULATIONS)):
+    assert n == point_sets and calls == {"grad": 1, "grad2": point_sets, "grad3": point_sets}
+    n, calls = counts(lambda u: hd_postulate_report(p, u, patch, 8))
+    assert n == 1 and calls == {"grad": 0, "grad2": 1, "grad3": 1}
+    for run in (lambda u, f=f: tractions(p, u, patch.frame(S, T), f) for f in FORMULATIONS):
         n, calls = counts(run)
         assert n == 1 and calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("field", [random_conformal(3), make_polynomial(4, 2)],
+                         ids=["conformal", "quadratic"])
+def test_stresses_of_a_field_of_degree_two_evaluate_no_third_gradient(field):
+    p = MaterialParams.for_regime("gkmt", mu=1.3, lam=0.7, L_c=0.4)
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3))
+    u = _CountingField(field)
+    st = stresses(p, u, x)
+    assert u.degree == 2 and u.calls == {"grad": 1, "grad2": 1, "grad3": 0}
+    assert st.grad_m.shape == (5, 3, 3, 3) and st.tau_tilde.shape == (5, 3, 3)
+    assert not st.grad_m.any() and not st.tau_tilde.any()
+    assert st.sigma_total is st.sigma
+    if isinstance(field, PolynomialField):
+        # the same quadratic of unknown degree evaluates its zero grad3: same values
+        unknown = _CountingField(field)
+        unknown.degree = None
+        full = stresses(p, unknown, x)
+        assert unknown.calls == {"grad": 1, "grad2": 1, "grad3": 1}
+        for name, value in vars(full).items():
+            assert np.array_equal(getattr(st, name), value), name
+        for patch in (HEMI, CAP, FACE):
+            _, _, fr = patch.quadrature(8)
+            for name, value in vars(_split(p, unknown, fr)).items():
+                assert np.array_equal(getattr(_split(p, u, fr), name), value), name
+
+
+@pytest.mark.parametrize("regime", ["gkmt", "hd"])
+@pytest.mark.parametrize("patch", [HEMI, CAP, FACE], ids=["hemisphere", "off_axis_cap", "face"])
+def test_hd_postulate_report_reads_the_complete_split(patch, regime):
+    # the moment half alone gives sup |psi| and |-2 t_tang| of the whole split, bit for bit
+    p = MaterialParams.for_regime(regime, mu=1.3, lam=0.7, L_c=0.4)
+    _, wts, fr = patch.quadrature(8)
+    # conformal fields, the zero, constant and rigid presets, polynomials of degree 0-3
+    fields = ([random_conformal(s) for s in (3, 11)]
+              + [ConformalField(), ConformalField(b_hat=(1.0, -2.0, 0.5)),
+                 ConformalField(a_hat=anti((0.1, 0.2, 0.3)), b_hat=(1.0, 0.0, 0.0))]
+              + [make_polynomial(20 + d, d) for d in range(4)])
+    for u in fields:
+        rep = hd_postulate_report(p, u, patch, 8)
+        sp = _split(p, u, fr)
+        r = -2.0 * sp.t_tang
+        assert rep.sup_normal_moment == float(np.max(np.abs(sp.psi)))
+        assert rep.residual_work_norm == float(np.sqrt(wts @ _dot(r, r)))

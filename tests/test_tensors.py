@@ -11,6 +11,7 @@ from costress.tensors import (
     axl,
     cartan_decompose,
     contract_E_X,
+    cross,
     dev,
     inner,
     is_skew,
@@ -44,6 +45,28 @@ def test_anti_cross_product_action():
     for _ in range(50):
         v, w = rng.normal(size=3), rng.normal(size=3)
         assert np.allclose(anti(v) @ w, np.cross(v, w), atol=1e-14)
+
+
+def test_cross_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(1)
+    # wide exponents and signs, so every product and difference rounds
+    a, b = (rng.normal(size=(7, 4, 2, 3)) * 10.0 ** rng.integers(-8, 9, (7, 4, 2, 3))
+            for _ in range(2))
+    cases = [
+        (a[0, 0, 0], b[0, 0, 0]),                       # (3,)
+        (a[:, 0, 0], b[:, 0, 0]),                       # (..., 3)
+        (a[:, :, 0], b[:, :, 0]),                       # (..., 3), two leading axes
+        (a[:, 0], b[:, 0]),                             # (..., 2, 3)
+        (a, b),
+        (a[0, 0, 0], b[:, :, 1]),                       # a vector against a batch
+        (a[:, :1, :, :], b[:1, :, :1, :]),              # broadcast leading axes
+        (a[::2, ::3, ::-1, :], b[::2, 1::3, :, :]),     # strided, reversed
+        (np.broadcast_to(a[0, 0, 0], (5, 3)), b[:5, 0, 0]),   # zero strides
+        (a[:, 0, 0].T.copy().T, b[:, 1, 1, ::-1]),      # column-major, reversed components
+    ]
+    for x, y in cases:
+        assert np.array_equal(cross(x, y), np.cross(x, y))
+        assert cross(x, y).shape == np.cross(x, y).shape
 
 
 @given(vec3)
