@@ -548,6 +548,26 @@ def test_a_stiffness_not_positive_definite_exits_2_with_no_files(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, mu, lam, says", [
+    ("bvp-solve", 1.0, 1e308, "overflows against the mass: L^-1 K L^-T, M = L L', leaves the "
+                              "floating-point range; lambda / mu = 1e+308"),
+    ("bvp-solve", 1e308, 1e308, "the stiffness overflows the floating-point range (mu = 1e+308, "
+                                "lambda = 1e+308, (alpha1 + alpha2) mu L_c^2 = inf); lambda / mu = 1"),
+    ("cosserat-limit", 1e308, 1e308, "the stiffness overflows the floating-point range (mu = 1e+308"),
+])
+def test_an_overflowing_stiffness_exits_2_with_no_files(tmp_path, capsys, command, mu, lam, says):
+    # at lambda = 1e308 the stiffness is finite (largest entry 9.4e300 at N = 2) but its
+    # pencil with the mass overflows, which coercivity refuses before its eigen-solves;
+    # at mu = lambda = 1e308, mu + lambda and so the stiffness overflow, which the
+    # assembly refuses.  Warnings are errors here, so an overflow warning fails the job
+    material = {"mu": mu, "lambda": lam, "L_c": 0.5, "alpha1": 1.0, "alpha2": 1.0}
+    out = tmp_path / "o"
+    cfg = _write(tmp_path, "c.json", {"seed": 0, "n_modes": 2, "material": material})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stiffness_symmetry_of_an_extreme_material_does_not_overflow(tmp_path):
     # the Frobenius norms of this K overflow; those of K over its largest entry do not,
     # and K is exactly symmetric.  Warnings are errors here, so an overflow fails the job
@@ -577,34 +597,42 @@ def test_korn_check_bounds_the_constant_by_one_and_sqrt2(monkeypatch, korn, pass
     assert bool(check.passed) == passed
 
 
-def test_a_warm_bvp_job_factors_no_mass_block(monkeypatch):
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_a_warm_bvp_job_runs_one_cholesky_lu_and_eigen_solve_per_orbit(monkeypatch, n):
     # the mass's inverse factors are held with the shared operators: a warm job's only
-    # Cholesky factorizations are solve's, of the blocks of its stiffness; each call
-    # factors a group's stack of blocks, so the matrices factored are counted
+    # Cholesky factorizations are solve's, one of its stiffness per orbit, and it runs one
+    # LU solve (every member's load a column) and one eigen-solve, coercivity's, per orbit
     material = MaterialParams.for_regime("gkmt", L_c=0.5)
-    systems, factored, raw = [], [], np.linalg.cholesky
+    systems, calls = [], {name: [] for name in ("cholesky", "solve", "eigvalsh", "eigh")}
 
     def assemble(*args):
         systems.append(solver.assemble(*args))
         return systems[-1]
 
+    def counting(name, raw):
+        return lambda a, *rest: (calls[name].append(a), raw(a, *rest))[1]
+
     def job():
         systems.clear()
-        factored.clear()
-        cli.bvp_checks(0, 3, LoadData(), material, {"solver_residual": 1e-10})
+        for made in calls.values():
+            made.clear()
+        cli.bvp_checks(0, n, LoadData(), material, {"solver_residual": 1e-10})
         [system] = systems
-        return system
+        return system, {name: len(made) for name, made in calls.items()}
 
     monkeypatch.setattr(cli, "assemble", assemble)
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: (factored.append(a), raw(a))[1])
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     solver._operators.cache_clear()
-    cold = job()  # solve's blocks, then the mass's and Korn's sym grad's on first use
-    blocks = len(cold.ops.basis.blocks)
-    assert sum(len(a) for a in factored) == 3 * blocks
-    warm = job()
+    # the mass's, solve's and Korn's sym grad's factors (the cold Gauss rule of the tables
+    # runs an eigen-solve of its own)
+    cold, counts = job()
+    orbits = len(cold.ops.basis.orbits)
+    assert counts["cholesky"] == 3 * orbits and counts["solve"] == orbits
+    warm, counts = job()
     assert warm.ops is cold.ops
-    assert sum(len(a) for a in factored) == blocks
-    assert len(factored) == len(warm.K) and all(a is K for a, K in zip(factored, warm.K))
+    assert counts == {"cholesky": orbits, "solve": orbits, "eigvalsh": orbits, "eigh": 0}
+    assert all(a is K for a, K in zip(calls["cholesky"], warm.K))
 
 
 @pytest.mark.parametrize("command, n", [("bvp-solve", 4), ("bvp-solve", 5), ("cosserat-limit", 4)])
